@@ -6,6 +6,7 @@ import csv
 import sys
 
 from asmlab.enumeration import ALL_CHECKS, CENSUS_COLUMNS, tabulate
+from asmlab.homology import parse_field
 
 
 def main() -> int:
@@ -18,7 +19,7 @@ def main() -> int:
     parser.add_argument("--field", default="rational")
     args = parser.parse_args()
 
-    field = args.field if args.field == "rational" else int(args.field.lstrip("p="))
+    field = parse_field(args.field)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CENSUS_COLUMNS)
     for n in args.n:

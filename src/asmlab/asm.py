@@ -17,6 +17,7 @@ from .errors import (
     EntryOutOfRangeError,
     IndexOutOfRangeError,
     InvalidWitnessError,
+    MalformedInputError,
     NonSquareError,
     RowSumError,
     SizeBoundExceededError,
@@ -109,7 +110,11 @@ def _check_alternation(line, kind: str, index: int) -> None:
 
 
 def asm_from_json(data: dict) -> Asm:
-    matrix = data["matrix"]
+    matrix = data.get("matrix") if isinstance(data, dict) else None
+    if not isinstance(matrix, list) or not all(
+        isinstance(row, list) and all(type(e) is int for e in row) for row in matrix
+    ):
+        raise MalformedInputError('expected {"matrix": [[int, ...], ...]}')
     if "n" in data and len(matrix) != data["n"]:
         raise NonSquareError("declared n does not match matrix size")
     return validate_asm(matrix)

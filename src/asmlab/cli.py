@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .asm import (
     Asm,
@@ -26,13 +26,12 @@ from .asm import (
 from .complexes import km_vertex_decomposable, sr_complex_from_ideal
 from .enumeration import (
     ALL_CHECKS,
-    CENSUS_COLUMNS,
     STATEMENT_NAMES,
     tabulate,
     verify_statement,
 )
-from .errors import AsmlabError
-from .homology import is_cohen_macaulay
+from .errors import AsmlabError, MalformedInputError
+from .homology import is_cohen_macaulay, parse_field
 from .ideals import cell_label, init_ideal, perm_set_via_primes
 
 
@@ -52,21 +51,16 @@ class CliConfig:
     jobs: int = 1
     cache_dir: str | None = None
     out_path: str | None = None
-    strict_badblock: bool = False
     seed: int = 0
-
-
-def _parse_field(text: str):
-    if text == "rational":
-        return "rational"
-    if text.startswith("p="):
-        return int(text[2:])
-    raise AsmlabError(f"field must be 'rational' or 'p=<prime>', got {text!r}")
 
 
 def _load_asm(path: str) -> Asm:
     with open(path) as fh:
-        return asm_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise MalformedInputError(f"{path} is not JSON: {exc}") from None
+    return asm_from_json(data)
 
 
 def _emit(config: CliConfig, text: str) -> None:
@@ -100,16 +94,13 @@ def cmd_analyze(config: CliConfig) -> int:
         "cm": cm,
         "diagram": ascii_diagram(A),
     }
-    if I.is_zero:
-        report["km_vd"] = True
-    else:
-        trace = km_vertex_decomposable(sr_complex_from_ideal(I))
-        report["km_vd"] = trace.result
-        if not trace.result:
-            report["km_vd_trace"] = trace.to_json_dict()
-            report["km_vd_failure_vertex"] = (
-                cell_label(trace.failure_vertex) if trace.failure_vertex else None
-            )
+    trace = km_vertex_decomposable(sr_complex_from_ideal(I))
+    report["km_vd"] = trace.result
+    if not trace.result:
+        report["km_vd_trace"] = trace.to_json_dict()
+        report["km_vd_failure_vertex"] = (
+            cell_label(trace.failure_vertex) if trace.failure_vertex else None
+        )
     if config.out_format == "text":
         lines = [report["diagram"], ""]
         lines += [
@@ -208,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pattern")
     p.add_argument("--pattern", dest="pattern_path", required=True)
     p.add_argument("--target", dest="target_path", required=True)
-    p.add_argument("--strict-badblock", action="store_true")
     common(p)
 
     p = sub.add_parser("diagram")
@@ -242,12 +232,11 @@ def config_from_args(args) -> CliConfig:
     if getattr(args, "out_format", None) is None:
         config.out_format = _DEFAULT_FORMATS[args.command]
     if hasattr(args, "field"):
-        config.field = _parse_field(args.field)
+        config.field = parse_field(args.field)
     if getattr(args, "checks", None):
         config.checks = tuple(c for c in args.checks.split(",") if c)
-    env_cache = os.environ.get("ASMLAB_CACHE")
-    if env_cache:
-        config.cache_dir = env_cache
+    if config.cache_dir is None:
+        config.cache_dir = os.environ.get("ASMLAB_CACHE") or None
     return config
 
 

@@ -13,9 +13,16 @@ from functools import lru_cache
 
 from .asm import Cell
 from .errors import NotAFaceError
-from .ideals import SquarefreeIdeal, cell_label, minimal_primes
+from .ideals import (
+    SquarefreeIdeal,
+    cell_label,
+    is_pure_family,
+    maximal_sets,
+    minimal_primes,
+    minimal_transversals,
+)
 
-KM_MEMO_SIZE = 10**6
+MEMO_SIZE = 10**6  # the bound of every facet-keyed memo, here and in homology
 
 
 def km_order_key(cell: Cell):
@@ -53,15 +60,6 @@ class SimplicialComplex:
         }
 
 
-def _maximal_sets(sets) -> frozenset:
-    pool = sorted(set(sets), key=len, reverse=True)
-    kept: list[frozenset] = []
-    for s in pool:
-        if not any(s <= k for k in kept):
-            kept.append(s)
-    return frozenset(kept)
-
-
 def sr_complex_from_ideal(I: SquarefreeIdeal) -> SimplicialComplex:
     """Facets are the universe-complements of the minimal primes."""
     if I.is_unit:
@@ -85,22 +83,10 @@ def sr_complex_from_ideal(I: SquarefreeIdeal) -> SimplicialComplex:
 def stanley_reisner_ideal(delta: SimplicialComplex) -> SquarefreeIdeal:
     """Minimal non-faces within the vertex universe, as minimal transversals
     of the facet complements."""
-    complements = [delta.vertex_universe - F for F in delta.facets]
-    nonfaces: set[frozenset] = {frozenset()}
-    for comp in sorted(complements, key=len):
-        new: set[frozenset] = set()
-        for m in nonfaces:
-            if m & comp:
-                new.add(m)
-            else:
-                new.update(m | {v} for v in comp)
-        pool = sorted(new, key=len)
-        kept: list[frozenset] = []
-        for s in pool:
-            if not any(k <= s for k in kept):
-                kept.append(s)
-        nonfaces = set(kept)
-    return SquarefreeIdeal.make(delta.ambient_n, nonfaces)
+    return SquarefreeIdeal(
+        delta.ambient_n,
+        minimal_transversals(delta.vertex_universe - F for F in delta.facets),
+    )
 
 
 def full_grid_ideal(delta: SimplicialComplex) -> SquarefreeIdeal:
@@ -118,11 +104,11 @@ def is_face(delta: SimplicialComplex, sigma: frozenset) -> bool:
 
 
 def link_facets(facets, sigma: frozenset) -> frozenset:
-    return _maximal_sets(F - sigma for F in facets if sigma <= F)
+    return maximal_sets(F - sigma for F in facets if sigma <= F)
 
 
 def deletion_facets(facets, sigma: frozenset) -> frozenset:
-    return _maximal_sets(F - sigma for F in facets)
+    return maximal_sets(F - sigma for F in facets)
 
 
 def face_subcomplex(
@@ -148,7 +134,7 @@ def face_subcomplex(
 
 
 def is_pure(delta: SimplicialComplex) -> bool:
-    return len({len(F) for F in delta.facets}) <= 1
+    return is_pure_family(delta.facets)
 
 
 @dataclass(frozen=True)
@@ -169,9 +155,9 @@ class DecompositionTrace:
         return d
 
 
-@lru_cache(maxsize=KM_MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _km_vd_facets(facets: frozenset) -> DecompositionTrace:
-    if len({len(F) for F in facets}) > 1:
+    if not is_pure_family(facets):
         return DecompositionTrace(False, None, "NotPure")
     vertices = frozenset().union(*facets) if facets else frozenset()
     if not vertices:

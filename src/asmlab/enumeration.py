@@ -177,11 +177,7 @@ def analyze_asm(
         timings.append(("cm", time.perf_counter() - t0))
     if "km_vd" in checks:
         t0 = time.perf_counter()
-        I = init_ideal(A)
-        if I.is_zero:
-            km_vd = True
-        else:
-            km_vd = km_vertex_decomposable(sr_complex_from_ideal(I)).result
+        km_vd = km_vertex_decomposable(sr_complex_from_ideal(init_ideal(A))).result
         timings.append(("km_vd", time.perf_counter() - t0))
     return AnalysisReport(
         asm=A,
@@ -278,6 +274,8 @@ def tabulate(
     recompute nothing.
     """
     checks = tuple(sorted(frozenset(checks)))
+    if not (1 <= n <= MAX_STREAM_N):
+        raise SizeBoundExceededError(f"census size n={n} outside [1, {MAX_STREAM_N}]")
     if ("cm" in checks or "km_vd" in checks) and n > 7:
         raise SizeBoundExceededError(f"cm/km_vd censuses are limited to n <= 7")
     if filter_spec not in _FILTERS:
@@ -437,11 +435,7 @@ def _verify_init_split(n, rng, report):
 
 def _verify_link_colon(n, rng, report):
     for A in _sampled_asms(n, rng, 80):
-        I = init_ideal(A)
-        if I.is_zero:
-            report.cases += 1
-            continue
-        delta = sr_complex_from_ideal(I)
+        delta = sr_complex_from_ideal(init_ideal(A))
         I_delta = stanley_reisner_ideal(delta)
         faces = sorted(
             _all_faces(delta.facets), key=lambda f: (len(f), tuple(sorted(f)))

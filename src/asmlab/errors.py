@@ -77,3 +77,11 @@ class FaceBudgetExceededError(AsmlabError):
 
 class UnknownStatementError(AsmlabError):
     code = "unknown-statement"
+
+
+class InvalidFieldError(AsmlabError):
+    code = "invalid-field"
+
+
+class MalformedInputError(AsmlabError):
+    code = "malformed-input"

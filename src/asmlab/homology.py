@@ -10,27 +10,44 @@ homology over all vertex subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import combinations
 
 from .asm import Asm, one_plus
-from .complexes import link_facets, sr_complex_from_ideal, SimplicialComplex
-from .errors import FaceBudgetExceededError, SizeBoundExceededError
-from .ideals import init_ideal
+from .complexes import MEMO_SIZE, link_facets, sr_complex_from_ideal, SimplicialComplex
+from .errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
+from .ideals import init_ideal, is_pure_family, maximal_sets
 
 DEFAULT_CM_BOUND = 6
 DEFAULT_FACE_BUDGET = 2**24
 
-# field spec: "rational" or a prime int
-FieldSpec = object
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, exact below 3.1e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % b == 0 for b in bases):
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    xs = (pow(b, (p - 1) >> s, p) for b in bases)
+    return all(x == 1 or any(pow(x, 2**r, p) == p - 1 for r in range(s)) for x in xs)
+
+
+def parse_field(field):
+    """Validate a coefficient field: "rational" (or None, or 0) for Q, else a
+    prime p given as an int or as the text "p=<p>".  Returns "rational" or p.
+    """
+    if field in ("rational", None, 0):
+        return "rational"
+    text = field if isinstance(field, str) else f"p={field}"
+    digits = text[2:] if text.startswith("p=") else ""
+    if not (digits.isdecimal() and _is_prime(int(digits))):
+        raise InvalidFieldError(f"field must be 'rational' or 'p=<prime>', got {field!r}")
+    return int(digits)
 
 
 def _field_key(field) -> int:
-    if field in ("rational", None, 0):
-        return 0
-    p = int(field)
-    if p < 2:
-        raise ValueError(f"not a prime field characteristic: {field}")
-    return p
+    p = parse_field(field)
+    return 0 if p == "rational" else p
 
 
 # -- exact ranks --------------------------------------------------------------
@@ -177,14 +194,8 @@ class HomologyProfile:
         return 0
 
 
-_BETTI_CACHE: dict = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def _reduced_betti(facets: frozenset, p: int, face_budget: int) -> tuple[int, ...]:
-    key = (facets, p)
-    cached = _BETTI_CACHE.get(key)
-    if cached is not None:
-        return cached
     cc = chain_complex(facets, face_budget)
     ranks = [sparse_rank(b, p) for b in cc.boundaries]
     ranks.append(0)
@@ -194,9 +205,7 @@ def _reduced_betti(facets: frozenset, p: int, face_budget: int) -> tuple[int, ..
         incoming = ranks[idx] if idx < len(cc.boundaries) + 1 else 0
         outgoing = ranks[idx - 1] if idx >= 1 else 0
         betti.append(count - outgoing - incoming)
-    result = tuple(betti)
-    _BETTI_CACHE[key] = result
-    return result
+    return tuple(betti)
 
 
 def reduced_homology_ranks(
@@ -210,9 +219,6 @@ def reduced_homology_ranks(
 
 # -- Cohen-Macaulayness --------------------------------------------------------
 
-_CM_CACHE: dict = {}
-
-
 def complex_is_cm(facets, p: int = 0, face_budget: int = DEFAULT_FACE_BUDGET) -> bool:
     """Link-vanishing criterion with cone reduction and memoization.
 
@@ -222,36 +228,27 @@ def complex_is_cm(facets, p: int = 0, face_budget: int = DEFAULT_FACE_BUDGET) ->
     facets = frozenset(map(frozenset, facets))
     if not facets:
         return True
-    if len({len(F) for F in facets}) > 1:
+    if not is_pure_family(facets):
         return False
     common = frozenset.intersection(*facets)
     if common:
         facets = frozenset(F - common for F in facets)
     if facets == frozenset([frozenset()]):
         return True
-    key = (facets, p)
-    cached = _CM_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _coneless_is_cm(facets, p, face_budget)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _coneless_is_cm(facets: frozenset, p: int, face_budget: int) -> bool:
+    """complex_is_cm on a pure complex with no cone point and some vertex."""
     top = max(len(F) for F in facets) - 1
     betti = _reduced_betti(facets, p, face_budget)
-    ok = all(betti[d + 1] == 0 for d in range(-1, top))
-    if ok:
-        for v in frozenset().union(*facets):
-            if not complex_is_cm(link_facets(facets, frozenset([v])), p, face_budget):
-                ok = False
-                break
-    _CM_CACHE[key] = ok
-    return ok
-
-
-def _maximal(sets) -> frozenset:
-    pool = sorted(set(sets), key=len, reverse=True)
-    kept: list[frozenset] = []
-    for s in pool:
-        if not any(s <= k for k in kept):
-            kept.append(s)
-    return frozenset(kept)
+    if any(betti[d + 1] for d in range(-1, top)):
+        return False
+    return all(
+        complex_is_cm(link_facets(facets, frozenset([v])), p, face_budget)
+        for v in frozenset().union(*facets)
+    )
 
 
 def hochster_depth(
@@ -263,7 +260,7 @@ def hochster_depth(
     pd = 0
     for mask in range(2 ** len(verts)):
         W = frozenset(v for b, v in enumerate(verts) if mask >> b & 1)
-        sub = _maximal(F & W for F in facets)
+        sub = maximal_sets(F & W for F in facets)
         betti = _reduced_betti(sub, p, face_budget)
         for idx, b in enumerate(betti):
             if b:
@@ -283,10 +280,7 @@ def is_cohen_macaulay(
     if A.n > bound:
         raise SizeBoundExceededError(f"n={A.n} exceeds the CM bound {bound}")
     p = _field_key(field)
-    I = init_ideal(A)
-    if I.is_zero:
-        return True
-    delta = sr_complex_from_ideal(I)
+    delta = sr_complex_from_ideal(init_ideal(A))
     if backend == "reisner":
         return complex_is_cm(delta.facets, p, face_budget)
     if backend == "hochster":

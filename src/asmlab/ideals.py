@@ -46,14 +46,50 @@ def monomial_label(m: Monomial) -> str:
     return "*".join(cell_label(c) for c in sorted(m))
 
 
-def minimalize(monomials) -> frozenset[Monomial]:
-    """Drop every monomial that is divisible by another one."""
-    pool = sorted(set(monomials), key=len)
-    kept: list[Monomial] = []
-    for m in pool:
-        if not any(k <= m for k in kept):
-            kept.append(m)
+# -- the set-family kernel: minimal primes are the minimal transversals of the
+# generators, and the Stanley-Reisner ideal those of the facet complements.
+
+
+def minimal_sets(sets) -> frozenset:
+    """The inclusion-minimal members of a family of sets."""
+    kept: list[frozenset] = []
+    for s in sorted(set(sets), key=len):
+        if not any(k <= s for k in kept):
+            kept.append(s)
     return frozenset(kept)
+
+
+def maximal_sets(sets) -> frozenset:
+    """The inclusion-maximal members of a family of sets."""
+    kept: list[frozenset] = []
+    for s in sorted(set(sets), key=len, reverse=True):
+        if not any(s <= k for k in kept):
+            kept.append(s)
+    return frozenset(kept)
+
+
+def minimal_transversals(family) -> frozenset:
+    """Inclusion-minimal sets meeting every member of the family.
+
+    Folds the members smallest-first, distributing each over the partial
+    transversals and re-minimalizing per round.  The empty family has the
+    single transversal {}; a family containing {} has none.
+    """
+    covers = frozenset([frozenset()])
+    for g in sorted(family, key=len):
+        new: set[frozenset] = set()
+        for cover in covers:
+            if cover & g:
+                new.add(cover)
+            else:
+                new.update(cover | {v} for v in g)
+        covers = minimal_sets(new)
+    return covers
+
+
+def is_pure_family(sets) -> bool:
+    """Whether all members have one size, i.e. a facet list is pure."""
+    return len({len(s) for s in sets}) <= 1
 
 
 @dataclass(frozen=True)
@@ -65,7 +101,7 @@ class SquarefreeIdeal:
 
     @classmethod
     def make(cls, n: int, monomials) -> "SquarefreeIdeal":
-        return cls(n, minimalize(monomials))
+        return cls(n, minimal_sets(monomials))
 
     @classmethod
     def zero(cls, n: int) -> "SquarefreeIdeal":
@@ -167,29 +203,9 @@ def variable_ideal(n: int, cells) -> SquarefreeIdeal:
 def minimal_primes(I: SquarefreeIdeal) -> frozenset[frozenset]:
     """Minimal primes as minimal vertex covers of the generator supports.
 
-    Folds generators smallest-first, distributing each over the partial
-    covers and re-minimalizing per round.  The zero ideal yields the single
-    prime generated by nothing.
+    The zero ideal yields the single prime generated by nothing.
     """
-    covers: set[frozenset] = {frozenset()}
-    for g in sorted(I.gens, key=len):
-        new: set[frozenset] = set()
-        for cover in covers:
-            if cover & g:
-                new.add(cover)
-            else:
-                new.update(cover | {v} for v in g)
-        covers = set(_minimal_sets(new))
-    return frozenset(covers)
-
-
-def _minimal_sets(sets):
-    pool = sorted(sets, key=len)
-    kept = []
-    for s in pool:
-        if not any(k <= s for k in kept):
-            kept.append(s)
-    return kept
+    return minimal_transversals(I.gens)
 
 
 def minimal_primes_bruteforce(I: SquarefreeIdeal) -> frozenset[frozenset]:
@@ -244,10 +260,7 @@ class PrimeAnalysis:
 def perm_set_via_primes(A: Asm) -> PrimeAnalysis:
     """Perm(A), codimension, and equidimensionality read off the minimal
     primes of the antidiagonal initial ideal."""
-    I = init_ideal(A)
-    if I.is_zero:
-        return PrimeAnalysis(frozenset([Permutation.identity(A.n)]), 0, True)
-    primes = minimal_primes(I)
+    primes = minimal_primes(init_ideal(A))
     heights = {len(P) for P in primes}
     perms = frozenset(perm_from_prime(P, A.n) for P in primes)
     return PrimeAnalysis(perms, min(heights), len(heights) == 1)

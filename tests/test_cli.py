@@ -59,6 +59,22 @@ class TestAnalyze:
         assert main(["analyze", "--input", "/nonexistent.json"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "file-not-found"
 
+    @pytest.mark.parametrize("payload", ['{"matrix": "xx"}', "[1]", "not json"])
+    def test_malformed_json_exits_2(self, tmp_path, capsys, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        assert main(["analyze", "--input", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "malformed-input"
+
+    @pytest.mark.parametrize("field", ["p=4", "p=1", "p=abc", "3"])
+    def test_bad_field_exits_2(self, worked_example_path, capsys, field):
+        assert main(["analyze", "--input", worked_example_path, "--field", field]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid-field"
+
+    def test_prime_field_accepted(self, worked_example_path, capsys):
+        assert main(["analyze", "--input", worked_example_path, "--field", "p=3"]) == 0
+        assert json.loads(capsys.readouterr().out)["cm"] is False
+
 
 class TestEnumerate:
     def test_csv_row(self, capsys):
@@ -77,6 +93,18 @@ class TestEnumerate:
         assert main(["enumerate", "-n", "3"]) == 0
         capsys.readouterr()
         assert any(tmp_path.iterdir())
+
+    def test_cache_flag_beats_env(self, tmp_path, monkeypatch, capsys):
+        env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
+        monkeypatch.setenv("ASMLAB_CACHE", str(env_dir))
+        assert main(["enumerate", "-n", "3", "--cache", str(flag_dir)]) == 0
+        capsys.readouterr()
+        assert any(flag_dir.iterdir()) and not env_dir.exists()
+
+    @pytest.mark.parametrize("n", ["9", "0"])
+    def test_size_out_of_range_exits_2(self, capsys, n):
+        assert main(["enumerate", "-n", n, "--checks", "codim"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "size-bound-exceeded"
 
 
 class TestVerify:

@@ -91,6 +91,11 @@ class TestReducedHomology:
     def test_sphere(self):
         assert reduced_homology_ranks(SPHERE).reduced_betti == (0, 0, 0, 1)
 
+    def test_face_budget_not_bypassed_by_memo(self):
+        assert reduced_homology_ranks(SPHERE).reduced_betti == (0, 0, 0, 1)
+        with pytest.raises(FaceBudgetExceededError):
+            reduced_homology_ranks(SPHERE, face_budget=4)
+
     def test_empty_complex(self):
         # the void-ish complex with only the empty face
         assert reduced_homology_ranks(facets(set())).reduced_betti == (1,)

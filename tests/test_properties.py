@@ -21,6 +21,7 @@ from asmlab import (
     validate_asm,
 )
 from asmlab.homology import compose_boundaries
+from asmlab.ideals import maximal_sets, minimal_sets, minimal_transversals
 
 POOLS = {n: list(enumerate_asms(n)) for n in range(1, 6)}
 
@@ -142,3 +143,36 @@ def test_field_choice_keeps_homology_profile_shape(A, parity):
     hp = reduced_homology_ranks(delta, field=32003)
     assert len(hq.reduced_betti) == len(hp.reduced_betti)
     assert hq.reduced_betti == hp.reduced_betti  # no torsion seen at this scale
+
+
+# -- the set-family kernel against subset-enumeration definitions ------------
+
+set_families = st.lists(
+    st.frozensets(st.integers(1, 5), max_size=4), max_size=6
+).map(frozenset)
+
+
+def _subsets(ground):
+    ground = sorted(ground)
+    for mask in range(2 ** len(ground)):
+        yield frozenset(v for b, v in enumerate(ground) if mask >> b & 1)
+
+
+@settings(max_examples=200)
+@given(st.one_of(set_families, set_families.map(lambda f: f | {frozenset()})))
+def test_set_family_kernel_matches_bruteforce(family):
+    assert minimal_sets(family) == {s for s in family if not any(t < s for t in family)}
+    assert maximal_sets(family) == {s for s in family if not any(s < t for t in family)}
+    ground = frozenset().union(*family)
+    hitting = [T for T in _subsets(ground) if all(T & g for g in family)]
+    assert minimal_transversals(family) == {
+        T for T in hitting if not any(U < T for U in hitting)
+    }
+
+
+def test_set_family_kernel_edge_cases():
+    empty = frozenset()
+    assert minimal_sets([]) == maximal_sets([]) == empty
+    assert minimal_transversals([]) == {empty}
+    assert minimal_transversals([empty]) == empty
+    assert minimal_sets([empty, frozenset({1})]) == {empty}
