@@ -5,6 +5,7 @@ import argparse
 import csv
 import sys
 
+from asmlab.cli import report_errors
 from asmlab.enumeration import ALL_CHECKS, CENSUS_COLUMNS, tabulate
 from asmlab.homology import parse_field
 
@@ -18,14 +19,18 @@ def main() -> int:
     parser.add_argument("--filter", dest="filter_spec")
     parser.add_argument("--field", default="rational")
     args = parser.parse_args()
+    return report_errors(lambda: census(args))
 
+
+def census(args) -> int:
     field = parse_field(args.field)
+    checks = tuple(c for c in args.checks.split(",") if c)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CENSUS_COLUMNS)
     for n in args.n:
         table = tabulate(
             n,
-            checks=tuple(args.checks.split(",")),
+            checks=checks,
             filter_spec=args.filter_spec,
             jobs=args.jobs,
             cache_dir=args.cache,

@@ -240,19 +240,24 @@ def config_from_args(args) -> CliConfig:
     return config
 
 
+def report_errors(run) -> int:
+    """Return run()'s exit status.  An AsmlabError or an OSError exits 2
+    with one JSON line {"error": code, "message": text} on stderr."""
+    try:
+        return run()
+    except AsmlabError as exc:
+        code, message = exc.code, str(exc)
+    except FileNotFoundError as exc:
+        code, message = "file-not-found", str(exc)
+    except OSError as exc:
+        code, message = "io-error", str(exc)
+    sys.stderr.write(json.dumps({"error": code, "message": message}) + "\n")
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = config_from_args(args)
-        return _COMMANDS[config.command](config)
-    except AsmlabError as exc:
-        sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
-        return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(
-            json.dumps({"error": "file-not-found", "message": str(exc)}) + "\n"
-        )
-        return 2
+    return report_errors(lambda: _COMMANDS[args.command](config_from_args(args)))
 
 
 if __name__ == "__main__":

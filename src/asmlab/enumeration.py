@@ -17,6 +17,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field as dc_field
+from itertools import islice
 
 from .asm import (
     Asm,
@@ -36,7 +37,12 @@ from .complexes import (
     sr_complex_from_ideal,
     stanley_reisner_ideal,
 )
-from .errors import AsmlabError, SizeBoundExceededError, UnknownStatementError
+from .errors import (
+    AsmlabError,
+    SizeBoundExceededError,
+    UnknownCheckError,
+    UnknownStatementError,
+)
 from .homology import _all_faces, cm_conjecture_scan, is_cohen_macaulay
 from .ideals import (
     SquarefreeIdeal,
@@ -158,10 +164,18 @@ class AnalysisReport:
         )
 
 
-def analyze_asm(
-    A: Asm, checks=ALL_CHECKS, field="rational", backend: str = "reisner"
-) -> AnalysisReport:
-    checks = frozenset(checks)
+def _known_checks(checks) -> frozenset:
+    """The check names as a set, rejecting any not in ALL_CHECKS."""
+    unknown = set(checks) - set(ALL_CHECKS)
+    if unknown:
+        raise UnknownCheckError(
+            f"unknown checks {sorted(unknown)}; expected some of {list(ALL_CHECKS)}"
+        )
+    return frozenset(checks)
+
+
+def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
+    checks = _known_checks(checks)
     timings = []
     codim = perm_count = equidim = cm = km_vd = None
     if checks & {"codim", "equidim"}:
@@ -173,7 +187,7 @@ def analyze_asm(
         equidim = pa.equidimensional if "equidim" in checks else None
     if "cm" in checks:
         t0 = time.perf_counter()
-        cm = is_cohen_macaulay(A, field=field, backend=backend, bound=A.n)
+        cm = is_cohen_macaulay(A, field=field, bound=A.n)
         timings.append(("cm", time.perf_counter() - t0))
     if "km_vd" in checks:
         t0 = time.perf_counter()
@@ -246,17 +260,10 @@ def _cache_key(n: int, checks, field, filter_spec) -> str:
 
 
 def _shard_worker(args):
-    n, start, stop, checks, field, filter_spec = args
-    keep = _FILTERS[filter_spec]
-    reports = []
-    for idx, A in enumerate(enumerate_asms(n)):
-        if idx < start:
-            continue
-        if idx >= stop:
-            break
-        if keep(A):
-            reports.append(analyze_asm(A, checks=checks, field=field).to_json_dict())
-    return start, reports
+    start, asms, checks, field = args
+    return start, [
+        analyze_asm(A, checks=checks, field=field).to_json_dict() for A in asms
+    ]
 
 
 def tabulate(
@@ -269,22 +276,22 @@ def tabulate(
 ) -> CensusTable:
     """Aggregate per-ASM analyses into one census row.
 
+    ASM(n) is streamed once, in this process, and cut into shards of
+    SHARD_SIZE matrices; each shard missing from the cache goes to a worker.
     Per-shard results are cached as JSON-lines files in a content-addressed
-    subdirectory of cache_dir, so interrupted runs resume and warm reruns
-    recompute nothing.
+    subdirectory of cache_dir, each written as soon as its shard finishes,
+    so interrupted runs resume, and warm reruns recompute nothing and do
+    not stream.
     """
-    checks = tuple(sorted(frozenset(checks)))
+    checks = tuple(sorted(_known_checks(checks)))
     if not (1 <= n <= MAX_STREAM_N):
         raise SizeBoundExceededError(f"census size n={n} outside [1, {MAX_STREAM_N}]")
     if ("cm" in checks or "km_vd" in checks) and n > 7:
         raise SizeBoundExceededError(f"cm/km_vd censuses are limited to n <= 7")
     if filter_spec not in _FILTERS:
         raise AsmlabError(f"unknown filter {filter_spec!r}")
-    total_stream = ASM_COUNTS[n - 1]
-    shards = [
-        (start, min(start + SHARD_SIZE, total_stream))
-        for start in range(0, total_stream, SHARD_SIZE)
-    ]
+    keep = _FILTERS[filter_spec]
+    starts = range(0, ASM_COUNTS[n - 1], SHARD_SIZE)
     key_dir = None
     if cache_dir is not None:
         from pathlib import Path
@@ -296,21 +303,19 @@ def tabulate(
         return key_dir / f"shard_{start:08d}.jsonl"
 
     results: dict[int, list[dict]] = {}
-    todo = []
-    for start, stop in shards:
+    for start in starts:
         if key_dir is not None and shard_path(start).exists():
             lines = shard_path(start).read_text().splitlines()
             results[start] = [json.loads(line) for line in lines]
-        else:
-            todo.append((n, start, stop, checks, field, filter_spec))
-    if todo:
-        if jobs > 1:
-            from multiprocessing import Pool
 
-            with Pool(jobs) as pool:
-                computed = pool.map(_shard_worker, todo)
-        else:
-            computed = [_shard_worker(a) for a in todo]
+    def missing_shards():
+        stream = enumerate_asms(n)
+        for start in starts:
+            asms = list(islice(stream, SHARD_SIZE))
+            if start not in results:
+                yield start, [A for A in asms if keep(A)], checks, field
+
+    def store(computed):
         for start, reports in computed:
             results[start] = reports
             if key_dir is not None:
@@ -320,10 +325,17 @@ def tabulate(
                 )
                 tmp.replace(shard_path(start))
 
+    if len(results) < len(starts):
+        if jobs > 1:
+            from multiprocessing import Pool
+
+            with Pool(jobs) as pool:
+                store(pool.imap_unordered(_shard_worker, missing_shards()))
+        else:
+            store(map(_shard_worker, missing_shards()))
+
     reports = [
-        AnalysisReport.from_json_dict(d)
-        for start, _ in shards
-        for d in results[start]
+        AnalysisReport.from_json_dict(d) for start in starts for d in results[start]
     ]
     total = len(reports)
     runtime = round(sum(t for r in reports for _, t in r.timings), 3)

@@ -85,3 +85,7 @@ class InvalidFieldError(AsmlabError):
 
 class MalformedInputError(AsmlabError):
     code = "malformed-input"
+
+
+class UnknownCheckError(AsmlabError):
+    code = "unknown-check"

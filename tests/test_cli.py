@@ -1,8 +1,13 @@
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
 from asmlab.cli import main
+
+RUN_CENSUS = Path(__file__).resolve().parent.parent / "scripts" / "run_census.py"
 
 
 def write_asm(tmp_path, name, matrix):
@@ -59,6 +64,20 @@ class TestAnalyze:
         assert main(["analyze", "--input", "/nonexistent.json"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "file-not-found"
 
+    def test_directory_input_exits_2(self, tmp_path, capsys):
+        assert main(["analyze", "--input", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "io-error"
+
+    @pytest.mark.parametrize(
+        "out, code", [("missing/out.json", "file-not-found"), (".", "io-error")]
+    )
+    def test_unwritable_out_exits_2(
+        self, worked_example_path, tmp_path, capsys, out, code
+    ):
+        out_path = str(tmp_path / out)
+        assert main(["diagram", "--input", worked_example_path, "--out", out_path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == code
+
     @pytest.mark.parametrize("payload", ['{"matrix": "xx"}', "[1]", "not json"])
     def test_malformed_json_exits_2(self, tmp_path, capsys, payload):
         path = tmp_path / "bad.json"
@@ -105,6 +124,36 @@ class TestEnumerate:
     def test_size_out_of_range_exits_2(self, capsys, n):
         assert main(["enumerate", "-n", n, "--checks", "codim"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "size-bound-exceeded"
+
+    def test_unknown_check_exits_2(self, capsys):
+        assert main(["enumerate", "-n", "3", "--checks", "codim,bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "unknown-check"
+
+
+class TestRunCensus:
+    def run(self, monkeypatch, *argv):
+        monkeypatch.setattr(sys, "argv", ["run_census.py", *argv])
+        return runpy.run_path(str(RUN_CENSUS))["main"]()
+
+    def test_rows(self, monkeypatch, capsys):
+        # the empty name after a trailing comma is dropped, as by the CLI
+        assert self.run(monkeypatch, "-n", "3", "4", "--checks", "codim,equidim,") == 0
+        rows = capsys.readouterr().out.strip().split("\n")
+        assert [r.split(",")[:2] for r in rows[1:]] == [["3", "7"], ["4", "42"]]
+
+    @pytest.mark.parametrize(
+        "flag, value, code",
+        [
+            ("--field", "p=4", "invalid-field"),
+            ("--checks", "bogus", "unknown-check"),
+            ("--filter", "nope", "error"),
+        ],
+    )
+    def test_asmlab_error_exits_2(self, monkeypatch, capsys, flag, value, code):
+        assert self.run(monkeypatch, "-n", "3", flag, value) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == code
 
 
 class TestVerify:

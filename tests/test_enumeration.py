@@ -11,8 +11,12 @@ from asmlab import (
     tabulate,
     verify_statement,
 )
-from asmlab.enumeration import CENSUS_COLUMNS, _cache_key, _shard_worker
-from asmlab.errors import SizeBoundExceededError, UnknownStatementError
+from asmlab.enumeration import CENSUS_COLUMNS, SHARD_SIZE, _cache_key, _shard_worker
+from asmlab.errors import (
+    SizeBoundExceededError,
+    UnknownCheckError,
+    UnknownStatementError,
+)
 import asmlab.enumeration as enumeration_mod
 
 
@@ -64,6 +68,10 @@ class TestAnalyze:
         r = analyze_asm(b4, checks=("codim",))
         assert r.codim == 3 and r.cm is None and r.km_vd is None
 
+    def test_unknown_check(self, b4):
+        with pytest.raises(UnknownCheckError):
+            analyze_asm(b4, checks=("codim", "bogus"))
+
 
 class TestTabulate:
     def test_n4_counts(self):
@@ -104,6 +112,94 @@ class TestTabulate:
     def test_cm_size_bound(self):
         with pytest.raises(SizeBoundExceededError):
             tabulate(8, checks=("cm",))
+
+    def test_unknown_check_rejected_before_any_shard(self, tmp_path, monkeypatch):
+        def boom(args):
+            raise AssertionError("no shard may run")
+
+        monkeypatch.setattr(enumeration_mod, "_shard_worker", boom)
+        with pytest.raises(UnknownCheckError):
+            tabulate(3, checks=("codim", "bogus"), cache_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
+
+CODIM = ("codim",)
+
+
+def shard_dir(cache_dir, n):
+    return cache_dir / _cache_key(n, CODIM, "rational", None)
+
+
+def records(path):
+    """A shard file's records without their timings."""
+    lines = path.read_text().splitlines()
+    return [{**json.loads(line), "timings": None} for line in lines]
+
+
+class TestCensusStream:
+    def count_pulls(self, monkeypatch):
+        pulled = []
+        stream = enumeration_mod.enumerate_asms
+
+        def counted(n):
+            for A in stream(n):
+                pulled.append(A)
+                yield A
+
+        monkeypatch.setattr(enumeration_mod, "enumerate_asms", counted)
+        return pulled
+
+    def test_one_pass_cold_none_warm(self, tmp_path, monkeypatch):
+        pulled = self.count_pulls(monkeypatch)
+        cold = tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        assert len(pulled) == ASM_COUNTS[4] == 429
+        pulled.clear()
+        warm = tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        assert pulled == [] and warm == cold
+
+    def test_interrupted_run_resumes(self, tmp_path, monkeypatch):
+        analyze = enumeration_mod.analyze_asm
+        calls = []
+
+        def failing(A, **kwargs):
+            calls.append(A)
+            if len(calls) == SHARD_SIZE + 10:
+                raise KeyboardInterrupt
+            return analyze(A, **kwargs)
+
+        monkeypatch.setattr(enumeration_mod, "analyze_asm", failing)
+        with pytest.raises(KeyboardInterrupt):
+            tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        written = sorted(p.name for p in shard_dir(tmp_path, 5).glob("*.jsonl"))
+        assert written == ["shard_00000000.jsonl"]
+
+        def counting(A, **kwargs):
+            calls.append(A)
+            return analyze(A, **kwargs)
+
+        calls.clear()
+        monkeypatch.setattr(enumeration_mod, "analyze_asm", counting)
+        resumed = tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        assert len(calls) == ASM_COUNTS[4] - SHARD_SIZE
+        assert resumed.row()[:-1] == tabulate(5, checks=CODIM).row()[:-1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_missing_middle_shard_recomputed_alone(self, tmp_path, jobs):
+        tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        paths = sorted(shard_dir(tmp_path, 5).glob("*.jsonl"))
+        assert len(paths) == 4
+        middle = paths[2]
+        before = records(middle)
+
+        def stamps():
+            kept = [p.stat() for p in paths if p != middle]
+            return [(st.st_ino, st.st_mtime_ns) for st in kept]
+
+        kept = stamps()
+        middle.unlink()
+        tabulate(5, checks=CODIM, cache_dir=tmp_path, jobs=jobs)
+        assert stamps() == kept
+        assert records(middle) == before
 
 
 class TestVerifyStatement:
