@@ -43,7 +43,7 @@ class CliConfig:
     target_path: str | None = None
     n: int | None = None
     field: object = "rational"
-    backend: str = "reisner"
+    backend: str = "cascade"
     checks: tuple = ALL_CHECKS
     filter_spec: str | None = None
     statement: str | None = None
@@ -179,7 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze")
     p.add_argument("--input", dest="input_path", required=True)
-    p.add_argument("--backend", choices=["reisner", "hochster"], default="reisner")
+    p.add_argument(
+        "--backend", choices=["cascade", "reisner", "hochster"], default="cascade"
+    )
     common(p)
 
     p = sub.add_parser("enumerate")

@@ -181,3 +181,17 @@ def km_vertex_decomposable(delta: SimplicialComplex) -> DecompositionTrace:
     """Vertex decomposability along the fixed grid order, always splitting
     at the greatest surviving vertex; failure carries the branch path."""
     return _km_vd_facets(delta.facets)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def vd_facets(facets: frozenset) -> bool:
+    """Vertex decomposability in any vertex order: pure, and a simplex, or
+    some vertex has a vertex decomposable deletion and link.  It implies
+    shellability, so Cohen-Macaulayness over every field (Provan-Billera)."""
+    if not is_pure_family(facets):
+        return False
+    return len(facets) <= 1 or any(
+        vd_facets(deletion_facets(facets, frozenset([v])))
+        and vd_facets(link_facets(facets, frozenset([v])))
+        for v in sorted(frozenset().union(*facets), key=km_order_key, reverse=True)
+    )

@@ -54,6 +54,10 @@ from .ideals import (
 )
 
 ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
+# Part of every census cache key.  Bump it whenever an algorithm behind a
+# cached answer or the record schema changes, so that no cache written by
+# older code is ever served.
+CACHE_VERSION = 1
 MAX_STREAM_N = 8
 SHARD_SIZE = 128
 ALL_CHECKS = ("codim", "equidim", "cm", "km_vd")
@@ -253,7 +257,13 @@ _FILTERS = {
 
 def _cache_key(n: int, checks, field, filter_spec) -> str:
     payload = json.dumps(
-        {"n": n, "checks": sorted(checks), "field": str(field), "filter": filter_spec},
+        {
+            "version": CACHE_VERSION,
+            "n": n,
+            "checks": sorted(checks),
+            "field": str(field),
+            "filter": filter_spec,
+        },
         sort_keys=True,
     )
     return hashlib.sha1(payload.encode()).hexdigest()[:16]
@@ -334,24 +344,23 @@ def tabulate(
         else:
             store(map(_shard_worker, missing_shards()))
 
-    reports = [
-        AnalysisReport.from_json_dict(d) for start in starts for d in results[start]
-    ]
-    total = len(reports)
-    runtime = round(sum(t for r in reports for _, t in r.timings), 3)
+    # the records are counted as stored: no report or matrix is rebuilt
+    records = [d for start in starts for d in results[start]]
+    total = len(records)
+    runtime = round(sum(t for d in records for _, t in d["timings"]), 3)
     cm_count = not_cm = km_fail = km_fail_a11 = equidim = None
     if "cm" in checks:
-        cm_count = sum(1 for r in reports if r.cm)
+        cm_count = sum(1 for d in records if d["cm"])
         not_cm = total - cm_count
     if "km_vd" in checks:
         # the headline count is CM complexes missed by the fixed-order test
-        def misses(r):
-            return not r.km_vd and (r.cm if "cm" in checks else True)
+        def misses(d):
+            return not d["km_vd"] and (d["cm"] if "cm" in checks else True)
 
-        km_fail = sum(1 for r in reports if misses(r))
-        km_fail_a11 = sum(1 for r in reports if misses(r) and r.a11_is_one)
+        km_fail = sum(1 for d in records if misses(d))
+        km_fail_a11 = sum(1 for d in records if misses(d) and d["a11_is_one"])
     if "equidim" in checks:
-        equidim = sum(1 for r in reports if r.equidimensional)
+        equidim = sum(1 for d in records if d["equidimensional"])
     return CensusTable(
         n=n,
         total=total,
@@ -391,10 +400,15 @@ class VerificationReport:
 
 
 def _sampled_asms(n: int, rng: random.Random | None, target: int):
-    pool = list(enumerate_asms(n))
-    if rng is None or len(pool) <= target:
-        return pool
-    return rng.sample(pool, target)
+    """All of ASM(n), or `target` of them drawn by stream index, in the
+    drawn order; only the drawn matrices are kept."""
+    if rng is None or ASM_COUNTS[n - 1] <= target:
+        return list(enumerate_asms(n))
+    picks = rng.sample(range(ASM_COUNTS[n - 1]), target)
+    wanted = set(picks)
+    stream = islice(enumerate_asms(n), max(picks) + 1)
+    drawn = {i: A for i, A in enumerate(stream) if i in wanted}
+    return [drawn[i] for i in picks]
 
 
 def _verify_perm_bijection(n, rng, report):
@@ -601,6 +615,8 @@ def verify_statement(name: str, n: int, seed: int = 0) -> VerificationReport:
     """Run one theorem sweep: exhaustive for n <= 4, seeded sampling above."""
     if name not in _STATEMENTS:
         raise UnknownStatementError(f"unknown statement {name!r}")
+    if not (1 <= n <= MAX_STREAM_N):
+        raise SizeBoundExceededError(f"sweep size n={n} outside [1, {MAX_STREAM_N}]")
     rng = random.Random(seed) if n >= 5 else None
     report = VerificationReport(statement=name, n=n)
     _STATEMENTS[name](n, rng, report)

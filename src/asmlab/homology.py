@@ -2,9 +2,14 @@
 
 Homology is computed over the rationals (exact integer elimination; no
 floating point) or over a prime field.  Cohen-Macaulayness of an ASM is
-decided on its antidiagonal initial ideal, either by the topological
-link-vanishing criterion or by a depth computation from induced-subcomplex
-homology over all vertex subsets.
+decided on the Stanley-Reisner complex of its antidiagonal initial ideal.
+The default decision is a cascade that runs homology only when no
+certificate settles the question: a non-pure complex is not CM; a vertex
+decomposable one, in the fixed Knutson-Miller order or in any order, is
+shellable and so CM over every field (Provan-Billera); only the rest go
+through Reisner's link-vanishing criterion.  Reisner's criterion on its own
+and Hochster's depth formula over all induced subcomplexes stay selectable
+as the oracles the cascade is checked against.
 """
 
 from __future__ import annotations
@@ -14,7 +19,14 @@ from functools import lru_cache
 from itertools import combinations
 
 from .asm import Asm, one_plus
-from .complexes import MEMO_SIZE, link_facets, sr_complex_from_ideal, SimplicialComplex
+from .complexes import (
+    MEMO_SIZE,
+    SimplicialComplex,
+    _km_vd_facets,
+    link_facets,
+    sr_complex_from_ideal,
+    vd_facets,
+)
 from .errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
 from .ideals import init_ideal, is_pure_family, maximal_sets
 
@@ -268,19 +280,44 @@ def hochster_depth(
     return len(verts) - pd
 
 
+def cascade_is_cm(facets, p: int = 0, face_budget: int = DEFAULT_FACE_BUDGET) -> bool:
+    """complex_is_cm on grid-cell vertices, answered by the first step that
+    settles it: purity, the fixed-order KM-vd memo, the free-order vertex
+    decomposability search, and only then Reisner's criterion."""
+    facets = frozenset(map(frozenset, facets))
+    if not is_pure_family(facets):
+        return False
+    return (
+        _km_vd_facets(facets).result
+        or vd_facets(facets)
+        or complex_is_cm(facets, p, face_budget)
+    )
+
+
 def is_cohen_macaulay(
     A: Asm,
     field="rational",
-    backend: str = "reisner",
+    backend: str = "cascade",
     bound: int = DEFAULT_CM_BOUND,
     face_budget: int = DEFAULT_FACE_BUDGET,
 ) -> bool:
     """Whether the ASM defines a Cohen-Macaulay quotient, decided on the
-    antidiagonal initial ideal."""
+    Stanley-Reisner complex of its antidiagonal initial ideal.
+
+    backend "cascade" (the default) rejects a non-pure complex, accepts a
+    vertex decomposable one (fixed KM order first, then any order), and
+    leaves only the rest to Reisner's criterion; a certificate holds over
+    every field, so only that last step depends on `field`.  "reisner"
+    (link-vanishing homology alone) and "hochster" (depth from induced
+    subcomplexes) are the oracles it is checked against.  The face budget
+    bounds the homology steps only.
+    """
     if A.n > bound:
         raise SizeBoundExceededError(f"n={A.n} exceeds the CM bound {bound}")
     p = _field_key(field)
     delta = sr_complex_from_ideal(init_ideal(A))
+    if backend == "cascade":
+        return cascade_is_cm(delta.facets, p, face_budget)
     if backend == "reisner":
         return complex_is_cm(delta.facets, p, face_budget)
     if backend == "hochster":

@@ -48,6 +48,18 @@ class TestAnalyze:
         assert report["cm"] is True and report["km_vd"] is False
         assert report["km_vd_failure_vertex"] == "z_1_3"
 
+    def test_default_backend_agrees_with_reisner(self, tmp_path, capsys):
+        path = write_asm(
+            tmp_path,
+            "nk.json",
+            [[0, 1, 0, 0], [0, 0, 0, 1], [1, -1, 1, 0], [0, 1, 0, 0]],
+        )
+        assert main(["analyze", "--input", path, "--format", "json"]) == 0
+        default = capsys.readouterr().out
+        assert main(["analyze", "--input", path, "--format", "json", "--backend", "reisner"]) == 0
+        assert capsys.readouterr().out == default
+        assert json.loads(default)["cm"] is True
+
     def test_identity(self, tmp_path, capsys):
         path = write_asm(tmp_path, "id.json", [[1 if i == j else 0 for j in range(5)] for i in range(5)])
         assert main(["analyze", "--input", path]) == 0

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -11,7 +12,13 @@ from asmlab import (
     tabulate,
     verify_statement,
 )
-from asmlab.enumeration import CENSUS_COLUMNS, SHARD_SIZE, _cache_key, _shard_worker
+from asmlab.enumeration import (
+    CENSUS_COLUMNS,
+    SHARD_SIZE,
+    _cache_key,
+    _sampled_asms,
+    _shard_worker,
+)
 from asmlab.errors import (
     SizeBoundExceededError,
     UnknownCheckError,
@@ -108,6 +115,31 @@ class TestTabulate:
         monkeypatch.setattr(enumeration_mod, "_shard_worker", boom)
         t2 = tabulate(4, cache_dir=tmp_path)
         assert t1 == t2
+
+    def test_warm_pass_rebuilds_no_report(self, tmp_path, monkeypatch):
+        cold = tabulate(4, cache_dir=tmp_path).to_csv()
+
+        def boom(d):
+            raise AssertionError("the census counts records, not reports")
+
+        monkeypatch.setattr(AnalysisReport, "from_json_dict", boom)
+        assert tabulate(4, cache_dir=tmp_path).to_csv() == cold
+
+    def test_cache_of_another_version_not_served(self, tmp_path, monkeypatch):
+        version = enumeration_mod.CACHE_VERSION
+        monkeypatch.setattr(enumeration_mod, "CACHE_VERSION", version - 1)
+        tabulate(4, checks=("cm",), cache_dir=tmp_path)
+        (old,) = tmp_path.iterdir()
+        shard = old / "shard_00000000.jsonl"
+        # an older code's wrong answers: every ASM(4) not CM
+        lines = shard.read_text().splitlines()
+        shard.write_text("".join(
+            json.dumps({**json.loads(line), "cm": False}) + "\n" for line in lines
+        ))
+        assert tabulate(4, checks=("cm",), cache_dir=tmp_path).not_cm == 42
+        monkeypatch.setattr(enumeration_mod, "CACHE_VERSION", version)
+        assert tabulate(4, checks=("cm",), cache_dir=tmp_path).cm == 39
+        assert len(list(tmp_path.iterdir())) == 2
 
     def test_cm_size_bound(self):
         with pytest.raises(SizeBoundExceededError):
@@ -229,6 +261,19 @@ class TestVerifyStatement:
         assert verify_statement("perm-bijection", 4).cases == 42
         assert verify_statement("init-split", 4).cases == 42
         assert verify_statement("badblock", 4).detail["matches"] == 1
+
+    @pytest.mark.parametrize("seed,target", [(0, 80), (3, 30), (5, 428), (1, 600)])
+    def test_sample_drawn_by_index_is_the_list_sample(self, seed, target):
+        rng, old = random.Random(seed), random.Random(seed)
+        pool = list(enumerate_asms(5))
+        expected = old.sample(pool, target) if target < len(pool) else pool
+        assert _sampled_asms(5, rng, target) == expected
+        assert rng.getstate() == old.getstate()
+
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_size_out_of_range(self, n):
+        with pytest.raises(SizeBoundExceededError):
+            verify_statement("perm-bijection", n)
 
     def test_seeded_sampling_is_deterministic(self):
         a = verify_statement("tilde-identity", 5, seed=3)

@@ -14,7 +14,8 @@ from asmlab import (
     sr_complex_from_ideal,
 )
 from asmlab.errors import FaceBudgetExceededError, SizeBoundExceededError
-from asmlab.homology import complex_is_cm, compose_boundaries
+from asmlab.complexes import vd_facets
+from asmlab.homology import cascade_is_cm, complex_is_cm, compose_boundaries
 
 
 def facets(*sets):
@@ -153,6 +154,30 @@ class TestCohenMacaulay:
         for A in enumerate_asms(4):
             if is_cohen_macaulay(A, bound=4):
                 assert perm_set_via_primes(A).equidimensional
+
+
+class TestCascade:
+    def test_matches_reisner_on_asm4_and_one_plus(self):
+        checked = 0
+        for n in range(1, 5):
+            for A in enumerate_asms(n):
+                for B in (A, one_plus(A)):
+                    for field in ("rational", 2):
+                        assert is_cohen_macaulay(B, field=field, bound=5) == (
+                            is_cohen_macaulay(B, field=field, backend="reisner", bound=5)
+                        )
+                    checked += 1
+        assert checked == 104
+
+    def test_rp2_left_to_homology(self):
+        # RP2 on grid-cell vertices, so that the KM order applies
+        rp2 = facets(*({(1, v) for v in F} for F in RP2))
+        assert not vd_facets(rp2)
+        assert cascade_is_cm(rp2)
+        assert not cascade_is_cm(rp2, p=2)
+
+    def test_non_pure_rejected(self):
+        assert not cascade_is_cm(facets({(1, 1), (1, 2)}, {(2, 1)}))
 
 
 class TestHochsterBackend:

@@ -20,7 +20,8 @@ from asmlab import (
     stanley_reisner_ideal,
     validate_asm,
 )
-from asmlab.homology import compose_boundaries
+from asmlab.complexes import _km_vd_facets, vd_facets
+from asmlab.homology import cascade_is_cm, complex_is_cm, compose_boundaries
 from asmlab.ideals import maximal_sets, minimal_sets, minimal_transversals
 
 POOLS = {n: list(enumerate_asms(n)) for n in range(1, 6)}
@@ -143,6 +144,29 @@ def test_field_choice_keeps_homology_profile_shape(A, parity):
     hp = reduced_homology_ranks(delta, field=32003)
     assert len(hq.reduced_betti) == len(hp.reduced_betti)
     assert hq.reduced_betti == hp.reduced_betti  # no torsion seen at this scale
+
+
+# -- vertex decomposability certificates against Reisner's criterion -------
+
+CELLS = [(i, j) for i in range(1, 3) for j in range(1, 4)]
+pure_complexes = st.integers(1, 4).flatmap(
+    lambda k: st.sets(
+        st.frozensets(st.sampled_from(CELLS), min_size=k, max_size=k),
+        min_size=1,
+        max_size=8,
+    ).map(frozenset)
+)
+
+
+@settings(max_examples=200)
+@given(pure_complexes)
+def test_vd_certificates_imply_cm(facets):
+    if _km_vd_facets(facets).result:
+        assert vd_facets(facets)
+    for p in (0, 2):
+        if vd_facets(facets):
+            assert complex_is_cm(facets, p)
+        assert cascade_is_cm(facets, p) == complex_is_cm(facets, p)
 
 
 # -- the set-family kernel against subset-enumeration definitions ------------
