@@ -429,11 +429,11 @@ def badblock_match(A: Asm, strict: bool = False) -> Cell | None:
     return None
 
 
-def ascii_diagram(A: Asm, essential: bool = True) -> str:
+def ascii_diagram(A: Asm) -> str:
     """Grid picture: '*' for 1, 'o' for -1, 'D' for diagram cells ('E' for
     essential ones), '.' elsewhere."""
     diagram = rothe_diagram(A)
-    ess = essential_set(A) if essential else frozenset()
+    ess = essential_set(A)
     lines = []
     for i in range(1, A.n + 1):
         chars = []

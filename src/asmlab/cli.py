@@ -31,7 +31,7 @@ from .enumeration import (
     verify_statement,
 )
 from .errors import AsmlabError, MalformedInputError
-from .homology import is_cohen_macaulay, parse_field
+from .homology import cascade_is_cm, characteristic, parse_field
 from .ideals import cell_label, init_ideal, perm_set_via_primes
 
 
@@ -43,7 +43,6 @@ class CliConfig:
     target_path: str | None = None
     n: int | None = None
     field: object = "rational"
-    backend: str = "cascade"
     checks: tuple = ALL_CHECKS
     filter_spec: str | None = None
     statement: str | None = None
@@ -73,9 +72,10 @@ def _emit(config: CliConfig, text: str) -> None:
 
 def cmd_analyze(config: CliConfig) -> int:
     A = _load_asm(config.input_path)
-    pa = perm_set_via_primes(A)
-    cm = is_cohen_macaulay(A, field=config.field, backend=config.backend, bound=A.n)
     I = init_ideal(A)
+    pa = perm_set_via_primes(A)
+    delta = sr_complex_from_ideal(I, pa.primes)
+    trace = km_vertex_decomposable(delta)
     report = {
         "asm": A.to_json_dict(),
         "a11_is_one": A.a11_is_one,
@@ -91,11 +91,10 @@ def cmd_analyze(config: CliConfig) -> int:
         "codim": pa.codim,
         "perm_count": len(pa.perms),
         "equidimensional": pa.equidimensional,
-        "cm": cm,
+        "cm": cascade_is_cm(delta.facets, characteristic(config.field)),
         "diagram": ascii_diagram(A),
+        "km_vd": trace.result,
     }
-    trace = km_vertex_decomposable(sr_complex_from_ideal(I))
-    report["km_vd"] = trace.result
     if not trace.result:
         report["km_vd_trace"] = trace.to_json_dict()
         report["km_vd_failure_vertex"] = (
@@ -179,9 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze")
     p.add_argument("--input", dest="input_path", required=True)
-    p.add_argument(
-        "--backend", choices=["cascade", "reisner", "hochster"], default="cascade"
-    )
     common(p)
 
     p = sub.add_parser("enumerate")

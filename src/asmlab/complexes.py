@@ -60,8 +60,9 @@ class SimplicialComplex:
         }
 
 
-def sr_complex_from_ideal(I: SquarefreeIdeal) -> SimplicialComplex:
-    """Facets are the universe-complements of the minimal primes."""
+def sr_complex_from_ideal(I: SquarefreeIdeal, primes=None) -> SimplicialComplex:
+    """Facets are the universe-complements of the minimal primes: `primes`
+    when the caller already has minimal_primes(I), else computed here."""
     if I.is_unit:
         raise ValueError("the unit ideal has no Stanley-Reisner complex")
     support = I.support()
@@ -70,7 +71,9 @@ def sr_complex_from_ideal(I: SquarefreeIdeal) -> SimplicialComplex:
     grid = frozenset(
         (i, j) for i in range(1, I.n + 1) for j in range(1, I.n + 1)
     )
-    facets = frozenset(universe - P for P in minimal_primes(I))
+    if primes is None:
+        primes = minimal_primes(I)
+    facets = frozenset(universe - P for P in primes)
     return SimplicialComplex(
         ambient_n=I.n,
         vertex_universe=universe,

@@ -43,7 +43,7 @@ from .errors import (
     UnknownCheckError,
     UnknownStatementError,
 )
-from .homology import _all_faces, cm_conjecture_scan, is_cohen_macaulay
+from .homology import _all_faces, cascade_is_cm, characteristic, cm_conjecture_scan
 from .ideals import (
     SquarefreeIdeal,
     ideal_colon,
@@ -179,24 +179,38 @@ def _known_checks(checks) -> frozenset:
 
 
 def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
+    """Answer the requested checks from one derivation: the minimal primes of
+    init_ideal(A) are computed once, and the Stanley-Reisner complex is built
+    from them once, only when "cm" or "km_vd" is requested.  Each timing is
+    the time since the previous one, so building the complex is charged to
+    the first of those two stages."""
     checks = _known_checks(checks)
     timings = []
     codim = perm_count = equidim = cm = km_vd = None
+    t0 = time.perf_counter()
+
+    def lap(stage):
+        nonlocal t0
+        t1 = time.perf_counter()
+        timings.append((stage, t1 - t0))
+        t0 = t1
+
+    primes = None
     if checks & {"codim", "equidim"}:
-        t0 = time.perf_counter()
         pa = perm_set_via_primes(A)
-        timings.append(("primes", time.perf_counter() - t0))
+        primes = pa.primes
         codim = pa.codim if "codim" in checks else None
         perm_count = len(pa.perms)
         equidim = pa.equidimensional if "equidim" in checks else None
-    if "cm" in checks:
-        t0 = time.perf_counter()
-        cm = is_cohen_macaulay(A, field=field, bound=A.n)
-        timings.append(("cm", time.perf_counter() - t0))
-    if "km_vd" in checks:
-        t0 = time.perf_counter()
-        km_vd = km_vertex_decomposable(sr_complex_from_ideal(init_ideal(A))).result
-        timings.append(("km_vd", time.perf_counter() - t0))
+        lap("primes")
+    if checks & {"cm", "km_vd"}:
+        delta = sr_complex_from_ideal(init_ideal(A), primes)
+        if "cm" in checks:
+            cm = cascade_is_cm(delta.facets, characteristic(field))
+            lap("cm")
+        if "km_vd" in checks:
+            km_vd = km_vertex_decomposable(delta).result
+            lap("km_vd")
     return AnalysisReport(
         asm=A,
         codim=codim,
@@ -253,6 +267,11 @@ _FILTERS = {
     None: lambda A: True,
     "a11=1": lambda A: A.a11_is_one,
 }
+
+
+# the record keys the census count reads; a cached record without one of
+# them is not served
+_COUNTED_KEYS = {"cm", "km_vd", "a11_is_one", "equidimensional", "timings"}
 
 
 def _cache_key(n: int, checks, field, filter_spec) -> str:
@@ -312,17 +331,28 @@ def tabulate(
     def shard_path(start):
         return key_dir / f"shard_{start:08d}.jsonl"
 
-    results: dict[int, list[dict]] = {}
-    for start in starts:
-        if key_dir is not None and shard_path(start).exists():
-            lines = shard_path(start).read_text().splitlines()
-            results[start] = [json.loads(line) for line in lines]
+    def cached(start):
+        """The shard's stored records, or None when it is to be computed: no
+        file, a line that is not JSON, a record without a key the count
+        reads, or, unfiltered, not one record per ASM of the shard."""
+        if key_dir is None or not shard_path(start).exists():
+            return None
+        try:
+            records = [json.loads(s) for s in shard_path(start).read_text().splitlines()]
+        except ValueError:  # JSONDecodeError, UnicodeDecodeError
+            return None
+        size = min(SHARD_SIZE, ASM_COUNTS[n - 1] - start)
+        whole = filter_spec is not None or len(records) == size
+        keyed = all(isinstance(d, dict) and _COUNTED_KEYS <= d.keys() for d in records)
+        return records if whole and keyed else None
+
+    results = {start: cached(start) for start in starts}
 
     def missing_shards():
         stream = enumerate_asms(n)
         for start in starts:
             asms = list(islice(stream, SHARD_SIZE))
-            if start not in results:
+            if results[start] is None:
                 yield start, [A for A in asms if keep(A)], checks, field
 
     def store(computed):
@@ -335,7 +365,7 @@ def tabulate(
                 )
                 tmp.replace(shard_path(start))
 
-    if len(results) < len(starts):
+    if None in results.values():
         if jobs > 1:
             from multiprocessing import Pool
 
@@ -528,16 +558,9 @@ def _verify_block_antidiagonal(n, rng, report):
     for A in enumerate_asms(n):
         for m, A1, A2 in _antidiagonal_blocks(A):
             report.cases += 1
-            eq = perm_set_via_primes(A).equidimensional
-            eq_blocks = (
-                perm_set_via_primes(A1).equidimensional
-                and perm_set_via_primes(A2).equidimensional
-            )
-            cm = is_cohen_macaulay(A, bound=A.n)
-            cm_blocks = is_cohen_macaulay(A1, bound=A1.n) and is_cohen_macaulay(
-                A2, bound=A2.n
-            )
-            if eq != eq_blocks or cm != cm_blocks:
+            whole, r1, r2 = (analyze_asm(B, ("equidim", "cm")) for B in (A, A1, A2))
+            eq_blocks = r1.equidimensional and r2.equidimensional
+            if whole.equidimensional != eq_blocks or whole.cm != (r1.cm and r2.cm):
                 report.failures.append({"asm": A.to_json_dict(), "m": m})
 
 

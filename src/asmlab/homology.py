@@ -3,13 +3,13 @@
 Homology is computed over the rationals (exact integer elimination; no
 floating point) or over a prime field.  Cohen-Macaulayness of an ASM is
 decided on the Stanley-Reisner complex of its antidiagonal initial ideal.
-The default decision is a cascade that runs homology only when no
-certificate settles the question: a non-pure complex is not CM; a vertex
-decomposable one, in the fixed Knutson-Miller order or in any order, is
-shellable and so CM over every field (Provan-Billera); only the rest go
-through Reisner's link-vanishing criterion.  Reisner's criterion on its own
-and Hochster's depth formula over all induced subcomplexes stay selectable
-as the oracles the cascade is checked against.
+The decision is a cascade that runs homology only when no certificate
+settles the question: a non-pure complex is not CM; a vertex decomposable
+one, in the fixed Knutson-Miller order or in any order, is shellable and so
+CM over every field (Provan-Billera); only the rest go through Reisner's
+link-vanishing criterion.  Reisner's criterion on its own (`complex_is_cm`)
+and Hochster's depth formula over all induced subcomplexes
+(`hochster_depth`) are the oracles the cascade is checked against.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .complexes import (
 from .errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
 from .ideals import init_ideal, is_pure_family, maximal_sets
 
-DEFAULT_CM_BOUND = 6
 DEFAULT_FACE_BUDGET = 2**24
 
 
@@ -57,7 +56,8 @@ def parse_field(field):
     return int(digits)
 
 
-def _field_key(field) -> int:
+def characteristic(field) -> int:
+    """0 for the rationals, else the prime p of a field parse_field accepts."""
     p = parse_field(field)
     return 0 if p == "rational" else p
 
@@ -226,13 +226,14 @@ def reduced_homology_ranks(
     """Reduced Betti numbers of a complex (or raw facet collection)."""
     facets = delta.facets if isinstance(delta, SimplicialComplex) else frozenset(delta)
     facets = frozenset(map(frozenset, facets))
-    return HomologyProfile(_reduced_betti(facets, _field_key(field), face_budget), field)
+    return HomologyProfile(_reduced_betti(facets, characteristic(field), face_budget), field)
 
 
 # -- Cohen-Macaulayness --------------------------------------------------------
 
 def complex_is_cm(facets, p: int = 0, face_budget: int = DEFAULT_FACE_BUDGET) -> bool:
-    """Link-vanishing criterion with cone reduction and memoization.
+    """Reisner's link-vanishing criterion with cone reduction and
+    memoization; the oracle the cascade is checked against.
 
     Requires purity, strips the common apex, checks that reduced homology
     vanishes below the top dimension, then recurses into vertex links.
@@ -266,7 +267,8 @@ def _coneless_is_cm(facets: frozenset, p: int, face_budget: int) -> bool:
 def hochster_depth(
     facets, universe, p: int = 0, face_budget: int = DEFAULT_FACE_BUDGET
 ) -> int:
-    """Depth from induced-subcomplex homology over all vertex subsets."""
+    """Depth from induced-subcomplex homology over all vertex subsets
+    (Hochster's formula); an oracle, exponential in the vertex count."""
     verts = sorted(universe)
     facets = frozenset(map(frozenset, facets))
     pd = 0
@@ -280,50 +282,23 @@ def hochster_depth(
     return len(verts) - pd
 
 
-def cascade_is_cm(facets, p: int = 0, face_budget: int = DEFAULT_FACE_BUDGET) -> bool:
-    """complex_is_cm on grid-cell vertices, answered by the first step that
-    settles it: purity, the fixed-order KM-vd memo, the free-order vertex
-    decomposability search, and only then Reisner's criterion."""
+def cascade_is_cm(facets, p: int = 0) -> bool:
+    """Cohen-Macaulayness of a complex on grid-cell vertices over Q (p = 0)
+    or GF(p), answered by the first step that settles it: purity, the
+    fixed-order KM-vd memo, the free-order vertex decomposability search,
+    and only then Reisner's criterion.  A certificate holds over every
+    field, so only the last step depends on p."""
     facets = frozenset(map(frozenset, facets))
     if not is_pure_family(facets):
         return False
-    return (
-        _km_vd_facets(facets).result
-        or vd_facets(facets)
-        or complex_is_cm(facets, p, face_budget)
-    )
+    return _km_vd_facets(facets).result or vd_facets(facets) or complex_is_cm(facets, p)
 
 
-def is_cohen_macaulay(
-    A: Asm,
-    field="rational",
-    backend: str = "cascade",
-    bound: int = DEFAULT_CM_BOUND,
-    face_budget: int = DEFAULT_FACE_BUDGET,
-) -> bool:
-    """Whether the ASM defines a Cohen-Macaulay quotient, decided on the
-    Stanley-Reisner complex of its antidiagonal initial ideal.
-
-    backend "cascade" (the default) rejects a non-pure complex, accepts a
-    vertex decomposable one (fixed KM order first, then any order), and
-    leaves only the rest to Reisner's criterion; a certificate holds over
-    every field, so only that last step depends on `field`.  "reisner"
-    (link-vanishing homology alone) and "hochster" (depth from induced
-    subcomplexes) are the oracles it is checked against.  The face budget
-    bounds the homology steps only.
-    """
-    if A.n > bound:
-        raise SizeBoundExceededError(f"n={A.n} exceeds the CM bound {bound}")
-    p = _field_key(field)
+def is_cohen_macaulay(A: Asm, field="rational") -> bool:
+    """Whether the ASM defines a Cohen-Macaulay quotient: the cascade on the
+    Stanley-Reisner complex of its antidiagonal initial ideal."""
     delta = sr_complex_from_ideal(init_ideal(A))
-    if backend == "cascade":
-        return cascade_is_cm(delta.facets, p, face_budget)
-    if backend == "reisner":
-        return complex_is_cm(delta.facets, p, face_budget)
-    if backend == "hochster":
-        depth = hochster_depth(delta.facets, delta.vertex_universe, p, face_budget)
-        return depth == delta.dim() + 1
-    raise ValueError(f"unknown backend {backend!r}")
+    return cascade_is_cm(delta.facets, characteristic(field))
 
 
 # -- the 1-plus conjecture scan ------------------------------------------------
@@ -346,16 +321,11 @@ class ConjectureScanReport:
 def _scan_pair(args) -> tuple[tuple, bool, bool]:
     entries, field = args
     A = Asm(entries)
-    bound = A.n + 1
-    return (
-        entries,
-        is_cohen_macaulay(A, field=field, bound=bound),
-        is_cohen_macaulay(one_plus(A), field=field, bound=bound),
-    )
+    return entries, is_cohen_macaulay(A, field), is_cohen_macaulay(one_plus(A), field)
 
 
 def cm_conjecture_scan(n: int, field="rational", jobs: int = 1) -> ConjectureScanReport:
-    """Compare CM(A) with CM(1 + A) over all of ASM(n).
+    """Compare CM(A) with CM(1 + A) over all of ASM(n), n <= 5.
 
     Records a forward violation when 1 + A is CM but A is not (a proved
     implication, so any hit is a bug) and a converse counterexample when A
@@ -363,8 +333,8 @@ def cm_conjecture_scan(n: int, field="rational", jobs: int = 1) -> ConjectureSca
     """
     from .enumeration import enumerate_asms
 
-    if n > DEFAULT_CM_BOUND - 1:
-        raise SizeBoundExceededError(f"scan limited to n <= {DEFAULT_CM_BOUND - 1}")
+    if n > 5:
+        raise SizeBoundExceededError("scan limited to n <= 5")
     report = ConjectureScanReport(n=n, field=field)
     work = [(A.entries, field) for A in enumerate_asms(n)]
     if jobs > 1:

@@ -196,10 +196,6 @@ def ideal_colon(I: SquarefreeIdeal, m: Monomial) -> SquarefreeIdeal:
     return SquarefreeIdeal.make(I.n, (g - m for g in I.gens))
 
 
-def variable_ideal(n: int, cells) -> SquarefreeIdeal:
-    return SquarefreeIdeal.make(n, (frozenset([c]) for c in cells))
-
-
 def minimal_primes(I: SquarefreeIdeal) -> frozenset[frozenset]:
     """Minimal primes as minimal vertex covers of the generator supports.
 
@@ -255,6 +251,7 @@ class PrimeAnalysis:
     perms: frozenset  # frozenset[Permutation]
     codim: int
     equidimensional: bool
+    primes: frozenset  # the minimal primes it was read from
 
 
 def perm_set_via_primes(A: Asm) -> PrimeAnalysis:
@@ -263,7 +260,7 @@ def perm_set_via_primes(A: Asm) -> PrimeAnalysis:
     primes = minimal_primes(init_ideal(A))
     heights = {len(P) for P in primes}
     perms = frozenset(perm_from_prime(P, A.n) for P in primes)
-    return PrimeAnalysis(perms, min(heights), len(heights) == 1)
+    return PrimeAnalysis(perms, min(heights), len(heights) == 1, primes)
 
 
 # -- the two-prime construction for badblock ASMs ----------------------------

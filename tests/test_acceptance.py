@@ -33,9 +33,10 @@ from asmlab import (
     stanley_reisner_ideal,
     tabulate,
     face_subcomplex,
+    hochster_depth,
     verify_statement,
 )
-from asmlab.homology import compose_boundaries
+from asmlab.homology import complex_is_cm, compose_boundaries
 
 JOBS = 4
 
@@ -229,10 +230,11 @@ def test_criterion_5_property_suites(capsys):
                 failures.append(f"pipe-dream mismatch for {A.entries}")
 
     for A in enumerate_asms(4):
-        if is_cohen_macaulay(A, backend="reisner") != is_cohen_macaulay(
-            A, backend="hochster"
-        ):
-            failures.append(f"backend disagreement for {A.entries}")
+        delta = sr_complex_from_ideal(init_ideal(A))
+        reisner = complex_is_cm(delta.facets)
+        hochster = hochster_depth(delta.facets, delta.vertex_universe) == delta.dim() + 1
+        if not is_cohen_macaulay(A) == reisner == hochster:
+            failures.append(f"cascade, Reisner and Hochster disagree for {A.entries}")
 
     for A in enumerate_asms(4):
         I = init_ideal(A)

@@ -1,11 +1,18 @@
+import io
 import json
 import runpy
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from asmlab import enumerate_asms, init_ideal, sr_complex_from_ideal
 from asmlab.cli import main
+from asmlab.enumeration import ALL_CHECKS, STATEMENT_NAMES
+from asmlab.homology import complex_is_cm
 
 RUN_CENSUS = Path(__file__).resolve().parent.parent / "scripts" / "run_census.py"
 
@@ -48,17 +55,18 @@ class TestAnalyze:
         assert report["cm"] is True and report["km_vd"] is False
         assert report["km_vd_failure_vertex"] == "z_1_3"
 
-    def test_default_backend_agrees_with_reisner(self, tmp_path, capsys):
-        path = write_asm(
-            tmp_path,
-            "nk.json",
-            [[0, 1, 0, 0], [0, 0, 0, 1], [1, -1, 1, 0], [0, 1, 0, 0]],
-        )
-        assert main(["analyze", "--input", path, "--format", "json"]) == 0
-        default = capsys.readouterr().out
-        assert main(["analyze", "--input", path, "--format", "json", "--backend", "reisner"]) == 0
-        assert capsys.readouterr().out == default
-        assert json.loads(default)["cm"] is True
+    def test_default_backend_agrees_with_reisner(self, tmp_path, capsys, non_km_gvd):
+        path = write_asm(tmp_path, "nk.json", [list(r) for r in non_km_gvd.entries])
+        delta = sr_complex_from_ideal(init_ideal(non_km_gvd))
+        for field, p in (("rational", 0), ("p=2", 2)):
+            assert main(["analyze", "--input", path, "--field", field]) == 0
+            cm = json.loads(capsys.readouterr().out)["cm"]
+            assert cm is complex_is_cm(delta.facets, p) is True
+
+    def test_backend_flag_removed(self, worked_example_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", worked_example_path, "--backend", "reisner"])
+        assert exc.value.code == 2
 
     def test_identity(self, tmp_path, capsys):
         path = write_asm(tmp_path, "id.json", [[1 if i == j else 0 for j in range(5)] for i in range(5)])
@@ -229,3 +237,76 @@ class TestDeterminism:
         first = capsys.readouterr().out
         main(["analyze", "--input", worked_example_path])
         assert capsys.readouterr().out == first
+
+
+# -- fuzzing: any argv the parser accepts, with any JSON in the input files,
+# exits 0, 1 or 2, and 2 always with one JSON error line on stderr.
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+SMALL_MATRICES = st.lists(st.lists(st.integers(-1, 1), max_size=4), max_size=4)
+ASM_FILES = st.one_of(
+    JSON_VALUES,
+    JSON_VALUES.map(lambda m: {"matrix": m}),
+    st.fixed_dictionaries(
+        {"matrix": SMALL_MATRICES}, optional={"n": st.integers(-1, 5)}
+    ),
+    st.sampled_from([A.to_json_dict() for n in range(1, 5) for A in enumerate_asms(n)]),
+)
+FIELDS = st.sampled_from(["rational", "p=2", "p=3", "p=4", "p=1", "p=", "abc", "3", ""])
+SIZES = st.sampled_from(["1", "2", "3", "4", "0", "9", "-2"])  # censuses stay at n <= 4
+CHECKS = st.lists(st.sampled_from(ALL_CHECKS + ("bogus",)), max_size=4).map(",".join)
+
+
+@st.composite
+def invocations(draw):
+    """(argv, {flag: JSON value written to the file the flag names})."""
+    command = draw(
+        st.sampled_from(["analyze", "enumerate", "verify", "pattern", "diagram"])
+    )
+    argv = [command, f"--field={draw(FIELDS)}"]
+    out_format = draw(st.sampled_from([None, "json", "csv", "text"]))
+    if out_format:
+        argv.append(f"--format={out_format}")
+    files = {}
+    if command in ("analyze", "diagram"):
+        files["--input"] = draw(ASM_FILES)
+    elif command == "pattern":
+        files["--pattern"] = draw(ASM_FILES)
+        files["--target"] = draw(ASM_FILES)
+    else:
+        argv.append(f"-n{draw(SIZES)}")
+        if command == "verify":
+            argv.append(f"--statement={draw(st.sampled_from(STATEMENT_NAMES))}")
+        else:
+            argv.append(f"--checks={draw(CHECKS)}")
+            filter_spec = draw(st.sampled_from([None, "a11=1", "bogus"]))
+            if filter_spec:
+                argv.append(f"--filter={filter_spec}")
+    return argv, files
+
+
+@settings(max_examples=60, deadline=None)
+@given(invocations())
+def test_fuzzed_invocations_keep_the_exit_contract(invocation):
+    argv, files = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag, value in files.items():
+            path = Path(tmp) / f"{flag.strip('-')}.json"
+            path.write_text(json.dumps(value))
+            argv = argv + [flag, str(path)]
+        if argv[0] == "enumerate":
+            argv = argv + ["--cache", str(Path(tmp) / "cache")]
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(argv)
+    assert status in (0, 1, 2)
+    if status == 2:
+        (line,) = err.getvalue().splitlines()
+        assert "error" in json.loads(line)
+    else:
+        assert err.getvalue() == ""

@@ -138,7 +138,7 @@ class TestKmVertexDecomposability:
             if I.is_zero:
                 continue
             if km_vertex_decomposable(sr_complex_from_ideal(I)).result:
-                assert is_cohen_macaulay(A, bound=4)
+                assert is_cohen_macaulay(A)
 
     def test_impure_fails_immediately(self, b4):
         trace = km_vertex_decomposable(sr_complex_from_ideal(init_ideal(b4)))

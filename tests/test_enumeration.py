@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -9,6 +10,8 @@ from asmlab import (
     Asm,
     analyze_asm,
     enumerate_asms,
+    minimal_primes,
+    sr_complex_from_ideal,
     tabulate,
     verify_statement,
 )
@@ -232,6 +235,77 @@ class TestCensusStream:
         tabulate(5, checks=CODIM, cache_dir=tmp_path, jobs=jobs)
         assert stamps() == kept
         assert records(middle) == before
+
+
+class TestShardValidation:
+    """A damaged shard is recomputed and rewritten, never served."""
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-json", "missing-key"])
+    def test_damaged_shard_recomputed(self, tmp_path, damage):
+        checks = ("codim", "equidim")
+        cold = tabulate(4, checks=checks, cache_dir=tmp_path)
+        (shard,) = (tmp_path / _cache_key(4, checks, "rational", None)).iterdir()
+        before = records(shard)
+        lines = shard.read_text().splitlines()
+        if damage == "truncated":
+            lines = lines[:1]
+        elif damage == "not-json":
+            lines[5] = lines[5][:-1]
+        else:
+            record = json.loads(lines[5])
+            del record["equidimensional"]
+            lines[5] = json.dumps(record)
+        shard.write_text("".join(line + "\n" for line in lines))
+        warm = tabulate(4, checks=checks, cache_dir=tmp_path)
+        assert warm.row()[:-1] == cold.row()[:-1] and warm.total == 42
+        assert records(shard) == before
+
+
+def calls_through(monkeypatch, fn):
+    """Count calls of fn through every asmlab module that binds its name."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "asmlab" and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+class TestOneDerivation:
+    """analyze_asm and `asmlab analyze` compute the minimal primes of an
+    ASM once, and build its complex only for the CM and KM-vd checks."""
+
+    def test_all_checks(self, monkeypatch, non_km_gvd, b4):
+        primes = calls_through(monkeypatch, minimal_primes)
+        complexes = calls_through(monkeypatch, sr_complex_from_ideal)
+        for A in (non_km_gvd, b4):
+            primes.clear()
+            complexes.clear()
+            analyze_asm(A)
+            assert len(primes) == len(complexes) == 1
+
+    def test_primes_only_builds_no_complex(self, monkeypatch, non_km_gvd, b4):
+        primes = calls_through(monkeypatch, minimal_primes)
+        complexes = calls_through(monkeypatch, sr_complex_from_ideal)
+        for A in (non_km_gvd, b4):
+            primes.clear()
+            analyze_asm(A, checks=("codim", "equidim"))
+            assert len(primes) == 1
+        assert complexes == []
+
+    def test_cli_analyze(self, monkeypatch, tmp_path, capsys, b4):
+        from asmlab.cli import main
+
+        path = tmp_path / "b4.json"
+        path.write_text(json.dumps(b4.to_json_dict()))
+        primes = calls_through(monkeypatch, minimal_primes)
+        assert main(["analyze", "--input", str(path)]) == 0
+        assert len(primes) == 1
+        assert json.loads(capsys.readouterr().out)["cm"] is False
 
 
 class TestVerifyStatement:

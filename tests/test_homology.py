@@ -124,10 +124,10 @@ class TestCohenMacaulay:
         assert not complex_is_cm(RP2, p=2)
 
     def test_examples(self, non_km_gvd, b4, b5, a6):
-        assert is_cohen_macaulay(non_km_gvd, bound=4)
-        assert not is_cohen_macaulay(b4, bound=4)
-        assert not is_cohen_macaulay(b5, bound=5)
-        assert is_cohen_macaulay(a6, bound=6)
+        assert is_cohen_macaulay(non_km_gvd)
+        assert not is_cohen_macaulay(b4)
+        assert not is_cohen_macaulay(b5)
+        assert is_cohen_macaulay(a6)
 
     def test_permutations_always_cm(self):
         from itertools import permutations
@@ -135,24 +135,16 @@ class TestCohenMacaulay:
         from asmlab import Permutation
 
         for p in permutations(range(1, 5)):
-            assert is_cohen_macaulay(Permutation(p).to_asm(), bound=4)
+            assert is_cohen_macaulay(Permutation(p).to_asm())
 
     def test_identity(self):
-        assert is_cohen_macaulay(Asm.identity(5), bound=5)
-
-    def test_size_bound(self, a6):
-        with pytest.raises(SizeBoundExceededError):
-            is_cohen_macaulay(a6, bound=5)
-
-    def test_unknown_backend(self, b4):
-        with pytest.raises(ValueError):
-            is_cohen_macaulay(b4, backend="nope", bound=4)
+        assert is_cohen_macaulay(Asm.identity(5))
 
     def test_cm_implies_equidimensional_n4(self):
         from asmlab import perm_set_via_primes
 
         for A in enumerate_asms(4):
-            if is_cohen_macaulay(A, bound=4):
+            if is_cohen_macaulay(A):
                 assert perm_set_via_primes(A).equidimensional
 
 
@@ -162,9 +154,10 @@ class TestCascade:
         for n in range(1, 5):
             for A in enumerate_asms(n):
                 for B in (A, one_plus(A)):
-                    for field in ("rational", 2):
-                        assert is_cohen_macaulay(B, field=field, bound=5) == (
-                            is_cohen_macaulay(B, field=field, backend="reisner", bound=5)
+                    delta = sr_complex_from_ideal(init_ideal(B))
+                    for field, p in (("rational", 0), (2, 2)):
+                        assert is_cohen_macaulay(B, field=field) == complex_is_cm(
+                            delta.facets, p
                         )
                     checked += 1
         assert checked == 104
@@ -188,9 +181,9 @@ class TestHochsterBackend:
 
     def test_agrees_on_asm3(self):
         for A in enumerate_asms(3):
-            assert is_cohen_macaulay(A, bound=3) == is_cohen_macaulay(
-                A, backend="hochster", bound=3
-            )
+            delta = sr_complex_from_ideal(init_ideal(A))
+            depth = hochster_depth(delta.facets, delta.vertex_universe)
+            assert is_cohen_macaulay(A) == (depth == delta.dim() + 1)
 
 
 class TestConjectureScan:
@@ -210,4 +203,4 @@ class TestConjectureScan:
             cm_conjecture_scan(6)
 
     def test_one_plus_consistency_spotcheck(self, non_km_gvd):
-        assert is_cohen_macaulay(one_plus(non_km_gvd), bound=5)
+        assert is_cohen_macaulay(one_plus(non_km_gvd))
