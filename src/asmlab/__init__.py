@@ -39,7 +39,6 @@ from .complexes import (
     full_grid_ideal,
     is_face,
     is_pure,
-    km_order_key,
     km_vertex_decomposable,
     sr_complex_from_ideal,
     stanley_reisner_ideal,

@@ -186,19 +186,12 @@ def rank_matrix(A: Asm) -> tuple[tuple[int, ...], ...]:
 
 def rothe_diagram(A: Asm) -> frozenset[Cell]:
     """Cells whose row prefix (through column j) and column prefix (through
-    row i) both vanish."""
-    n = A.n
-    row_pref = [[0] * (n + 1) for _ in range(n + 1)]
-    col_pref = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            row_pref[i][j] = row_pref[i][j - 1] + A.entries[i - 1][j - 1]
-            col_pref[i][j] = col_pref[i - 1][j] + A.entries[i - 1][j - 1]
+    row i) both vanish, i.e. where the rank grows neither from the cell
+    above nor from the cell to the left."""
+    rk = [(0,) * (A.n + 1)] + [(0, *row) for row in rank_matrix(A)]
+    grid = range(1, A.n + 1)
     return frozenset(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if row_pref[i][j] == 0 and col_pref[i][j] == 0
+        (i, j) for i in grid for j in grid if rk[i][j] == rk[i - 1][j] == rk[i][j - 1]
     )
 
 

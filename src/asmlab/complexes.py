@@ -1,9 +1,13 @@
 """Stanley-Reisner complexes of squarefree ideals and the fixed-order
 vertex-decomposability test.
 
-Complexes are stored by their facet lists.  Degree-1 generators of the
-ideal are tracked as excluded vertices and grid cells outside the support
-as cone points, so the complex itself lives on a small active universe.
+Complexes are stored by their facet lists, each facet a mask in the layout
+of `ideals`: cell (i, j) is bit (i-1)*n + (n-j), and the lowest set bit of
+a vertex set is its greatest vertex in the Knutson-Miller order.  Links and
+deletions at a vertex v are `F & ~v`.  Degree-1 generators of the ideal are
+tracked as excluded vertices and grid cells outside the support as cone
+points, so the complex itself lives on a small active universe.  Cells come
+back only through the codec, in the JSON and in a failure trace.
 """
 
 from __future__ import annotations
@@ -15,48 +19,39 @@ from .asm import Cell
 from .errors import NotAFaceError
 from .ideals import (
     SquarefreeIdeal,
+    bits,
     cell_label,
+    cells,
     is_pure_family,
     maximal_sets,
     minimal_primes,
     minimal_transversals,
+    union,
 )
 
 MEMO_SIZE = 10**6  # the bound of every facet-keyed memo, here and in homology
 
 
-def km_order_key(cell: Cell):
-    """Sort key for the fixed vertex order z_{1,n} > ... > z_{n,1}: smaller
-    row first, then larger column."""
-    i, j = cell
-    return (-i, j)
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Facet-list complex over a subset of the n x n grid."""
+    """Facet-list complex over a subset of the n x n grid, vertex sets as masks."""
 
     ambient_n: int
-    vertex_universe: frozenset  # frozenset[Cell]
-    facets: frozenset  # frozenset[frozenset[Cell]]
-    cone_points: frozenset
-    excluded_vertices: frozenset
+    vertex_universe: int
+    facets: frozenset  # frozenset[int]
+    cone_points: int
+    excluded_vertices: int
 
     def dim(self) -> int:
-        return max(len(F) for F in self.facets) - 1
-
-    def vertices(self) -> frozenset:
-        return frozenset().union(*self.facets) if self.facets else frozenset()
+        return max(F.bit_count() for F in self.facets) - 1
 
     def to_json_dict(self) -> dict:
+        n = self.ambient_n
+        facets = sorted(tuple(sorted(cells(F, n))) for F in self.facets)
+        facets.sort(key=len)
         return {
-            "vertices": [cell_label(c) for c in sorted(self.vertex_universe)],
-            "facets": [
-                [cell_label(c) for c in F]
-                for F in sorted(
-                    (tuple(sorted(F)) for F in self.facets), key=lambda f: (len(f), f)
-                )
-            ],
+            "vertices": [cell_label(c) for c in sorted(cells(self.vertex_universe, n))],
+            "facets": [[cell_label(c) for c in F] for F in facets],
         }
 
 
@@ -66,19 +61,15 @@ def sr_complex_from_ideal(I: SquarefreeIdeal, primes=None) -> SimplicialComplex:
     if I.is_unit:
         raise ValueError("the unit ideal has no Stanley-Reisner complex")
     support = I.support()
-    excluded = frozenset(next(iter(g)) for g in I.gens if len(g) == 1)
-    universe = support - excluded
-    grid = frozenset(
-        (i, j) for i in range(1, I.n + 1) for j in range(1, I.n + 1)
-    )
+    excluded = union(g for g in I.gens if g.bit_count() == 1)
+    universe = support & ~excluded
     if primes is None:
         primes = minimal_primes(I)
-    facets = frozenset(universe - P for P in primes)
     return SimplicialComplex(
         ambient_n=I.n,
         vertex_universe=universe,
-        facets=facets,
-        cone_points=grid - support,
+        facets=frozenset(universe & ~P for P in primes),
+        cone_points=((1 << I.n * I.n) - 1) & ~support,
         excluded_vertices=excluded,
     )
 
@@ -88,7 +79,7 @@ def stanley_reisner_ideal(delta: SimplicialComplex) -> SquarefreeIdeal:
     of the facet complements."""
     return SquarefreeIdeal(
         delta.ambient_n,
-        minimal_transversals(delta.vertex_universe - F for F in delta.facets),
+        minimal_transversals(delta.vertex_universe & ~F for F in delta.facets),
     )
 
 
@@ -97,40 +88,33 @@ def full_grid_ideal(delta: SimplicialComplex) -> SquarefreeIdeal:
     come back as single-variable generators."""
     I = stanley_reisner_ideal(delta)
     return SquarefreeIdeal.make(
-        delta.ambient_n,
-        set(I.gens) | {frozenset([v]) for v in delta.excluded_vertices},
+        delta.ambient_n, set(I.gens) | set(bits(delta.excluded_vertices))
     )
 
 
-def is_face(delta: SimplicialComplex, sigma: frozenset) -> bool:
-    return any(sigma <= F for F in delta.facets)
+def is_face(delta: SimplicialComplex, sigma: int) -> bool:
+    return any(not sigma & ~F for F in delta.facets)
 
 
-def link_facets(facets, sigma: frozenset) -> frozenset:
-    return maximal_sets(F - sigma for F in facets if sigma <= F)
+def link_facets(facets, sigma: int) -> frozenset:
+    return maximal_sets(F & ~sigma for F in facets if not sigma & ~F)
 
 
-def deletion_facets(facets, sigma: frozenset) -> frozenset:
-    return maximal_sets(F - sigma for F in facets)
+def deletion_facets(facets, sigma: int) -> frozenset:
+    return maximal_sets(F & ~sigma for F in facets)
 
 
-def face_subcomplex(
-    delta: SimplicialComplex, sigma: frozenset, kind: str
-) -> SimplicialComplex:
+def face_subcomplex(delta: SimplicialComplex, sigma: int, kind: str) -> SimplicialComplex:
     """Link or deletion at a face, in facet-list form."""
-    sigma = frozenset(sigma)
     if not is_face(delta, sigma):
-        raise NotAFaceError(f"{sorted(sigma)} is not a face")
-    if kind == "link":
-        facets = link_facets(delta.facets, sigma)
-    elif kind == "deletion":
-        facets = deletion_facets(delta.facets, sigma)
-    else:
+        raise NotAFaceError(f"{sorted(cells(sigma, delta.ambient_n))} is not a face")
+    facets_at = {"link": link_facets, "deletion": deletion_facets}.get(kind)
+    if facets_at is None:
         raise ValueError(f"kind must be 'link' or 'deletion', got {kind!r}")
     return SimplicialComplex(
         ambient_n=delta.ambient_n,
-        vertex_universe=delta.vertex_universe - sigma,
-        facets=facets,
+        vertex_universe=delta.vertex_universe & ~sigma,
+        facets=facets_at(delta.facets, sigma),
         cone_points=delta.cone_points,
         excluded_vertices=delta.excluded_vertices,
     )
@@ -150,40 +134,37 @@ class DecompositionTrace:
     def to_json_dict(self) -> dict:
         d: dict = {"result": self.result}
         if not self.result:
-            d["failure_vertex"] = (
-                list(self.failure_vertex) if self.failure_vertex else None
-            )
+            d["failure_vertex"] = list(self.failure_vertex) if self.failure_vertex else None
             d["failure_reason"] = self.failure_reason
             d["path"] = [[list(v), branch] for v, branch in self.path]
         return d
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _km_vd_facets(facets: frozenset) -> DecompositionTrace:
+def _km_vd_facets(facets: frozenset) -> tuple:
+    """(result, failure reason, path) of the fixed-order test, the path's
+    vertices as single-bit masks."""
     if not is_pure_family(facets):
-        return DecompositionTrace(False, None, "NotPure")
-    vertices = frozenset().union(*facets) if facets else frozenset()
+        return False, "NotPure", ()
+    vertices = union(facets)
     if not vertices:
-        return DecompositionTrace(True)
-    v = max(vertices, key=km_order_key)
-    for branch, sub in (
-        ("link", link_facets(facets, frozenset([v]))),
-        ("deletion", deletion_facets(facets, frozenset([v]))),
-    ):
-        trace = _km_vd_facets(sub)
-        if not trace.result:
-            if trace.failure_reason == "NotPure" and not trace.path:
-                return DecompositionTrace(False, v, "NotPure", ((v, branch),))
-            return DecompositionTrace(
-                False, v, "RecursiveFailure", ((v, branch),) + trace.path
-            )
-    return DecompositionTrace(True)
+        return True, None, ()
+    v = vertices & -vertices  # the greatest surviving vertex
+    for branch, facets_at in (("link", link_facets), ("deletion", deletion_facets)):
+        result, reason, path = _km_vd_facets(facets_at(facets, v))
+        if not result:
+            if reason != "NotPure" or path:
+                reason = "RecursiveFailure"
+            return False, reason, ((v, branch),) + path
+    return True, None, ()
 
 
 def km_vertex_decomposable(delta: SimplicialComplex) -> DecompositionTrace:
     """Vertex decomposability along the fixed grid order, always splitting
     at the greatest surviving vertex; failure carries the branch path."""
-    return _km_vd_facets(delta.facets)
+    result, reason, path = _km_vd_facets(delta.facets)
+    steps = tuple((min(cells(v, delta.ambient_n)), branch) for v, branch in path)
+    return DecompositionTrace(result, steps[0][0] if steps else None, reason, steps)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -194,7 +175,6 @@ def vd_facets(facets: frozenset) -> bool:
     if not is_pure_family(facets):
         return False
     return len(facets) <= 1 or any(
-        vd_facets(deletion_facets(facets, frozenset([v])))
-        and vd_facets(link_facets(facets, frozenset([v])))
-        for v in sorted(frozenset().union(*facets), key=km_order_key, reverse=True)
+        vd_facets(deletion_facets(facets, v)) and vd_facets(link_facets(facets, v))
+        for v in bits(union(facets))
     )

@@ -46,10 +46,12 @@ from .errors import (
 from .homology import _all_faces, cascade_is_cm, characteristic, cm_conjecture_scan
 from .ideals import (
     SquarefreeIdeal,
+    cells,
     ideal_colon,
     ideal_intersection,
     init_ideal,
     is_minimal_prime,
+    mask,
     perm_set_via_primes,
 )
 
@@ -57,7 +59,7 @@ ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 # Part of every census cache key.  Bump it whenever an algorithm behind a
 # cached answer or the record schema changes, so that no cache written by
 # older code is ever served.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 MAX_STREAM_N = 8
 SHARD_SIZE = 128
 ALL_CHECKS = ("codim", "equidim", "cm", "km_vd")
@@ -310,7 +312,7 @@ def tabulate(
     Per-shard results are cached as JSON-lines files in a content-addressed
     subdirectory of cache_dir, each written as soon as its shard finishes,
     so interrupted runs resume, and warm reruns recompute nothing and do
-    not stream.
+    not stream.  A shard file ends with the trailer {"records": <count>}.
     """
     checks = tuple(sorted(_known_checks(checks)))
     if not (1 <= n <= MAX_STREAM_N):
@@ -333,16 +335,18 @@ def tabulate(
 
     def cached(start):
         """The shard's stored records, or None when it is to be computed: no
-        file, a line that is not JSON, a record without a key the count
-        reads, or, unfiltered, not one record per ASM of the shard."""
+        file, a line that is not JSON, a last line that is not the trailer
+        counting the records before it, or a record without a key the count
+        reads."""
         if key_dir is None or not shard_path(start).exists():
             return None
         try:
-            records = [json.loads(s) for s in shard_path(start).read_text().splitlines()]
+            *records, trailer = [
+                json.loads(s) for s in shard_path(start).read_text().splitlines()
+            ] or [None]
         except ValueError:  # JSONDecodeError, UnicodeDecodeError
             return None
-        size = min(SHARD_SIZE, ASM_COUNTS[n - 1] - start)
-        whole = filter_spec is not None or len(records) == size
+        whole = isinstance(trailer, dict) and trailer.get("records") == len(records)
         keyed = all(isinstance(d, dict) and _COUNTED_KEYS <= d.keys() for d in records)
         return records if whole and keyed else None
 
@@ -360,9 +364,8 @@ def tabulate(
             results[start] = reports
             if key_dir is not None:
                 tmp = shard_path(start).with_suffix(".tmp")
-                tmp.write_text(
-                    "".join(json.dumps(r, sort_keys=True) + "\n" for r in reports)
-                )
+                lines = [*reports, {"records": len(reports)}]
+                tmp.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in lines))
                 tmp.replace(shard_path(start))
 
     if None in results.values():
@@ -494,7 +497,7 @@ def _verify_link_colon(n, rng, report):
         delta = sr_complex_from_ideal(init_ideal(A))
         I_delta = stanley_reisner_ideal(delta)
         faces = sorted(
-            _all_faces(delta.facets), key=lambda f: (len(f), tuple(sorted(f)))
+            _all_faces(delta.facets), key=lambda f: (f.bit_count(), sorted(cells(f, n)))
         )
         if rng is not None and len(faces) > 8:
             faces = rng.sample(faces, 8)
@@ -505,7 +508,7 @@ def _verify_link_colon(n, rng, report):
             rhs = ideal_colon(I_delta, sigma)
             if lhs.gens != rhs.gens:
                 report.failures.append(
-                    {"asm": A.to_json_dict(), "face": sorted(sigma)}
+                    {"asm": A.to_json_dict(), "face": sorted(cells(sigma, n))}
                 )
 
 
@@ -516,13 +519,12 @@ def _verify_tilde_identity(n, rng, report):
     for A, j in cases:
         report.cases += 1
         At = insert_unit(A, 1, j)
-        shifted = {frozenset((a + 1, b) for (a, b) in g) for g in init_ideal(A).gens}
-        row_vars = {frozenset([(1, b)]) for b in range(1, n + 2) if b != j}
+        shifted = {mask({(a + 1, b) for a, b in cells(g, n)}, n + 1) for g in init_ideal(A).gens}
+        row_vars = {mask([(1, b)], n + 1) for b in range(1, n + 2) if b != j}
         lhs = SquarefreeIdeal.make(n + 1, shifted | row_vars)
-        tail = frozenset((1, k) for k in range(j + 1, n + 2))
-        tail_vars = {frozenset([c]) for c in tail}
+        tail_vars = {mask([(1, k)], n + 1) for k in range(j + 1, n + 2)}
         rhs = SquarefreeIdeal.make(
-            n + 1, set(ideal_colon(init_ideal(At), tail).gens) | tail_vars
+            n + 1, set(ideal_colon(init_ideal(At), sum(tail_vars)).gens) | tail_vars
         )
         if lhs.gens != rhs.gens:
             report.failures.append({"asm": A.to_json_dict(), "j": j})
@@ -579,7 +581,7 @@ def _verify_badblock(n, rng, report):
         I = init_ideal(A)
         ok = (
             not pa.equidimensional
-            and len(Y) != len(O)
+            and Y.bit_count() != O.bit_count()
             and is_minimal_prime(I, Y)
             and is_minimal_prime(I, O)
         )

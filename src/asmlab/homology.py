@@ -9,14 +9,15 @@ one, in the fixed Knutson-Miller order or in any order, is shellable and so
 CM over every field (Provan-Billera); only the rest go through Reisner's
 link-vanishing criterion.  Reisner's criterion on its own (`complex_is_cm`)
 and Hochster's depth formula over all induced subcomplexes
-(`hochster_depth`) are the oracles the cascade is checked against.
+(`hochster_depth`) are the oracles the cascade is checked against.  Faces
+are masks in the layout of `ideals`, their vertices in ascending bit order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from operator import and_
 
 from .asm import Asm, one_plus
 from .complexes import (
@@ -28,7 +29,7 @@ from .complexes import (
     vd_facets,
 )
 from .errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
-from .ideals import init_ideal, is_pure_family, maximal_sets
+from .ideals import bits, init_ideal, is_pure_family, maximal_sets, submasks, union
 
 DEFAULT_FACE_BUDGET = 2**24
 
@@ -98,32 +99,22 @@ def sparse_rank(rows, p: int = 0) -> int:
             if v is None:
                 reduced.append(r)
                 continue
+            # r becomes scale * r - f * pivot_row, which is 0 in column c
             if p:
-                f = v * pow(pv, -1, p) % p
-                new = dict(r)
-                for col, val in pivot_row.items():
-                    t = (new.get(col, 0) - f * val) % p
-                    if t:
-                        new[col] = t
-                    else:
-                        new.pop(col, None)
+                scale, f = 1, v * pow(pv, -1, p) % p
             elif v % pv == 0:
-                f = v // pv
-                new = dict(r)
-                for col, val in pivot_row.items():
-                    t = new.get(col, 0) - f * val
-                    if t:
-                        new[col] = t
-                    else:
-                        new.pop(col, None)
+                scale, f = 1, v // pv
             else:
-                new = {col: pv * val for col, val in r.items()}
-                for col, val in pivot_row.items():
-                    t = new.get(col, 0) - v * val
-                    if t:
-                        new[col] = t
-                    else:
-                        new.pop(col, None)
+                scale, f = pv, v
+            new = {col: scale * val for col, val in r.items()} if scale != 1 else dict(r)
+            for col, val in pivot_row.items():
+                t = new.get(col, 0) - f * val
+                if p:
+                    t %= p
+                if t:
+                    new[col] = t
+                else:
+                    new.pop(col, None)
             if new:
                 reduced.append(new)
         work = reduced
@@ -145,35 +136,28 @@ class ChainComplex:
     boundaries: tuple
 
 
-def _all_faces(facets) -> set[frozenset]:
-    faces = {frozenset()}
-    for F in facets:
-        cells = sorted(F)
-        for k in range(1, len(cells) + 1):
-            faces.update(map(frozenset, combinations(cells, k)))
-    return faces
+def _all_faces(facets) -> set[int]:
+    """Every face: the submasks of the facets, the empty face 0 included."""
+    return {0}.union(*map(submasks, facets))
 
 
 def chain_complex(facets, face_budget: int = DEFAULT_FACE_BUDGET) -> ChainComplex:
     """Full simplicial chain complex with the augmentation map included."""
-    if sum(2 ** len(F) for F in facets) > face_budget:
+    if sum(2 ** F.bit_count() for F in facets) > face_budget:
         raise FaceBudgetExceededError("complex exceeds the face budget")
-    by_dim: dict[int, list[tuple]] = {}
-    for f in _all_faces(facets):
-        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-    top = max(by_dim) if by_dim else -1
-    for d in by_dim:
-        by_dim[d].sort()
-    index = {d: {f: i for i, f in enumerate(by_dim[d])} for d in by_dim}
-    dims = tuple(len(by_dim.get(d, ())) for d in range(-1, top + 1))
+    by_dim: dict[int, list[int]] = {}  # every dimension from -1 up has a face
+    for f in sorted(_all_faces(facets)):
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    index = {d: {f: i for i, f in enumerate(faces)} for d, faces in by_dim.items()}
+    dims = tuple(len(by_dim[d]) for d in sorted(by_dim))
     boundaries = []
-    for d in range(0, top + 1):
-        rows = [dict() for _ in by_dim.get(d - 1, ())]
-        lower = index.get(d - 1, {})
-        for col, face in enumerate(by_dim.get(d, ())):
-            for a in range(len(face)):
-                sub = face[:a] + face[a + 1 :]
-                rows[lower[sub]][col] = (-1) ** a
+    for d in range(len(dims) - 1):
+        rows = [dict() for _ in by_dim[d - 1]]
+        lower = index[d - 1]
+        for col, face in enumerate(by_dim[d]):
+            for v in bits(face):
+                # the sign is (-1)**(the number of the face's vertices before v)
+                rows[lower[face ^ v]][col] = -1 if (face & (v - 1)).bit_count() & 1 else 1
         boundaries.append(tuple(rows))
     return ChainComplex(dims, tuple(boundaries))
 
@@ -225,7 +209,6 @@ def reduced_homology_ranks(
 ) -> HomologyProfile:
     """Reduced Betti numbers of a complex (or raw facet collection)."""
     facets = delta.facets if isinstance(delta, SimplicialComplex) else frozenset(delta)
-    facets = frozenset(map(frozenset, facets))
     return HomologyProfile(_reduced_betti(facets, characteristic(field), face_budget), field)
 
 
@@ -238,15 +221,15 @@ def complex_is_cm(facets, p: int = 0, face_budget: int = DEFAULT_FACE_BUDGET) ->
     Requires purity, strips the common apex, checks that reduced homology
     vanishes below the top dimension, then recurses into vertex links.
     """
-    facets = frozenset(map(frozenset, facets))
+    facets = frozenset(facets)
     if not facets:
         return True
     if not is_pure_family(facets):
         return False
-    common = frozenset.intersection(*facets)
+    common = reduce(and_, facets)
     if common:
-        facets = frozenset(F - common for F in facets)
-    if facets == frozenset([frozenset()]):
+        facets = frozenset(F & ~common for F in facets)
+    if facets == {0}:
         return True
     return _coneless_is_cm(facets, p, face_budget)
 
@@ -254,44 +237,40 @@ def complex_is_cm(facets, p: int = 0, face_budget: int = DEFAULT_FACE_BUDGET) ->
 @lru_cache(maxsize=MEMO_SIZE)
 def _coneless_is_cm(facets: frozenset, p: int, face_budget: int) -> bool:
     """complex_is_cm on a pure complex with no cone point and some vertex."""
-    top = max(len(F) for F in facets) - 1
+    top = max(F.bit_count() for F in facets) - 1
     betti = _reduced_betti(facets, p, face_budget)
     if any(betti[d + 1] for d in range(-1, top)):
         return False
     return all(
-        complex_is_cm(link_facets(facets, frozenset([v])), p, face_budget)
-        for v in frozenset().union(*facets)
+        complex_is_cm(link_facets(facets, v), p, face_budget) for v in bits(union(facets))
     )
 
 
 def hochster_depth(
     facets, universe, p: int = 0, face_budget: int = DEFAULT_FACE_BUDGET
 ) -> int:
-    """Depth from induced-subcomplex homology over all vertex subsets
-    (Hochster's formula); an oracle, exponential in the vertex count."""
-    verts = sorted(universe)
-    facets = frozenset(map(frozenset, facets))
+    """Depth from induced-subcomplex homology over all submasks of the
+    universe (Hochster's formula); an oracle, exponential in the vertex count."""
     pd = 0
-    for mask in range(2 ** len(verts)):
-        W = frozenset(v for b, v in enumerate(verts) if mask >> b & 1)
+    for W in submasks(universe):
         sub = maximal_sets(F & W for F in facets)
         betti = _reduced_betti(sub, p, face_budget)
         for idx, b in enumerate(betti):
             if b:
-                pd = max(pd, len(W) - idx)  # homological degree |W| - d - 1, d = idx - 1
-    return len(verts) - pd
+                pd = max(pd, W.bit_count() - idx)  # homological degree |W| - d - 1, d = idx - 1
+    return universe.bit_count() - pd
 
 
 def cascade_is_cm(facets, p: int = 0) -> bool:
-    """Cohen-Macaulayness of a complex on grid-cell vertices over Q (p = 0)
-    or GF(p), answered by the first step that settles it: purity, the
+    """Cohen-Macaulayness of a complex (facet masks) over Q (p = 0) or
+    GF(p), answered by the first step that settles it: purity, the
     fixed-order KM-vd memo, the free-order vertex decomposability search,
     and only then Reisner's criterion.  A certificate holds over every
     field, so only the last step depends on p."""
-    facets = frozenset(map(frozenset, facets))
+    facets = frozenset(facets)
     if not is_pure_family(facets):
         return False
-    return _km_vd_facets(facets).result or vd_facets(facets) or complex_is_cm(facets, p)
+    return _km_vd_facets(facets)[0] or vd_facets(facets) or complex_is_cm(facets, p)
 
 
 def is_cohen_macaulay(A: Asm, field="rational") -> bool:

@@ -1,16 +1,22 @@
 """Squarefree monomial ideals over the n-by-n variable grid.
 
-A squarefree monomial is identified with its support, a frozenset of grid
-cells; divisibility is the subset test.  The antidiagonal initial ideal of
-an ASM is generated by the antidiagonal lead terms of its Fulton
-generators, which form a Groebner basis under any antidiagonal term order.
+A squarefree monomial is identified with its support, a set of grid cells
+held as an int bitmask: cell (i, j) is bit (i-1)*n + (n-j), row by row and
+right to left within a row, so ascending bit order is the reading order of
+a pipe dream and the lowest set bit is the greatest cell in the
+Knutson-Miller order z_{1,n} > ... > z_{n,1}.  Divisibility is `a & ~b == 0`.
+`mask(cells, n)` and `cells(m, n)` are the one codec between masks and
+cells.  The antidiagonal initial ideal of an ASM is generated by the
+antidiagonal lead terms of its Fulton generators, which form a Groebner
+basis under any antidiagonal term order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 
 from .asm import (
     Asm,
@@ -28,7 +34,36 @@ from .errors import (
     SupportViolationError,
 )
 
-Monomial = frozenset  # frozenset[Cell]; the empty set is the unit monomial
+
+def mask(cell_set, n: int) -> int:
+    """The bitmask of a set of cells of the n x n grid."""
+    return sum(1 << ((i - 1) * n + n - j) for (i, j) in set(cell_set))
+
+
+def cells(m: int, n: int) -> frozenset[Cell]:
+    """The cells of a bitmask of the n x n grid."""
+    return frozenset((b // n + 1, n - b % n) for b in range(m.bit_length()) if m >> b & 1)
+
+
+def bits(m: int):
+    """The single-bit masks of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low
+        m ^= low
+
+
+def submasks(m: int):
+    """Every submask of m, from m itself down to 0."""
+    s = m
+    while s:
+        yield s
+        s = (s - 1) & m
+    yield 0
+
+
+def union(masks) -> int:
+    return reduce(or_, masks, 0)
 
 
 def cell_label(cell: Cell) -> str:
@@ -40,10 +75,10 @@ def parse_cell_label(label: str) -> Cell:
     return (int(i), int(j))
 
 
-def monomial_label(m: Monomial) -> str:
-    if not m:
+def monomial_label(cell_set) -> str:
+    if not cell_set:
         return "1"
-    return "*".join(cell_label(c) for c in sorted(m))
+    return "*".join(cell_label(c) for c in sorted(cell_set))
 
 
 # -- the set-family kernel: minimal primes are the minimal transversals of the
@@ -51,53 +86,58 @@ def monomial_label(m: Monomial) -> str:
 
 
 def minimal_sets(sets) -> frozenset:
-    """The inclusion-minimal members of a family of sets."""
-    kept: list[frozenset] = []
-    for s in sorted(set(sets), key=len):
-        if not any(k <= s for k in kept):
+    """The inclusion-minimal members of a family of masks."""
+    kept: list[int] = []
+    for s in sorted(set(sets), key=int.bit_count):
+        if 0 not in map((~s).__and__, kept):  # no kept k has k & ~s == 0
             kept.append(s)
     return frozenset(kept)
 
 
 def maximal_sets(sets) -> frozenset:
-    """The inclusion-maximal members of a family of sets."""
-    kept: list[frozenset] = []
-    for s in sorted(set(sets), key=len, reverse=True):
-        if not any(s <= k for k in kept):
-            kept.append(s)
-    return frozenset(kept)
+    """The inclusion-maximal members of a family of masks."""
+    outside: list[int] = []  # the complements ~k of the kept members k
+    for s in sorted(set(sets), key=int.bit_count, reverse=True):
+        if 0 not in map(s.__and__, outside):  # s lies in no kept member
+            outside.append(~s)
+    return frozenset(~k for k in outside)
 
 
 def minimal_transversals(family) -> frozenset:
-    """Inclusion-minimal sets meeting every member of the family.
+    """Inclusion-minimal masks meeting every member of the family.
 
-    Folds the members smallest-first, distributing each over the partial
-    transversals and re-minimalizing per round.  The empty family has the
-    single transversal {}; a family containing {} has none.
+    Berge's algorithm folds the members in, smallest first.  A cover c that
+    misses the member g grows into c | v for each v in g; a kept cover h
+    meeting g lies inside c | v exactly when h & ~c == v, so only those are
+    compared and no round is re-minimalized.  The empty family has the
+    single transversal 0; a family containing 0 has none.
     """
-    covers = frozenset([frozenset()])
-    for g in sorted(family, key=len):
-        new: set[frozenset] = set()
-        for cover in covers:
-            if cover & g:
-                new.add(cover)
-            else:
-                new.update(cover | {v} for v in g)
-        covers = minimal_sets(new)
-    return covers
+    covers = [0]
+    for g in sorted(set(family), key=int.bit_count):
+        hit, missed = [], []
+        for c in covers:
+            (hit if c & g else missed).append(c)
+        covers = hit
+        for c in missed:
+            free = g
+            for d in map((~c).__and__, hit):
+                if not d & (d - 1):  # d is one vertex of g, and h lies in c | d
+                    free &= ~d
+            covers += [c | v for v in bits(free)]
+    return frozenset(covers)
 
 
 def is_pure_family(sets) -> bool:
     """Whether all members have one size, i.e. a facet list is pure."""
-    return len({len(s) for s in sets}) <= 1
+    return len({s.bit_count() for s in sets}) <= 1
 
 
 @dataclass(frozen=True)
 class SquarefreeIdeal:
-    """A squarefree monomial ideal with a minimal generating set."""
+    """A squarefree monomial ideal with a minimal generating set of masks."""
 
     n: int
-    gens: frozenset  # frozenset[Monomial]
+    gens: frozenset  # frozenset[int]
 
     @classmethod
     def make(cls, n: int, monomials) -> "SquarefreeIdeal":
@@ -113,16 +153,13 @@ class SquarefreeIdeal:
 
     @property
     def is_unit(self) -> bool:
-        return frozenset() in self.gens
+        return 0 in self.gens
 
-    def support(self) -> frozenset[Cell]:
-        return frozenset().union(*self.gens) if self.gens else frozenset()
-
-    def contains_monomial(self, m: Monomial) -> bool:
-        return any(g <= m for g in self.gens)
+    def support(self) -> int:
+        return union(self.gens)
 
     def sorted_gens(self) -> list[tuple[Cell, ...]]:
-        return sorted(tuple(sorted(g)) for g in self.gens)
+        return sorted(tuple(sorted(cells(g, self.n))) for g in self.gens)
 
     def to_json_list(self) -> list[list[str]]:
         return [[cell_label(c) for c in g] for g in self.sorted_gens()]
@@ -139,7 +176,7 @@ class MinorSpec:
     def size(self) -> int:
         return len(self.rows)
 
-    def antidiagonal(self) -> Monomial:
+    def antidiagonal(self) -> frozenset[Cell]:
         k = self.size
         return frozenset((self.rows[a], self.cols[k - 1 - a]) for a in range(k))
 
@@ -156,23 +193,33 @@ def fulton_minor_specs(A: Asm) -> list[MinorSpec]:
     return specs
 
 
+@lru_cache(maxsize=4096)
+def _antidiagonal_masks(n: int, i: int, j: int, k: int) -> tuple[int, ...]:
+    """The antidiagonals of all k-minors northwest of (i, j), as masks."""
+    row_bits = [[(r - 1) * n for r in rows] for rows in combinations(range(1, i + 1), k)]
+    col_bits = [[n - c for c in cols[::-1]] for cols in combinations(range(1, j + 1), k)]
+    return tuple(sum(1 << (r + c) for r, c in zip(rs, cs)) for rs in row_bits for cs in col_bits)
+
+
+def _rank_condition_ideal(A: Asm, where) -> SquarefreeIdeal:
+    """The antidiagonals of the (rk+1)-minors northwest of the cells `where`."""
+    n, ranks = A.n, rank_matrix(A)
+    return SquarefreeIdeal.make(
+        n, (g for (i, j) in where for g in _antidiagonal_masks(n, i, j, ranks[i - 1][j - 1] + 1))
+    )
+
+
 @lru_cache(maxsize=65536)
 def init_ideal(A: Asm) -> SquarefreeIdeal:
-    """Antidiagonal initial ideal from the Fulton generators, minimalized."""
-    return SquarefreeIdeal.make(A.n, (s.antidiagonal() for s in fulton_minor_specs(A)))
+    """Antidiagonal initial ideal from the Fulton generators, which live at
+    the essential set."""
+    return _rank_condition_ideal(A, essential_set(A))
 
 
 def natural_init_ideal(A: Asm) -> SquarefreeIdeal:
     """Same ideal built from the rank conditions at every grid cell (oracle)."""
-    ranks = rank_matrix(A)
-    monomials = []
-    for i in range(1, A.n + 1):
-        for j in range(1, A.n + 1):
-            k = ranks[i - 1][j - 1] + 1
-            for rows in combinations(range(1, i + 1), k):
-                for cols in combinations(range(1, j + 1), k):
-                    monomials.append(MinorSpec(rows, cols).antidiagonal())
-    return SquarefreeIdeal.make(A.n, monomials)
+    grid = range(1, A.n + 1)
+    return _rank_condition_ideal(A, ((i, j) for i in grid for j in grid))
 
 
 def _check_same_grid(I: SquarefreeIdeal, J: SquarefreeIdeal) -> None:
@@ -191,12 +238,12 @@ def ideal_intersection(I: SquarefreeIdeal, J: SquarefreeIdeal) -> SquarefreeIdea
     return SquarefreeIdeal.make(I.n, (g | h for g in I.gens for h in J.gens))
 
 
-def ideal_colon(I: SquarefreeIdeal, m: Monomial) -> SquarefreeIdeal:
+def ideal_colon(I: SquarefreeIdeal, m: int) -> SquarefreeIdeal:
     """Colon by a squarefree monomial: strip m from each generator."""
-    return SquarefreeIdeal.make(I.n, (g - m for g in I.gens))
+    return SquarefreeIdeal.make(I.n, (g & ~m for g in I.gens))
 
 
-def minimal_primes(I: SquarefreeIdeal) -> frozenset[frozenset]:
+def minimal_primes(I: SquarefreeIdeal) -> frozenset[int]:
     """Minimal primes as minimal vertex covers of the generator supports.
 
     The zero ideal yields the single prime generated by nothing.
@@ -204,41 +251,43 @@ def minimal_primes(I: SquarefreeIdeal) -> frozenset[frozenset]:
     return minimal_transversals(I.gens)
 
 
-def minimal_primes_bruteforce(I: SquarefreeIdeal) -> frozenset[frozenset]:
+def minimal_primes_bruteforce(I: SquarefreeIdeal) -> frozenset[int]:
     """Subset-enumeration oracle; only usable for small supports."""
-    support = sorted(I.support())
+    support = list(bits(I.support()))
     covers = []
     for k in range(len(support) + 1):
         for subset in combinations(support, k):
-            s = frozenset(subset)
-            if any(c <= s for c in covers):
+            s = sum(subset)
+            if any(not c & ~s for c in covers):
                 continue
             if all(g & s for g in I.gens):
                 covers.append(s)
     return frozenset(covers)
 
 
-def is_minimal_prime(I: SquarefreeIdeal, S: frozenset) -> bool:
+def is_minimal_prime(I: SquarefreeIdeal, S: int) -> bool:
     """Cover + uniqueness criterion: every generator meets S, and every
     element of S is the unique S-element of some generator's support."""
-    if not S <= I.support():
+    if S & ~I.support():
         raise SupportViolationError("S is not contained in the support of I")
     if not all(g & S for g in I.gens):
         return False
-    return all(any(g & S == {x} for g in I.gens) for x in S)
+    return all(any(g & S == x for g in I.gens) for x in bits(S))
 
 
-def perm_from_prime(S: frozenset, n: int) -> Permutation:
+@lru_cache(maxsize=65536)
+def perm_from_prime(S: int, n: int) -> Permutation:
     """Read a minimal prime as a reduced pipe dream.
 
-    Cell (i,j) maps to the simple reflection s_{i+j-1}; cells are read row
-    by row, right-to-left within each row, and the word is multiplied
-    left-to-right acting on positions.
+    Cell (i,j) maps to the simple reflection s_{i+j-1}; cells are read in
+    ascending bit order (row by row, right-to-left within each row), and
+    the word is multiplied left-to-right acting on positions.
     """
-    word = [i + j - 1 for (i, j) in sorted(S, key=lambda c: (c[0], -c[1]))]
     line = list(range(1, n + 1))
-    for k in word:
-        if k < 1 or k >= n:
+    for v in bits(S):
+        b = v.bit_length() - 1
+        k = n + b // n - b % n  # i + j - 1 for the cell (i, j) of bit b
+        if k >= n:
             raise NonReducedWordError(f"letter s_{k} outside S_{n}")
         if line[k - 1] > line[k]:
             raise NonReducedWordError("word from cells is not reduced")
@@ -251,14 +300,14 @@ class PrimeAnalysis:
     perms: frozenset  # frozenset[Permutation]
     codim: int
     equidimensional: bool
-    primes: frozenset  # the minimal primes it was read from
+    primes: frozenset  # the minimal primes it was read from, as masks
 
 
 def perm_set_via_primes(A: Asm) -> PrimeAnalysis:
     """Perm(A), codimension, and equidimensionality read off the minimal
     primes of the antidiagonal initial ideal."""
     primes = minimal_primes(init_ideal(A))
-    heights = {len(P) for P in primes}
+    heights = {P.bit_count() for P in primes}
     perms = frozenset(perm_from_prime(P, A.n) for P in primes)
     return PrimeAnalysis(perms, min(heights), len(heights) == 1, primes)
 
@@ -267,36 +316,33 @@ def perm_set_via_primes(A: Asm) -> PrimeAnalysis:
 
 
 def yo_induction_states(A: Asm, r: int, c: int):
-    """Yield ((i,j), Y, O) states of the southwest/northeast prime growth.
+    """Yield ((i,j), Y, O) states of the southwest/northeast prime growth,
+    with Y and O as masks.
 
     The base state at (r, n) seeds Y with the row-major-largest cell of
     each generator living in the first r rows and O with the smallest.
     Generators are then revealed along the row-major staircase: the ones
     first seen at (i,j) are exactly those whose largest cell is (i,j), and
-    (i,j) joins a prime whenever such a generator escapes it.
+    (i,j) joins a prime whenever such a generator escapes it.  Cells are
+    compared as pairs here, so the generators are read as cells.
     """
     n = A.n
-    gens = [g for g in init_ideal(A).gens if len(g) >= 2]
+    gens = [cells(g, n) for g in init_ideal(A).gens if g.bit_count() >= 2]
     base = [g for g in gens if max(g) <= (r, n)]
     Y = {max(g) for g in base}
     O = {min(g) for g in base}
-    yield (r, n), frozenset(Y), frozenset(O)
-    cells = [
-        (i, j)
-        for i in range(r, n + 1)
-        for j in range(1, n + 1)
-        if (i, j) > (r, n)
-    ]
-    for (i, j) in cells:
-        fresh = [g for g in gens if max(g) == (i, j)]
-        if any(not (g & Y) for g in fresh):
-            Y.add((i, j))
-        if any(not (g & O) for g in fresh):
-            O.add((i, j))
-        yield (i, j), frozenset(Y), frozenset(O)
+    yield (r, n), mask(Y, n), mask(O, n)
+    for i in range(r + 1, n + 1):
+        for j in range(1, n + 1):
+            fresh = [g for g in gens if max(g) == (i, j)]
+            if any(not (g & Y) for g in fresh):
+                Y.add((i, j))
+            if any(not (g & O) for g in fresh):
+                O.add((i, j))
+            yield (i, j), mask(Y, n), mask(O, n)
 
 
-def construct_yo_primes(A: Asm, r: int, c: int) -> tuple[frozenset, frozenset]:
+def construct_yo_primes(A: Asm, r: int, c: int) -> tuple[int, int]:
     """Two minimal primes of distinct heights certifying non-equidimensionality."""
     if not badblock_at(A, r, c, strict=False):
         raise NotBadblockError(f"({r},{c}) is not an obstruction block of A")
@@ -304,5 +350,5 @@ def construct_yo_primes(A: Asm, r: int, c: int) -> tuple[frozenset, frozenset]:
     for state in yo_induction_states(A, r, c):
         pass
     _, Y, O = state
-    dom = dominant_part(A)
-    return frozenset(Y | dom), frozenset(O | dom)
+    dom = mask(dominant_part(A), A.n)
+    return Y | dom, O | dom

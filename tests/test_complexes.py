@@ -10,7 +10,6 @@ from asmlab import (
     is_cohen_macaulay,
     is_face,
     is_pure,
-    km_order_key,
     km_vertex_decomposable,
     minimal_primes,
     perm_set_via_primes,
@@ -18,41 +17,43 @@ from asmlab import (
     stanley_reisner_ideal,
 )
 from asmlab.errors import NotAFaceError
-from asmlab.ideals import SquarefreeIdeal
+from asmlab.ideals import SquarefreeIdeal, bits, cells, mask
 from itertools import permutations
 
 from asmlab import Permutation
 
 
-def fs(*cells):
-    return frozenset(cells)
+def m(n, *cell_list):
+    """The mask of the given cells of the n x n grid."""
+    return mask(cell_list, n)
 
 
 class TestKmOrder:
+    """The lowest set bit of a mask is its greatest cell in the Knutson-Miller
+    order z_{1,n} > ... > z_{n,1}: smaller row first, then larger column."""
+
     def test_greatest_is_top_right(self):
-        cells = [(i, j) for i in range(1, 4) for j in range(1, 4)]
-        assert max(cells, key=km_order_key) == (1, 3)
-        assert min(cells, key=km_order_key) == (3, 1)
+        grid = m(3, *((i, j) for i in range(1, 4) for j in range(1, 4)))
+        assert cells(grid & -grid, 3) == {(1, 3)}
+        assert cells(1 << (grid.bit_length() - 1), 3) == {(3, 1)}
 
     def test_total_order(self):
-        ordered = sorted(
-            [(1, 1), (2, 3), (1, 3), (2, 1)], key=km_order_key, reverse=True
-        )
+        ordered = [min(cells(v, 3)) for v in bits(m(3, (1, 1), (2, 3), (1, 3), (2, 1)))]
         assert ordered == [(1, 3), (1, 1), (2, 3), (2, 1)]
 
 
 class TestSrComplex:
     def test_b4(self, b4):
         delta = sr_complex_from_ideal(init_ideal(b4))
-        assert delta.vertex_universe == fs((1, 2), (2, 2), (3, 1))
-        assert delta.excluded_vertices == fs((1, 1), (2, 1))
-        assert delta.facets == {fs((1, 2), (2, 2)), fs((3, 1))}
-        assert (4, 4) in delta.cone_points
+        assert delta.vertex_universe == m(4, (1, 2), (2, 2), (3, 1))
+        assert delta.excluded_vertices == m(4, (1, 1), (2, 1))
+        assert delta.facets == {m(4, (1, 2), (2, 2)), m(4, (3, 1))}
+        assert (4, 4) in cells(delta.cone_points, 4)
 
     def test_zero_ideal_is_simplex(self):
         delta = sr_complex_from_ideal(SquarefreeIdeal.zero(3))
-        assert delta.facets == {frozenset()}
-        assert len(delta.cone_points) == 9
+        assert delta.facets == {0}
+        assert delta.cone_points.bit_count() == 9
 
     def test_non_km_gvd_pure(self, non_km_gvd):
         delta = sr_complex_from_ideal(init_ideal(non_km_gvd))
@@ -61,7 +62,7 @@ class TestSrComplex:
 
     def test_unit_ideal_rejected(self):
         with pytest.raises(ValueError):
-            sr_complex_from_ideal(SquarefreeIdeal.make(2, [frozenset()]))
+            sr_complex_from_ideal(SquarefreeIdeal.make(2, [0]))
 
     def test_round_trip_asm4(self):
         for A in enumerate_asms(4):
@@ -79,36 +80,36 @@ class TestSrComplex:
 class TestLinkDeletion:
     def test_deletion_matches_published_decomposition(self, non_km_gvd):
         delta = sr_complex_from_ideal(init_ideal(non_km_gvd))
-        deletion = face_subcomplex(delta, fs((1, 3)), "deletion")
+        deletion = face_subcomplex(delta, m(4, (1, 3)), "deletion")
         # deletion ideal (z12 z31, z22 z31) on the remaining universe
         I = stanley_reisner_ideal(deletion)
         assert I.sorted_gens() == [((1, 2), (3, 1)), ((2, 2), (3, 1))]
         assert not is_pure(deletion)
         primes = minimal_primes(I)
-        assert {len(P) for P in primes} == {1, 2}
+        assert {P.bit_count() for P in primes} == {1, 2}
 
     def test_link_at_empty_face(self, b4):
         delta = sr_complex_from_ideal(init_ideal(b4))
-        assert face_subcomplex(delta, frozenset(), "link").facets == delta.facets
+        assert face_subcomplex(delta, 0, "link").facets == delta.facets
 
     def test_link_at_facet(self, b4):
         delta = sr_complex_from_ideal(init_ideal(b4))
-        link = face_subcomplex(delta, fs((3, 1)), "link")
-        assert link.facets == {frozenset()}
+        link = face_subcomplex(delta, m(4, (3, 1)), "link")
+        assert link.facets == {0}
 
     def test_link_subset_of_deletion(self, non_km_gvd):
         delta = sr_complex_from_ideal(init_ideal(non_km_gvd))
-        for v in delta.vertex_universe:
-            link = face_subcomplex(delta, fs(v), "link")
-            deletion = face_subcomplex(delta, fs(v), "deletion")
+        for v in bits(delta.vertex_universe):
+            link = face_subcomplex(delta, v, "link")
+            deletion = face_subcomplex(delta, v, "deletion")
             for F in link.facets:
-                assert any(F <= G for G in deletion.facets)
+                assert any(not F & ~G for G in deletion.facets)
 
     def test_not_a_face(self, b4):
         delta = sr_complex_from_ideal(init_ideal(b4))
-        assert not is_face(delta, fs((1, 2), (3, 1)))
+        assert not is_face(delta, m(4, (1, 2), (3, 1)))
         with pytest.raises(NotAFaceError):
-            face_subcomplex(delta, fs((1, 2), (3, 1)), "link")
+            face_subcomplex(delta, m(4, (1, 2), (3, 1)), "link")
 
 
 class TestKmVertexDecomposability:
@@ -121,7 +122,7 @@ class TestKmVertexDecomposability:
 
     def test_simplex(self):
         delta = sr_complex_from_ideal(
-            SquarefreeIdeal.make(3, [fs((1, 1), (1, 2), (2, 1))])
+            SquarefreeIdeal.make(3, [m(3, (1, 1), (1, 2), (2, 1))])
         )
         assert km_vertex_decomposable(delta).result
 

@@ -260,6 +260,17 @@ class TestShardValidation:
         assert warm.row()[:-1] == cold.row()[:-1] and warm.total == 42
         assert records(shard) == before
 
+    def test_truncated_filtered_shard_recomputed(self, tmp_path):
+        checks = ("codim", "equidim")
+        cold = tabulate(4, checks=checks, filter_spec="a11=1", cache_dir=tmp_path)
+        assert cold.total == 7
+        (shard,) = (tmp_path / _cache_key(4, checks, "rational", "a11=1")).iterdir()
+        before = records(shard)
+        shard.write_text(shard.read_text().splitlines()[0] + "\n")
+        warm = tabulate(4, checks=checks, filter_spec="a11=1", cache_dir=tmp_path)
+        assert warm.row()[:-1] == cold.row()[:-1]
+        assert records(shard) == before
+
 
 def calls_through(monkeypatch, fn):
     """Count calls of fn through every asmlab module that binds its name."""

@@ -26,11 +26,23 @@ from asmlab.errors import (
     SizeMismatchError,
     SupportViolationError,
 )
-from asmlab.ideals import SquarefreeIdeal, cell_label, monomial_label, parse_cell_label
+from asmlab.ideals import (
+    SquarefreeIdeal,
+    cell_label,
+    cells,
+    mask,
+    monomial_label,
+    parse_cell_label,
+)
 
 
-def fs(*cells):
-    return frozenset(cells)
+def fs(*cell_list):
+    return frozenset(cell_list)
+
+
+def m(n, *cell_list):
+    """The mask of the given cells of the n x n grid."""
+    return mask(cell_list, n)
 
 
 class TestLabels:
@@ -41,6 +53,32 @@ class TestLabels:
     def test_monomial_label(self):
         assert monomial_label(frozenset()) == "1"
         assert monomial_label(fs((1, 3), (2, 1))) == "z_1_3*z_2_1"
+
+
+class TestCodec:
+    def test_round_trip_every_cell_n_le_8(self):
+        for n in range(1, 9):
+            grid = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+            for b, cell in enumerate(sorted(grid, key=lambda c: (c[0], -c[1]))):
+                assert mask([cell], n) == 1 << b
+                assert cells(1 << b, n) == {cell}
+            assert mask(grid, n) == (1 << n * n) - 1
+            assert cells((1 << n * n) - 1, n) == set(grid)
+            assert mask([], n) == 0 and cells(0, n) == frozenset()
+
+    def test_generators_are_antidiagonals_in_the_mask_layout(self, worked_example):
+        gens = init_ideal(worked_example).gens
+        assert {cells(g, 4) for g in gens} == {
+            fs((1, 1)),
+            fs((1, 2)),
+            fs((1, 3), (2, 1)),
+            fs((1, 3), (2, 2)),
+        }
+        # the cell-side Fulton minors, encoded, give the same ideal
+        for n in range(1, 5):
+            for A in enumerate_asms(n):
+                encoded = (mask(s.antidiagonal(), n) for s in fulton_minor_specs(A))
+                assert init_ideal(A).gens == SquarefreeIdeal.make(n, encoded).gens
 
 
 class TestFultonGenerators:
@@ -113,8 +151,8 @@ class TestIdealArithmetic:
         assert ideal_intersection(I3412, I2341).gens == init_ideal(b4).gens
 
     def test_sum(self):
-        I = SquarefreeIdeal.make(3, [fs((1, 1))])
-        J = SquarefreeIdeal.make(3, [fs((1, 1), (2, 2)), fs((2, 1))])
+        I = SquarefreeIdeal.make(3, [m(3, (1, 1))])
+        J = SquarefreeIdeal.make(3, [m(3, (1, 1), (2, 2)), m(3, (2, 1))])
         assert ideal_sum(I, J).sorted_gens() == [((1, 1),), ((2, 1),)]
 
     def test_size_mismatch(self):
@@ -123,36 +161,36 @@ class TestIdealArithmetic:
 
     def test_colon(self, non_km_gvd):
         I = init_ideal(non_km_gvd)
-        colon = ideal_colon(I, fs((1, 3)))
+        colon = ideal_colon(I, m(4, (1, 3)))
         assert colon.sorted_gens() == [
             ((1, 1),),
             ((1, 2), (3, 1)),
             ((2, 1),),
             ((2, 2),),
         ]
-        assert ideal_colon(I, frozenset()).gens == I.gens
-        assert ideal_colon(I, fs((1, 1))).is_unit
+        assert ideal_colon(I, 0).gens == I.gens
+        assert ideal_colon(I, m(4, (1, 1))).is_unit
 
 
 class TestMinimalPrimes:
     def test_b4_primes(self, b4):
         primes = minimal_primes(init_ideal(b4))
         assert primes == {
-            fs((1, 1), (2, 1), (3, 1)),
-            fs((1, 1), (2, 1), (1, 2), (2, 2)),
+            m(4, (1, 1), (2, 1), (3, 1)),
+            m(4, (1, 1), (2, 1), (1, 2), (2, 2)),
         }
 
     def test_principal(self):
-        I = SquarefreeIdeal.make(2, [fs((1, 1))])
-        assert minimal_primes(I) == {fs((1, 1))}
+        I = SquarefreeIdeal.make(2, [m(2, (1, 1))])
+        assert minimal_primes(I) == {m(2, (1, 1))}
 
     def test_non_km_gvd_primes_pure(self, non_km_gvd):
         primes = minimal_primes(init_ideal(non_km_gvd))
         assert len(primes) == 3
-        assert {len(P) for P in primes} == {4}
+        assert {P.bit_count() for P in primes} == {4}
 
     def test_zero_ideal(self):
-        assert minimal_primes(SquarefreeIdeal.zero(3)) == {frozenset()}
+        assert minimal_primes(SquarefreeIdeal.zero(3)) == {0}
 
     def test_matches_bruteforce(self):
         for n in range(1, 5):
@@ -162,10 +200,10 @@ class TestMinimalPrimes:
 
     def test_is_minimal_prime(self, b4):
         I = init_ideal(b4)
-        assert is_minimal_prime(I, fs((1, 1), (2, 1), (3, 1)))
+        assert is_minimal_prime(I, m(4, (1, 1), (2, 1), (3, 1)))
         assert not is_minimal_prime(I, I.support())
         with pytest.raises(SupportViolationError):
-            is_minimal_prime(I, fs((4, 4)))
+            is_minimal_prime(I, m(4, (4, 4)))
 
     def test_every_prime_passes_criterion(self):
         for A in enumerate_asms(4):
@@ -178,18 +216,18 @@ class TestMinimalPrimes:
 
 class TestPipeDreams:
     def test_known_words(self):
-        assert str(perm_from_prime(fs((1, 1), (2, 1), (3, 1)), 4)) == "2341"
-        assert str(perm_from_prime(fs((1, 1), (2, 1), (1, 2), (2, 2)), 4)) == "3412"
-        assert perm_from_prime(frozenset(), 3) == Permutation.identity(3)
+        assert str(perm_from_prime(m(4, (1, 1), (2, 1), (3, 1)), 4)) == "2341"
+        assert str(perm_from_prime(m(4, (1, 1), (2, 1), (1, 2), (2, 2)), 4)) == "3412"
+        assert perm_from_prime(0, 3) == Permutation.identity(3)
 
     def test_length_matches_height(self, b4, b5):
         for A in (b4, b5):
             for P in minimal_primes(init_ideal(A)):
-                assert perm_from_prime(P, A.n).length == len(P)
+                assert perm_from_prime(P, A.n).length == P.bit_count()
 
     def test_non_reduced(self):
         with pytest.raises(NonReducedWordError):
-            perm_from_prime(fs((1, 1), (1, 2), (2, 1)), 2)
+            perm_from_prime(m(2, (1, 1), (1, 2), (2, 1)), 2)
 
 
 class TestPermSetViaPrimes:
@@ -212,26 +250,30 @@ class TestPermSetViaPrimes:
             for A in enumerate_asms(n):
                 assert perm_set_via_primes(A).perms == perm_set_naive(A)
 
+    def test_agrees_with_naive_n5(self):
+        for A in enumerate_asms(5):
+            assert perm_set_via_primes(A).perms == perm_set_naive(A)
+
 
 class TestYoPrimes:
     def test_b4(self, b4):
         Y, O = construct_yo_primes(b4, 3, 1)
-        assert Y == fs((1, 1), (2, 1), (3, 1))
-        assert O == fs((1, 1), (2, 1), (1, 2), (2, 2))
+        assert Y == m(4, (1, 1), (2, 1), (3, 1))
+        assert O == m(4, (1, 1), (2, 1), (1, 2), (2, 2))
         I = init_ideal(b4)
         assert is_minimal_prime(I, Y) and is_minimal_prime(I, O)
-        assert len(Y) != len(O)
+        assert Y.bit_count() != O.bit_count()
 
     def test_badblock8_base_state(self, badblock8):
         states = {cell: (Y, O) for cell, Y, O in yo_induction_states(badblock8, 4, 2)}
-        assert states[(4, 8)] == (fs((4, 2), (4, 3)), fs((1, 6), (2, 3), (3, 3)))
-        assert states[(6, 8)] == (fs((4, 2), (4, 3)), fs((1, 6), (2, 3), (3, 3)))
+        base = (m(8, (4, 2), (4, 3)), m(8, (1, 6), (2, 3), (3, 3)))
+        assert states[(4, 8)] == states[(6, 8)] == base
 
     def test_badblock8_primes(self, badblock8):
         Y, O = construct_yo_primes(badblock8, 4, 2)
         I = init_ideal(badblock8)
         assert is_minimal_prime(I, Y) and is_minimal_prime(I, O)
-        assert len(Y) != len(O)
+        assert Y.bit_count() != O.bit_count()
 
     def test_not_badblock(self):
         with pytest.raises(NotBadblockError):
