@@ -5,6 +5,7 @@ import argparse
 import sys
 import time
 
+from asmlab.cli import report_errors
 from asmlab.enumeration import STATEMENT_NAMES, verify_statement
 
 
@@ -17,7 +18,10 @@ def main() -> int:
         "--statements", nargs="+", default=list(STATEMENT_NAMES), choices=STATEMENT_NAMES
     )
     args = parser.parse_args()
+    return report_errors(lambda: verify(args))
 
+
+def verify(args) -> int:
     failures = 0
     for n in range(args.min_n, args.max_n + 1):
         for name in args.statements:

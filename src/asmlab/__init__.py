@@ -56,10 +56,8 @@ from .enumeration import (
 from .errors import AsmlabError
 from .homology import (
     ChainComplex,
-    ConjectureScanReport,
     HomologyProfile,
     chain_complex,
-    cm_conjecture_scan,
     hochster_depth,
     is_cohen_macaulay,
     reduced_homology_ranks,

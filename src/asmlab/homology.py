@@ -15,11 +15,11 @@ are masks in the layout of `ideals`, their vertices in ascending bit order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
 
-from .asm import Asm, one_plus
+from .asm import Asm
 from .complexes import (
     MEMO_SIZE,
     SimplicialComplex,
@@ -28,7 +28,7 @@ from .complexes import (
     sr_complex_from_ideal,
     vd_facets,
 )
-from .errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
+from .errors import FaceBudgetExceededError, InvalidFieldError
 from .ideals import bits, init_ideal, is_pure_family, maximal_sets, submasks, union
 
 DEFAULT_FACE_BUDGET = 2**24
@@ -279,56 +279,3 @@ def is_cohen_macaulay(A: Asm, field="rational") -> bool:
     delta = sr_complex_from_ideal(init_ideal(A))
     return cascade_is_cm(delta.facets, characteristic(field))
 
-
-# -- the 1-plus conjecture scan ------------------------------------------------
-
-
-@dataclass
-class ConjectureScanReport:
-    n: int
-    field: object
-    total: int = 0
-    cm_count: int = 0
-    forward_violations: list = dc_field(default_factory=list)
-    converse_counterexamples: list = dc_field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.forward_violations and not self.converse_counterexamples
-
-
-def _scan_pair(args) -> tuple[tuple, bool, bool]:
-    entries, field = args
-    A = Asm(entries)
-    return entries, is_cohen_macaulay(A, field), is_cohen_macaulay(one_plus(A), field)
-
-
-def cm_conjecture_scan(n: int, field="rational", jobs: int = 1) -> ConjectureScanReport:
-    """Compare CM(A) with CM(1 + A) over all of ASM(n), n <= 5.
-
-    Records a forward violation when 1 + A is CM but A is not (a proved
-    implication, so any hit is a bug) and a converse counterexample when A
-    is CM but 1 + A is not (the conjectured direction).
-    """
-    from .enumeration import enumerate_asms
-
-    if n > 5:
-        raise SizeBoundExceededError("scan limited to n <= 5")
-    report = ConjectureScanReport(n=n, field=field)
-    work = [(A.entries, field) for A in enumerate_asms(n)]
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            results = pool.map(_scan_pair, work, chunksize=8)
-    else:
-        results = map(_scan_pair, work)
-    for entries, cm_a, cm_1a in results:
-        report.total += 1
-        if cm_a:
-            report.cm_count += 1
-        if cm_1a and not cm_a:
-            report.forward_violations.append(entries)
-        if cm_a and not cm_1a:
-            report.converse_counterexamples.append(entries)
-    return report

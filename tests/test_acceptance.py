@@ -13,7 +13,6 @@ from asmlab import (
     Asm,
     badblock_match,
     chain_complex,
-    cm_conjecture_scan,
     construct_yo_primes,
     dominant_part,
     enumerate_asms,
@@ -188,14 +187,14 @@ def test_criterion_4_theorem_sweeps(capsys):
         failures.append("link-colon n=5 under-sampled")
 
     for n in range(2, 5):
-        scan = cm_conjecture_scan(n)
+        scan = verify_statement("cm-conjecture", n)
         if not scan.passed:
             failures.append(f"cm-conjecture n={n}")
-    scan5 = cm_conjecture_scan(5, jobs=JOBS)
-    if scan5.forward_violations or scan5.converse_counterexamples:
+    scan5 = verify_statement("cm-conjecture", 5)
+    if scan5.failures:
         failures.append("cm-conjecture n=5 counterexample")
-    if (scan5.total, scan5.cm_count) != (429, 328):
-        failures.append(f"cm-conjecture n=5 totals {(scan5.total, scan5.cm_count)}")
+    if (scan5.cases, scan5.detail["cm_count"]) != (429, 328):
+        failures.append(f"cm-conjecture n=5 totals {(scan5.cases, scan5.detail['cm_count'])}")
 
     report(capsys, "criterion 4: theorem sweeps n<=4 exhaustive, n=5 sampled", failures)
 

@@ -14,7 +14,9 @@ from asmlab.cli import main
 from asmlab.enumeration import ALL_CHECKS, STATEMENT_NAMES
 from asmlab.homology import complex_is_cm
 
-RUN_CENSUS = Path(__file__).resolve().parent.parent / "scripts" / "run_census.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+RUN_CENSUS = SCRIPTS / "run_census.py"
+RUN_VERIFICATIONS = SCRIPTS / "run_verifications.py"
 
 
 def write_asm(tmp_path, name, matrix):
@@ -174,6 +176,31 @@ class TestRunCensus:
     def test_asmlab_error_exits_2(self, monkeypatch, capsys, flag, value, code):
         assert self.run(monkeypatch, "-n", "3", flag, value) == 2
         assert json.loads(capsys.readouterr().err)["error"] == code
+
+
+class TestRunVerifications:
+    def run(self, monkeypatch, *argv):
+        monkeypatch.setattr(sys, "argv", ["run_verifications.py", *argv])
+        return runpy.run_path(str(RUN_VERIFICATIONS))["main"]()
+
+    def test_pass_lines(self, monkeypatch, capsys):
+        assert self.run(monkeypatch, "--min-n", "3", "--max-n", "3") == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.split()[:3] for line in lines] == [
+            ["PASS", name, "n=3"] for name in STATEMENT_NAMES
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--min-n", "6", "--max-n", "6", "--statements", "cm-conjecture"),
+            ("--min-n", "9", "--max-n", "9", "--statements", "direct-sum"),
+        ],
+    )
+    def test_size_bound_exits_2(self, monkeypatch, capsys, argv):
+        assert self.run(monkeypatch, *argv) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and json.loads(err[0])["error"] == "size-bound-exceeded"
 
 
 class TestVerify:

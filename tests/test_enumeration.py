@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import random
 import sys
 
@@ -94,6 +95,30 @@ class TestTabulate:
         t1 = tabulate(4, jobs=1)
         t4 = tabulate(4, jobs=4)
         assert t1.row()[:-1] == t4.row()[:-1]
+
+    @pytest.mark.parametrize("n, jobs, pools", [(4, 4, []), (5, 8, [4])])
+    def test_pool_no_larger_than_the_missing_shards(self, monkeypatch, n, jobs, pools):
+        sizes = []
+
+        class RecordingPool:
+            """Records the worker count asked for and runs in this process."""
+
+            def __init__(self, processes=None):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, func, iterable):
+                return map(func, iterable)
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        t = tabulate(n, checks=CODIM, jobs=jobs)
+        assert sizes == pools
+        assert t.total == ASM_COUNTS[n - 1]
 
     def test_filter(self):
         t = tabulate(4, filter_spec="a11=1")
@@ -346,6 +371,31 @@ class TestVerifyStatement:
         assert verify_statement("perm-bijection", 4).cases == 42
         assert verify_statement("init-split", 4).cases == 42
         assert verify_statement("badblock", 4).detail["matches"] == 1
+
+    @pytest.mark.parametrize("name", ["block-antidiagonal", "direct-sum"])
+    def test_block_sum_case_counts(self, name):
+        cases = [verify_statement(name, n).cases for n in range(1, 6)]
+        pairs = [
+            sum(ASM_COUNTS[m - 1] * ASM_COUNTS[n - m - 1] for m in range(1, n))
+            for n in range(1, 6)
+        ]
+        assert cases == pairs == [0, 1, 4, 18, 112]
+
+    @pytest.mark.parametrize("false_for, kind", [("1+A", "converse"), ("A", "forward")])
+    def test_cm_conjecture_failure_kinds(self, monkeypatch, false_for, kind):
+        # every ASM(3) and its 1 + A are CM; declaring one side not CM
+        # must show up as failures of exactly the matching kind
+        cm = enumeration_mod.is_cohen_macaulay
+        size = {"A": 3, "1+A": 4}[false_for]
+
+        def patched(A, field="rational"):
+            return False if A.n == size else cm(A, field)
+
+        monkeypatch.setattr(enumeration_mod, "is_cohen_macaulay", patched)
+        report = verify_statement("cm-conjecture", 3)
+        assert report.cases == len(report.failures) == 7
+        assert {f["kind"] for f in report.failures} == {kind}
+        assert report.detail["cm_count"] == (0 if false_for == "A" else 7)
 
     @pytest.mark.parametrize("seed,target", [(0, 80), (3, 30), (5, 428), (1, 600)])
     def test_sample_drawn_by_index_is_the_list_sample(self, seed, target):

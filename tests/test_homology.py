@@ -3,7 +3,6 @@ import pytest
 from asmlab import (
     Asm,
     chain_complex,
-    cm_conjecture_scan,
     enumerate_asms,
     hochster_depth,
     init_ideal,
@@ -12,6 +11,7 @@ from asmlab import (
     reduced_homology_ranks,
     sparse_rank,
     sr_complex_from_ideal,
+    verify_statement,
 )
 from asmlab.errors import FaceBudgetExceededError, SizeBoundExceededError
 from asmlab.complexes import vd_facets
@@ -188,19 +188,19 @@ class TestHochsterBackend:
 
 class TestConjectureScan:
     def test_n3(self):
-        report = cm_conjecture_scan(3)
-        assert report.total == 7 and report.cm_count == 7
+        report = verify_statement("cm-conjecture", 3)
+        assert report.cases == 7 and report.detail["cm_count"] == 7
         assert report.passed
 
     def test_forward_direction_n4(self):
-        report = cm_conjecture_scan(4)
-        assert report.total == 42 and report.cm_count == 39
-        assert not report.forward_violations
-        assert not report.converse_counterexamples
+        report = verify_statement("cm-conjecture", 4)
+        assert report.cases == 42 and report.detail["cm_count"] == 39
+        assert not [f for f in report.failures if f["kind"] == "forward"]
+        assert not [f for f in report.failures if f["kind"] == "converse"]
 
     def test_scan_bound(self):
         with pytest.raises(SizeBoundExceededError):
-            cm_conjecture_scan(6)
+            verify_statement("cm-conjecture", 6)
 
     def test_one_plus_consistency_spotcheck(self, non_km_gvd):
         assert is_cohen_macaulay(one_plus(non_km_gvd))
