@@ -1,25 +1,23 @@
 #!/usr/bin/env python3
 """Run the CM / KM-vd census for a range of sizes and print CSV rows."""
 
-import argparse
 import csv
 import sys
 
-from asmlab.cli import report_errors
+from asmlab.cli import ArgumentParser, report_errors
 from asmlab.enumeration import ALL_CHECKS, CENSUS_COLUMNS, tabulate
 from asmlab.homology import parse_field
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = ArgumentParser(description=__doc__)
     parser.add_argument("-n", type=int, nargs="+", default=[4, 5])
     parser.add_argument("--checks", default=",".join(ALL_CHECKS))
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--cache")
     parser.add_argument("--filter", dest="filter_spec")
     parser.add_argument("--field", default="rational")
-    args = parser.parse_args()
-    return report_errors(lambda: census(args))
+    return report_errors(lambda: census(parser.parse_args()))
 
 
 def census(args) -> int:

@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
 """Run every theorem-verification sweep up to a given size."""
 
-import argparse
 import sys
 import time
 
-from asmlab.cli import report_errors
+from asmlab.cli import ArgumentParser, report_errors
 from asmlab.enumeration import STATEMENT_NAMES, verify_statement
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=5)
     parser.add_argument("--min-n", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--statements", nargs="+", default=list(STATEMENT_NAMES), choices=STATEMENT_NAMES
     )
-    args = parser.parse_args()
-    return report_errors(lambda: verify(args))
+    return report_errors(lambda: verify(parser.parse_args()))
 
 
 def verify(args) -> int:

@@ -224,15 +224,15 @@ def asm_geq(A: Asm, B: Asm) -> bool:
     return all(ra[i][j] <= rb[i][j] for i in range(A.n) for j in range(A.n))
 
 
-def perm_set_naive(A: Asm, bound: int = PERM_SET_NAIVE_BOUND) -> frozenset[Permutation]:
+def perm_set_naive(A: Asm) -> frozenset[Permutation]:
     """Bruhat-minimal permutations above A, by brute-force scan of S_n.
 
     Candidates are visited in increasing Coxeter length; a candidate is
     minimal iff it dominates no previously-found minimal element.
     """
     n = A.n
-    if n > bound:
-        raise SizeBoundExceededError(f"n={n} exceeds naive bound {bound}")
+    if n > PERM_SET_NAIVE_BOUND:
+        raise SizeBoundExceededError(f"n={n} exceeds naive bound {PERM_SET_NAIVE_BOUND}")
     ra = rank_matrix(A)
     candidates = []
     for line in iter_permutations(range(1, n + 1)):

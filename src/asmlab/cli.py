@@ -30,7 +30,7 @@ from .enumeration import (
     tabulate,
     verify_statement,
 )
-from .errors import AsmlabError, MalformedInputError
+from .errors import AsmlabError, MalformedInputError, UsageError
 from .homology import cascade_is_cm, characteristic, parse_field
 from .ideals import cell_label, init_ideal, perm_set_via_primes
 
@@ -167,51 +167,52 @@ def cmd_diagram(config: CliConfig) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="asmlab")
+class ArgumentParser(argparse.ArgumentParser):
+    """A parser whose failures (its subparsers' too) raise UsageError, so a
+    bad command line leaves through report_errors like any bad input."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(prog="asmlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, formats=(), field=False):
+        """A subparser with --out, and --format/--field only if it reads them."""
+        p = sub.add_parser(name)
         p.add_argument("--out", dest="out_path")
-        p.add_argument("--format", dest="out_format", choices=["json", "csv", "text"])
-        p.add_argument("--field", default="rational")
+        if formats:
+            p.add_argument(
+                "--format", dest="out_format", choices=formats, default=formats[0]
+            )
+        if field:
+            p.add_argument("--field", default="rational")
+        return p
 
-    p = sub.add_parser("analyze")
+    p = command("analyze", ("json", "text"), field=True)
     p.add_argument("--input", dest="input_path", required=True)
-    common(p)
 
-    p = sub.add_parser("enumerate")
+    p = command("enumerate", ("csv", "json"), field=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--checks", default=",".join(ALL_CHECKS))
     p.add_argument("--filter", dest="filter_spec")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache", dest="cache_dir")
-    common(p)
 
-    p = sub.add_parser("verify")
+    p = command("verify", ("text", "json"))
     p.add_argument("--statement", required=True, choices=STATEMENT_NAMES)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
 
-    p = sub.add_parser("pattern")
+    p = command("pattern")
     p.add_argument("--pattern", dest="pattern_path", required=True)
     p.add_argument("--target", dest="target_path", required=True)
-    common(p)
 
-    p = sub.add_parser("diagram")
+    p = command("diagram")
     p.add_argument("--input", dest="input_path", required=True)
-    common(p)
     return parser
-
-
-_DEFAULT_FORMATS = {
-    "analyze": "json",
-    "enumerate": "csv",
-    "verify": "text",
-    "pattern": "json",
-    "diagram": "text",
-}
 
 _COMMANDS = {
     "analyze": cmd_analyze,
@@ -227,8 +228,6 @@ def config_from_args(args) -> CliConfig:
     for name in vars(config):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(config, name, getattr(args, name))
-    if getattr(args, "out_format", None) is None:
-        config.out_format = _DEFAULT_FORMATS[args.command]
     if hasattr(args, "field"):
         config.field = parse_field(args.field)
     if getattr(args, "checks", None):
@@ -254,8 +253,11 @@ def report_errors(run) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return report_errors(lambda: _COMMANDS[args.command](config_from_args(args)))
+    def run():
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](config_from_args(args))
+
+    return report_errors(run)
 
 
 if __name__ == "__main__":

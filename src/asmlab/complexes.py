@@ -1,5 +1,5 @@
-"""Stanley-Reisner complexes of squarefree ideals and the fixed-order
-vertex-decomposability test.
+"""Stanley-Reisner complexes of squarefree ideals and the
+vertex-decomposability search.
 
 Complexes are stored by their facet lists, each facet a mask in the layout
 of `ideals`: cell (i, j) is bit (i-1)*n + (n-j), and the lowest set bit of
@@ -141,40 +141,41 @@ class DecompositionTrace:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _km_vd_facets(facets: frozenset) -> tuple:
-    """(result, failure reason, path) of the fixed-order test, the path's
-    vertices as single-bit masks."""
+def vd_facets(facets: frozenset) -> tuple[bool, bool]:
+    """(vd, km_vd): vertex decomposable in some order, which implies CM over
+    every field (Provan-Billera), and in the fixed Knutson-Miller order.  The
+    search tries the vertices greatest first, deletion before link, so km_vd
+    holds exactly when its first try succeeds with both children km_vd."""
     if not is_pure_family(facets):
-        return False, "NotPure", ()
+        return False, False
+    if len(facets) <= 1:
+        return True, True
     vertices = union(facets)
-    if not vertices:
-        return True, None, ()
-    v = vertices & -vertices  # the greatest surviving vertex
-    for branch, facets_at in (("link", link_facets), ("deletion", deletion_facets)):
-        result, reason, path = _km_vd_facets(facets_at(facets, v))
-        if not result:
-            if reason != "NotPure" or path:
-                reason = "RecursiveFailure"
-            return False, reason, ((v, branch),) + path
-    return True, None, ()
+    for v in bits(vertices):
+        deletion_vd, deletion_km = vd_facets(deletion_facets(facets, v))
+        if deletion_vd:
+            link_vd, link_km = vd_facets(link_facets(facets, v))
+            if link_vd:
+                return True, v == vertices & -vertices and deletion_km and link_km
+    return False, False
 
 
 def km_vertex_decomposable(delta: SimplicialComplex) -> DecompositionTrace:
-    """Vertex decomposability along the fixed grid order, always splitting
-    at the greatest surviving vertex; failure carries the branch path."""
-    result, reason, path = _km_vd_facets(delta.facets)
-    steps = tuple((min(cells(v, delta.ambient_n)), branch) for v, branch in path)
-    return DecompositionTrace(result, steps[0][0] if steps else None, reason, steps)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def vd_facets(facets: frozenset) -> bool:
-    """Vertex decomposability in any vertex order: pure, and a simplex, or
-    some vertex has a vertex decomposable deletion and link.  It implies
-    shellability, so Cohen-Macaulayness over every field (Provan-Billera)."""
-    if not is_pure_family(facets):
-        return False
-    return len(facets) <= 1 or any(
-        vd_facets(deletion_facets(facets, v)) and vd_facets(link_facets(facets, v))
-        for v in bits(union(facets))
-    )
+    """Fixed-order vertex decomposability.  A failure path steps at the
+    greatest vertex into the link if it is not KM-vd, else into the
+    deletion, until a complex is not pure."""
+    facets = delta.facets
+    if vd_facets(facets)[1]:
+        return DecompositionTrace(True)
+    path = []
+    while is_pure_family(facets):
+        vertices = union(facets)
+        v = vertices & -vertices  # the greatest surviving vertex
+        link = link_facets(facets, v)
+        if vd_facets(link)[1]:
+            branch, facets = "deletion", deletion_facets(facets, v)
+        else:
+            branch, facets = "link", link
+        path.append((min(cells(v, delta.ambient_n)), branch))
+    reason = "NotPure" if len(path) <= 1 else "RecursiveFailure"
+    return DecompositionTrace(False, path[0][0] if path else None, reason, tuple(path))

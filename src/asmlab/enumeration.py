@@ -31,9 +31,9 @@ from .asm import (
 )
 from .complexes import (
     face_subcomplex,
-    km_vertex_decomposable,
     sr_complex_from_ideal,
     stanley_reisner_ideal,
+    vd_facets,
 )
 from .errors import (
     AsmlabError,
@@ -182,9 +182,10 @@ def _known_checks(checks) -> frozenset:
 def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
     """Answer the requested checks from one derivation: the minimal primes of
     init_ideal(A) are computed once, and the Stanley-Reisner complex is built
-    from them once, only when "cm" or "km_vd" is requested.  Each timing is
-    the time since the previous one, so building the complex is charged to
-    the first of those two stages."""
+    from them once, only when "cm" or "km_vd" is requested; "km_vd" is a
+    flag of the vd search, a memo hit after "cm".  Each timing is the time
+    since the previous one, so building the complex is charged to the first
+    of those two stages."""
     checks = _known_checks(checks)
     timings = []
     codim = perm_count = equidim = cm = km_vd = None
@@ -210,7 +211,7 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
             cm = cascade_is_cm(delta.facets, characteristic(field))
             lap("cm")
         if "km_vd" in checks:
-            km_vd = km_vertex_decomposable(delta).result
+            km_vd = vd_facets(delta.facets)[1]
             lap("km_vd")
     return AnalysisReport(
         asm=A,

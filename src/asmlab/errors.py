@@ -89,3 +89,7 @@ class MalformedInputError(AsmlabError):
 
 class UnknownCheckError(AsmlabError):
     code = "unknown-check"
+
+
+class UsageError(AsmlabError):
+    code = "usage"

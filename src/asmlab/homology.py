@@ -4,10 +4,10 @@ Homology is computed over the rationals (exact integer elimination; no
 floating point) or over a prime field.  Cohen-Macaulayness of an ASM is
 decided on the Stanley-Reisner complex of its antidiagonal initial ideal.
 The decision is a cascade that runs homology only when no certificate
-settles the question: a non-pure complex is not CM; a vertex decomposable
-one, in the fixed Knutson-Miller order or in any order, is shellable and so
-CM over every field (Provan-Billera); only the rest go through Reisner's
-link-vanishing criterion.  Reisner's criterion on its own (`complex_is_cm`)
+settles the question: a vertex decomposable complex (one search, greatest
+vertex first) is shellable and so CM over every field (Provan-Billera);
+the rest go through Reisner's link-vanishing criterion, which rejects a
+non-pure complex at once.  Reisner's criterion on its own (`complex_is_cm`)
 and Hochster's depth formula over all induced subcomplexes
 (`hochster_depth`) are the oracles the cascade is checked against.  Faces
 are masks in the layout of `ideals`, their vertices in ascending bit order.
@@ -23,7 +23,6 @@ from .asm import Asm
 from .complexes import (
     MEMO_SIZE,
     SimplicialComplex,
-    _km_vd_facets,
     link_facets,
     sr_complex_from_ideal,
     vd_facets,
@@ -31,7 +30,7 @@ from .complexes import (
 from .errors import FaceBudgetExceededError, InvalidFieldError
 from .ideals import bits, init_ideal, is_pure_family, maximal_sets, submasks, union
 
-DEFAULT_FACE_BUDGET = 2**24
+FACE_BUDGET = 2**24  # the most faces chain_complex builds
 
 
 def _is_prime(p: int) -> bool:
@@ -141,9 +140,9 @@ def _all_faces(facets) -> set[int]:
     return {0}.union(*map(submasks, facets))
 
 
-def chain_complex(facets, face_budget: int = DEFAULT_FACE_BUDGET) -> ChainComplex:
+def chain_complex(facets) -> ChainComplex:
     """Full simplicial chain complex with the augmentation map included."""
-    if sum(2 ** F.bit_count() for F in facets) > face_budget:
+    if sum(2 ** F.bit_count() for F in facets) > FACE_BUDGET:
         raise FaceBudgetExceededError("complex exceeds the face budget")
     by_dim: dict[int, list[int]] = {}  # every dimension from -1 up has a face
     for f in sorted(_all_faces(facets)):
@@ -191,8 +190,8 @@ class HomologyProfile:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _reduced_betti(facets: frozenset, p: int, face_budget: int) -> tuple[int, ...]:
-    cc = chain_complex(facets, face_budget)
+def _reduced_betti(facets: frozenset, p: int) -> tuple[int, ...]:
+    cc = chain_complex(facets)
     ranks = [sparse_rank(b, p) for b in cc.boundaries]
     ranks.append(0)
     betti = []
@@ -204,17 +203,15 @@ def _reduced_betti(facets: frozenset, p: int, face_budget: int) -> tuple[int, ..
     return tuple(betti)
 
 
-def reduced_homology_ranks(
-    delta, field="rational", face_budget: int = DEFAULT_FACE_BUDGET
-) -> HomologyProfile:
+def reduced_homology_ranks(delta, field="rational") -> HomologyProfile:
     """Reduced Betti numbers of a complex (or raw facet collection)."""
     facets = delta.facets if isinstance(delta, SimplicialComplex) else frozenset(delta)
-    return HomologyProfile(_reduced_betti(facets, characteristic(field), face_budget), field)
+    return HomologyProfile(_reduced_betti(facets, characteristic(field)), field)
 
 
 # -- Cohen-Macaulayness --------------------------------------------------------
 
-def complex_is_cm(facets, p: int = 0, face_budget: int = DEFAULT_FACE_BUDGET) -> bool:
+def complex_is_cm(facets, p: int = 0) -> bool:
     """Reisner's link-vanishing criterion with cone reduction and
     memoization; the oracle the cascade is checked against.
 
@@ -231,30 +228,26 @@ def complex_is_cm(facets, p: int = 0, face_budget: int = DEFAULT_FACE_BUDGET) ->
         facets = frozenset(F & ~common for F in facets)
     if facets == {0}:
         return True
-    return _coneless_is_cm(facets, p, face_budget)
+    return _coneless_is_cm(facets, p)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _coneless_is_cm(facets: frozenset, p: int, face_budget: int) -> bool:
+def _coneless_is_cm(facets: frozenset, p: int) -> bool:
     """complex_is_cm on a pure complex with no cone point and some vertex."""
     top = max(F.bit_count() for F in facets) - 1
-    betti = _reduced_betti(facets, p, face_budget)
+    betti = _reduced_betti(facets, p)
     if any(betti[d + 1] for d in range(-1, top)):
         return False
-    return all(
-        complex_is_cm(link_facets(facets, v), p, face_budget) for v in bits(union(facets))
-    )
+    return all(complex_is_cm(link_facets(facets, v), p) for v in bits(union(facets)))
 
 
-def hochster_depth(
-    facets, universe, p: int = 0, face_budget: int = DEFAULT_FACE_BUDGET
-) -> int:
+def hochster_depth(facets, universe, p: int = 0) -> int:
     """Depth from induced-subcomplex homology over all submasks of the
     universe (Hochster's formula); an oracle, exponential in the vertex count."""
     pd = 0
     for W in submasks(universe):
         sub = maximal_sets(F & W for F in facets)
-        betti = _reduced_betti(sub, p, face_budget)
+        betti = _reduced_betti(sub, p)
         for idx, b in enumerate(betti):
             if b:
                 pd = max(pd, W.bit_count() - idx)  # homological degree |W| - d - 1, d = idx - 1
@@ -263,14 +256,11 @@ def hochster_depth(
 
 def cascade_is_cm(facets, p: int = 0) -> bool:
     """Cohen-Macaulayness of a complex (facet masks) over Q (p = 0) or
-    GF(p), answered by the first step that settles it: purity, the
-    fixed-order KM-vd memo, the free-order vertex decomposability search,
-    and only then Reisner's criterion.  A certificate holds over every
-    field, so only the last step depends on p."""
+    GF(p): vertex decomposable (a certificate over every field), else
+    Reisner's criterion, the only step that depends on p.  Both steps answer
+    False at once for a complex that is not pure."""
     facets = frozenset(facets)
-    if not is_pure_family(facets):
-        return False
-    return _km_vd_facets(facets)[0] or vd_facets(facets) or complex_is_cm(facets, p)
+    return vd_facets(facets)[0] or complex_is_cm(facets, p)
 
 
 def is_cohen_macaulay(A: Asm, field="rational") -> bool:

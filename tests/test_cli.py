@@ -19,6 +19,13 @@ RUN_CENSUS = SCRIPTS / "run_census.py"
 RUN_VERIFICATIONS = SCRIPTS / "run_verifications.py"
 
 
+def assert_one_error_line(capsys, code):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == code
+
+
 def write_asm(tmp_path, name, matrix):
     path = tmp_path / name
     path.write_text(json.dumps({"n": len(matrix), "matrix": matrix}))
@@ -66,9 +73,9 @@ class TestAnalyze:
             assert cm is complex_is_cm(delta.facets, p) is True
 
     def test_backend_flag_removed(self, worked_example_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--input", worked_example_path, "--backend", "reisner"])
-        assert exc.value.code == 2
+        argv = ["analyze", "--input", worked_example_path, "--backend", "reisner"]
+        assert main(argv) == 2
+        assert_one_error_line(capsys, "usage")
 
     def test_identity(self, tmp_path, capsys):
         path = write_asm(tmp_path, "id.json", [[1 if i == j else 0 for j in range(5)] for i in range(5)])
@@ -152,6 +159,48 @@ class TestEnumerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "unknown-check"
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 2 with one JSON error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "-n", "abc"],
+            ["verify", "--statement", "nope"],
+            ["verify", "--statement", "badblock", "-n", "3", "--format", "csv"],
+            ["enumerate", "-n", "3", "--format", "text"],
+            ["verify", "--statement", "badblock", "-n", "3", "--field", "p=2"],
+            [],
+        ],
+    )
+    def test_cli(self, capsys, argv):
+        assert main(argv) == 2
+        assert_one_error_line(capsys, "usage")
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--field", "rational"], ["--format", "json"], ["--format", "text"]],
+    )
+    @pytest.mark.parametrize("command", ["pattern", "diagram"])
+    def test_removed_flags(self, worked_example_path, capsys, command, flag):
+        files = ["--input", worked_example_path]
+        if command == "pattern":
+            files = ["--target", worked_example_path, "--pattern", worked_example_path]
+        assert main([command, *files]) in (0, 1)
+        capsys.readouterr()
+        assert main([command, *files, *flag]) == 2
+        assert_one_error_line(capsys, "usage")
+
+    @pytest.mark.parametrize(
+        "script, argv",
+        [(RUN_CENSUS, ["-n", "abc"]), (RUN_VERIFICATIONS, ["--max-n", "x"])],
+    )
+    def test_scripts(self, monkeypatch, capsys, script, argv):
+        monkeypatch.setattr(sys, "argv", [script.name, *argv])
+        assert runpy.run_path(str(script))["main"]() == 2
+        assert_one_error_line(capsys, "usage")
 
 
 class TestRunCensus:
@@ -285,6 +334,12 @@ ASM_FILES = st.one_of(
     st.sampled_from([A.to_json_dict() for n in range(1, 5) for A in enumerate_asms(n)]),
 )
 FIELDS = st.sampled_from(["rational", "p=2", "p=3", "p=4", "p=1", "p=", "abc", "3", ""])
+# the --format choices of each command; --field only where it is read
+FORMATS = {
+    "analyze": ["json", "text"],
+    "enumerate": ["csv", "json"],
+    "verify": ["text", "json"],
+}
 SIZES = st.sampled_from(["1", "2", "3", "4", "0", "9", "-2"])  # censuses stay at n <= 4
 CHECKS = st.lists(st.sampled_from(ALL_CHECKS + ("bogus",)), max_size=4).map(",".join)
 
@@ -295,8 +350,10 @@ def invocations(draw):
     command = draw(
         st.sampled_from(["analyze", "enumerate", "verify", "pattern", "diagram"])
     )
-    argv = [command, f"--field={draw(FIELDS)}"]
-    out_format = draw(st.sampled_from([None, "json", "csv", "text"]))
+    argv = [command]
+    if command in ("analyze", "enumerate"):
+        argv.append(f"--field={draw(FIELDS)}")
+    out_format = draw(st.sampled_from([None, *FORMATS.get(command, [])]))
     if out_format:
         argv.append(f"--format={out_format}")
     files = {}

@@ -2,6 +2,7 @@ import pytest
 
 from asmlab import (
     Asm,
+    DecompositionTrace,
     SimplicialComplex,
     enumerate_asms,
     face_subcomplex,
@@ -12,6 +13,7 @@ from asmlab import (
     is_pure,
     km_vertex_decomposable,
     minimal_primes,
+    one_plus,
     perm_set_via_primes,
     sr_complex_from_ideal,
     stanley_reisner_ideal,
@@ -151,6 +153,56 @@ class TestKmVertexDecomposability:
         ).to_json_dict()
         assert d["result"] is False
         assert d["failure_vertex"] == [1, 3]
+
+
+def km_vd_oracle(facets, memo):
+    """The fixed-order test written out on its own, as an oracle: split at
+    the greatest vertex (the lowest bit), link first, and give (result,
+    failure reason, path of (vertex mask, branch)) memoized in `memo`."""
+    if facets in memo:
+        return memo[facets]
+    answer = True, None, ()
+    vertices = 0
+    for F in facets:
+        vertices |= F
+    if len({F.bit_count() for F in facets}) > 1:
+        answer = False, "NotPure", ()
+    elif vertices:
+        v = vertices & -vertices
+        for branch, keep in (("link", lambda F: F & v), ("deletion", lambda F: True)):
+            shrunk = {F & ~v for F in facets if keep(F)}
+            maximal = frozenset(
+                F for F in shrunk if not any(F != G and F & G == F for G in shrunk)
+            )
+            result, reason, path = km_vd_oracle(maximal, memo)
+            if not result:
+                if path:
+                    reason = "RecursiveFailure"
+                answer = False, reason, ((v, branch),) + path
+                break
+    memo[facets] = answer
+    return answer
+
+
+class TestKmVdOracle:
+    def test_traces_match_the_oracle(self):
+        """km_vertex_decomposable, read off the one vd search, gives the
+        oracle's trace on every complex of ASM(n <= 5) and of 1+A."""
+        memo = {}
+        checked = failures = 0
+        for n in range(1, 6):
+            for A in enumerate_asms(n):
+                for B in (A, one_plus(A)):
+                    delta = sr_complex_from_ideal(init_ideal(B))
+                    result, reason, path = km_vd_oracle(delta.facets, memo)
+                    steps = tuple((min(cells(v, B.n)), branch) for v, branch in path)
+                    expected = DecompositionTrace(
+                        result, steps[0][0] if steps else None, reason, steps
+                    )
+                    assert km_vertex_decomposable(delta) == expected
+                    checked += 1
+                    failures += not result
+        assert checked == 962 and failures > 0
 
 
 class TestPurityEquidimensionality:

@@ -20,7 +20,7 @@ from asmlab import (
     stanley_reisner_ideal,
     validate_asm,
 )
-from asmlab.complexes import _km_vd_facets, vd_facets
+from asmlab.complexes import vd_facets
 from asmlab.homology import cascade_is_cm, complex_is_cm, compose_boundaries
 from asmlab.ideals import cells, mask, maximal_sets, minimal_sets, minimal_transversals
 
@@ -173,10 +173,11 @@ pure_complexes = st.integers(1, 4).flatmap(
 @settings(max_examples=200)
 @given(pure_complexes)
 def test_vd_certificates_imply_cm(facets):
-    if _km_vd_facets(facets)[0]:
-        assert vd_facets(facets)
+    vd, km_vd = vd_facets(facets)
+    if km_vd:
+        assert vd
     for p in (0, 2):
-        if vd_facets(facets):
+        if vd:
             assert complex_is_cm(facets, p)
         assert cascade_is_cm(facets, p) == complex_is_cm(facets, p)
 
