@@ -9,12 +9,12 @@ another commit (made with `git archive` or `git clone`), every seed runs
 the baseline and this checkout as a pair, alternating which goes first, and
 the output also holds the baseline's summary and, per metric, the number of
 pairs this checkout won (ties count for neither side).  Progress goes to
-stderr; the exit status is 1 when any run fails its checks.
+stderr; the exit status is 1 when any run fails its checks, and 2, with one
+JSON error line on stderr, for a bad command line.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -22,6 +22,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from asmlab.cli import ArgumentParser, report_errors  # noqa: E402
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -43,12 +46,14 @@ def summary(values: list[float]) -> dict:
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p = ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--baseline", type=Path)
-    args = p.parse_args(argv)
+    return report_errors(lambda: bench(p.parse_args(argv)))
 
+
+def bench(args) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"change": ROOT}
     if args.baseline:

@@ -59,6 +59,9 @@ class Asm:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "matrix": [list(row) for row in self.entries]}
 
+    def transpose(self) -> "Asm":
+        return Asm(tuple(zip(*self.entries)))
+
     @classmethod
     def identity(cls, n: int) -> "Asm":
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
@@ -149,6 +152,12 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
+
+    def inverse(self) -> "Permutation":
+        line = [0] * self.n
+        for i, w in enumerate(self.one_line, start=1):
+            line[w - 1] = i
+        return Permutation(tuple(line))
 
     def __str__(self) -> str:
         if self.n <= 9:

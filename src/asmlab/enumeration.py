@@ -16,8 +16,10 @@ import io
 import json
 import random
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from itertools import islice
+from typing import NamedTuple
 
 from .asm import (
     Asm,
@@ -43,6 +45,7 @@ from .errors import (
 )
 from .homology import _all_faces, cascade_is_cm, characteristic, is_cohen_macaulay
 from .ideals import (
+    PrimeAnalysis,
     SquarefreeIdeal,
     cells,
     construct_yo_primes,
@@ -52,6 +55,7 @@ from .ideals import (
     is_minimal_prime,
     mask,
     perm_set_via_primes,
+    transpose_analysis,
 )
 
 ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
@@ -179,14 +183,74 @@ def _known_checks(checks) -> frozenset:
     return frozenset(checks)
 
 
+# The bound of the pair memo.  In stream order ASM(6) never has more than
+# 1480 transpose partners pending; at n=7 an entry takes about 8 KB.
+PAIR_MEMO_SIZE = 2**12
+
+
+class _Pending(NamedTuple):
+    """What the analysis of an ASM leaves for its transpose."""
+
+    analysis: PrimeAnalysis
+    cm: bool | None
+    p: int | None  # the characteristic cm was decided over
+
+
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _PairMemo:
+    """Analyses of non-symmetric ASMs whose transpose has not been analysed
+    since: A.entries -> _Pending, at most PAIR_MEMO_SIZE of them, the oldest
+    evicted first.  A lookup pops, so each pair shares one analysis."""
+
+    def __init__(self):
+        self.cache_clear()
+
+    def take(self, key) -> _Pending | None:
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            self._misses += 1
+        else:
+            self._hits += 1
+        return entry
+
+    def put(self, key, entry: _Pending) -> None:
+        self._entries.pop(key, None)
+        self._entries[key] = entry
+        while len(self._entries) > PAIR_MEMO_SIZE:
+            self._entries.popitem(last=False)
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, PAIR_MEMO_SIZE, len(self._entries))
+
+    def cache_clear(self) -> None:
+        self._entries: OrderedDict = OrderedDict()
+        self._hits = self._misses = 0
+
+
+pair_memo = _PairMemo()
+
+
 def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
     """Answer the requested checks from one derivation: the minimal primes of
     init_ideal(A) are computed once, and the Stanley-Reisner complex is built
-    from them once, only when "cm" or "km_vd" is requested; "km_vd" is a
-    flag of the vd search, a memo hit after "cm".  Each timing is the time
-    since the previous one, so building the complex is charged to the first
-    of those two stages."""
+    from them once, only when "cm" or "km_vd" needs it; "km_vd" is a flag of
+    the vd search, a memo hit after "cm".  Each timing is the time since the
+    previous one, so building the complex is charged to the first of those
+    two stages.
+
+    A transpose pair is analysed once.  When the transpose of a
+    non-symmetric A is pending in `pair_memo`, A takes its codim, perm_count
+    and equidimensionality, and its cm answer if decided over the same
+    characteristic; the primes are transposed only to build A's complex.
+    km_vd is never carried over: it is not transpose-invariant."""
     checks = _known_checks(checks)
+    p = characteristic(field) if "cm" in checks else None
     timings = []
     codim = perm_count = equidim = cm = km_vd = None
     t0 = time.perf_counter()
@@ -197,22 +261,26 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
         timings.append((stage, t1 - t0))
         t0 = t1
 
-    primes = None
+    key, partner_key = A.entries, A.transpose().entries
+    partner = pair_memo.take(partner_key) if key != partner_key else None
+    pa = partner.analysis if partner else perm_set_via_primes(A)  # of A^T on a hit
     if checks & {"codim", "equidim"}:
-        pa = perm_set_via_primes(A)
-        primes = pa.primes
         codim = pa.codim if "codim" in checks else None
         perm_count = len(pa.perms)
         equidim = pa.equidimensional if "equidim" in checks else None
         lap("primes")
-    if checks & {"cm", "km_vd"}:
-        delta = sr_complex_from_ideal(init_ideal(A), primes)
-        if "cm" in checks:
-            cm = cascade_is_cm(delta.facets, characteristic(field))
-            lap("cm")
-        if "km_vd" in checks:
-            km_vd = vd_facets(delta.facets)[1]
-            lap("km_vd")
+    shared_cm = partner is not None and p is not None and partner.p == p
+    if "km_vd" in checks or ("cm" in checks and not shared_cm):
+        own = transpose_analysis(pa, A.n) if partner else pa
+        facets = sr_complex_from_ideal(init_ideal(A), own.primes).facets
+    if "cm" in checks:
+        cm = partner.cm if shared_cm else cascade_is_cm(facets, p)
+        lap("cm")
+    if "km_vd" in checks:
+        km_vd = vd_facets(facets)[1]
+        lap("km_vd")
+    if partner is None and key != partner_key:
+        pair_memo.put(key, _Pending(pa, cm, p))
     return AnalysisReport(
         asm=A,
         codim=codim,

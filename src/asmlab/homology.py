@@ -72,18 +72,19 @@ def sparse_rank(rows, p: int = 0) -> int:
     (rows may be scaled by nonzero integers, which preserves rank); p > 0
     works modulo the prime p.
     """
-    work = []
+    work, pi = [], 0  # the rows left, and the index of the first shortest one
     for r in rows:
         if p:
             r = {c: v % p for c, v in r.items() if v % p}
         else:
             r = {c: v for c, v in r.items() if v}
         if r:
+            if work and len(r) < len(work[pi]):
+                pi = len(work)
             work.append(r)
     rank = 0
     while work:
-        # shortest row as pivot row; prefer a unit pivot entry over Z
-        pi = min(range(len(work)), key=lambda i: len(work[i]))
+        # the first shortest row is the pivot row; prefer a unit pivot over Z
         pivot_row = work.pop(pi)
         if p:
             c, pv = next(iter(pivot_row.items()))
@@ -92,30 +93,31 @@ def sparse_rank(rows, p: int = 0) -> int:
                 pivot_row.items(), key=lambda kv: (abs(kv[1]) != 1, abs(kv[1]))
             )
         rank += 1
-        reduced = []
+        reduced, pi = [], 0
         for r in work:
             v = r.get(c)
-            if v is None:
-                reduced.append(r)
-                continue
-            # r becomes scale * r - f * pivot_row, which is 0 in column c
-            if p:
-                scale, f = 1, v * pow(pv, -1, p) % p
-            elif v % pv == 0:
-                scale, f = 1, v // pv
-            else:
-                scale, f = pv, v
-            new = {col: scale * val for col, val in r.items()} if scale != 1 else dict(r)
-            for col, val in pivot_row.items():
-                t = new.get(col, 0) - f * val
+            if v is not None:
+                # r becomes scale * r - f * pivot_row, which is 0 in column c
                 if p:
-                    t %= p
-                if t:
-                    new[col] = t
+                    scale, f = 1, v * pow(pv, -1, p) % p
+                elif v % pv == 0:
+                    scale, f = 1, v // pv
                 else:
-                    new.pop(col, None)
-            if new:
-                reduced.append(new)
+                    scale, f = pv, v
+                r = {col: scale * val for col, val in r.items()} if scale != 1 else dict(r)
+                for col, val in pivot_row.items():
+                    t = r.get(col, 0) - f * val
+                    if p:
+                        t %= p
+                    if t:
+                        r[col] = t
+                    else:
+                        r.pop(col, None)
+                if not r:
+                    continue
+            if reduced and len(r) < len(reduced[pi]):
+                pi = len(reduced)
+            reduced.append(r)
         work = reduced
     return rank
 

@@ -295,6 +295,15 @@ def perm_from_prime(S: int, n: int) -> Permutation:
     return Permutation(tuple(line))
 
 
+def transpose_mask(m: int, n: int) -> int:
+    """The mask of the transposed cells: (i, j) becomes (j, i)."""
+    t = 0
+    for v in bits(m):
+        q, r = divmod(v.bit_length() - 1, n)  # the cell (q + 1, n - r)
+        t |= 1 << ((n - 1 - r) * n + n - 1 - q)
+    return t
+
+
 @dataclass(frozen=True)
 class PrimeAnalysis:
     perms: frozenset  # frozenset[Permutation]
@@ -308,8 +317,24 @@ def perm_set_via_primes(A: Asm) -> PrimeAnalysis:
     primes of the antidiagonal initial ideal."""
     primes = minimal_primes(init_ideal(A))
     heights = {P.bit_count() for P in primes}
-    perms = frozenset(perm_from_prime(P, A.n) for P in primes)
+    # many primes share a permutation: dedupe on the one-line tuples first,
+    # so that each Permutation is hashed once
+    by_line = {w.one_line: w for w in (perm_from_prime(P, A.n) for P in primes)}
+    perms = frozenset(by_line.values())
     return PrimeAnalysis(perms, min(heights), len(heights) == 1, primes)
+
+
+def transpose_analysis(pa: PrimeAnalysis, n: int) -> PrimeAnalysis:
+    """The PrimeAnalysis of A^T from that of the n x n ASM A.  Transposing A
+    transposes its rank matrix, essential set and every Fulton antidiagonal,
+    so init(I_{A^T}) and its minimal primes are the cell-transposes of A's,
+    and Perm(A^T) is {w^-1 : w in Perm(A)}."""
+    return PrimeAnalysis(
+        frozenset(w.inverse() for w in pa.perms),
+        pa.codim,
+        pa.equidimensional,
+        frozenset(transpose_mask(P, n) for P in pa.primes),
+    )
 
 
 # -- the two-prime construction for badblock ASMs ----------------------------

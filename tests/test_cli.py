@@ -17,6 +17,7 @@ from asmlab.homology import complex_is_cm
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 RUN_CENSUS = SCRIPTS / "run_census.py"
 RUN_VERIFICATIONS = SCRIPTS / "run_verifications.py"
+BENCH = SCRIPTS / "bench.py"
 
 
 def assert_one_error_line(capsys, code):
@@ -195,7 +196,11 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "script, argv",
-        [(RUN_CENSUS, ["-n", "abc"]), (RUN_VERIFICATIONS, ["--max-n", "x"])],
+        [
+            (RUN_CENSUS, ["-n", "abc"]),
+            (RUN_VERIFICATIONS, ["--max-n", "x"]),
+            (BENCH, ["--seeds", "x"]),
+        ],
     )
     def test_scripts(self, monkeypatch, capsys, script, argv):
         monkeypatch.setattr(sys, "argv", [script.name, *argv])

@@ -4,6 +4,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from asmlab import (
     ASM_COUNTS,
@@ -11,7 +12,9 @@ from asmlab import (
     Asm,
     analyze_asm,
     enumerate_asms,
+    init_ideal,
     minimal_primes,
+    perm_set_via_primes,
     sr_complex_from_ideal,
     tabulate,
     verify_statement,
@@ -22,7 +25,10 @@ from asmlab.enumeration import (
     _cache_key,
     _sampled_asms,
     _shard_worker,
+    pair_memo,
 )
+from asmlab.homology import cascade_is_cm
+from asmlab.ideals import transpose_analysis
 from asmlab.errors import (
     SizeBoundExceededError,
     UnknownCheckError,
@@ -342,6 +348,78 @@ class TestOneDerivation:
         assert main(["analyze", "--input", str(path)]) == 0
         assert len(primes) == 1
         assert json.loads(capsys.readouterr().out)["cm"] is False
+
+
+def answers(report) -> dict:
+    """A report's JSON with the stage names of its timings but not their
+    seconds."""
+    d = report.to_json_dict()
+    d["timings"] = [stage for stage, _ in d["timings"]]
+    return d
+
+
+def fresh(A, checks=enumeration_mod.ALL_CHECKS, field="rational"):
+    """analyze_asm(A) with no transpose partner pending."""
+    pair_memo.cache_clear()
+    return analyze_asm(A, checks, field)
+
+
+def pairs(n) -> int:
+    return sum(A.transpose() != A for A in enumerate_asms(n)) // 2
+
+
+ASMS_UPTO_6 = {n: list(enumerate_asms(n)) for n in range(1, 7)}
+
+
+class TestPairMemo:
+    """analyze_asm answers the second ASM of a transpose pair from the
+    analysis of the first."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_stream_equals_fresh(self, n):
+        streamed = [analyze_asm(A) for A in enumerate_asms(n)]
+        assert pair_memo.cache_info().hits == pairs(n)
+        assert [answers(r) for r in streamed] == [answers(fresh(r.asm)) for r in streamed]
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.sampled_from(ASMS_UPTO_6[n])))
+    def test_transposed_primes(self, A):
+        At = A.transpose()
+        shared = transpose_analysis(perm_set_via_primes(A), A.n)
+        assert shared.primes == minimal_primes(init_ideal(At))
+        assert shared == perm_set_via_primes(At)
+
+    def test_km_vd_not_carried(self):
+        # km_vd differs within 62 of the 181 pairs of ASM(5)
+        A = next(A for A in enumerate_asms(5) if fresh(A).km_vd != fresh(A.transpose()).km_vd)
+        expected = {B: fresh(B).km_vd for B in (A, A.transpose())}
+        for first, second in ((A, A.transpose()), (A.transpose(), A)):
+            pair_memo.cache_clear()
+            assert analyze_asm(first).km_vd == expected[first]
+            assert analyze_asm(second).km_vd == expected[second]
+            assert pair_memo.cache_info().hits == 1
+
+    def test_cm_not_shared_across_fields(self, monkeypatch, b4, worked_example):
+        assert b4.transpose() == worked_example
+        cascades = calls_through(monkeypatch, cascade_is_cm)
+        analyze_asm(b4, ("cm",))
+        assert analyze_asm(worked_example, ("cm",), field="p=2").cm is False
+        assert len(cascades) == 2
+        analyze_asm(b4, ("cm",), field="p=2")
+        assert analyze_asm(worked_example, ("cm",), field="p=2").cm is False
+        assert len(cascades) == 3
+        analyze_asm(b4, ("codim",))
+        assert analyze_asm(worked_example, ("cm",)).cm is False
+        assert len(cascades) == 4
+        assert pair_memo.cache_info().hits == 3
+
+    def test_bound(self, monkeypatch):
+        monkeypatch.setattr(enumeration_mod, "PAIR_MEMO_SIZE", 3)
+        streamed = []
+        for A in enumerate_asms(5):
+            streamed.append(analyze_asm(A))
+            assert pair_memo.cache_info().currsize <= 3
+        assert 0 < pair_memo.cache_info().hits < pairs(5)
+        assert [answers(r) for r in streamed] == [answers(fresh(r.asm)) for r in streamed]
 
 
 class TestVerifyStatement:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from asmlab import (
     Asm,
@@ -63,6 +64,57 @@ class TestSparseRank:
         rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + 7}]
         assert sparse_rank(rows, p=7) == 1
         assert sparse_rank(rows) == 2
+
+
+def sparse_rank_with_a_scan_per_pivot(rows, p=0):
+    """sparse_rank as it was before the pivot search moved into the
+    reduction pass: a separate min() scan finds each pivot row (oracle)."""
+    work = []
+    for r in rows:
+        r = {c: v % p for c, v in r.items() if v % p} if p else {c: v for c, v in r.items() if v}
+        if r:
+            work.append(r)
+    rank = 0
+    while work:
+        pivot_row = work.pop(min(range(len(work)), key=lambda i: len(work[i])))
+        if p:
+            c, pv = next(iter(pivot_row.items()))
+        else:
+            c, pv = min(pivot_row.items(), key=lambda kv: (abs(kv[1]) != 1, abs(kv[1])))
+        rank += 1
+        reduced = []
+        for r in work:
+            v = r.get(c)
+            if v is None:
+                reduced.append(r)
+                continue
+            if p:
+                scale, f = 1, v * pow(pv, -1, p) % p
+            elif v % pv == 0:
+                scale, f = 1, v // pv
+            else:
+                scale, f = pv, v
+            new = {col: scale * val for col, val in r.items()}
+            for col, val in pivot_row.items():
+                t = new.get(col, 0) - f * val
+                if p:
+                    t %= p
+                if t:
+                    new[col] = t
+                else:
+                    new.pop(col, None)
+            if new:
+                reduced.append(new)
+        work = reduced
+    return rank
+
+
+@given(
+    st.lists(st.dictionaries(st.integers(0, 7), st.integers(-4, 4), max_size=6), max_size=10),
+    st.sampled_from([0, 2, 3, 7]),
+)
+def test_sparse_rank_equals_a_scan_per_pivot(rows, p):
+    assert sparse_rank(rows, p) == sparse_rank_with_a_scan_per_pivot(rows, p)
 
 
 class TestChainComplex:
