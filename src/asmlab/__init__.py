@@ -65,7 +65,7 @@ from .homology import (
 )
 from .ideals import (
     MinorSpec,
-    PrimeAnalysis,
+    PermSet,
     SquarefreeIdeal,
     construct_yo_primes,
     fulton_minor_specs,
@@ -78,7 +78,7 @@ from .ideals import (
     minimal_primes_bruteforce,
     natural_init_ideal,
     perm_from_prime,
-    perm_set_via_primes,
+    perm_set,
     yo_induction_states,
 )
 

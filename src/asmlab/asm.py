@@ -153,12 +153,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
 
-    def inverse(self) -> "Permutation":
-        line = [0] * self.n
-        for i, w in enumerate(self.one_line, start=1):
-            line[w - 1] = i
-        return Permutation(tuple(line))
-
     def __str__(self) -> str:
         if self.n <= 9:
             return "".join(str(v) for v in self.one_line)

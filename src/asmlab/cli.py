@@ -32,7 +32,7 @@ from .enumeration import (
 )
 from .errors import AsmlabError, MalformedInputError, UsageError
 from .homology import cascade_is_cm, characteristic, parse_field
-from .ideals import cell_label, init_ideal, perm_set_via_primes
+from .ideals import cell_label, init_ideal, perm_set
 
 
 @dataclass
@@ -73,8 +73,8 @@ def _emit(config: CliConfig, text: str) -> None:
 def cmd_analyze(config: CliConfig) -> int:
     A = _load_asm(config.input_path)
     I = init_ideal(A)
-    pa = perm_set_via_primes(A)
-    delta = sr_complex_from_ideal(I, pa.primes)
+    ps = perm_set(A)
+    delta = sr_complex_from_ideal(I)
     trace = km_vertex_decomposable(delta)
     report = {
         "asm": A.to_json_dict(),
@@ -86,11 +86,11 @@ def cmd_analyze(config: CliConfig) -> int:
         "init_ideal": I.to_json_list(),
         "perms": [
             {"one_line": list(w.one_line), "word": str(w), "length": w.length}
-            for w in sorted(pa.perms, key=lambda w: w.one_line)
+            for w in sorted(ps.perms, key=lambda w: w.one_line)
         ],
-        "codim": pa.codim,
-        "perm_count": len(pa.perms),
-        "equidimensional": pa.equidimensional,
+        "codim": ps.codim,
+        "perm_count": len(ps.perms),
+        "equidimensional": ps.equidimensional,
         "cm": cascade_is_cm(delta.facets, characteristic(config.field)),
         "diagram": ascii_diagram(A),
         "km_vd": trace.result,

@@ -18,6 +18,7 @@ import random
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
@@ -45,7 +46,6 @@ from .errors import (
 )
 from .homology import _all_faces, cascade_is_cm, characteristic, is_cohen_macaulay
 from .ideals import (
-    PrimeAnalysis,
     SquarefreeIdeal,
     cells,
     construct_yo_primes,
@@ -54,8 +54,9 @@ from .ideals import (
     init_ideal,
     is_minimal_prime,
     mask,
-    perm_set_via_primes,
-    transpose_analysis,
+    minimal_primes,
+    perm_set,
+    transpose_mask,
 )
 
 ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
@@ -64,6 +65,9 @@ ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 # older code is ever served.
 CACHE_VERSION = 2
 MAX_STREAM_N = 8
+# One entry per one-position tuple of a partial column-sum row: 2**n - 1
+# for ASM(n), 502 over every streamable n.
+STREAM_MEMO_SIZE = 2**9
 SHARD_SIZE = 128
 ALL_CHECKS = ("codim", "equidim", "cm", "km_vd")
 CENSUS_COLUMNS = (
@@ -102,33 +106,38 @@ def _extensions(prev: tuple[int, ...], n: int):
     return out
 
 
+@lru_cache(maxsize=STREAM_MEMO_SIZE)
+def _next_rows(prev: tuple[int, ...], n: int) -> tuple:
+    """(positions, row) for each extension of the one-positions prev, in
+    lexicographic order: the ASM row is the 0/1 vector of the positions
+    minus that of prev."""
+    out = []
+    for ext in _extensions(prev, n):
+        row = [0] * n
+        for j in ext:
+            row[j - 1] += 1
+        for j in prev:
+            row[j - 1] -= 1
+        out.append((ext, tuple(row)))
+    return tuple(out)
+
+
 def enumerate_asms(n: int):
     """Yield every element of ASM(n) exactly once, in a fixed order."""
     if not (1 <= n <= MAX_STREAM_N):
         raise SizeBoundExceededError(f"stream size n={n} outside [1, {MAX_STREAM_N}]")
+    rows: list[tuple[int, ...]] = []
 
-    def rec(rows: list[tuple[int, ...]]):
+    def rec(prev: tuple[int, ...]):
         if len(rows) == n:
-            yield _asm_from_positions(rows, n)
+            yield Asm(tuple(rows))
             return
-        for ext in _extensions(rows[-1] if rows else (), n):
-            rows.append(ext)
-            yield from rec(rows)
+        for cur, row in _next_rows(prev, n):
+            rows.append(row)
+            yield from rec(cur)
             rows.pop()
 
-    yield from rec([])
-
-
-def _asm_from_positions(rows, n: int) -> Asm:
-    entries = []
-    prev = [0] * n
-    for pos in rows:
-        cur = [0] * n
-        for j in pos:
-            cur[j - 1] = 1
-        entries.append(tuple(cur[j] - prev[j] for j in range(n)))
-        prev = cur
-    return Asm(tuple(entries))
+    yield from rec(())
 
 
 # -- per-ASM analysis ----------------------------------------------------------
@@ -184,14 +193,14 @@ def _known_checks(checks) -> frozenset:
 
 
 # The bound of the pair memo.  In stream order ASM(6) never has more than
-# 1480 transpose partners pending; at n=7 an entry takes about 8 KB.
+# 1480 transpose partners pending; at n=7 an entry takes about 7 KB.
 PAIR_MEMO_SIZE = 2**12
 
 
 class _Pending(NamedTuple):
     """What the analysis of an ASM leaves for its transpose."""
 
-    analysis: PrimeAnalysis
+    primes: frozenset  # the minimal primes of init_ideal(A), as masks
     cm: bool | None
     p: int | None  # the characteristic cm was decided over
 
@@ -237,20 +246,19 @@ pair_memo = _PairMemo()
 
 
 def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
-    """Answer the requested checks from one derivation: the minimal primes of
-    init_ideal(A) are computed once, and the Stanley-Reisner complex is built
-    from them once, only when "cm" or "km_vd" needs it; "km_vd" is a flag of
-    the vd search, a memo hit after "cm".  Each timing is the time since the
-    previous one, so building the complex is charged to the first of those
-    two stages.
+    """Answer the requested checks.  codim, perm_count and equidimensionality
+    come from perm_set(A); the minimal primes of init_ideal(A), and the
+    Stanley-Reisner complex built from them, are computed only when "cm" or
+    "km_vd" needs the complex; "km_vd" is a flag of the vd search, a memo
+    hit after "cm".  Each timing is the time since the previous one, so
+    building the complex is charged to the first of those two stages.
 
-    A transpose pair is analysed once.  When the transpose of a
-    non-symmetric A is pending in `pair_memo`, A takes its codim, perm_count
-    and equidimensionality, and its cm answer if decided over the same
-    characteristic; the primes are transposed only to build A's complex.
-    km_vd is never carried over: it is not transpose-invariant."""
+    A transpose pair shares its complex work.  When the transpose of a
+    non-symmetric A is pending in `pair_memo`, A takes its cm answer if
+    decided over the same characteristic, and otherwise transposes its
+    primes: init(I_{A^T}) and its minimal primes are the cell-transposes of
+    A's.  km_vd is never carried over: it is not transpose-invariant."""
     checks = _known_checks(checks)
-    p = characteristic(field) if "cm" in checks else None
     timings = []
     codim = perm_count = equidim = cm = km_vd = None
     t0 = time.perf_counter()
@@ -261,26 +269,31 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
         timings.append((stage, t1 - t0))
         t0 = t1
 
-    key, partner_key = A.entries, A.transpose().entries
-    partner = pair_memo.take(partner_key) if key != partner_key else None
-    pa = partner.analysis if partner else perm_set_via_primes(A)  # of A^T on a hit
     if checks & {"codim", "equidim"}:
-        codim = pa.codim if "codim" in checks else None
-        perm_count = len(pa.perms)
-        equidim = pa.equidimensional if "equidim" in checks else None
-        lap("primes")
-    shared_cm = partner is not None and p is not None and partner.p == p
-    if "km_vd" in checks or ("cm" in checks and not shared_cm):
-        own = transpose_analysis(pa, A.n) if partner else pa
-        facets = sr_complex_from_ideal(init_ideal(A), own.primes).facets
-    if "cm" in checks:
-        cm = partner.cm if shared_cm else cascade_is_cm(facets, p)
-        lap("cm")
-    if "km_vd" in checks:
-        km_vd = vd_facets(facets)[1]
-        lap("km_vd")
-    if partner is None and key != partner_key:
-        pair_memo.put(key, _Pending(pa, cm, p))
+        ps = perm_set(A)
+        codim = ps.codim if "codim" in checks else None
+        perm_count = len(ps.perms)
+        equidim = ps.equidimensional if "equidim" in checks else None
+        lap("primes")  # the stage name stored records carry
+    if checks & {"cm", "km_vd"}:
+        p = characteristic(field) if "cm" in checks else None
+        key, partner_key = A.entries, A.transpose().entries
+        partner = pair_memo.take(partner_key) if key != partner_key else None
+        shared_cm = partner is not None and p is not None and partner.p == p
+        if "km_vd" in checks or not shared_cm:
+            if partner:
+                primes = frozenset(transpose_mask(P, A.n) for P in partner.primes)
+            else:
+                primes = minimal_primes(init_ideal(A))
+            facets = sr_complex_from_ideal(init_ideal(A), primes).facets
+        if "cm" in checks:
+            cm = partner.cm if shared_cm else cascade_is_cm(facets, p)
+            lap("cm")
+        if "km_vd" in checks:
+            km_vd = vd_facets(facets)[1]
+            lap("km_vd")
+        if partner is None and key != partner_key:
+            pair_memo.put(key, _Pending(primes, cm, p))
     return AnalysisReport(
         asm=A,
         codim=codim,
@@ -525,13 +538,13 @@ def _sum_holds(A1: Asm, A2: Asm) -> bool:
     """Whether Perm(A1 + A2) is the set of sums of the blocks' permutations,
     the codimensions add, and A1 + A2 is equidimensional exactly when both
     blocks are."""
-    p1, p2 = perm_set_via_primes(A1), perm_set_via_primes(A2)
-    pa = perm_set_via_primes(direct_sum(A1, A2))
+    p1, p2 = perm_set(A1), perm_set(A2)
+    ps = perm_set(direct_sum(A1, A2))
     expected = frozenset(perm_direct_sum(u, v) for u in p1.perms for v in p2.perms)
     return (
-        pa.perms == expected
-        and pa.codim == p1.codim + p2.codim
-        and pa.equidimensional == (p1.equidimensional and p2.equidimensional)
+        ps.perms == expected
+        and ps.codim == p1.codim + p2.codim
+        and ps.equidimensional == (p1.equidimensional and p2.equidimensional)
     )
 
 
@@ -554,7 +567,7 @@ def _verify_init_split(n, rng, report):
     for A in _sampled_asms(n, rng, 600):
         report.cases += 1
         I = init_ideal(A)
-        perms = perm_set_via_primes(A).perms
+        perms = perm_set(A).perms
         parts = [init_ideal(w.to_asm()) for w in perms]
         meet = parts[0]
         for part in parts[1:]:
@@ -623,11 +636,10 @@ def _verify_badblock(n, rng, report):
             continue
         matches += 1
         report.cases += 1
-        pa = perm_set_via_primes(A)
         Y, O = construct_yo_primes(A, *cell)
         I = init_ideal(A)
         ok = (
-            not pa.equidimensional
+            not perm_set(A).equidimensional
             and Y.bit_count() != O.bit_count()
             and is_minimal_prime(I, Y)
             and is_minimal_prime(I, O)

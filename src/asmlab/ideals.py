@@ -8,14 +8,17 @@ Knutson-Miller order z_{1,n} > ... > z_{n,1}.  Divisibility is `a & ~b == 0`.
 `mask(cells, n)` and `cells(m, n)` are the one codec between masks and
 cells.  The antidiagonal initial ideal of an ASM is generated by the
 antidiagonal lead terms of its Fulton generators, which form a Groebner
-basis under any antidiagonal term order.
+basis under any antidiagonal term order.  Its minimal primes, read as
+reduced pipe dreams, are the permutations of Perm(A); `perm_set` finds
+Perm(A) without them, from a bitset table of S_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import factorial
 from operator import or_
 
 from .asm import (
@@ -30,6 +33,7 @@ from .asm import (
 from .errors import (
     NonReducedWordError,
     NotBadblockError,
+    SizeBoundExceededError,
     SizeMismatchError,
     SupportViolationError,
 )
@@ -304,37 +308,124 @@ def transpose_mask(m: int, n: int) -> int:
     return t
 
 
+# -- Perm(A) from a table of S_n ----------------------------------------------
+#
+# Perm(A) is the set of Bruhat-minimal permutations w with r_w <= r_A
+# entrywise, and on permutations the Bruhat order is exactly that entrywise
+# comparison of rank matrices.  S_n is held in lexicographic order, the order
+# itertools.permutations yields, and a set of permutations as an int whose
+# bit k stands for the k-th of them.  Lex order extends the Bruhat order: if
+# u < w, then at the first position k where they differ, r_u >= r_w on row k
+# forces u(k) < w(k).  So the lowest permutation of a set is Bruhat-minimal
+# in it.
+
+# S_9 covers 1 + A for every streamable A.  The table of S_9 takes 10 MB;
+# that of S_10 would take over 150 MB.
+PERM_TABLE_BOUND = 9
+# An entry holds a permutation and its up-set, n!/8 bytes: all 5040 of S_7
+# fit in 5.6 MB; at n=8 an entry is over 5 KB.
+UPSET_MEMO_SIZE = 2**13
+
+
 @dataclass(frozen=True)
-class PrimeAnalysis:
+class PermSet:
+    """Perm(A), its least Coxeter length (the codimension), and whether all
+    of its permutations have one length (equidimensionality)."""
+
     perms: frozenset  # frozenset[Permutation]
     codim: int
     equidimensional: bool
-    primes: frozenset  # the minimal primes it was read from, as masks
 
 
-def perm_set_via_primes(A: Asm) -> PrimeAnalysis:
-    """Perm(A), codimension, and equidimensionality read off the minimal
-    primes of the antidiagonal initial ideal."""
-    primes = minimal_primes(init_ideal(A))
-    heights = {P.bit_count() for P in primes}
-    # many primes share a permutation: dedupe on the one-line tuples first,
-    # so that each Permutation is hashed once
-    by_line = {w.one_line: w for w in (perm_from_prime(P, A.n) for P in primes)}
-    perms = frozenset(by_line.values())
-    return PrimeAnalysis(perms, min(heights), len(heights) == 1, primes)
-
-
-def transpose_analysis(pa: PrimeAnalysis, n: int) -> PrimeAnalysis:
-    """The PrimeAnalysis of A^T from that of the n x n ASM A.  Transposing A
-    transposes its rank matrix, essential set and every Fulton antidiagonal,
-    so init(I_{A^T}) and its minimal primes are the cell-transposes of A's,
-    and Perm(A^T) is {w^-1 : w in Perm(A)}."""
-    return PrimeAnalysis(
-        frozenset(w.inverse() for w in pa.perms),
-        pa.codim,
-        pa.equidimensional,
-        frozenset(transpose_mask(P, n) for P in pa.primes),
+@lru_cache(maxsize=PERM_TABLE_BOUND)
+def _at_most(n: int) -> tuple[tuple[int, ...], ...]:
+    """at_most[k][j]: the permutations of S_n with w(k+1) <= j, for
+    0 <= k < n and 0 <= j <= n.  The lex index of w is (w(1) - 1) * (n-1)!
+    plus the lex index in S_{n-1} of the rest of w relabelled, each value
+    v becoming v - (v > w(1))."""
+    if n == 1:
+        return ((0, 1),)
+    block = factorial(n - 1)
+    sub = _at_most(n - 1)
+    first = tuple((1 << (j * block)) - 1 for j in range(n + 1))
+    rest = tuple(
+        tuple(
+            union(sub[k][j - (u <= j)] << ((u - 1) * block) for u in range(1, n + 1))
+            for j in range(n + 1)
+        )
+        for k in range(n - 1)
     )
+    return (first, *rest)
+
+
+@lru_cache(maxsize=PERM_TABLE_BOUND)
+def _rank_table(n: int) -> tuple[int, tuple]:
+    """S_n as a bitset, and le[i][j][r]: the permutations whose rank at the
+    cell (i+1, j+1) is at most r, for r < min(i+1, j+1) and i, j < n-1.
+    Every permutation has rank at most min(i+1, j+1) there, and exactly that
+    in row or column n.  Built row by row from the bitsets of "w(k) <= j",
+    one bitset per exact count."""
+    if n > PERM_TABLE_BOUND:
+        raise SizeBoundExceededError(
+            f"n={n} exceeds the permutation table bound {PERM_TABLE_BOUND}"
+        )
+    at_most = _at_most(n)
+    everything = (1 << factorial(n)) - 1
+    le = [[()] * (n - 1) for _ in range(n - 1)]
+    for j in range(n - 1):
+        exact = [everything]  # exact[c]: c of w(1..i) are at most j+1
+        for i in range(n - 1):
+            x = at_most[i][j + 1]
+            exact = [
+                (exact[c] & ~x if c <= i else 0) | (exact[c - 1] & x if c else 0)
+                for c in range(i + 2)
+            ]
+            le[i][j] = tuple(accumulate(exact[: min(i, j) + 1], or_))
+    return everything, tuple(map(tuple, le))
+
+
+def _upset(n: int, ranks) -> int:
+    """The permutations of S_n whose rank matrix is entrywise at most
+    `ranks`."""
+    up, le = _rank_table(n)
+    for le_row, row in zip(le, ranks):
+        for le_cell, r in zip(le_row, row):
+            if r < len(le_cell):
+                up &= le_cell[r]
+    return up
+
+
+@lru_cache(maxsize=UPSET_MEMO_SIZE)
+def _lex_perm(n: int, k: int) -> tuple[Permutation, int, int]:
+    """The k-th permutation w of S_n in lex order, its Coxeter length and
+    its Bruhat up-set.  The factorial-base digits of k are the Lehmer code
+    of w, so they sum to its length."""
+    values = list(range(1, n + 1))
+    line, length, ranks, row = [], 0, [], [0] * n
+    for place in range(n - 1, -1, -1):
+        d, k = divmod(k, factorial(place))
+        v = values.pop(d)
+        line.append(v)
+        length += d
+        row[v - 1 :] = [c + 1 for c in row[v - 1 :]]
+        ranks.append(row.copy())
+    return Permutation(tuple(line)), length, _upset(n, ranks)
+
+
+def perm_set(A: Asm) -> PermSet:
+    """Perm(A) with its codimension and equidimensionality.  The
+    permutations above A are the AND over every cell of those with rank at
+    most A's there; the lowest of them is minimal, and each minimal w found
+    removes its up-set from the rest."""
+    n = A.n
+    rest = _upset(n, rank_matrix(A))
+    perms, lengths = [], set()
+    while rest:
+        w, length, up = _lex_perm(n, (rest & -rest).bit_length() - 1)
+        perms.append(w)
+        lengths.add(length)
+        rest &= ~up
+    return PermSet(frozenset(perms), min(lengths), len(lengths) == 1)
 
 
 # -- the two-prime construction for badblock ASMs ----------------------------

@@ -23,8 +23,9 @@ from asmlab import (
     is_minimal_prime,
     minimal_primes,
     minimal_primes_bruteforce,
+    perm_from_prime,
+    perm_set,
     perm_set_naive,
-    perm_set_via_primes,
     rank_matrix,
     reduced_homology_ranks,
     rothe_diagram,
@@ -118,8 +119,8 @@ def test_criterion_3_worked_examples(capsys):
 
     a3 = Asm(((0, 1, 0), (1, -1, 1), (0, 1, 0)))
     b4 = Asm(((0, 1, 0, 0), (0, 0, 1, 0), (1, -1, 0, 1), (0, 1, 0, 0)))
-    pa3 = perm_set_via_primes(a3)
-    pb4 = perm_set_via_primes(b4)
+    pa3 = perm_set(a3)
+    pb4 = perm_set(b4)
     if {w.one_line for w in pa3.perms} != {(3, 1, 2), (2, 3, 1)} or pa3.codim != 2:
         failures.append("permBij Perm(A)")
     if {w.one_line for w in pb4.perms} != {(3, 4, 1, 2), (2, 3, 4, 1)} or pb4.codim != 3:
@@ -144,7 +145,7 @@ def test_criterion_3_worked_examples(capsys):
             (0, 0, 0, 1, 0, 0),
         )
     )
-    pb5 = perm_set_via_primes(b5)
+    pb5 = perm_set(b5)
     if {w.one_line for w in pb5.perms} != {
         (4, 5, 2, 1, 3),
         (3, 4, 5, 1, 2),
@@ -153,7 +154,7 @@ def test_criterion_3_worked_examples(capsys):
         failures.append("Perm(B) one-lines")
     if sorted(w.length for w in pb5.perms) != [6, 7, 7]:
         failures.append("Perm(B) lengths")
-    if len(perm_set_via_primes(a6).perms) != 4:
+    if len(perm_set(a6).perms) != 4:
         failures.append("|Perm(A)| != 4")
 
     report(capsys, "criterion 3: worked-example fidelity", failures)
@@ -227,8 +228,11 @@ def test_criterion_5_property_suites(capsys):
 
     for n in range(1, 5):
         for A in enumerate_asms(n):
-            if perm_set_via_primes(A).perms != perm_set_naive(A):
+            pipe_dreams = {perm_from_prime(P, n) for P in minimal_primes(init_ideal(A))}
+            if pipe_dreams != perm_set_naive(A):
                 failures.append(f"pipe-dream mismatch for {A.entries}")
+            if perm_set(A).perms != pipe_dreams:
+                failures.append(f"perm_set mismatch for {A.entries}")
 
     for A in enumerate_asms(4):
         delta = sr_complex_from_ideal(init_ideal(A))
@@ -261,7 +265,7 @@ def test_criterion_5_property_suites(capsys):
                 continue
             if A == b4:
                 saw_b4 = True
-            if perm_set_via_primes(A).equidimensional:
+            if perm_set(A).equidimensional:
                 failures.append(f"badblock match equidimensional: {A.entries}")
             P, Q = construct_yo_primes(A, *match)
             I = init_ideal(A)

@@ -14,7 +14,7 @@ from asmlab import (
     km_vertex_decomposable,
     minimal_primes,
     one_plus,
-    perm_set_via_primes,
+    perm_set,
     sr_complex_from_ideal,
     stanley_reisner_ideal,
 )
@@ -213,4 +213,4 @@ class TestPurityEquidimensionality:
                 if I.is_zero:
                     continue
                 delta = sr_complex_from_ideal(I)
-                assert is_pure(delta) == perm_set_via_primes(A).equidimensional
+                assert is_pure(delta) == perm_set(A).equidimensional

@@ -10,11 +10,12 @@ from asmlab import (
     ASM_COUNTS,
     AnalysisReport,
     Asm,
+    Permutation,
     analyze_asm,
     enumerate_asms,
     init_ideal,
     minimal_primes,
-    perm_set_via_primes,
+    perm_set,
     sr_complex_from_ideal,
     tabulate,
     verify_statement,
@@ -28,13 +29,51 @@ from asmlab.enumeration import (
     pair_memo,
 )
 from asmlab.homology import cascade_is_cm
-from asmlab.ideals import transpose_analysis
+from asmlab.ideals import transpose_mask
 from asmlab.errors import (
     SizeBoundExceededError,
     UnknownCheckError,
     UnknownStatementError,
 )
 import asmlab.enumeration as enumeration_mod
+
+
+def stream_by_positions(n):
+    """ASM(n) by recursion over the one-position tuples of the partial
+    column sums, each matrix rebuilt from its tuples: the stream's order."""
+
+    def extensions(prev):
+        k = len(prev)
+        out = []
+
+        def rec(acc, idx):
+            if idx == k + 1:
+                out.append(tuple(acc))
+                return
+            lo = max(prev[idx - 1] if idx > 0 else 1, acc[-1] + 1 if acc else 1)
+            hi = prev[idx] if idx < k else n
+            for m in range(lo, hi + 1):
+                rec(acc + [m], idx + 1)
+
+        rec([], 0)
+        return out
+
+    def matrix(rows):
+        entries, prev = [], [0] * n
+        for pos in rows:
+            cur = [int(j + 1 in pos) for j in range(n)]
+            entries.append(tuple(c - p for c, p in zip(cur, prev)))
+            prev = cur
+        return Asm(tuple(entries))
+
+    def rec(rows):
+        if len(rows) == n:
+            yield matrix(rows)
+            return
+        for ext in extensions(rows[-1] if rows else ()):
+            yield from rec(rows + [ext])
+
+    yield from rec([])
 
 
 class TestStream:
@@ -57,6 +96,10 @@ class TestStream:
         second = list(enumerate_asms(3))
         assert first == second
         assert first[0] == Asm(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_equals_the_row_recursion(self, n):
+        assert list(enumerate_asms(n)) == list(stream_by_positions(n))
 
     def test_bounds(self):
         with pytest.raises(SizeBoundExceededError):
@@ -331,13 +374,20 @@ class TestOneDerivation:
             assert len(primes) == len(complexes) == 1
 
     def test_primes_only_builds_no_complex(self, monkeypatch, non_km_gvd, b4):
+        # codim and equidimensionality come from perm_set: no ideal, no
+        # prime, no complex, and the pair memo is not touched
         primes = calls_through(monkeypatch, minimal_primes)
+        ideals = calls_through(monkeypatch, init_ideal)
         complexes = calls_through(monkeypatch, sr_complex_from_ideal)
         for A in (non_km_gvd, b4):
-            primes.clear()
-            analyze_asm(A, checks=("codim", "equidim"))
-            assert len(primes) == 1
-        assert complexes == []
+            r = analyze_asm(A, checks=("codim", "equidim"))
+            assert (r.codim, r.perm_count, r.equidimensional) == (
+                perm_set(A).codim,
+                len(perm_set(A).perms),
+                perm_set(A).equidimensional,
+            )
+        assert primes == ideals == complexes == []
+        assert pair_memo.cache_info() == (0, 0, enumeration_mod.PAIR_MEMO_SIZE, 0)
 
     def test_cli_analyze(self, monkeypatch, tmp_path, capsys, b4):
         from asmlab.cli import main
@@ -384,9 +434,14 @@ class TestPairMemo:
     @given(st.integers(1, 6).flatmap(lambda n: st.sampled_from(ASMS_UPTO_6[n])))
     def test_transposed_primes(self, A):
         At = A.transpose()
-        shared = transpose_analysis(perm_set_via_primes(A), A.n)
-        assert shared.primes == minimal_primes(init_ideal(At))
-        assert shared == perm_set_via_primes(At)
+        primes = minimal_primes(init_ideal(A))
+        assert {transpose_mask(P, A.n) for P in primes} == minimal_primes(init_ideal(At))
+        # Perm(A^T) is {w^-1 : w in Perm(A)}
+        inverses = {
+            Permutation(tuple(w.one_line.index(v) + 1 for v in range(1, A.n + 1)))
+            for w in perm_set(A).perms
+        }
+        assert perm_set(At).perms == inverses
 
     def test_km_vd_not_carried(self):
         # km_vd differs within 62 of the 181 pairs of ASM(5)
@@ -407,10 +462,12 @@ class TestPairMemo:
         analyze_asm(b4, ("cm",), field="p=2")
         assert analyze_asm(worked_example, ("cm",), field="p=2").cm is False
         assert len(cascades) == 3
+        # a codim-only call leaves nothing pending
         analyze_asm(b4, ("codim",))
+        assert pair_memo.cache_info().currsize == 0
         assert analyze_asm(worked_example, ("cm",)).cm is False
         assert len(cascades) == 4
-        assert pair_memo.cache_info().hits == 3
+        assert pair_memo.cache_info().hits == 2
 
     def test_bound(self, monkeypatch):
         monkeypatch.setattr(enumeration_mod, "PAIR_MEMO_SIZE", 3)

@@ -191,11 +191,11 @@ class TestCohenMacaulay:
         assert is_cohen_macaulay(Asm.identity(5))
 
     def test_cm_implies_equidimensional_n4(self):
-        from asmlab import perm_set_via_primes
+        from asmlab import perm_set
 
         for A in enumerate_asms(4):
             if is_cohen_macaulay(A):
-                assert perm_set_via_primes(A).equidimensional
+                assert perm_set(A).equidimensional
 
 
 class TestCascade:

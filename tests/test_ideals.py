@@ -1,9 +1,14 @@
+import os
+from itertools import permutations
+
 import pytest
+from hypothesis import given, strategies as st
 
 from asmlab import (
     Asm,
     MinorSpec,
     Permutation,
+    asm_geq,
     construct_yo_primes,
     enumerate_asms,
     fulton_minor_specs,
@@ -16,18 +21,24 @@ from asmlab import (
     minimal_primes_bruteforce,
     natural_init_ideal,
     perm_from_prime,
+    perm_set,
     perm_set_naive,
-    perm_set_via_primes,
+    rank_matrix,
     yo_induction_states,
 )
 from asmlab.errors import (
     NonReducedWordError,
     NotBadblockError,
+    SizeBoundExceededError,
     SizeMismatchError,
     SupportViolationError,
 )
 from asmlab.ideals import (
+    PERM_TABLE_BOUND,
+    PermSet,
     SquarefreeIdeal,
+    _lex_perm,
+    _rank_table,
     cell_label,
     cells,
     mask,
@@ -230,29 +241,113 @@ class TestPipeDreams:
             perm_from_prime(m(2, (1, 1), (1, 2), (2, 1)), 2)
 
 
+def via_primes(A) -> PermSet:
+    """Perm(A), codim and equidimensionality read off the minimal primes of
+    init_ideal(A), each prime as a reduced pipe dream and its height."""
+    primes = minimal_primes(init_ideal(A))
+    heights = {P.bit_count() for P in primes}
+    perms = frozenset(perm_from_prime(P, A.n) for P in primes)
+    return PermSet(perms, min(heights), len(heights) == 1)
+
+
 class TestPermSetViaPrimes:
+    """The pipe-dream reading of the minimal primes gives Perm(A)."""
+
     def test_b4(self, b4):
-        pa = perm_set_via_primes(b4)
+        pa = via_primes(b4)
         assert {str(w) for w in pa.perms} == {"3412", "2341"}
         assert pa.codim == 3 and not pa.equidimensional
+        assert perm_set(b4) == pa
 
     def test_a6(self, a6):
-        pa = perm_set_via_primes(a6)
+        pa = via_primes(a6)
         assert {str(w) for w in pa.perms} == {"562314", "462513", "456213", "462351"}
+        assert perm_set(a6) == pa
 
     def test_identity(self):
-        pa = perm_set_via_primes(Asm.identity(4))
+        pa = via_primes(Asm.identity(4))
         assert pa.perms == {Permutation.identity(4)}
         assert pa.codim == 0 and pa.equidimensional
+        assert perm_set(Asm.identity(4)) == pa
 
     def test_agrees_with_naive(self):
         for n in range(1, 5):
             for A in enumerate_asms(n):
-                assert perm_set_via_primes(A).perms == perm_set_naive(A)
+                assert via_primes(A).perms == perm_set_naive(A)
 
     def test_agrees_with_naive_n5(self):
         for A in enumerate_asms(5):
-            assert perm_set_via_primes(A).perms == perm_set_naive(A)
+            assert via_primes(A).perms == perm_set_naive(A)
+
+
+def naive(A) -> PermSet:
+    perms = perm_set_naive(A)
+    lengths = {w.length for w in perms}
+    return PermSet(perms, min(lengths), len(lengths) == 1)
+
+
+def rank_at(line, i, j) -> int:
+    """The rank of the permutation at the cell (i, j)."""
+    return sum(v <= j for v in line[:i])
+
+
+class TestPermSet:
+    """perm_set against its oracles: the brute-force Bruhat scan and the
+    pipe-dream reading of the minimal primes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_naive(self, n):
+        for A in enumerate_asms(n):
+            assert perm_set(A) == naive(A)
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1,
+            2,
+            3,
+            4,
+            5,
+            pytest.param(
+                6,
+                marks=pytest.mark.skipif(
+                    os.environ.get("ASMLAB_STRETCH") != "1",
+                    reason="all of ASM(6); set ASMLAB_STRETCH=1 to run",
+                ),
+            ),
+        ],
+    )
+    def test_equals_pipe_dreams(self, n):
+        for A in enumerate_asms(n):
+            assert perm_set(A) == via_primes(A)
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_table_matches_rank_matrices(self, line):
+        """Lex order extends the Bruhat order, and the rank table holds
+        exactly the permutations of each rank at each cell."""
+        n = len(line)
+        lex = list(permutations(range(1, n + 1)))
+        k = lex.index(tuple(line))
+        w = Permutation(tuple(line))
+        ranks = rank_matrix(w.to_asm())
+        for u in lex[:k]:  # no permutation after w lies below it
+            assert not asm_geq(Permutation(u).to_asm(), w.to_asm())
+        _, le = _rank_table(n)
+        for i in range(1, n):
+            for j in range(1, n):
+                for r, bitset in enumerate(le[i - 1][j - 1]):
+                    assert (bitset >> k & 1) == (ranks[i - 1][j - 1] <= r)
+                assert rank_at(line, i, j) == ranks[i - 1][j - 1]
+        lex_w, length, up = _lex_perm(n, k)
+        assert lex_w == w and length == w.length
+        assert up == sum(
+            1 << b for b, u in enumerate(lex) if asm_geq(Permutation(u).to_asm(), w.to_asm())
+        )
+
+    def test_size_bound(self):
+        with pytest.raises(SizeBoundExceededError):
+            perm_set(Asm.identity(PERM_TABLE_BOUND + 1))
+        assert perm_set(Asm.identity(PERM_TABLE_BOUND)).codim == 0
 
 
 class TestYoPrimes:

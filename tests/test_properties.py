@@ -12,8 +12,8 @@ from asmlab import (
     is_minimal_prime,
     minimal_primes,
     perm_from_prime,
+    perm_set,
     perm_set_naive,
-    perm_set_via_primes,
     rank_matrix,
     reduced_homology_ranks,
     sr_complex_from_ideal,
@@ -83,10 +83,11 @@ def test_minimal_primes_are_minimal_covers(A):
 
 @given(asm_upto_4)
 def test_pipe_dream_matches_bruhat_minimal(A):
-    pa = perm_set_via_primes(A)
-    assert pa.perms == perm_set_naive(A)
+    primes = minimal_primes(init_ideal(A))
+    assert {perm_from_prime(P, A.n) for P in primes} == perm_set_naive(A)
+    assert perm_set(A).perms == perm_set_naive(A)
     if not init_ideal(A).is_zero:
-        for P in minimal_primes(init_ideal(A)):
+        for P in primes:
             assert perm_from_prime(P, A.n).length == P.bit_count()
 
 
@@ -100,10 +101,10 @@ def test_geq_antisymmetry_via_rank_matrices(A, B):
 
 @given(asm_upto_4)
 def test_codim_is_min_perm_length(A):
-    pa = perm_set_via_primes(A)
-    assert pa.codim == min(w.length for w in pa.perms)
-    assert pa.equidimensional == (
-        len({w.length for w in pa.perms}) == 1
+    ps = perm_set(A)
+    assert ps.codim == min(w.length for w in ps.perms)
+    assert ps.equidimensional == (
+        len({w.length for w in ps.perms}) == 1
     )
 
 
