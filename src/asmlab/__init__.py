@@ -35,6 +35,7 @@ from .asm import (
 from .complexes import (
     DecompositionTrace,
     SimplicialComplex,
+    asm_complex,
     face_subcomplex,
     full_grid_ideal,
     is_face,
@@ -79,6 +80,7 @@ from .ideals import (
     natural_init_ideal,
     perm_from_prime,
     perm_set,
+    pipe_dreams,
     yo_induction_states,
 )
 

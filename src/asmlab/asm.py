@@ -170,7 +170,9 @@ def coxeter_length(w: Permutation) -> int:
     )
 
 
-@lru_cache(maxsize=65536)
+# An ASM is seldom seen twice outside one analysis, which reads it several
+# times, so the memo is small.
+@lru_cache(maxsize=2**10)
 def rank_matrix(A: Asm) -> tuple[tuple[int, ...], ...]:
     """Prefix double sums: entry (i,j) is the sum of A over rows <=i, cols <=j."""
     n = A.n

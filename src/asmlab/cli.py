@@ -23,7 +23,7 @@ from .asm import (
     rank_matrix,
     rothe_diagram,
 )
-from .complexes import km_vertex_decomposable, sr_complex_from_ideal
+from .complexes import asm_complex, km_vertex_decomposable
 from .enumeration import (
     ALL_CHECKS,
     STATEMENT_NAMES,
@@ -72,9 +72,8 @@ def _emit(config: CliConfig, text: str) -> None:
 
 def cmd_analyze(config: CliConfig) -> int:
     A = _load_asm(config.input_path)
-    I = init_ideal(A)
     ps = perm_set(A)
-    delta = sr_complex_from_ideal(I)
+    delta = asm_complex(ps)
     trace = km_vertex_decomposable(delta)
     report = {
         "asm": A.to_json_dict(),
@@ -83,7 +82,7 @@ def cmd_analyze(config: CliConfig) -> int:
         "rothe_diagram": sorted(map(list, rothe_diagram(A))),
         "essential_set": sorted(map(list, essential_set(A))),
         "dominant_part": sorted(map(list, dominant_part(A))),
-        "init_ideal": I.to_json_list(),
+        "init_ideal": init_ideal(A).to_json_list(),
         "perms": [
             {"one_line": list(w.one_line), "word": str(w), "length": w.length}
             for w in sorted(ps.perms, key=lambda w: w.one_line)

@@ -1,4 +1,4 @@
-"""Stanley-Reisner complexes of squarefree ideals and the
+"""Stanley-Reisner complexes of squarefree ideals and of ASMs, and the
 vertex-decomposability search.
 
 Complexes are stored by their facet lists, each facet a mask in the layout
@@ -7,25 +7,28 @@ a vertex set is its greatest vertex in the Knutson-Miller order.  Links and
 deletions at a vertex v are `F & ~v`.  Degree-1 generators of the ideal are
 tracked as excluded vertices and grid cells outside the support as cone
 points, so the complex itself lives on a small active universe.  Cells come
-back only through the codec, in the JSON and in a failure trace.
+back only through the codec, in the JSON and in a failure trace.  The
+complex of an ASM is built from the pipe dreams of Perm(A), with no ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
 from .asm import Cell
 from .errors import NotAFaceError
 from .ideals import (
+    PermSet,
     SquarefreeIdeal,
     bits,
     cell_label,
     cells,
     is_pure_family,
-    maximal_sets,
     minimal_primes,
     minimal_transversals,
+    pipe_dreams,
     union,
 )
 
@@ -55,23 +58,35 @@ class SimplicialComplex:
         }
 
 
-def sr_complex_from_ideal(I: SquarefreeIdeal, primes=None) -> SimplicialComplex:
-    """Facets are the universe-complements of the minimal primes: `primes`
-    when the caller already has minimal_primes(I), else computed here."""
-    if I.is_unit:
-        raise ValueError("the unit ideal has no Stanley-Reisner complex")
-    support = I.support()
-    excluded = union(g for g in I.gens if g.bit_count() == 1)
+def _complex_from_primes(n: int, primes) -> SimplicialComplex:
+    """Facets are the universe-complements of the minimal primes.  The cells
+    in every prime are the degree-1 generators, excluded from the universe,
+    and the cells in none lie outside the support: the cone points."""
+    support, excluded = union(primes), reduce(and_, primes)
     universe = support & ~excluded
-    if primes is None:
-        primes = minimal_primes(I)
     return SimplicialComplex(
-        ambient_n=I.n,
+        ambient_n=n,
         vertex_universe=universe,
         facets=frozenset(universe & ~P for P in primes),
-        cone_points=((1 << I.n * I.n) - 1) & ~support,
+        cone_points=((1 << n * n) - 1) & ~support,
         excluded_vertices=excluded,
     )
+
+
+def sr_complex_from_ideal(I: SquarefreeIdeal) -> SimplicialComplex:
+    """The Stanley-Reisner complex of a squarefree ideal, from its minimal
+    primes."""
+    if I.is_unit:
+        raise ValueError("the unit ideal has no Stanley-Reisner complex")
+    return _complex_from_primes(I.n, minimal_primes(I))
+
+
+def asm_complex(ps: PermSet) -> SimplicialComplex:
+    """The Stanley-Reisner complex of init(I_A), where ps = perm_set(A): its
+    minimal primes are the reduced pipe dreams of the permutations of
+    Perm(A), with no ideal."""
+    w = next(iter(ps.perms))
+    return _complex_from_primes(w.n, frozenset().union(*map(pipe_dreams, ps.perms)))
 
 
 def stanley_reisner_ideal(delta: SimplicialComplex) -> SquarefreeIdeal:
@@ -96,12 +111,30 @@ def is_face(delta: SimplicialComplex, sigma: int) -> bool:
     return any(not sigma & ~F for F in delta.facets)
 
 
+# link_facets and deletion_facets take an antichain and return one, so no
+# step re-maximalizes: a complex's facets are one, and so is every family
+# the vd search and Reisner's criterion recurse on, being pure.
+
+
 def link_facets(facets, sigma: int) -> frozenset:
-    return maximal_sets(F & ~sigma for F in facets if not sigma & ~F)
+    """The facets of the link of sigma.  Facets through sigma that do not
+    nest still do not once sigma is removed."""
+    return frozenset(F & ~sigma for F in facets if not sigma & ~F)
 
 
 def deletion_facets(facets, sigma: int) -> frozenset:
-    return maximal_sets(F & ~sigma for F in facets)
+    """The facets of the complex induced on the vertices outside sigma,
+    deleting one vertex v at a time.  The facets missing v stay; a facet cut
+    by v can lie only in one of those, since two facets through v do not
+    nest once v is removed."""
+    for v in bits(sigma):
+        kept, cut = [], []
+        for F in facets:
+            (cut if F & v else kept).append(F)
+        outside = [~G for G in kept]  # F ^ v lies in G when (F ^ v) & ~G == 0
+        kept += [F ^ v for F in cut if 0 not in map((F ^ v).__and__, outside)]
+        facets = kept
+    return frozenset(facets)
 
 
 def face_subcomplex(delta: SimplicialComplex, sigma: int, kind: str) -> SimplicialComplex:

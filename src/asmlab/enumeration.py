@@ -16,11 +16,9 @@ import io
 import json
 import random
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import islice
-from typing import NamedTuple
 
 from .asm import (
     Asm,
@@ -33,6 +31,7 @@ from .asm import (
     perm_direct_sum,
 )
 from .complexes import (
+    asm_complex,
     face_subcomplex,
     sr_complex_from_ideal,
     stanley_reisner_ideal,
@@ -54,9 +53,7 @@ from .ideals import (
     init_ideal,
     is_minimal_prime,
     mask,
-    minimal_primes,
     perm_set,
-    transpose_mask,
 )
 
 ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
@@ -192,72 +189,14 @@ def _known_checks(checks) -> frozenset:
     return frozenset(checks)
 
 
-# The bound of the pair memo.  In stream order ASM(6) never has more than
-# 1480 transpose partners pending; at n=7 an entry takes about 7 KB.
-PAIR_MEMO_SIZE = 2**12
-
-
-class _Pending(NamedTuple):
-    """What the analysis of an ASM leaves for its transpose."""
-
-    primes: frozenset  # the minimal primes of init_ideal(A), as masks
-    cm: bool | None
-    p: int | None  # the characteristic cm was decided over
-
-
-class CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-class _PairMemo:
-    """Analyses of non-symmetric ASMs whose transpose has not been analysed
-    since: A.entries -> _Pending, at most PAIR_MEMO_SIZE of them, the oldest
-    evicted first.  A lookup pops, so each pair shares one analysis."""
-
-    def __init__(self):
-        self.cache_clear()
-
-    def take(self, key) -> _Pending | None:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            self._misses += 1
-        else:
-            self._hits += 1
-        return entry
-
-    def put(self, key, entry: _Pending) -> None:
-        self._entries.pop(key, None)
-        self._entries[key] = entry
-        while len(self._entries) > PAIR_MEMO_SIZE:
-            self._entries.popitem(last=False)
-
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self._hits, self._misses, PAIR_MEMO_SIZE, len(self._entries))
-
-    def cache_clear(self) -> None:
-        self._entries: OrderedDict = OrderedDict()
-        self._hits = self._misses = 0
-
-
-pair_memo = _PairMemo()
-
-
 def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
     """Answer the requested checks.  codim, perm_count and equidimensionality
-    come from perm_set(A); the minimal primes of init_ideal(A), and the
-    Stanley-Reisner complex built from them, are computed only when "cm" or
-    "km_vd" needs the complex; "km_vd" is a flag of the vd search, a memo
-    hit after "cm".  Each timing is the time since the previous one, so
-    building the complex is charged to the first of those two stages.
-
-    A transpose pair shares its complex work.  When the transpose of a
-    non-symmetric A is pending in `pair_memo`, A takes its cm answer if
-    decided over the same characteristic, and otherwise transposes its
-    primes: init(I_{A^T}) and its minimal primes are the cell-transposes of
-    A's.  km_vd is never carried over: it is not transpose-invariant."""
+    come from perm_set(A); "cm" and "km_vd" are decided on the
+    Stanley-Reisner complex built from the pipe dreams of the same Perm(A),
+    with no ideal and no minimal-prime search; "km_vd" is a flag of the vd
+    search, a memo hit after "cm".  Each timing is the time since the
+    previous one, so building the complex is charged to the first of those
+    two stages."""
     checks = _known_checks(checks)
     timings = []
     codim = perm_count = equidim = cm = km_vd = None
@@ -269,31 +208,21 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
         timings.append((stage, t1 - t0))
         t0 = t1
 
-    if checks & {"codim", "equidim"}:
+    if checks:
         ps = perm_set(A)
+    if checks & {"codim", "equidim"}:
         codim = ps.codim if "codim" in checks else None
         perm_count = len(ps.perms)
         equidim = ps.equidimensional if "equidim" in checks else None
         lap("primes")  # the stage name stored records carry
     if checks & {"cm", "km_vd"}:
-        p = characteristic(field) if "cm" in checks else None
-        key, partner_key = A.entries, A.transpose().entries
-        partner = pair_memo.take(partner_key) if key != partner_key else None
-        shared_cm = partner is not None and p is not None and partner.p == p
-        if "km_vd" in checks or not shared_cm:
-            if partner:
-                primes = frozenset(transpose_mask(P, A.n) for P in partner.primes)
-            else:
-                primes = minimal_primes(init_ideal(A))
-            facets = sr_complex_from_ideal(init_ideal(A), primes).facets
+        facets = asm_complex(ps).facets
         if "cm" in checks:
-            cm = partner.cm if shared_cm else cascade_is_cm(facets, p)
+            cm = cascade_is_cm(facets, characteristic(field))
             lap("cm")
         if "km_vd" in checks:
             km_vd = vd_facets(facets)[1]
             lap("km_vd")
-        if partner is None and key != partner_key:
-            pair_memo.put(key, _Pending(primes, cm, p))
     return AnalysisReport(
         asm=A,
         codim=codim,

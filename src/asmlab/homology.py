@@ -2,7 +2,8 @@
 
 Homology is computed over the rationals (exact integer elimination; no
 floating point) or over a prime field.  Cohen-Macaulayness of an ASM is
-decided on the Stanley-Reisner complex of its antidiagonal initial ideal.
+decided on the Stanley-Reisner complex of its antidiagonal initial ideal,
+built from the pipe dreams of Perm(A) (`complexes.asm_complex`).
 The decision is a cascade that runs homology only when no certificate
 settles the question: a vertex decomposable complex (one search, greatest
 vertex first) is shellable and so CM over every field (Provan-Billera);
@@ -23,12 +24,12 @@ from .asm import Asm
 from .complexes import (
     MEMO_SIZE,
     SimplicialComplex,
+    asm_complex,
     link_facets,
-    sr_complex_from_ideal,
     vd_facets,
 )
 from .errors import FaceBudgetExceededError, InvalidFieldError
-from .ideals import bits, init_ideal, is_pure_family, maximal_sets, submasks, union
+from .ideals import bits, is_pure_family, maximal_sets, perm_set, submasks, union
 
 FACE_BUDGET = 2**24  # the most faces chain_complex builds
 
@@ -218,7 +219,9 @@ def complex_is_cm(facets, p: int = 0) -> bool:
     memoization; the oracle the cascade is checked against.
 
     Requires purity, strips the common apex, checks that reduced homology
-    vanishes below the top dimension, then recurses into vertex links.
+    vanishes below the top dimension, then recurses into vertex links.  A
+    family that is not pure is rejected as given, and a pure one is an
+    antichain, as link_facets needs.
     """
     facets = frozenset(facets)
     if not facets:
@@ -260,14 +263,15 @@ def cascade_is_cm(facets, p: int = 0) -> bool:
     """Cohen-Macaulayness of a complex (facet masks) over Q (p = 0) or
     GF(p): vertex decomposable (a certificate over every field), else
     Reisner's criterion, the only step that depends on p.  Both steps answer
-    False at once for a complex that is not pure."""
+    False at once for a family that is not pure, so the families they
+    recurse on are antichains."""
     facets = frozenset(facets)
     return vd_facets(facets)[0] or complex_is_cm(facets, p)
 
 
 def is_cohen_macaulay(A: Asm, field="rational") -> bool:
     """Whether the ASM defines a Cohen-Macaulay quotient: the cascade on the
-    Stanley-Reisner complex of its antidiagonal initial ideal."""
-    delta = sr_complex_from_ideal(init_ideal(A))
-    return cascade_is_cm(delta.facets, characteristic(field))
+    Stanley-Reisner complex of its antidiagonal initial ideal, whose facets
+    are the complements of the pipe dreams of Perm(A)."""
+    return cascade_is_cm(asm_complex(perm_set(A)).facets, characteristic(field))
 

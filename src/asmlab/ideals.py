@@ -8,9 +8,12 @@ Knutson-Miller order z_{1,n} > ... > z_{n,1}.  Divisibility is `a & ~b == 0`.
 `mask(cells, n)` and `cells(m, n)` are the one codec between masks and
 cells.  The antidiagonal initial ideal of an ASM is generated by the
 antidiagonal lead terms of its Fulton generators, which form a Groebner
-basis under any antidiagonal term order.  Its minimal primes, read as
-reduced pipe dreams, are the permutations of Perm(A); `perm_set` finds
-Perm(A) without them, from a bitset table of S_n.
+basis under any antidiagonal term order.  Its minimal primes are the
+reduced pipe dreams of the permutations of Perm(A) (Knutson-Miller), those
+of distinct w disjoint; `perm_set` finds Perm(A) from a bitset table of
+S_n, and `pipe_dreams` lists the pipe dreams of one w by ladder moves, so
+neither needs the ideal.  `init_ideal`, `minimal_primes` and the Berge
+kernel serve the theorem sweeps and the oracles.
 """
 
 from __future__ import annotations
@@ -279,7 +282,6 @@ def is_minimal_prime(I: SquarefreeIdeal, S: int) -> bool:
     return all(any(g & S == x for g in I.gens) for x in bits(S))
 
 
-@lru_cache(maxsize=65536)
 def perm_from_prime(S: int, n: int) -> Permutation:
     """Read a minimal prime as a reduced pipe dream.
 
@@ -299,13 +301,36 @@ def perm_from_prime(S: int, n: int) -> Permutation:
     return Permutation(tuple(line))
 
 
-def transpose_mask(m: int, n: int) -> int:
-    """The mask of the transposed cells: (i, j) becomes (j, i)."""
-    t = 0
-    for v in bits(m):
-        q, r = divmod(v.bit_length() - 1, n)  # the cell (q + 1, n - r)
-        t |= 1 << ((n - 1 - r) * n + n - 1 - q)
-    return t
+@lru_cache(maxsize=factorial(7))
+def pipe_dreams(w: Permutation) -> frozenset[int]:
+    """The reduced pipe dreams of w as masks: the minimal primes of
+    init(I_w), found with no ideal (Bergeron-Billey).  They are the closure
+    of the bottom pipe dream, whose row i is the cells (i, 1..c_i) for the
+    Lehmer code c of w, under ladder moves: a cross at (i, j) with (i, j+1)
+    empty moves to (i-m, j+1) when rows i-1 .. i-m+1 have crosses at both j
+    and j+1 and row i-m has neither.  In the mask layout (i, j+1) is one bit
+    below (i, j) and (i-1, j) is n bits below; every cross lies in the
+    staircase i + j <= n, so j + 1 <= n throughout."""
+    line, n = w.one_line, w.n
+    bottom = 0
+    for i, v in enumerate(line):
+        c = sum(u < v for u in line[i + 1 :])
+        bottom |= ((1 << c) - 1) << (i * n + n - c)
+    seen, todo = {bottom}, [bottom]
+    while todo:
+        D = todo.pop()
+        for x in bits(D >> n << n):  # the crosses below row 1
+            if D & x >> 1:
+                continue
+            up = x >> n
+            while up and D & up and D & up >> 1:
+                up >>= n
+            if up and not D & (up | up >> 1):
+                E = D ^ x | up >> 1
+                if E not in seen:
+                    seen.add(E)
+                    todo.append(E)
+    return frozenset(seen)
 
 
 # -- Perm(A) from a table of S_n ----------------------------------------------

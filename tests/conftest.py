@@ -1,14 +1,6 @@
 import pytest
 
 from asmlab import validate_asm
-from asmlab.enumeration import pair_memo
-
-
-@pytest.fixture(autouse=True)
-def no_pending_partner():
-    """Every test starts with an empty pair memo, so that no analysis is
-    answered from another test's."""
-    pair_memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,12 @@
+import os
+
 import pytest
 
 from asmlab import (
     Asm,
     DecompositionTrace,
     SimplicialComplex,
+    asm_complex,
     enumerate_asms,
     face_subcomplex,
     full_grid_ideal,
@@ -19,7 +22,9 @@ from asmlab import (
     stanley_reisner_ideal,
 )
 from asmlab.errors import NotAFaceError
-from asmlab.ideals import SquarefreeIdeal, bits, cells, mask
+from asmlab.complexes import deletion_facets, link_facets
+from asmlab.homology import _all_faces
+from asmlab.ideals import SquarefreeIdeal, bits, cells, mask, maximal_sets
 from itertools import permutations
 
 from asmlab import Permutation
@@ -79,7 +84,61 @@ class TestSrComplex:
         assert ["z_3_1"] in d["facets"]
 
 
+STRETCH = pytest.mark.skipif(
+    os.environ.get("ASMLAB_STRETCH") != "1",
+    reason="all of ASM(6); set ASMLAB_STRETCH=1 to run",
+)
+
+
+class TestAsmComplex:
+    """The complex built from the pipe dreams of Perm(A) against the one
+    built from the minimal primes of init_ideal(A)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=STRETCH)])
+    def test_equals_ideal_complex(self, n):
+        for A in enumerate_asms(n):
+            I = init_ideal(A)
+            delta = asm_complex(perm_set(A))
+            assert delta == sr_complex_from_ideal(I)
+            # the primes give what the generators give
+            assert delta.excluded_vertices == sum(g for g in I.gens if g.bit_count() == 1)
+            assert delta.cone_points == ((1 << n * n) - 1) & ~I.support()
+
+    def test_b4(self, b4):
+        delta = asm_complex(perm_set(b4))
+        assert delta.excluded_vertices == m(4, (1, 1), (2, 1))
+        assert delta.facets == {m(4, (1, 2), (2, 2)), m(4, (3, 1))}
+
+    def test_identity_is_a_point(self):
+        delta = asm_complex(perm_set(Asm.identity(3)))
+        assert delta.facets == {0} and delta.vertex_universe == 0
+        assert delta.cone_points.bit_count() == 9
+
+
+def old_link(facets, sigma):
+    return maximal_sets(F & ~sigma for F in facets if not sigma & ~F)
+
+
+def old_deletion(facets, sigma):
+    return maximal_sets(F & ~sigma for F in facets)
+
+
 class TestLinkDeletion:
+    def test_equal_maximalized(self):
+        """link_facets and deletion_facets, which never maximalize, against
+        maximalizing every result, at every face of every ASM(n <= 5)
+        complex."""
+        faces = 0
+        for n in range(1, 6):
+            for A in enumerate_asms(n):
+                facets = asm_complex(perm_set(A)).facets
+                for sigma in _all_faces(facets):
+                    faces += 1
+                    assert link_facets(facets, sigma) == old_link(facets, sigma)
+                    assert deletion_facets(facets, sigma) == old_deletion(facets, sigma)
+        assert faces == 13432
+
+
     def test_deletion_matches_published_decomposition(self, non_km_gvd):
         delta = sr_complex_from_ideal(init_ideal(non_km_gvd))
         deletion = face_subcomplex(delta, m(4, (1, 3)), "deletion")

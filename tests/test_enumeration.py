@@ -2,6 +2,8 @@ import json
 import multiprocessing
 import random
 import sys
+from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from asmlab import (
     init_ideal,
     minimal_primes,
     perm_set,
+    rank_matrix,
     sr_complex_from_ideal,
     tabulate,
     verify_statement,
@@ -26,10 +29,10 @@ from asmlab.enumeration import (
     _cache_key,
     _sampled_asms,
     _shard_worker,
-    pair_memo,
 )
+from asmlab.complexes import asm_complex
 from asmlab.homology import cascade_is_cm
-from asmlab.ideals import transpose_mask
+from asmlab.ideals import cells, mask, pipe_dreams
 from asmlab.errors import (
     SizeBoundExceededError,
     UnknownCheckError,
@@ -361,24 +364,25 @@ def calls_through(monkeypatch, fn):
 
 
 class TestOneDerivation:
-    """analyze_asm and `asmlab analyze` compute the minimal primes of an
-    ASM once, and build its complex only for the CM and KM-vd checks."""
+    """analyze_asm and `asmlab analyze` build the complex of an ASM once,
+    from the pipe dreams of Perm(A), and only for the CM and KM-vd checks."""
 
     def test_all_checks(self, monkeypatch, non_km_gvd, b4):
         primes = calls_through(monkeypatch, minimal_primes)
-        complexes = calls_through(monkeypatch, sr_complex_from_ideal)
+        ideal_complexes = calls_through(monkeypatch, sr_complex_from_ideal)
+        complexes = calls_through(monkeypatch, asm_complex)
         for A in (non_km_gvd, b4):
-            primes.clear()
             complexes.clear()
             analyze_asm(A)
-            assert len(primes) == len(complexes) == 1
+            assert len(complexes) == 1
+        assert primes == ideal_complexes == []
 
     def test_primes_only_builds_no_complex(self, monkeypatch, non_km_gvd, b4):
         # codim and equidimensionality come from perm_set: no ideal, no
-        # prime, no complex, and the pair memo is not touched
+        # prime, no complex
         primes = calls_through(monkeypatch, minimal_primes)
         ideals = calls_through(monkeypatch, init_ideal)
-        complexes = calls_through(monkeypatch, sr_complex_from_ideal)
+        complexes = calls_through(monkeypatch, asm_complex)
         for A in (non_km_gvd, b4):
             r = analyze_asm(A, checks=("codim", "equidim"))
             assert (r.codim, r.perm_count, r.equidimensional) == (
@@ -387,7 +391,6 @@ class TestOneDerivation:
                 perm_set(A).equidimensional,
             )
         assert primes == ideals == complexes == []
-        assert pair_memo.cache_info() == (0, 0, enumeration_mod.PAIR_MEMO_SIZE, 0)
 
     def test_cli_analyze(self, monkeypatch, tmp_path, capsys, b4):
         from asmlab.cli import main
@@ -395,9 +398,26 @@ class TestOneDerivation:
         path = tmp_path / "b4.json"
         path.write_text(json.dumps(b4.to_json_dict()))
         primes = calls_through(monkeypatch, minimal_primes)
+        complexes = calls_through(monkeypatch, asm_complex)
         assert main(["analyze", "--input", str(path)]) == 0
-        assert len(primes) == 1
-        assert json.loads(capsys.readouterr().out)["cm"] is False
+        assert primes == [] and len(complexes) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["cm"] is False and out["init_ideal"] == init_ideal(b4).to_json_list()
+
+    def test_no_minimal_transversals(self, monkeypatch, worked_example, a6):
+        """With every check, no ASM goes through Berge's algorithm."""
+
+        def refuse(family):
+            raise AssertionError("minimal_transversals called")
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "asmlab" and hasattr(mod, "minimal_transversals"):
+                monkeypatch.setattr(mod, "minimal_transversals", refuse)
+        with pytest.raises(AssertionError):
+            minimal_primes(init_ideal(worked_example))
+        for A in (*enumerate_asms(4), worked_example, a6):
+            for field in ("rational", 2):
+                analyze_asm(A, field=field)
 
 
 def answers(report) -> dict:
@@ -409,74 +429,88 @@ def answers(report) -> dict:
 
 
 def fresh(A, checks=enumeration_mod.ALL_CHECKS, field="rational"):
-    """analyze_asm(A) with no transpose partner pending."""
-    pair_memo.cache_clear()
+    """analyze_asm(A) with every memo of the package empty."""
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "asmlab":
+            for fn in list(vars(mod).values()):
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
     return analyze_asm(A, checks, field)
 
 
-def pairs(n) -> int:
-    return sum(A.transpose() != A for A in enumerate_asms(n)) // 2
+def transpose_mask(m: int, n: int) -> int:
+    """The mask of the transposed cells: (i, j) becomes (j, i)."""
+    return mask({(j, i) for i, j in cells(m, n)}, n)
+
+
+def inverse(w: Permutation) -> Permutation:
+    return Permutation(tuple(w.one_line.index(v) + 1 for v in range(1, w.n + 1)))
 
 
 ASMS_UPTO_6 = {n: list(enumerate_asms(n)) for n in range(1, 7)}
 
 
 class TestPairMemo:
-    """analyze_asm answers the second ASM of a transpose pair from the
-    analysis of the first."""
+    """Transpose pairs (A, A^T) with no memo passing answers between them:
+    each ASM gets the answers it gets alone, and the pair agrees where
+    transposition says it must.  Transposing A transposes init(I_A), its
+    minimal primes and its complex, and inverts Perm(A)."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_stream_equals_fresh(self, n):
         streamed = [analyze_asm(A) for A in enumerate_asms(n)]
-        assert pair_memo.cache_info().hits == pairs(n)
         assert [answers(r) for r in streamed] == [answers(fresh(r.asm)) for r in streamed]
 
     @given(st.integers(1, 6).flatmap(lambda n: st.sampled_from(ASMS_UPTO_6[n])))
     def test_transposed_primes(self, A):
         At = A.transpose()
-        primes = minimal_primes(init_ideal(A))
-        assert {transpose_mask(P, A.n) for P in primes} == minimal_primes(init_ideal(At))
-        # Perm(A^T) is {w^-1 : w in Perm(A)}
-        inverses = {
-            Permutation(tuple(w.one_line.index(v) + 1 for v in range(1, A.n + 1)))
-            for w in perm_set(A).perms
-        }
-        assert perm_set(At).perms == inverses
+        delta, delta_t = asm_complex(perm_set(A)), asm_complex(perm_set(At))
+        assert {transpose_mask(F, A.n) for F in delta.facets} == delta_t.facets
+        assert transpose_mask(delta.excluded_vertices, A.n) == delta_t.excluded_vertices
+        assert perm_set(At).perms == {inverse(w) for w in perm_set(A).perms}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_pipe_dreams_of_inverse(self, n):
+        for line in permutations(range(1, n + 1)):
+            w = Permutation(line)
+            assert pipe_dreams(inverse(w)) == {transpose_mask(D, n) for D in pipe_dreams(w)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cm_transpose_invariant(self, n):
+        for A in enumerate_asms(n):
+            for field in ("rational", 2):
+                cm = analyze_asm(A, ("cm",), field).cm
+                assert analyze_asm(A.transpose(), ("cm",), field).cm == cm
 
     def test_km_vd_not_carried(self):
         # km_vd differs within 62 of the 181 pairs of ASM(5)
         A = next(A for A in enumerate_asms(5) if fresh(A).km_vd != fresh(A.transpose()).km_vd)
         expected = {B: fresh(B).km_vd for B in (A, A.transpose())}
         for first, second in ((A, A.transpose()), (A.transpose(), A)):
-            pair_memo.cache_clear()
             assert analyze_asm(first).km_vd == expected[first]
             assert analyze_asm(second).km_vd == expected[second]
-            assert pair_memo.cache_info().hits == 1
 
     def test_cm_not_shared_across_fields(self, monkeypatch, b4, worked_example):
+        # each analysis runs its own cascade, over its own field
         assert b4.transpose() == worked_example
         cascades = calls_through(monkeypatch, cascade_is_cm)
-        analyze_asm(b4, ("cm",))
+        assert analyze_asm(b4, ("cm",)).cm is False
         assert analyze_asm(worked_example, ("cm",), field="p=2").cm is False
-        assert len(cascades) == 2
-        analyze_asm(b4, ("cm",), field="p=2")
-        assert analyze_asm(worked_example, ("cm",), field="p=2").cm is False
-        assert len(cascades) == 3
-        # a codim-only call leaves nothing pending
-        analyze_asm(b4, ("codim",))
-        assert pair_memo.cache_info().currsize == 0
+        assert analyze_asm(b4, ("cm",), field="p=2").cm is False
         assert analyze_asm(worked_example, ("cm",)).cm is False
-        assert len(cascades) == 4
-        assert pair_memo.cache_info().hits == 2
+        assert [p for _, p in cascades] == [0, 2, 2, 0]
 
-    def test_bound(self, monkeypatch):
-        monkeypatch.setattr(enumeration_mod, "PAIR_MEMO_SIZE", 3)
-        streamed = []
-        for A in enumerate_asms(5):
-            streamed.append(analyze_asm(A))
-            assert pair_memo.cache_info().currsize <= 3
-        assert 0 < pair_memo.cache_info().hits < pairs(5)
-        assert [answers(r) for r in streamed] == [answers(fresh(r.asm)) for r in streamed]
+    def test_bound(self):
+        """The memos an analysis fills are bounded: rank_matrix keeps 2**10
+        of the 7436 matrices of ASM(6), and pipe_dreams one entry per
+        permutation, at most all of S_7."""
+        for A in ASMS_UPTO_6[6]:
+            analyze_asm(A, ("codim",))
+        assert rank_matrix.cache_info().currsize == rank_matrix.cache_info().maxsize == 2**10
+        assert pipe_dreams.cache_info().maxsize == factorial(7)
+        for A in ASMS_UPTO_6[5]:
+            analyze_asm(A, ("cm",))
+        assert pipe_dreams.cache_info().currsize <= sum(map(factorial, range(1, 8)))
 
 
 class TestVerifyStatement:

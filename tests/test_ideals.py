@@ -23,6 +23,7 @@ from asmlab import (
     perm_from_prime,
     perm_set,
     perm_set_naive,
+    pipe_dreams,
     rank_matrix,
     yo_induction_states,
 )
@@ -45,6 +46,9 @@ from asmlab.ideals import (
     monomial_label,
     parse_cell_label,
 )
+
+
+ASMS_UPTO_6 = {n: list(enumerate_asms(n)) for n in range(1, 7)}
 
 
 def fs(*cell_list):
@@ -239,6 +243,44 @@ class TestPipeDreams:
     def test_non_reduced(self):
         with pytest.raises(NonReducedWordError):
             perm_from_prime(m(2, (1, 1), (1, 2), (2, 1)), 2)
+
+    @pytest.mark.parametrize(
+        "n, total", [(1, 1), (2, 2), (3, 7), (4, 41), (5, 393), (6, 6080)]
+    )
+    def test_ladder_moves_equal_berge(self, n, total):
+        """The ladder-move closure of the bottom pipe dream gives the minimal
+        primes of init(I_w), each read back as w."""
+        count = 0
+        for line in permutations(range(1, n + 1)):
+            w = Permutation(line)
+            dreams = pipe_dreams(w)
+            assert dreams == minimal_primes(init_ideal(w.to_asm()))
+            assert {perm_from_prime(D, n) for D in dreams} == {w}
+            count += len(dreams)
+        assert count == total
+
+    def test_bottom_and_top(self):
+        # 1432 has the Lehmer code (0, 2, 1, 0) and five pipe dreams
+        dreams = pipe_dreams(Permutation((1, 4, 3, 2)))
+        assert m(4, (2, 1), (2, 2), (3, 1)) in dreams
+        assert m(4, (1, 2), (1, 3), (2, 2)) in dreams
+        assert len(dreams) == 5
+        assert pipe_dreams(Permutation.identity(3)) == {0}
+
+    @pytest.mark.skipif(
+        os.environ.get("ASMLAB_STRETCH") != "1",
+        reason="all of S_7; set ASMLAB_STRETCH=1 to run",
+    )
+    def test_s7_totals(self):
+        sizes = [len(pipe_dreams(Permutation(line))) for line in permutations(range(1, 8))]
+        assert sum(sizes) == 150371 and max(sizes) == 660
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.sampled_from(ASMS_UPTO_6[n])))
+    def test_disjoint_over_perm_set(self, A):
+        """No pipe dream of one w in Perm(A) is one of another, so the
+        minimal primes of init(I_A) are their disjoint union."""
+        dreams = [pipe_dreams(w) for w in perm_set(A).perms]
+        assert sum(map(len, dreams)) == len(frozenset().union(*dreams))
 
 
 def via_primes(A) -> PermSet:
