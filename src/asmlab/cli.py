@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .asm import (
     Asm,
@@ -35,24 +34,6 @@ from .homology import cascade_is_cm, characteristic, parse_field
 from .ideals import cell_label, init_ideal, perm_set
 
 
-@dataclass
-class CliConfig:
-    command: str
-    input_path: str | None = None
-    pattern_path: str | None = None
-    target_path: str | None = None
-    n: int | None = None
-    field: object = "rational"
-    checks: tuple = ALL_CHECKS
-    filter_spec: str | None = None
-    statement: str | None = None
-    out_format: str = "text"
-    jobs: int = 1
-    cache_dir: str | None = None
-    out_path: str | None = None
-    seed: int = 0
-
-
 def _load_asm(path: str) -> Asm:
     with open(path) as fh:
         try:
@@ -62,16 +43,16 @@ def _load_asm(path: str) -> Asm:
     return asm_from_json(data)
 
 
-def _emit(config: CliConfig, text: str) -> None:
-    if config.out_path:
-        with open(config.out_path, "w") as fh:
+def _emit(args, text: str) -> None:
+    if args.out_path:
+        with open(args.out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def cmd_analyze(config: CliConfig) -> int:
-    A = _load_asm(config.input_path)
+def cmd_analyze(args) -> int:
+    A = _load_asm(args.input_path)
     ps = perm_set(A)
     delta = asm_complex(ps)
     trace = km_vertex_decomposable(delta)
@@ -90,7 +71,7 @@ def cmd_analyze(config: CliConfig) -> int:
         "codim": ps.codim,
         "perm_count": len(ps.perms),
         "equidimensional": ps.equidimensional,
-        "cm": cascade_is_cm(delta.facets, characteristic(config.field)),
+        "cm": cascade_is_cm(delta.facets, characteristic(args.field)),
         "diagram": ascii_diagram(A),
         "km_vd": trace.result,
     }
@@ -99,52 +80,52 @@ def cmd_analyze(config: CliConfig) -> int:
         report["km_vd_failure_vertex"] = (
             cell_label(trace.failure_vertex) if trace.failure_vertex else None
         )
-    if config.out_format == "text":
+    if args.out_format == "text":
         lines = [report["diagram"], ""]
         lines += [
             f"codim {report['codim']}  perms {report['perm_count']}  "
             f"equidimensional {report['equidimensional']}",
             f"cm {report['cm']}  km_vd {report['km_vd']}",
         ]
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit(config, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _emit(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def cmd_enumerate(config: CliConfig) -> int:
+def cmd_enumerate(args) -> int:
     table = tabulate(
-        config.n,
-        checks=config.checks,
-        filter_spec=config.filter_spec,
-        jobs=config.jobs,
-        cache_dir=config.cache_dir,
-        field=config.field,
+        args.n,
+        checks=args.checks,
+        filter_spec=args.filter_spec,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        field=args.field,
     )
-    if config.out_format == "json":
-        _emit(config, json.dumps(table.to_json_dict(), sort_keys=True) + "\n")
+    if args.out_format == "json":
+        _emit(args, json.dumps(table.to_json_dict(), sort_keys=True) + "\n")
     else:
-        _emit(config, table.to_csv())
+        _emit(args, table.to_csv())
     return 0
 
 
-def cmd_verify(config: CliConfig) -> int:
-    report = verify_statement(config.statement, config.n, seed=config.seed)
-    if config.out_format == "json":
-        _emit(config, json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
+def cmd_verify(args) -> int:
+    report = verify_statement(args.statement, args.n, seed=args.seed)
+    if args.out_format == "json":
+        _emit(args, json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
     else:
         status = "PASS" if report.passed else "FAIL"
         good = report.cases - len(report.failures)
-        _emit(config, f"{status} {good}/{report.cases}\n")
+        _emit(args, f"{status} {good}/{report.cases}\n")
     return 0 if report.passed else 1
 
 
-def cmd_pattern(config: CliConfig) -> int:
-    target = _load_asm(config.target_path)
-    pattern = _load_asm(config.pattern_path)
+def cmd_pattern(args) -> int:
+    target = _load_asm(args.target_path)
+    pattern = _load_asm(args.pattern_path)
     witness = find_pattern(target, pattern)
     if witness is None:
-        _emit(config, json.dumps({"contains": False}) + "\n")
+        _emit(args, json.dumps({"contains": False}) + "\n")
         return 1
     cr = check_containment_constraints(target, pattern, witness)
     out = {
@@ -156,13 +137,13 @@ def cmd_pattern(config: CliConfig) -> int:
         "entry_sum": cr.entry_sum,
         "constraints_ok": cr.ok,
     }
-    _emit(config, json.dumps(out, sort_keys=True) + "\n")
+    _emit(args, json.dumps(out, sort_keys=True) + "\n")
     return 0
 
 
-def cmd_diagram(config: CliConfig) -> int:
-    A = _load_asm(config.input_path)
-    _emit(config, ascii_diagram(A) + "\n")
+def cmd_diagram(args) -> int:
+    A = _load_asm(args.input_path)
+    _emit(args, ascii_diagram(A) + "\n")
     return 0
 
 
@@ -222,18 +203,17 @@ _COMMANDS = {
 }
 
 
-def config_from_args(args) -> CliConfig:
-    config = CliConfig(command=args.command)
-    for name in vars(config):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
+def parse_args(argv=None):
+    """The command line as argparse reads it, with --field parsed, --checks
+    split into names and --cache falling back to $ASMLAB_CACHE."""
+    args = build_parser().parse_args(argv)
     if hasattr(args, "field"):
-        config.field = parse_field(args.field)
-    if getattr(args, "checks", None):
-        config.checks = tuple(c for c in args.checks.split(",") if c)
-    if config.cache_dir is None:
-        config.cache_dir = os.environ.get("ASMLAB_CACHE") or None
-    return config
+        args.field = parse_field(args.field)
+    if hasattr(args, "checks"):
+        args.checks = tuple(c for c in args.checks.split(",") if c)
+        if args.cache_dir is None:
+            args.cache_dir = os.environ.get("ASMLAB_CACHE") or None
+    return args
 
 
 def report_errors(run) -> int:
@@ -253,8 +233,8 @@ def report_errors(run) -> int:
 
 def main(argv=None) -> int:
     def run():
-        args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](config_from_args(args))
+        args = parse_args(argv)
+        return _COMMANDS[args.command](args)
 
     return report_errors(run)
 

@@ -16,9 +16,11 @@ import io
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import islice
+from itertools import combinations, islice
+from math import fsum
 
 from .asm import (
     Asm,
@@ -82,41 +84,18 @@ CENSUS_COLUMNS = (
 # -- the stream ----------------------------------------------------------------
 
 
-def _extensions(prev: tuple[int, ...], n: int):
-    """One-position tuples of length len(prev)+1 interlacing prev, in
-    lexicographic order."""
-    k = len(prev)
-    out: list[tuple[int, ...]] = []
-
-    def rec(acc: list[int], idx: int):
-        if idx == k + 1:
-            out.append(tuple(acc))
-            return
-        lo = max(prev[idx - 1] if idx > 0 else 1, acc[-1] + 1 if acc else 1)
-        hi = prev[idx] if idx < k else n
-        for m in range(lo, hi + 1):
-            acc.append(m)
-            rec(acc, idx + 1)
-            acc.pop()
-
-    rec([], 0)
-    return out
-
-
 @lru_cache(maxsize=STREAM_MEMO_SIZE)
 def _next_rows(prev: tuple[int, ...], n: int) -> tuple:
     """(positions, row) for each extension of the one-positions prev, in
     lexicographic order: the ASM row is the 0/1 vector of the positions
-    minus that of prev."""
-    out = []
-    for ext in _extensions(prev, n):
-        row = [0] * n
-        for j in ext:
-            row[j - 1] += 1
-        for j in prev:
-            row[j - 1] -= 1
-        out.append((ext, tuple(row)))
-    return tuple(out)
+    minus that of prev.  An extension interlaces prev when each prev[i]
+    lies in [ext[i], ext[i + 1]]; combinations yields in lexicographic order."""
+    grid = range(1, n + 1)
+    return tuple(
+        (ext, tuple((j in ext) - (j in prev) for j in grid))
+        for ext in combinations(grid, len(prev) + 1)
+        if all(a <= p <= b for a, p, b in zip(ext, prev, ext[1:]))
+    )
 
 
 def enumerate_asms(n: int):
@@ -323,6 +302,8 @@ def tabulate(
     subdirectory of cache_dir, each written as soon as its shard finishes,
     so interrupted runs resume, and warm reruns recompute nothing and do
     not stream.  A shard file ends with the trailer {"records": <count>}.
+    Each shard's records are counted as they are read or computed, then
+    dropped, so memory does not grow with n.
     """
     checks = tuple(sorted(_known_checks(checks)))
     if not (1 <= n <= MAX_STREAM_N):
@@ -360,18 +341,41 @@ def tabulate(
         keyed = all(isinstance(d, dict) and _COUNTED_KEYS <= d.keys() for d in records)
         return records if whole and keyed else None
 
-    results = {start: cached(start) for start in starts}
+    tally = Counter()
+    subtotals = []  # the analysis time of each shard
+
+    def count(records):
+        """Fold one shard's records, as stored, into the running counts: no
+        report or matrix is rebuilt, and no record is kept."""
+        subtotals.append(fsum(t for d in records for _, t in d["timings"]))
+        tally["total"] += len(records)
+        for d in records:
+            # the headline KM-vd count is CM complexes missed by the
+            # fixed-order test
+            miss = not d["km_vd"] and (d["cm"] if "cm" in checks else True)
+            tally["cm"] += bool(d["cm"])
+            tally["km_vd_fail"] += miss
+            tally["km_vd_fail_a11"] += miss and d["a11_is_one"]
+            tally["equidim"] += bool(d["equidimensional"])
+
+    missing = set()
+    for start in starts:
+        records = cached(start)
+        if records is None:
+            missing.add(start)
+        else:
+            count(records)
 
     def missing_shards():
         stream = enumerate_asms(n)
         for start in starts:
             asms = list(islice(stream, SHARD_SIZE))
-            if results[start] is None:
+            if start in missing:
                 yield start, [A for A in asms if keep(A)], checks, field
 
     def store(computed):
         for start, reports in computed:
-            results[start] = reports
+            count(reports)
             if key_dir is not None:
                 tmp = shard_path(start).with_suffix(".tmp")
                 lines = [*reports, {"records": len(reports)}]
@@ -379,41 +383,30 @@ def tabulate(
                 tmp.replace(shard_path(start))
 
     # no more workers than missing shards; a lone shard runs in this process
-    workers = min(jobs, sum(r is None for r in results.values()))
+    workers = min(jobs, len(missing))
     if workers > 1:
         from multiprocessing import Pool
 
         with Pool(workers) as pool:
             store(pool.imap_unordered(_shard_worker, missing_shards()))
-    elif None in results.values():
+    elif missing:
         store(map(_shard_worker, missing_shards()))
 
-    # the records are counted as stored: no report or matrix is rebuilt
-    records = [d for start in starts for d in results[start]]
-    total = len(records)
-    runtime = round(sum(t for d in records for _, t in d["timings"]), 3)
-    cm_count = not_cm = km_fail = km_fail_a11 = equidim = None
-    if "cm" in checks:
-        cm_count = sum(1 for d in records if d["cm"])
-        not_cm = total - cm_count
-    if "km_vd" in checks:
-        # the headline count is CM complexes missed by the fixed-order test
-        def misses(d):
-            return not d["km_vd"] and (d["cm"] if "cm" in checks else True)
+    tally["not_cm"] = tally["total"] - tally["cm"]
 
-        km_fail = sum(1 for d in records if misses(d))
-        km_fail_a11 = sum(1 for d in records if misses(d) and d["a11_is_one"])
-    if "equidim" in checks:
-        equidim = sum(1 for d in records if d["equidimensional"])
+    def column(name, check):
+        return tally[name] if check in checks else None
+
     return CensusTable(
         n=n,
-        total=total,
-        cm=cm_count,
-        not_cm=not_cm,
-        km_vd_fail=km_fail,
-        km_vd_fail_a11=km_fail_a11,
-        equidim=equidim,
-        runtime_s=runtime,
+        total=tally["total"],
+        cm=column("cm", "cm"),
+        not_cm=column("not_cm", "cm"),
+        km_vd_fail=column("km_vd_fail", "km_vd"),
+        km_vd_fail_a11=column("km_vd_fail_a11", "km_vd"),
+        equidim=column("equidim", "equidim"),
+        # fsum is correctly rounded: the order the shards finish in is moot
+        runtime_s=round(fsum(subtotals), 3),
     )
 
 

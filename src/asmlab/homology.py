@@ -192,18 +192,12 @@ class HomologyProfile:
         return 0
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _reduced_betti(facets: frozenset, p: int) -> tuple[int, ...]:
     cc = chain_complex(facets)
-    ranks = [sparse_rank(b, p) for b in cc.boundaries]
-    ranks.append(0)
-    betti = []
-    for idx, count in enumerate(cc.dims):
-        # idx 0 corresponds to dimension -1; boundary into it is ranks[idx-1]
-        incoming = ranks[idx] if idx < len(cc.boundaries) + 1 else 0
-        outgoing = ranks[idx - 1] if idx >= 1 else 0
-        betti.append(count - outgoing - incoming)
-    return tuple(betti)
+    # dims[i] counts the faces of dimension i - 1, and boundaries[i] maps
+    # dimension i to i - 1, so ranks[i] and ranks[i + 1] leave and enter dims[i]
+    ranks = [0, *(sparse_rank(b, p) for b in cc.boundaries), 0]
+    return tuple(count - ranks[i] - ranks[i + 1] for i, count in enumerate(cc.dims))
 
 
 def reduced_homology_ranks(delta, field="rational") -> HomologyProfile:

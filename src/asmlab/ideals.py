@@ -216,7 +216,7 @@ def _rank_condition_ideal(A: Asm, where) -> SquarefreeIdeal:
     )
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=2**10)  # per ASM, as rank_matrix
 def init_ideal(A: Asm) -> SquarefreeIdeal:
     """Antidiagonal initial ideal from the Fulton generators, which live at
     the essential set."""

@@ -1,9 +1,12 @@
 import json
 import multiprocessing
+import os
 import random
 import sys
-from itertools import permutations
-from math import factorial
+import tracemalloc
+from dataclasses import astuple
+from itertools import combinations, permutations
+from math import factorial, fsum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -349,6 +352,84 @@ class TestShardValidation:
         assert records(shard) == before
 
 
+def recount(key_dir, checks):
+    """The census columns (runtime_s aside) counted afresh from the stored
+    shard files, and the seconds they record."""
+    rows = [
+        json.loads(line)
+        for path in sorted(key_dir.glob("shard_*.jsonl"))
+        for line in path.read_text().splitlines()[:-1]
+    ]
+    cm = sum(d["cm"] is True for d in rows) if "cm" in checks else None
+    if "km_vd" in checks:
+        missed = [d for d in rows if d["km_vd"] is False and d["cm"] is not False]
+        km = (len(missed), sum(d["a11_is_one"] for d in missed))
+    else:
+        km = (None, None)
+    equidim = sum(d["equidimensional"] is True for d in rows) if "equidim" in checks else None
+    seconds = fsum(t for d in rows for _, t in d["timings"])
+    not_cm = None if cm is None else len(rows) - cm
+    return (5, len(rows), cm, not_cm, *km, equidim), seconds
+
+
+CHECK_SETS = [c for k in range(5) for c in combinations(enumeration_mod.ALL_CHECKS, k)]
+
+
+class TestFold:
+    """tabulate folds each shard into running counts as it is read or
+    computed, and keeps no record table."""
+
+    @pytest.mark.parametrize(
+        "checks, filter_spec, field",
+        [(c, None, "rational") for c in CHECK_SETS]
+        + [(c, "a11=1", "rational") for c in CHECK_SETS]
+        + [(c, None, 2) for c in CHECK_SETS if "cm" in c],
+    )
+    def test_counts_equal_a_recount_of_the_shards(self, tmp_path, checks, filter_spec, field):
+        def census():
+            return tabulate(
+                5, checks=checks, filter_spec=filter_spec, cache_dir=tmp_path, field=field
+            )
+
+        cold = census()
+        key_dir = tmp_path / _cache_key(5, checks, field, filter_spec)
+        paths = sorted(key_dir.glob("shard_*.jsonl"))
+        assert len(paths) == 4
+        for path in paths[1::2]:
+            path.unlink()
+        mixed = census()
+        columns, seconds = recount(key_dir, checks)
+        assert astuple(cold)[:-1] == astuple(mixed)[:-1] == columns
+        assert mixed.runtime_s == pytest.approx(seconds, abs=1e-3)
+
+    def test_warm_memory_does_not_grow_with_n(self, tmp_path):
+        checks = ("codim", "equidim")
+        peaks = {}
+        for n in (5, 6):
+            tabulate(n, checks=checks, cache_dir=tmp_path)
+            tabulate(n, checks=checks, cache_dir=tmp_path)
+            tracemalloc.start()
+            try:
+                tabulate(n, checks=checks, cache_dir=tmp_path)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # ASM(6) has 17 times the records of ASM(5)
+        assert peaks[6] < 2 * peaks[5]
+
+    def test_warm_rerun_equals_a_cold_pool_run(self, tmp_path):
+        cold = tabulate(5, checks=CODIM, jobs=2, cache_dir=tmp_path).to_csv()
+        assert tabulate(5, checks=CODIM, jobs=2, cache_dir=tmp_path).to_csv() == cold
+
+    @pytest.mark.skipif(
+        os.environ.get("ASMLAB_STRETCH") != "1",
+        reason="all of ASM(7); set ASMLAB_STRETCH=1 to run",
+    )
+    def test_n7_codim_equidim_census(self, tmp_path):
+        t = tabulate(7, checks=("codim", "equidim"), cache_dir=tmp_path)
+        assert (t.total, t.equidim) == (218348, 71382)
+
+
 def calls_through(monkeypatch, fn):
     """Count calls of fn through every asmlab module that binds its name."""
     calls = []
@@ -503,7 +584,8 @@ class TestPairMemo:
     def test_bound(self):
         """The memos an analysis fills are bounded: rank_matrix keeps 2**10
         of the 7436 matrices of ASM(6), and pipe_dreams one entry per
-        permutation, at most all of S_7."""
+        permutation, at most all of S_7.  init_ideal, which the sweeps call,
+        keeps 2**10 ASMs too."""
         for A in ASMS_UPTO_6[6]:
             analyze_asm(A, ("codim",))
         assert rank_matrix.cache_info().currsize == rank_matrix.cache_info().maxsize == 2**10
@@ -511,6 +593,7 @@ class TestPairMemo:
         for A in ASMS_UPTO_6[5]:
             analyze_asm(A, ("cm",))
         assert pipe_dreams.cache_info().currsize <= sum(map(factorial, range(1, 8)))
+        assert init_ideal.cache_info().maxsize == 2**10
 
 
 class TestVerifyStatement:
