@@ -14,13 +14,14 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import combinations, islice
-from math import fsum
+from math import fsum, inf
 
 from .asm import (
     Asm,
@@ -45,7 +46,7 @@ from .errors import (
     UnknownCheckError,
     UnknownStatementError,
 )
-from .homology import _all_faces, cascade_is_cm, characteristic, is_cohen_macaulay
+from .homology import _all_faces, cascade_is_cm, characteristic, is_cohen_macaulay, parse_field
 from .ideals import (
     SquarefreeIdeal,
     cells,
@@ -60,9 +61,9 @@ from .ideals import (
 
 ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 # Part of every census cache key.  Bump it whenever an algorithm behind a
-# cached answer or the record schema changes, so that no cache written by
+# cached answer or the shard format changes, so that no cache written by
 # older code is ever served.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 MAX_STREAM_N = 8
 # One entry per one-position tuple of a partial column-sum row: 2**n - 1
 # for ASM(n), 502 over every streamable n.
@@ -132,31 +133,6 @@ class AnalysisReport:
     a11_is_one: bool = False
     timings: tuple = ()  # tuple[(stage, seconds), ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "matrix": [list(r) for r in self.asm.entries],
-            "codim": self.codim,
-            "perm_count": self.perm_count,
-            "equidimensional": self.equidimensional,
-            "cm": self.cm,
-            "km_vd": self.km_vd,
-            "a11_is_one": self.a11_is_one,
-            "timings": [[stage, t] for stage, t in self.timings],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "AnalysisReport":
-        return cls(
-            asm=Asm(tuple(tuple(r) for r in d["matrix"])),
-            codim=d["codim"],
-            perm_count=d["perm_count"],
-            equidimensional=d["equidimensional"],
-            cm=d["cm"],
-            km_vd=d["km_vd"],
-            a11_is_one=d["a11_is_one"],
-            timings=tuple((s, t) for s, t in d["timings"]),
-        )
-
 
 def _known_checks(checks) -> frozenset:
     """The check names as a set, rejecting any not in ALL_CHECKS."""
@@ -193,7 +169,7 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
         codim = ps.codim if "codim" in checks else None
         perm_count = len(ps.perms)
         equidim = ps.equidimensional if "equidim" in checks else None
-        lap("primes")  # the stage name stored records carry
+        lap("primes")
     if checks & {"cm", "km_vd"}:
         facets = asm_complex(ps).facets
         if "cm" in checks:
@@ -259,10 +235,8 @@ _FILTERS = {
     "a11=1": lambda A: A.a11_is_one,
 }
 
-
-# the record keys the census count reads; a cached record without one of
-# them is not served
-_COUNTED_KEYS = {"cm", "km_vd", "a11_is_one", "equidimensional", "timings"}
+# the counts a shard file holds besides its total and its seconds
+_SHARD_COUNTS = ("cm", "equidim", "km_vd_fail", "km_vd_fail_a11")
 
 
 def _cache_key(n: int, checks, field, filter_spec) -> str:
@@ -280,10 +254,25 @@ def _cache_key(n: int, checks, field, filter_spec) -> str:
 
 
 def _shard_worker(args):
+    """Analyse one shard's ASMs.  Returns the shard's start and its census
+    counts with the seconds its analyses took, the object its file holds."""
     start, asms, checks, field = args
-    return start, [
-        analyze_asm(A, checks=checks, field=field).to_json_dict() for A in asms
-    ]
+    counts = Counter()
+    seconds = []
+    for A in asms:
+        r = analyze_asm(A, checks=checks, field=field)
+        # the headline KM-vd count is CM complexes missed by the fixed-order
+        # test
+        miss = not r.km_vd and (r.cm if "cm" in checks else True)
+        counts.update(
+            cm=bool(r.cm),
+            equidim=bool(r.equidimensional),
+            km_vd_fail=miss,
+            km_vd_fail_a11=miss and r.a11_is_one,
+        )
+        seconds.extend(t for _, t in r.timings)
+    shard = {k: counts[k] for k in _SHARD_COUNTS}
+    return start, {**shard, "total": len(asms), "seconds": fsum(seconds)}
 
 
 def tabulate(
@@ -296,22 +285,26 @@ def tabulate(
 ) -> CensusTable:
     """Aggregate per-ASM analyses into one census row.
 
-    ASM(n) is streamed once, in this process, and cut into shards of
-    SHARD_SIZE matrices; each shard missing from the cache goes to a worker.
-    Per-shard results are cached as JSON-lines files in a content-addressed
-    subdirectory of cache_dir, each written as soon as its shard finishes,
-    so interrupted runs resume, and warm reruns recompute nothing and do
-    not stream.  A shard file ends with the trailer {"records": <count>}.
-    Each shard's records are counted as they are read or computed, then
-    dropped, so memory does not grow with n.
+    ASM(n) is streamed once, in this process, up to the last shard missing
+    from the cache, and cut into shards of SHARD_SIZE matrices; each missing
+    shard goes to a worker, which returns the shard's census counts.  Each
+    shard's counts are cached as one JSON object in a content-addressed
+    subdirectory of cache_dir, written as soon as its shard finishes, so
+    interrupted runs resume, and warm reruns recompute nothing and do not
+    stream.  The shards' counts are added up as they are read or computed,
+    so memory does not grow with n.  At most min(jobs, os.cpu_count())
+    worker processes run.
     """
     checks = tuple(sorted(_known_checks(checks)))
+    field = parse_field(field)
     if not (1 <= n <= MAX_STREAM_N):
         raise SizeBoundExceededError(f"census size n={n} outside [1, {MAX_STREAM_N}]")
     if ("cm" in checks or "km_vd" in checks) and n > 7:
         raise SizeBoundExceededError(f"cm/km_vd censuses are limited to n <= 7")
     if filter_spec not in _FILTERS:
         raise AsmlabError(f"unknown filter {filter_spec!r}")
+    if jobs < 1:
+        raise AsmlabError(f"jobs must be at least 1, got {jobs}")
     keep = _FILTERS[filter_spec]
     starts = range(0, ASM_COUNTS[n - 1], SHARD_SIZE)
     key_dir = None
@@ -325,65 +318,63 @@ def tabulate(
         return key_dir / f"shard_{start:08d}.jsonl"
 
     def cached(start):
-        """The shard's stored records, or None when it is to be computed: no
-        file, a line that is not JSON, a last line that is not the trailer
-        counting the records before it, or a record without a key the count
-        reads."""
+        """The shard's stored counts, or None when it is to be computed: no
+        file, no JSON object with exactly the shard's keys, a total above
+        SHARD_SIZE, a count that is not an int in [0, total], or seconds
+        that are not a finite float >= 0."""
         if key_dir is None or not shard_path(start).exists():
             return None
         try:
-            *records, trailer = [
-                json.loads(s) for s in shard_path(start).read_text().splitlines()
-            ] or [None]
+            shard = json.loads(shard_path(start).read_text())
         except ValueError:  # JSONDecodeError, UnicodeDecodeError
             return None
-        whole = isinstance(trailer, dict) and trailer.get("records") == len(records)
-        keyed = all(isinstance(d, dict) and _COUNTED_KEYS <= d.keys() for d in records)
-        return records if whole and keyed else None
+
+        def within(v, top):
+            return type(v) is int and 0 <= v <= top
+
+        valid = (
+            isinstance(shard, dict)
+            and shard.keys() == {"total", "seconds", *_SHARD_COUNTS}
+            and within(shard["total"], SHARD_SIZE)
+            and all(within(shard[k], shard["total"]) for k in _SHARD_COUNTS)
+            and type(shard["seconds"]) is float
+            and 0 <= shard["seconds"] < inf
+        )
+        return shard if valid else None
 
     tally = Counter()
-    subtotals = []  # the analysis time of each shard
+    subtotals = []  # the analysis seconds of each shard
 
-    def count(records):
-        """Fold one shard's records, as stored, into the running counts: no
-        report or matrix is rebuilt, and no record is kept."""
-        subtotals.append(fsum(t for d in records for _, t in d["timings"]))
-        tally["total"] += len(records)
-        for d in records:
-            # the headline KM-vd count is CM complexes missed by the
-            # fixed-order test
-            miss = not d["km_vd"] and (d["cm"] if "cm" in checks else True)
-            tally["cm"] += bool(d["cm"])
-            tally["km_vd_fail"] += miss
-            tally["km_vd_fail_a11"] += miss and d["a11_is_one"]
-            tally["equidim"] += bool(d["equidimensional"])
+    def count(shard):
+        tally.update({k: shard[k] for k in ("total", *_SHARD_COUNTS)})
+        subtotals.append(shard["seconds"])
 
     missing = set()
     for start in starts:
-        records = cached(start)
-        if records is None:
+        shard = cached(start)
+        if shard is None:
             missing.add(start)
         else:
-            count(records)
+            count(shard)
 
     def missing_shards():
         stream = enumerate_asms(n)
-        for start in starts:
+        for start in range(0, max(missing) + 1, SHARD_SIZE):
             asms = list(islice(stream, SHARD_SIZE))
             if start in missing:
                 yield start, [A for A in asms if keep(A)], checks, field
 
     def store(computed):
-        for start, reports in computed:
-            count(reports)
+        for start, shard in computed:
+            count(shard)
             if key_dir is not None:
                 tmp = shard_path(start).with_suffix(".tmp")
-                lines = [*reports, {"records": len(reports)}]
-                tmp.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in lines))
+                tmp.write_text(json.dumps(shard, sort_keys=True) + "\n")
                 tmp.replace(shard_path(start))
 
-    # no more workers than missing shards; a lone shard runs in this process
-    workers = min(jobs, len(missing))
+    # no more workers than cores or missing shards; a lone shard runs in
+    # this process
+    workers = min(jobs, len(missing), os.cpu_count() or 1)
     if workers > 1:
         from multiprocessing import Pool
 

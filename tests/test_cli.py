@@ -161,6 +161,13 @@ class TestEnumerate:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "unknown-check"
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, capsys, jobs):
+        assert main(["enumerate", "-n", "3", "--checks", "codim", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "error"
+
 
 class TestUsageErrors:
     """A command line argparse rejects exits 2 with one JSON error line."""
@@ -225,6 +232,7 @@ class TestRunCensus:
             ("--field", "p=4", "invalid-field"),
             ("--checks", "bogus", "unknown-check"),
             ("--filter", "nope", "error"),
+            ("--jobs", "0", "error"),
         ],
     )
     def test_asmlab_error_exits_2(self, monkeypatch, capsys, flag, value, code):

@@ -4,7 +4,7 @@ import os
 import random
 import sys
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from itertools import combinations, permutations
 from math import factorial, fsum
 
@@ -37,6 +37,8 @@ from asmlab.complexes import asm_complex
 from asmlab.homology import cascade_is_cm
 from asmlab.ideals import cells, mask, pipe_dreams
 from asmlab.errors import (
+    AsmlabError,
+    InvalidFieldError,
     SizeBoundExceededError,
     UnknownCheckError,
     UnknownStatementError,
@@ -125,11 +127,6 @@ class TestAnalyze:
             assert r.perm_count >= 1
             assert r.a11_is_one == (A[(1, 1)] == 1)
 
-    def test_json_round_trip(self, b4):
-        r = analyze_asm(b4)
-        r2 = AnalysisReport.from_json_dict(json.loads(json.dumps(r.to_json_dict())))
-        assert r2.asm == b4 and r2.cm == r.cm and r2.codim == r.codim
-
     def test_partial_checks(self, b4):
         r = analyze_asm(b4, checks=("codim",))
         assert r.codim == 3 and r.cm is None and r.km_vd is None
@@ -153,27 +150,39 @@ class TestTabulate:
 
     @pytest.mark.parametrize("n, jobs, pools", [(4, 4, []), (5, 8, [4])])
     def test_pool_no_larger_than_the_missing_shards(self, monkeypatch, n, jobs, pools):
-        sizes = []
-
-        class RecordingPool:
-            """Records the worker count asked for and runs in this process."""
-
-            def __init__(self, processes=None):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap_unordered(self, func, iterable):
-                return map(func, iterable)
-
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        sizes = record_pools(monkeypatch, cores=64)
         t = tabulate(n, checks=CODIM, jobs=jobs)
         assert sizes == pools
         assert t.total == ASM_COUNTS[n - 1]
+
+    @pytest.mark.parametrize("jobs, cores, pools", [(5000, 3, [3]), (8, 2, [2]), (4, 1, [])])
+    def test_pool_no_larger_than_the_cores(self, monkeypatch, jobs, cores, pools):
+        # ASM(5) has 4 shards; one core runs them all in this process
+        sizes = record_pools(monkeypatch, cores=cores)
+        t = tabulate(5, checks=CODIM, jobs=jobs)
+        assert sizes == pools
+        assert t.total == ASM_COUNTS[4]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected_before_any_shard(self, monkeypatch, tmp_path, jobs):
+        sizes = record_pools(monkeypatch, cores=64)
+        with pytest.raises(AsmlabError, match="jobs"):
+            tabulate(4, checks=CODIM, jobs=jobs, cache_dir=tmp_path)
+        assert sizes == [] and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("spellings", [("rational", 0, None), (3, "p=3")])
+    def test_field_spellings_share_one_cache(self, tmp_path, spellings):
+        rows = {
+            tabulate(4, checks=("cm",), field=f, cache_dir=tmp_path).row()[:-1]
+            for f in spellings
+        }
+        assert len(rows) == 1 and len(list(tmp_path.iterdir())) == 1
+
+    @pytest.mark.parametrize("field", [4, "p=4", 1, "p=x", "GF(2)"])
+    def test_bad_field_rejected_before_any_shard(self, tmp_path, field):
+        with pytest.raises(InvalidFieldError):
+            tabulate(4, checks=CODIM, field=field, cache_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_filter(self):
         t = tabulate(4, filter_spec="a11=1")
@@ -202,10 +211,11 @@ class TestTabulate:
     def test_warm_pass_rebuilds_no_report(self, tmp_path, monkeypatch):
         cold = tabulate(4, cache_dir=tmp_path).to_csv()
 
-        def boom(d):
-            raise AssertionError("the census counts records, not reports")
+        def boom(*args, **kwargs):
+            raise AssertionError("a warm census adds up stored counts")
 
-        monkeypatch.setattr(AnalysisReport, "from_json_dict", boom)
+        monkeypatch.setattr(enumeration_mod, "analyze_asm", boom)
+        monkeypatch.setattr(enumeration_mod, "enumerate_asms", boom)
         assert tabulate(4, cache_dir=tmp_path).to_csv() == cold
 
     def test_cache_of_another_version_not_served(self, tmp_path, monkeypatch):
@@ -215,10 +225,7 @@ class TestTabulate:
         (old,) = tmp_path.iterdir()
         shard = old / "shard_00000000.jsonl"
         # an older code's wrong answers: every ASM(4) not CM
-        lines = shard.read_text().splitlines()
-        shard.write_text("".join(
-            json.dumps({**json.loads(line), "cm": False}) + "\n" for line in lines
-        ))
+        shard.write_text(json.dumps({**json.loads(shard.read_text()), "cm": 0}))
         assert tabulate(4, checks=("cm",), cache_dir=tmp_path).not_cm == 42
         monkeypatch.setattr(enumeration_mod, "CACHE_VERSION", version)
         assert tabulate(4, checks=("cm",), cache_dir=tmp_path).cm == 39
@@ -245,10 +252,34 @@ def shard_dir(cache_dir, n):
     return cache_dir / _cache_key(n, CODIM, "rational", None)
 
 
-def records(path):
-    """A shard file's records without their timings."""
-    lines = path.read_text().splitlines()
-    return [{**json.loads(line), "timings": None} for line in lines]
+def stored(path):
+    """A shard file's counts without its seconds."""
+    shard = json.loads(path.read_text())
+    del shard["seconds"]
+    return shard
+
+
+def record_pools(monkeypatch, cores):
+    """Make os.cpu_count() report `cores` and multiprocessing.Pool a pool
+    that runs in this process; returns the worker counts asked for."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes=None):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, func, iterable):
+            return map(func, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    return sizes
 
 
 class TestCensusStream:
@@ -271,6 +302,15 @@ class TestCensusStream:
         pulled.clear()
         warm = tabulate(5, checks=CODIM, cache_dir=tmp_path)
         assert pulled == [] and warm == cold
+
+    @pytest.mark.parametrize("lost, pulls", [(0, SHARD_SIZE), (1, 2 * SHARD_SIZE)])
+    def test_stream_stops_after_the_last_missing_shard(self, tmp_path, monkeypatch, lost, pulls):
+        cold = tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        pulled = self.count_pulls(monkeypatch)
+        sorted(shard_dir(tmp_path, 5).glob("*.jsonl"))[lost].unlink()
+        rerun = tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        assert len(pulled) == pulls
+        assert rerun.row()[:-1] == cold.row()[:-1]
 
     def test_interrupted_run_resumes(self, tmp_path, monkeypatch):
         analyze = enumeration_mod.analyze_asm
@@ -304,7 +344,7 @@ class TestCensusStream:
         paths = sorted(shard_dir(tmp_path, 5).glob("*.jsonl"))
         assert len(paths) == 4
         middle = paths[2]
-        before = records(middle)
+        before = stored(middle)
 
         def stamps():
             kept = [p.stat() for p in paths if p != middle]
@@ -314,70 +354,127 @@ class TestCensusStream:
         middle.unlink()
         tabulate(5, checks=CODIM, cache_dir=tmp_path, jobs=jobs)
         assert stamps() == kept
-        assert records(middle) == before
+        assert stored(middle) == before
+
+
+def cut(text, shard):
+    return text[: len(text) // 2]
+
+
+def without(key):
+    def damage(text, shard):
+        del shard[key]
+        return json.dumps(shard)
+
+    return damage
+
+
+def setting(key, value):
+    def damage(text, shard):
+        return json.dumps({**shard, key: value(shard) if callable(value) else value})
+
+    return damage
+
+
+DAMAGES = {
+    "truncated": cut,
+    "not-json": lambda text, shard: "total=42 cm=39\n",
+    "not-utf8": lambda text, shard: b"\xff\xfe".decode("latin-1"),
+    "not-an-object": lambda text, shard: json.dumps(list(shard.values())),
+    "missing-key": without("equidim"),
+    "extra-key": setting("matrix", [[1]]),
+    "float-count": setting("cm", lambda d: float(d["cm"])),
+    "bool-count": setting("km_vd_fail_a11", True),
+    "text-count": setting("equidim", "39"),
+    "negative-count": setting("km_vd_fail", -1),
+    "count-above-total": setting("cm", lambda d: d["total"] + 1),
+    "total-above-shard-size": setting("total", SHARD_SIZE + 1),
+    "text-seconds": setting("seconds", "0.01"),
+    "negative-seconds": setting("seconds", -0.5),
+    "nan-seconds": setting("seconds", float("nan")),
+    "infinite-seconds": setting("seconds", float("inf")),
+}
 
 
 class TestShardValidation:
     """A damaged shard is recomputed and rewritten, never served."""
 
-    @pytest.mark.parametrize("damage", ["truncated", "not-json", "missing-key"])
+    @pytest.mark.parametrize("damage", list(DAMAGES))
     def test_damaged_shard_recomputed(self, tmp_path, damage):
         checks = ("codim", "equidim")
         cold = tabulate(4, checks=checks, cache_dir=tmp_path)
         (shard,) = (tmp_path / _cache_key(4, checks, "rational", None)).iterdir()
-        before = records(shard)
-        lines = shard.read_text().splitlines()
-        if damage == "truncated":
-            lines = lines[:1]
-        elif damage == "not-json":
-            lines[5] = lines[5][:-1]
-        else:
-            record = json.loads(lines[5])
-            del record["equidimensional"]
-            lines[5] = json.dumps(record)
-        shard.write_text("".join(line + "\n" for line in lines))
+        before = stored(shard)
+        text = shard.read_text()
+        damaged = DAMAGES[damage](text, json.loads(text))
+        shard.write_text(damaged, encoding="latin-1")
         warm = tabulate(4, checks=checks, cache_dir=tmp_path)
         assert warm.row()[:-1] == cold.row()[:-1] and warm.total == 42
-        assert records(shard) == before
+        assert shard.read_text(encoding="latin-1") != damaged
+        assert stored(shard) == before
 
     def test_truncated_filtered_shard_recomputed(self, tmp_path):
         checks = ("codim", "equidim")
         cold = tabulate(4, checks=checks, filter_spec="a11=1", cache_dir=tmp_path)
         assert cold.total == 7
         (shard,) = (tmp_path / _cache_key(4, checks, "rational", "a11=1")).iterdir()
-        before = records(shard)
-        shard.write_text(shard.read_text().splitlines()[0] + "\n")
+        before = stored(shard)
+        shard.write_text(shard.read_text()[:20])
         warm = tabulate(4, checks=checks, filter_spec="a11=1", cache_dir=tmp_path)
         assert warm.row()[:-1] == cold.row()[:-1]
-        assert records(shard) == before
-
-
-def recount(key_dir, checks):
-    """The census columns (runtime_s aside) counted afresh from the stored
-    shard files, and the seconds they record."""
-    rows = [
-        json.loads(line)
-        for path in sorted(key_dir.glob("shard_*.jsonl"))
-        for line in path.read_text().splitlines()[:-1]
-    ]
-    cm = sum(d["cm"] is True for d in rows) if "cm" in checks else None
-    if "km_vd" in checks:
-        missed = [d for d in rows if d["km_vd"] is False and d["cm"] is not False]
-        km = (len(missed), sum(d["a11_is_one"] for d in missed))
-    else:
-        km = (None, None)
-    equidim = sum(d["equidimensional"] is True for d in rows) if "equidim" in checks else None
-    seconds = fsum(t for d in rows for _, t in d["timings"])
-    not_cm = None if cm is None else len(rows) - cm
-    return (5, len(rows), cm, not_cm, *km, equidim), seconds
+        assert stored(shard) == before
 
 
 CHECK_SETS = [c for k in range(5) for c in combinations(enumeration_mod.ALL_CHECKS, k)]
 
 
+def oracle(checks, filter_spec, field):
+    """The counts of each shard of ASM(5), tallied from analyze_asm over the
+    stream with no shard, worker or cache: a dict of the columns its checks
+    give, keyed by the names a shard file uses."""
+    keep = {None: lambda A: True, "a11=1": lambda A: A[(1, 1)] == 1}[filter_spec]
+    asms = list(enumerate_asms(5))
+    shards = []
+    for start in range(0, len(asms), SHARD_SIZE):
+        reports = [
+            analyze_asm(A, checks, field) for A in asms[start : start + SHARD_SIZE] if keep(A)
+        ]
+        counts = {"total": len(reports)}
+        if "cm" in checks:
+            counts["cm"] = sum(r.cm is True for r in reports)
+        if "equidim" in checks:
+            counts["equidim"] = sum(r.equidimensional is True for r in reports)
+        if "km_vd" in checks:
+            # CM complexes (every complex, without the cm check) that the
+            # fixed-order test misses
+            missed = [r for r in reports if r.km_vd is False and r.cm is not False]
+            counts["km_vd_fail"] = len(missed)
+            counts["km_vd_fail_a11"] = sum(r.a11_is_one for r in missed)
+        shards.append(counts)
+    return shards
+
+
+def census_row(shards, checks):
+    """The census columns, runtime_s aside, of the oracle's shard counts."""
+
+    def column(key, check):
+        return sum(d[key] for d in shards) if check in checks else None
+
+    total, cm = sum(d["total"] for d in shards), column("cm", "cm")
+    return (
+        5,
+        total,
+        cm,
+        None if cm is None else total - cm,
+        column("km_vd_fail", "km_vd"),
+        column("km_vd_fail_a11", "km_vd"),
+        column("equidim", "equidim"),
+    )
+
+
 class TestFold:
-    """tabulate folds each shard into running counts as it is read or
-    computed, and keeps no record table."""
+    """tabulate adds up the counts each shard stores or its worker returns,
+    and keeps no record table."""
 
     @pytest.mark.parametrize(
         "checks, filter_spec, field",
@@ -386,21 +483,27 @@ class TestFold:
         + [(c, None, 2) for c in CHECK_SETS if "cm" in c],
     )
     def test_counts_equal_a_recount_of_the_shards(self, tmp_path, checks, filter_spec, field):
-        def census():
+        """Cold, mixed-cache and uncached censuses against the oracle's
+        recount of each shard's ASMs; every stored shard against its own
+        recount."""
+
+        def census(cache_dir):
             return tabulate(
-                5, checks=checks, filter_spec=filter_spec, cache_dir=tmp_path, field=field
+                5, checks=checks, filter_spec=filter_spec, cache_dir=cache_dir, field=field
             )
 
-        cold = census()
+        shards = oracle(checks, filter_spec, field)
+        cold = census(tmp_path)
         key_dir = tmp_path / _cache_key(5, checks, field, filter_spec)
         paths = sorted(key_dir.glob("shard_*.jsonl"))
-        assert len(paths) == 4
+        assert [{k: stored(p)[k] for k in d} for p, d in zip(paths, shards)] == shards
         for path in paths[1::2]:
             path.unlink()
-        mixed = census()
-        columns, seconds = recount(key_dir, checks)
-        assert astuple(cold)[:-1] == astuple(mixed)[:-1] == columns
-        assert mixed.runtime_s == pytest.approx(seconds, abs=1e-3)
+        mixed = census(tmp_path)
+        row = census_row(shards, checks)
+        assert astuple(cold)[:-1] == astuple(mixed)[:-1] == astuple(census(None))[:-1] == row
+        seconds = [json.loads(p.read_text())["seconds"] for p in paths]
+        assert mixed.runtime_s == round(fsum(seconds), 3)
 
     def test_warm_memory_does_not_grow_with_n(self, tmp_path):
         checks = ("codim", "equidim")
@@ -501,12 +604,9 @@ class TestOneDerivation:
                 analyze_asm(A, field=field)
 
 
-def answers(report) -> dict:
-    """A report's JSON with the stage names of its timings but not their
-    seconds."""
-    d = report.to_json_dict()
-    d["timings"] = [stage for stage, _ in d["timings"]]
-    return d
+def answers(report) -> AnalysisReport:
+    """A report with the stage names of its timings but not their seconds."""
+    return replace(report, timings=tuple(stage for stage, _ in report.timings))
 
 
 def fresh(A, checks=enumeration_mod.ALL_CHECKS, field="rational"):
