@@ -264,12 +264,12 @@ def _shard_worker(args):
         # the headline KM-vd count is CM complexes missed by the fixed-order
         # test
         miss = not r.km_vd and (r.cm if "cm" in checks else True)
-        counts.update(
-            cm=bool(r.cm),
-            equidim=bool(r.equidimensional),
-            km_vd_fail=miss,
-            km_vd_fail_a11=miss and r.a11_is_one,
-        )
+        # += on a Counter's 0 gives an int even from a bool; update() on an
+        # empty Counter would store the bools themselves
+        counts["cm"] += bool(r.cm)
+        counts["equidim"] += bool(r.equidimensional)
+        counts["km_vd_fail"] += bool(miss)
+        counts["km_vd_fail_a11"] += bool(miss and r.a11_is_one)
         seconds.extend(t for _, t in r.timings)
     shard = {k: counts[k] for k in _SHARD_COUNTS}
     return start, {**shard, "total": len(asms), "seconds": fsum(seconds)}
@@ -346,7 +346,8 @@ def tabulate(
     subtotals = []  # the analysis seconds of each shard
 
     def count(shard):
-        tally.update({k: shard[k] for k in ("total", *_SHARD_COUNTS)})
+        for k in ("total", *_SHARD_COUNTS):
+            tally[k] += shard[k]
         subtotals.append(shard["seconds"])
 
     missing = set()

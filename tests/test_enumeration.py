@@ -218,6 +218,34 @@ class TestTabulate:
         monkeypatch.setattr(enumeration_mod, "enumerate_asms", boom)
         assert tabulate(4, cache_dir=tmp_path).to_csv() == cold
 
+    @pytest.mark.parametrize(
+        "n, filter_spec, checks, cells",
+        [
+            (1, None, enumeration_mod.ALL_CHECKS, "1,1,1,0,0,0,1"),
+            (1, None, ("km_vd",), "1,1,,,0,0,"),
+            (2, "a11=1", enumeration_mod.ALL_CHECKS, "2,1,1,0,0,0,1"),
+            (2, "a11=1", ("codim", "equidim"), "2,1,,,,,1"),
+        ],
+    )
+    def test_one_asm_shard_counts_are_ints(
+        self, tmp_path, monkeypatch, n, filter_spec, checks, cells
+    ):
+        # a shard of a single ASM once stored its counts as JSON booleans
+        cold = tabulate(n, checks=checks, filter_spec=filter_spec, cache_dir=tmp_path)
+        assert all(type(v) is int for v in cold.row()[1:-1] if v != "")
+        assert cold.to_csv().split("\n")[1].startswith(cells + ",")
+        (key_dir,) = tmp_path.iterdir()
+        (path,) = key_dir.iterdir()
+        assert all(type(v) is int for v in stored(path).values())
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a warm census adds up stored counts")
+
+        monkeypatch.setattr(enumeration_mod, "analyze_asm", boom)
+        monkeypatch.setattr(enumeration_mod, "enumerate_asms", boom)
+        warm = tabulate(n, checks=checks, filter_spec=filter_spec, cache_dir=tmp_path)
+        assert warm.to_csv() == cold.to_csv()
+
     def test_cache_of_another_version_not_served(self, tmp_path, monkeypatch):
         version = enumeration_mod.CACHE_VERSION
         monkeypatch.setattr(enumeration_mod, "CACHE_VERSION", version - 1)
