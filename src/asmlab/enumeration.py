@@ -63,7 +63,7 @@ ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 # Part of every census cache key.  Bump it whenever an algorithm behind a
 # cached answer or the shard format changes, so that no cache written by
 # older code is ever served.
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 MAX_STREAM_N = 8
 # One entry per one-position tuple of a partial column-sum row: 2**n - 1
 # for ASM(n), 502 over every streamable n.

@@ -342,7 +342,9 @@ def pipe_dreams(w: Permutation) -> frozenset[int]:
 # bit k stands for the k-th of them.  Lex order extends the Bruhat order: if
 # u < w, then at the first position k where they differ, r_u >= r_w on row k
 # forces u(k) < w(k).  So the lowest permutation of a set is Bruhat-minimal
-# in it.
+# in it.  Row i of r_A depends only on the set S of columns whose partial
+# column sum through row i is 1, and |S| = i, so the permutations above A are
+# the AND of one memoized up-set per row, keyed by (n, S).
 
 # S_9 covers 1 + A for every streamable A.  The table of S_9 takes 10 MB;
 # that of S_10 would take over 150 MB.
@@ -350,6 +352,9 @@ PERM_TABLE_BOUND = 9
 # An entry holds a permutation and its up-set, n!/8 bytes: all 5040 of S_7
 # fit in 5.6 MB; at n=8 an entry is over 5 KB.
 UPSET_MEMO_SIZE = 2**13
+# One entry per column set of every n <= PERM_TABLE_BOUND: 2 + 4 + ... + 2**9
+# = 1022.  The 254 of S_8 take 1.3 MB, the 510 of S_9 23 MB.
+ROW_UPSET_MEMO_SIZE = 2**10
 
 
 @dataclass(frozen=True)
@@ -409,14 +414,31 @@ def _rank_table(n: int) -> tuple[int, tuple]:
     return everything, tuple(map(tuple, le))
 
 
-def _upset(n: int, ranks) -> int:
-    """The permutations of S_n whose rank matrix is entrywise at most
-    `ranks`."""
+@lru_cache(maxsize=ROW_UPSET_MEMO_SIZE)
+def _row_upset(n: int, S: int) -> int:
+    """The permutations of S_n that meet the rank condition of row |S| of
+    any matrix whose columns with partial sum 1 through that row are S (bit
+    j-1 for column j): rank at most popcount(S & ((1 << j) - 1)) at every
+    column j."""
     up, le = _rank_table(n)
-    for le_row, row in zip(le, ranks):
-        for le_cell, r in zip(le_row, row):
-            if r < len(le_cell):
-                up &= le_cell[r]
+    for j, le_cell in enumerate(le[S.bit_count() - 1], 1):
+        r = (S & ((1 << j) - 1)).bit_count()
+        if r < len(le_cell):
+            up &= le_cell[r]
+    return up
+
+
+def _above(A: Asm) -> int:
+    """The permutations of S_n above A: the AND of the row up-sets of rows
+    1..n-1, row n holding no condition.  The partial column sums of an ASM
+    are 0 or 1, and a nonzero entry flips its column's."""
+    n, S = A.n, 0
+    up = _rank_table(n)[0]
+    for row in A.entries[:-1]:
+        for j, a in enumerate(row):
+            if a:
+                S ^= 1 << j
+        up &= _row_upset(n, S)
     return up
 
 
@@ -424,26 +446,28 @@ def _upset(n: int, ranks) -> int:
 def _lex_perm(n: int, k: int) -> tuple[Permutation, int, int]:
     """The k-th permutation w of S_n in lex order, its Coxeter length and
     its Bruhat up-set.  The factorial-base digits of k are the Lehmer code
-    of w, so they sum to its length."""
+    of w, so they sum to its length; the columns with partial sum 1 through
+    row i of w's matrix are w(1), ..., w(i)."""
     values = list(range(1, n + 1))
-    line, length, ranks, row = [], 0, [], [0] * n
+    line, length, S = [], 0, 0
+    up = _rank_table(n)[0]
     for place in range(n - 1, -1, -1):
         d, k = divmod(k, factorial(place))
         v = values.pop(d)
         line.append(v)
         length += d
-        row[v - 1 :] = [c + 1 for c in row[v - 1 :]]
-        ranks.append(row.copy())
-    return Permutation(tuple(line)), length, _upset(n, ranks)
+        if place:
+            S |= 1 << (v - 1)
+            up &= _row_upset(n, S)
+    return Permutation(tuple(line)), length, up
 
 
 def perm_set(A: Asm) -> PermSet:
-    """Perm(A) with its codimension and equidimensionality.  The
-    permutations above A are the AND over every cell of those with rank at
-    most A's there; the lowest of them is minimal, and each minimal w found
-    removes its up-set from the rest."""
+    """Perm(A) with its codimension and equidimensionality.  The lowest
+    permutation above A is minimal, and each minimal w found removes its
+    up-set from the rest."""
     n = A.n
-    rest = _upset(n, rank_matrix(A))
+    rest = _above(A)
     perms, lengths = [], set()
     while rest:
         w, length, up = _lex_perm(n, (rest & -rest).bit_length() - 1)

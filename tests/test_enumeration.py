@@ -18,6 +18,7 @@ from asmlab import (
     Permutation,
     analyze_asm,
     enumerate_asms,
+    essential_set,
     init_ideal,
     minimal_primes,
     perm_set,
@@ -35,7 +36,14 @@ from asmlab.enumeration import (
 )
 from asmlab.complexes import asm_complex
 from asmlab.homology import cascade_is_cm
-from asmlab.ideals import cells, mask, pipe_dreams
+from asmlab.ideals import (
+    PERM_TABLE_BOUND,
+    ROW_UPSET_MEMO_SIZE,
+    _row_upset,
+    cells,
+    mask,
+    pipe_dreams,
+)
 from asmlab.errors import (
     AsmlabError,
     InvalidFieldError,
@@ -710,12 +718,22 @@ class TestPairMemo:
         assert [p for _, p in cascades] == [0, 2, 2, 0]
 
     def test_bound(self):
-        """The memos an analysis fills are bounded: rank_matrix keeps 2**10
-        of the 7436 matrices of ASM(6), and pipe_dreams one entry per
-        permutation, at most all of S_7.  init_ideal, which the sweeps call,
-        keeps 2**10 ASMs too."""
+        """The memos an analysis fills are bounded: perm_set's row up-sets
+        keep one entry per column set, under 2**6 for all of ASM(6) and
+        under 2**10 for every n the table allows, and reading them needs no
+        rank matrix; pipe_dreams keeps one entry per permutation, at most
+        all of S_7.  rank_matrix and init_ideal, which the sweeps call, keep
+        2**10 ASMs each."""
+        _row_upset.cache_clear()
+        misses = rank_matrix.cache_info().misses
         for A in ASMS_UPTO_6[6]:
             analyze_asm(A, ("codim",))
+        assert _row_upset.cache_info().currsize <= 2**6
+        assert rank_matrix.cache_info().misses == misses
+        assert _row_upset.cache_info().maxsize == ROW_UPSET_MEMO_SIZE == 2**10
+        assert sum(2**n for n in range(1, PERM_TABLE_BOUND + 1)) <= ROW_UPSET_MEMO_SIZE
+        for A in ASMS_UPTO_6[6]:
+            essential_set(A)
         assert rank_matrix.cache_info().currsize == rank_matrix.cache_info().maxsize == 2**10
         assert pipe_dreams.cache_info().maxsize == factorial(7)
         for A in ASMS_UPTO_6[5]:

@@ -1,4 +1,5 @@
 import os
+import random
 from itertools import permutations
 
 import pytest
@@ -27,6 +28,7 @@ from asmlab import (
     rank_matrix,
     yo_induction_states,
 )
+from asmlab.enumeration import _next_rows
 from asmlab.errors import (
     NonReducedWordError,
     NotBadblockError,
@@ -38,6 +40,7 @@ from asmlab.ideals import (
     PERM_TABLE_BOUND,
     PermSet,
     SquarefreeIdeal,
+    _above,
     _lex_perm,
     _rank_table,
     cell_label,
@@ -362,6 +365,34 @@ class TestPermSet:
     def test_equals_pipe_dreams(self, n):
         for A in enumerate_asms(n):
             assert perm_set(A) == via_primes(A)
+
+    @pytest.mark.skipif(
+        os.environ.get("ASMLAB_STRETCH") != "1",
+        reason="100 ASM(8) through their minimal primes; set ASMLAB_STRETCH=1 to run",
+    )
+    def test_equals_pipe_dreams_n8(self):
+        """perm_set_naive stops at n=7, so at n=8 the oracle is the
+        pipe-dream reading of the primes, on 100 distinct ASM(8) drawn by a
+        seeded random descent through the stream's row steps."""
+        rng, drawn = random.Random(8), {}
+        while len(drawn) < 100:
+            prev, rows = (), []
+            for _ in range(8):
+                prev, row = rng.choice(_next_rows(prev, 8))
+                rows.append(row)
+            drawn.setdefault(Asm(tuple(rows)))
+        for A in drawn:
+            assert perm_set(A) == via_primes(A)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_upset_equals_bruhat_scan(self, n):
+        """The up-set perm_set reads Perm(A) from holds exactly the w of S_n
+        above A, by brute force over S_n: on all of ASM(n <= 5) and on a
+        seeded 200 of ASM(6)."""
+        lex = [Permutation(line).to_asm() for line in permutations(range(1, n + 1))]
+        asms = ASMS_UPTO_6[n] if n < 6 else random.Random(6).sample(ASMS_UPTO_6[6], 200)
+        for A in asms:
+            assert _above(A) == sum(1 << k for k, w in enumerate(lex) if asm_geq(w, A))
 
     @given(st.integers(1, 5).flatmap(lambda n: st.permutations(range(1, n + 1))))
     def test_table_matches_rank_matrices(self, line):
