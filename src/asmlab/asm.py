@@ -170,9 +170,8 @@ def coxeter_length(w: Permutation) -> int:
     )
 
 
-# Only the theorem sweeps, the CLI and the oracles read rank matrices (the
-# census and perm_set read none), each ASM's a few times through init_ideal,
-# essential_set and dominant_part and seldom across ASMs, so the memo is small.
+# Only the sweeps, the CLI and the oracles read rank matrices, not perm_set:
+# each ASM's a few times and seldom across ASMs, so the memo is small.
 @lru_cache(maxsize=2**10)
 def rank_matrix(A: Asm) -> tuple[tuple[int, ...], ...]:
     """Prefix double sums: entry (i,j) is the sum of A over rows <=i, cols <=j."""
