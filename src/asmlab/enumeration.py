@@ -46,7 +46,14 @@ from .errors import (
     UnknownCheckError,
     UnknownStatementError,
 )
-from .homology import _all_faces, cascade_is_cm, characteristic, is_cohen_macaulay, parse_field
+from .homology import (
+    _all_faces,
+    cascade_is_cm,
+    characteristic,
+    decided_by_perms,
+    is_cohen_macaulay,
+    parse_field,
+)
 from .ideals import (
     SquarefreeIdeal,
     cells,
@@ -63,7 +70,7 @@ ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 # Part of every census cache key.  Bump it whenever an algorithm behind a
 # cached answer or the shard format changes, so that no cache written by
 # older code is ever served.
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 MAX_STREAM_N = 8
 # One entry per one-position tuple of a partial column-sum row: 2**n - 1
 # for ASM(n), 502 over every streamable n.
@@ -146,12 +153,13 @@ def _known_checks(checks) -> frozenset:
 
 def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
     """Answer the requested checks.  codim, perm_count and equidimensionality
-    come from perm_set(A); "cm" and "km_vd" are decided on the
-    Stanley-Reisner complex built from the pipe dreams of the same Perm(A),
-    with no ideal and no minimal-prime search; "km_vd" is a flag of the vd
-    search, a memo hit after "cm".  Each timing is the time since the
-    previous one, so building the complex is charged to the first of those
-    two stages."""
+    come from perm_set(A).  So do "cm" and "km_vd" when Perm(A) has more
+    than one length or is one permutation (`homology.decided_by_perms`);
+    otherwise they are decided on the Stanley-Reisner complex built from the
+    pipe dreams of the same Perm(A), with no ideal and no minimal-prime
+    search, and "km_vd" is a flag of the vd search, a memo hit after "cm".
+    Each timing is the time since the previous one, so building the complex
+    is charged to the first of those two stages."""
     checks = _known_checks(checks)
     timings = []
     codim = perm_count = equidim = cm = km_vd = None
@@ -171,12 +179,15 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
         equidim = ps.equidimensional if "equidim" in checks else None
         lap("primes")
     if checks & {"cm", "km_vd"}:
-        facets = asm_complex(ps).facets
+        known = decided_by_perms(ps)
+        if known is None:
+            facets = asm_complex(ps).facets
         if "cm" in checks:
-            cm = cascade_is_cm(facets, characteristic(field))
+            p = characteristic(field)  # rejects a bad field, decided or not
+            cm = cascade_is_cm(facets, p) if known is None else known
             lap("cm")
         if "km_vd" in checks:
-            km_vd = vd_facets(facets)[1]
+            km_vd = vd_facets(facets)[1] if known is None else known
             lap("km_vd")
     return AnalysisReport(
         asm=A,

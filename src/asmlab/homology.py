@@ -4,7 +4,10 @@ Homology is computed over the rationals (exact integer elimination; no
 floating point) or over a prime field.  Cohen-Macaulayness of an ASM is
 decided on the Stanley-Reisner complex of its antidiagonal initial ideal,
 built from the pipe dreams of Perm(A) (`complexes.asm_complex`).
-The decision is a cascade that runs homology only when no certificate
+Perm(A) alone settles it, with no complex, when its permutations have more
+than one length (the complex is not pure) or when it is one permutation (a
+subword complex, vertex decomposable): `decided_by_perms`.  Every other
+ASM goes through a cascade that runs homology only when no certificate
 settles the question: a vertex decomposable complex (one search, greatest
 vertex first) is shellable and so CM over every field (Provan-Billera);
 the rest go through Reisner's link-vanishing criterion, which rejects a
@@ -29,7 +32,7 @@ from .complexes import (
     vd_facets,
 )
 from .errors import FaceBudgetExceededError, InvalidFieldError
-from .ideals import bits, is_pure_family, maximal_sets, perm_set, submasks, union
+from .ideals import PermSet, bits, is_pure_family, maximal_sets, perm_set, submasks, union
 
 FACE_BUDGET = 2**24  # the most faces chain_complex builds
 
@@ -263,9 +266,28 @@ def cascade_is_cm(facets, p: int = 0) -> bool:
     return vd_facets(facets)[0] or complex_is_cm(facets, p)
 
 
+def decided_by_perms(ps: PermSet) -> bool | None:
+    """The CM and KM-vd answer for the complex of an ASM when ps =
+    perm_set(A) settles both, else None.  A facet is the complement of a
+    pipe dream of some w in Perm(A), with l(w) cells, so with more than one
+    length the complex is not pure: neither CM (Reisner) nor vertex
+    decomposable.  The complex of one permutation is its subword complex,
+    vertex decomposable at the first letter (Knutson-Miller), which is the
+    fixed KM order, and so CM over every field."""
+    if not ps.equidimensional:
+        return False
+    if len(ps.perms) == 1:
+        return True
+    return None
+
+
 def is_cohen_macaulay(A: Asm, field="rational") -> bool:
-    """Whether the ASM defines a Cohen-Macaulay quotient: the cascade on the
-    Stanley-Reisner complex of its antidiagonal initial ideal, whose facets
-    are the complements of the pipe dreams of Perm(A)."""
-    return cascade_is_cm(asm_complex(perm_set(A)).facets, characteristic(field))
+    """Whether the ASM defines a Cohen-Macaulay quotient: decided by Perm(A)
+    when it is not equidimensional or is one permutation, else the cascade
+    on the Stanley-Reisner complex of its antidiagonal initial ideal, whose
+    facets are the complements of the pipe dreams of Perm(A)."""
+    p = characteristic(field)
+    ps = perm_set(A)
+    known = decided_by_perms(ps)
+    return cascade_is_cm(asm_complex(ps).facets, p) if known is None else known
 

@@ -584,17 +584,26 @@ def calls_through(monkeypatch, fn):
 
 
 class TestOneDerivation:
-    """analyze_asm and `asmlab analyze` build the complex of an ASM once,
-    from the pipe dreams of Perm(A), and only for the CM and KM-vd checks."""
+    """analyze_asm and `asmlab analyze` build the complex of an ASM at most
+    once, from the pipe dreams of Perm(A), and only for the CM and KM-vd
+    checks; analyze_asm builds none when Perm(A) decides both."""
 
     def test_all_checks(self, monkeypatch, non_km_gvd, b4):
         primes = calls_through(monkeypatch, minimal_primes)
         ideal_complexes = calls_through(monkeypatch, sr_complex_from_ideal)
         complexes = calls_through(monkeypatch, asm_complex)
-        for A in (non_km_gvd, b4):
+        cascades = calls_through(monkeypatch, cascade_is_cm)
+        # equidimensional with two permutations: the complex decides
+        assert analyze_asm(non_km_gvd).cm is True
+        assert len(complexes) == len(cascades) == 1
+        # two lengths, and one permutation: Perm(A) decides, with no complex
+        w = Permutation((2, 4, 1, 3)).to_asm()
+        for A, answer in ((b4, False), (w, True)):
             complexes.clear()
-            analyze_asm(A)
-            assert len(complexes) == 1
+            r = analyze_asm(A)
+            assert (r.cm, r.km_vd) == (answer, answer)
+            assert complexes == []
+        assert len(cascades) == 1
         assert primes == ideal_complexes == []
 
     def test_primes_only_builds_no_complex(self, monkeypatch, non_km_gvd, b4):
@@ -707,14 +716,20 @@ class TestPairMemo:
             assert analyze_asm(first).km_vd == expected[first]
             assert analyze_asm(second).km_vd == expected[second]
 
-    def test_cm_not_shared_across_fields(self, monkeypatch, b4, worked_example):
-        # each analysis runs its own cascade, over its own field
-        assert b4.transpose() == worked_example
+    def test_cm_not_shared_across_fields(self, monkeypatch, non_km_gvd):
+        # each analysis runs its own cascade, over its own field; A and A^T
+        # are equidimensional with two permutations each, so Perm(A) leaves
+        # CM to the complex
+        At = non_km_gvd.transpose()
+        assert At != non_km_gvd
+        for B in (non_km_gvd, At):
+            ps = perm_set(B)
+            assert ps.equidimensional and len(ps.perms) == 2
         cascades = calls_through(monkeypatch, cascade_is_cm)
-        assert analyze_asm(b4, ("cm",)).cm is False
-        assert analyze_asm(worked_example, ("cm",), field="p=2").cm is False
-        assert analyze_asm(b4, ("cm",), field="p=2").cm is False
-        assert analyze_asm(worked_example, ("cm",)).cm is False
+        assert analyze_asm(non_km_gvd, ("cm",)).cm is True
+        assert analyze_asm(At, ("cm",), field="p=2").cm is True
+        assert analyze_asm(non_km_gvd, ("cm",), field="p=2").cm is True
+        assert analyze_asm(At, ("cm",)).cm is True
         assert [p for _, p in cascades] == [0, 2, 2, 0]
 
     def test_bound(self):

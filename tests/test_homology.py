@@ -1,23 +1,37 @@
+import os
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from asmlab import (
     Asm,
+    Permutation,
+    analyze_asm,
     chain_complex,
     enumerate_asms,
     hochster_depth,
     init_ideal,
     is_cohen_macaulay,
     one_plus,
+    perm_set,
     reduced_homology_ranks,
     sparse_rank,
     sr_complex_from_ideal,
     verify_statement,
 )
 from asmlab import homology
-from asmlab.errors import FaceBudgetExceededError, SizeBoundExceededError
-from asmlab.complexes import vd_facets
-from asmlab.homology import cascade_is_cm, complex_is_cm, compose_boundaries
+from asmlab.errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
+from asmlab.complexes import asm_complex, vd_facets
+from asmlab.homology import cascade_is_cm, complex_is_cm, compose_boundaries, decided_by_perms
+from asmlab.ideals import is_pure_family
+
+
+def stretch(what):
+    return pytest.mark.skipif(
+        os.environ.get("ASMLAB_STRETCH") != "1",
+        reason=f"{what}; set ASMLAB_STRETCH=1 to run",
+    )
 
 
 def facets(*sets):
@@ -220,6 +234,55 @@ class TestCascade:
 
     def test_non_pure_rejected(self):
         assert not cascade_is_cm(facets({1, 2}, {3}))
+
+
+class TestDecidedByPerms:
+    """Perm(A) settles CM and KM-vd with no complex when its permutations
+    have more than one length, or when it is one permutation; checked
+    against the cascade and the vd search on the complex itself."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=stretch("all of ASM(6)"))])
+    def test_matches_the_complex(self, n):
+        # 1 + A only below n = 6: the 7436 complexes of 1 + A in ASM(7) take
+        # minutes
+        for A in enumerate_asms(n):
+            for B in (A, one_plus(A)) if n < 6 else (A,):
+                ps = perm_set(B)
+                facets = asm_complex(ps).facets
+                km_vd = vd_facets(facets)[1]
+                for field, p in (("rational", 0), ("p=2", 2)):
+                    cm = cascade_is_cm(facets, p)
+                    r = analyze_asm(B, field=field)
+                    assert (r.cm, r.km_vd) == (cm, km_vd)
+                    assert is_cohen_macaulay(B, field) == cm
+                    assert decided_by_perms(ps) in (None, cm)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=stretch("all of S_7"))])
+    def test_permutations_km_vd(self, n):
+        for line in permutations(range(1, n + 1)):
+            ps = perm_set(Permutation(line).to_asm())
+            assert decided_by_perms(ps) is True
+            assert vd_facets(asm_complex(ps).facets) == (True, True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_pure_exactly_when_equidimensional(self, n):
+        # and what Perm(A) decides, the fixed-order search agrees with
+        for A in enumerate_asms(n):
+            ps = perm_set(A)
+            facets = asm_complex(ps).facets
+            assert is_pure_family(facets) == ps.equidimensional
+            if not ps.equidimensional:
+                assert decided_by_perms(ps) is False
+            assert decided_by_perms(ps) in (None, vd_facets(facets)[1])
+
+    def test_field_checked_when_decided(self, b4):
+        w = Permutation((2, 1, 3)).to_asm()
+        for A, answer in ((b4, False), (w, True)):
+            assert decided_by_perms(perm_set(A)) is answer
+            with pytest.raises(InvalidFieldError):
+                analyze_asm(A, ("cm",), field="p=4")
+            with pytest.raises(InvalidFieldError):
+                is_cohen_macaulay(A, "p=4")
 
 
 class TestHochsterBackend:
