@@ -26,11 +26,12 @@ from .complexes import asm_complex, km_vertex_decomposable
 from .enumeration import (
     ALL_CHECKS,
     STATEMENT_NAMES,
+    analyze_asm,
     tabulate,
     verify_statement,
 )
 from .errors import AsmlabError, MalformedInputError, UsageError
-from .homology import cascade_is_cm, characteristic, parse_field
+from .homology import parse_field
 from .ideals import cell_label, init_ideal, perm_set
 
 
@@ -54,8 +55,7 @@ def _emit(args, text: str) -> None:
 def cmd_analyze(args) -> int:
     A = _load_asm(args.input_path)
     ps = perm_set(A)
-    delta = asm_complex(ps)
-    trace = km_vertex_decomposable(delta)
+    result = analyze_asm(A, field=args.field)
     report = {
         "asm": A.to_json_dict(),
         "a11_is_one": A.a11_is_one,
@@ -68,14 +68,15 @@ def cmd_analyze(args) -> int:
             {"one_line": list(w.one_line), "word": str(w), "length": w.length}
             for w in sorted(ps.perms, key=lambda w: w.one_line)
         ],
-        "codim": ps.codim,
-        "perm_count": len(ps.perms),
-        "equidimensional": ps.equidimensional,
-        "cm": cascade_is_cm(delta.facets, characteristic(args.field)),
+        "codim": result.codim,
+        "perm_count": result.perm_count,
+        "equidimensional": result.equidimensional,
+        "cm": result.cm,
         "diagram": ascii_diagram(A),
-        "km_vd": trace.result,
+        "km_vd": result.km_vd,
     }
-    if not trace.result:
+    if not result.km_vd:
+        trace = km_vertex_decomposable(asm_complex(ps))
         report["km_vd_trace"] = trace.to_json_dict()
         report["km_vd_failure_vertex"] = (
             cell_label(trace.failure_vertex) if trace.failure_vertex else None

@@ -16,6 +16,8 @@ import io
 import json
 import os
 import random
+import re
+import shutil
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -70,7 +72,7 @@ ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 # Part of every census cache key.  Bump it whenever an algorithm behind a
 # cached answer or the shard format changes, so that no cache written by
 # older code is ever served.
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 MAX_STREAM_N = 8
 # One entry per one-position tuple of a partial column-sum row: 2**n - 1
 # for ASM(n), 502 over every streamable n.
@@ -251,6 +253,7 @@ _SHARD_COUNTS = ("cm", "equidim", "km_vd_fail", "km_vd_fail_a11")
 
 
 def _cache_key(n: int, checks, field, filter_spec) -> str:
+    """The name of a census's key directory: v{CACHE_VERSION}-<16 hex>."""
     payload = json.dumps(
         {
             "version": CACHE_VERSION,
@@ -261,7 +264,19 @@ def _cache_key(n: int, checks, field, filter_spec) -> str:
         },
         sort_keys=True,
     )
-    return hashlib.sha1(payload.encode()).hexdigest()[:16]
+    return f"v{CACHE_VERSION}-{hashlib.sha1(payload.encode()).hexdigest()[:16]}"
+
+
+_KEY_DIR = re.compile(r"v(\d+)-[0-9a-f]{16}")
+
+
+def _remove_stale_keys(cache_dir) -> None:
+    """Delete the key directories an older CACHE_VERSION wrote, those named
+    v{k}-<16 hex> with k < CACHE_VERSION, and leave everything else alone."""
+    for entry in cache_dir.iterdir():
+        match = _KEY_DIR.fullmatch(entry.name)
+        if match and int(match[1]) < CACHE_VERSION and entry.is_dir():
+            shutil.rmtree(entry)
 
 
 def _shard_worker(args):
@@ -302,8 +317,9 @@ def tabulate(
     shard's counts are cached as one JSON object in a content-addressed
     subdirectory of cache_dir, written as soon as its shard finishes, so
     interrupted runs resume, and warm reruns recompute nothing and do not
-    stream.  The shards' counts are added up as they are read or computed,
-    so memory does not grow with n.  At most min(jobs, os.cpu_count())
+    stream.  The key directories an older CACHE_VERSION wrote are removed.
+    The shards' counts are added up as they are read or computed, so
+    memory does not grow with n.  At most min(jobs, os.cpu_count())
     worker processes run.
     """
     checks = tuple(sorted(_known_checks(checks)))
@@ -324,6 +340,7 @@ def tabulate(
 
         key_dir = Path(cache_dir) / _cache_key(n, checks, field, filter_spec)
         key_dir.mkdir(parents=True, exist_ok=True)
+        _remove_stale_keys(key_dir.parent)
 
     def shard_path(start):
         return key_dir / f"shard_{start:08d}.jsonl"

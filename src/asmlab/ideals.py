@@ -10,7 +10,7 @@ cells.  The antidiagonal initial ideal of an ASM is generated by the
 antidiagonal lead terms of its Fulton generators, which form a Groebner
 basis under any antidiagonal term order.  Its minimal primes are the
 reduced pipe dreams of the permutations of Perm(A) (Knutson-Miller), those
-of distinct w disjoint; `perm_set` finds Perm(A) from a bitset table of
+of distinct w disjoint; `perm_set` finds Perm(A) from memoized bitsets of
 S_n, and `pipe_dreams` lists the pipe dreams of one w by ladder moves, so
 neither needs the ideal.  `init_ideal`, `minimal_primes` and the Berge
 kernel serve the theorem sweeps and the oracles.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import factorial
 from operator import or_
 
@@ -333,7 +333,7 @@ def pipe_dreams(w: Permutation) -> frozenset[int]:
     return frozenset(seen)
 
 
-# -- Perm(A) from a table of S_n ----------------------------------------------
+# -- Perm(A) from memoized row up-sets of S_n ---------------------------------
 #
 # Perm(A) is the set of Bruhat-minimal permutations w with r_w <= r_A
 # entrywise, and on permutations the Bruhat order is exactly that entrywise
@@ -346,14 +346,15 @@ def pipe_dreams(w: Permutation) -> frozenset[int]:
 # column sum through row i is 1, and |S| = i, so the permutations above A are
 # the AND of one memoized up-set per row, keyed by (n, S).
 
-# S_9 covers 1 + A for every streamable A.  The table of S_9 takes 10 MB;
-# that of S_10 would take over 150 MB.
+# S_9 covers 1 + A for every streamable A.  A set of S_9 takes 48 KB, so
+# its row up-sets take 25 MB; those of S_10 would take about 500 MB.
 PERM_TABLE_BOUND = 9
 # An entry holds a permutation and its up-set, n!/8 bytes: all 5040 of S_7
 # fit in 5.6 MB; at n=8 an entry is over 5 KB.
 UPSET_MEMO_SIZE = 2**13
-# One entry per column set of every n <= PERM_TABLE_BOUND: 2 + 4 + ... + 2**9
-# = 1022.  The 254 of S_8 take 1.3 MB, the 510 of S_9 23 MB.
+# One entry per proper column set of every n <= PERM_TABLE_BOUND, the
+# recursion's keys included: 1 + 3 + ... + (2**9 - 1) = 1013.  The 255 of
+# S_8 take 1.4 MB, the 511 of S_9 25 MB, and all 1013 build in 0.03 s.
 ROW_UPSET_MEMO_SIZE = 2**10
 
 
@@ -367,64 +368,31 @@ class PermSet:
     equidimensional: bool
 
 
-@lru_cache(maxsize=PERM_TABLE_BOUND)
-def _at_most(n: int) -> tuple[tuple[int, ...], ...]:
-    """at_most[k][j]: the permutations of S_n with w(k+1) <= j, for
-    0 <= k < n and 0 <= j <= n.  The lex index of w is (w(1) - 1) * (n-1)!
-    plus the lex index in S_{n-1} of the rest of w relabelled, each value
-    v becoming v - (v > w(1))."""
-    if n == 1:
-        return ((0, 1),)
-    block = factorial(n - 1)
-    sub = _at_most(n - 1)
-    first = tuple((1 << (j * block)) - 1 for j in range(n + 1))
-    rest = tuple(
-        tuple(
-            union(sub[k][j - (u <= j)] << ((u - 1) * block) for u in range(1, n + 1))
-            for j in range(n + 1)
-        )
-        for k in range(n - 1)
-    )
-    return (first, *rest)
-
-
-@lru_cache(maxsize=PERM_TABLE_BOUND)
-def _rank_table(n: int) -> tuple[int, tuple]:
-    """S_n as a bitset, and le[i][j][r]: the permutations whose rank at the
-    cell (i+1, j+1) is at most r, for r < min(i+1, j+1) and i, j < n-1.
-    Every permutation has rank at most min(i+1, j+1) there, and exactly that
-    in row or column n.  Built row by row from the bitsets of "w(k) <= j",
-    one bitset per exact count."""
+@lru_cache(maxsize=ROW_UPSET_MEMO_SIZE)
+def _row_upset(n: int, S: int) -> int:
+    """The permutations w of S_n that meet the rank condition of row |S| of
+    any matrix whose columns with partial sum 1 through that row are S (bit
+    j-1 for column j, S a proper subset of [n]): the first |S| values T of w
+    have |T & [j]| <= |S & [j]| at every column j, i.e. T lies above S in
+    the Gale order.  S = 0 gives all of S_n.  Block u of the lex order, the
+    (n-1)! bits from (u-1) * (n-1)!, holds the w with w(1) = u, indexed in
+    S_{n-1} by the rest of w with each value v relabelled v - (v > u).  T
+    lies above S exactly when S has a column <= u and the rest of T lies
+    above S less its largest such column, so the block is empty or the
+    up-set in S_{n-1} of that set, relabelled the same way."""
     if n > PERM_TABLE_BOUND:
         raise SizeBoundExceededError(
             f"n={n} exceeds the permutation table bound {PERM_TABLE_BOUND}"
         )
-    at_most = _at_most(n)
-    everything = (1 << factorial(n)) - 1
-    le = [[()] * (n - 1) for _ in range(n - 1)]
-    for j in range(n - 1):
-        exact = [everything]  # exact[c]: c of w(1..i) are at most j+1
-        for i in range(n - 1):
-            x = at_most[i][j + 1]
-            exact = [
-                (exact[c] & ~x if c <= i else 0) | (exact[c - 1] & x if c else 0)
-                for c in range(i + 2)
-            ]
-            le[i][j] = tuple(accumulate(exact[: min(i, j) + 1], or_))
-    return everything, tuple(map(tuple, le))
-
-
-@lru_cache(maxsize=ROW_UPSET_MEMO_SIZE)
-def _row_upset(n: int, S: int) -> int:
-    """The permutations of S_n that meet the rank condition of row |S| of
-    any matrix whose columns with partial sum 1 through that row are S (bit
-    j-1 for column j): rank at most popcount(S & ((1 << j) - 1)) at every
-    column j."""
-    up, le = _rank_table(n)
-    for j, le_cell in enumerate(le[S.bit_count() - 1], 1):
-        r = (S & ((1 << j) - 1)).bit_count()
-        if r < len(le_cell):
-            up &= le_cell[r]
+    if not S:
+        return (1 << factorial(n)) - 1
+    block, up = factorial(n - 1), 0
+    for u in range(1, n + 1):
+        low = S & ((1 << u) - 1)
+        if low:
+            rest = S ^ 1 << (low.bit_length() - 1)
+            sub = rest & ((1 << (u - 1)) - 1) | rest >> u << (u - 1)
+            up |= _row_upset(n - 1, sub) << ((u - 1) * block)
     return up
 
 
@@ -433,7 +401,7 @@ def _above(A: Asm) -> int:
     1..n-1, row n holding no condition.  The partial column sums of an ASM
     are 0 or 1, and a nonzero entry flips its column's."""
     n, S = A.n, 0
-    up = _rank_table(n)[0]
+    up = _row_upset(n, 0)
     for row in A.entries[:-1]:
         for j, a in enumerate(row):
             if a:
@@ -450,7 +418,7 @@ def _lex_perm(n: int, k: int) -> tuple[Permutation, int, int]:
     row i of w's matrix are w(1), ..., w(i)."""
     values = list(range(1, n + 1))
     line, length, S = [], 0, 0
-    up = _rank_table(n)[0]
+    up = _row_upset(n, 0)
     for place in range(n - 1, -1, -1):
         d, k = divmod(k, factorial(place))
         v = values.pop(d)

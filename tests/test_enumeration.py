@@ -263,9 +263,27 @@ class TestTabulate:
         # an older code's wrong answers: every ASM(4) not CM
         shard.write_text(json.dumps({**json.loads(shard.read_text()), "cm": 0}))
         assert tabulate(4, checks=("cm",), cache_dir=tmp_path).not_cm == 42
+        # a newer code's key directory, an unprefixed one, an older prefix
+        # on another name and a file named like an older key directory are
+        # left alone
+        kept_dirs = [
+            tmp_path / f"v{version + 1}-{'0' * 16}",
+            tmp_path / ("0" * 16),
+            tmp_path / f"v{version - 1}-backup",
+        ]
+        for other in kept_dirs:
+            other.mkdir()
+            (other / "shard_00000000.jsonl").write_text("{}")
+        stray = tmp_path / f"v{version - 1}-{'1' * 16}"
+        stray.write_text("kept")
         monkeypatch.setattr(enumeration_mod, "CACHE_VERSION", version)
         assert tabulate(4, checks=("cm",), cache_dir=tmp_path).cm == 39
-        assert len(list(tmp_path.iterdir())) == 2
+        current = tmp_path / _cache_key(4, ("cm",), "rational", None)
+        assert set(tmp_path.iterdir()) == {current, stray, *kept_dirs}
+        assert not old.exists() and old.name.startswith(f"v{version - 1}-")
+        assert current.name.startswith(f"v{version}-")
+        for other in kept_dirs:
+            assert [p.name for p in other.iterdir()] == ["shard_00000000.jsonl"]
 
     def test_cm_size_bound(self):
         with pytest.raises(SizeBoundExceededError):
@@ -584,9 +602,11 @@ def calls_through(monkeypatch, fn):
 
 
 class TestOneDerivation:
-    """analyze_asm and `asmlab analyze` build the complex of an ASM at most
-    once, from the pipe dreams of Perm(A), and only for the CM and KM-vd
-    checks; analyze_asm builds none when Perm(A) decides both."""
+    """analyze_asm builds the complex of an ASM at most once, from the pipe
+    dreams of Perm(A), only for the CM and KM-vd checks and none when
+    Perm(A) decides both; `asmlab analyze` takes its answers from
+    analyze_asm and builds the complex once more only for the trace of a
+    KM-vd failure."""
 
     def test_all_checks(self, monkeypatch, non_km_gvd, b4):
         primes = calls_through(monkeypatch, minimal_primes)
@@ -621,17 +641,35 @@ class TestOneDerivation:
             )
         assert primes == ideals == complexes == []
 
-    def test_cli_analyze(self, monkeypatch, tmp_path, capsys, b4):
+    def test_cli_analyze(self, monkeypatch, tmp_path, capsys, b4, non_km_gvd):
         from asmlab.cli import main
 
-        path = tmp_path / "b4.json"
-        path.write_text(json.dumps(b4.to_json_dict()))
+        w = Permutation((2, 4, 1, 3)).to_asm()
+        expected = {A: analyze_asm(A, field="p=2") for A in (b4, non_km_gvd, w)}
         primes = calls_through(monkeypatch, minimal_primes)
         complexes = calls_through(monkeypatch, asm_complex)
-        assert main(["analyze", "--input", str(path)]) == 0
-        assert primes == [] and len(complexes) == 1
-        out = json.loads(capsys.readouterr().out)
-        assert out["cm"] is False and out["init_ideal"] == init_ideal(b4).to_json_list()
+        cascades = calls_through(monkeypatch, cascade_is_cm)
+        # (complexes, cascades): b4 and w are decided by Perm(A), and b4's
+        # KM-vd failure is traced on its complex; non_km_gvd's complex
+        # decides, and is built again for the trace
+        for A, built in ((b4, (1, 0)), (w, (0, 0)), (non_km_gvd, (2, 1))):
+            path = tmp_path / "a.json"
+            path.write_text(json.dumps(A.to_json_dict()))
+            complexes.clear()
+            cascades.clear()
+            assert main(["analyze", "--input", str(path), "--field", "p=2"]) == 0
+            assert (len(complexes), len(cascades)) == built
+            out = json.loads(capsys.readouterr().out)
+            r = expected[A]
+            assert (out["codim"], out["perm_count"], out["equidimensional"]) == (
+                r.codim,
+                r.perm_count,
+                r.equidimensional,
+            )
+            assert (out["cm"], out["km_vd"]) == (r.cm, r.km_vd)
+            assert ("km_vd_trace" in out) is (not r.km_vd)
+            assert out["init_ideal"] == init_ideal(A).to_json_list()
+        assert primes == []
 
     def test_no_minimal_transversals(self, monkeypatch, worked_example, a6):
         """With every check, no ASM goes through Berge's algorithm."""
@@ -734,19 +772,21 @@ class TestPairMemo:
 
     def test_bound(self):
         """The memos an analysis fills are bounded: perm_set's row up-sets
-        keep one entry per column set, under 2**6 for all of ASM(6) and
-        under 2**10 for every n the table allows, and reading them needs no
-        rank matrix; pipe_dreams keeps one entry per permutation, at most
-        all of S_7.  rank_matrix and init_ideal, which the sweeps call, keep
-        2**10 ASMs each."""
+        keep one entry per proper column set of each m <= n, the recursion's
+        keys for smaller m included, so at most 120 for all of ASM(6) and
+        1013 for every n the bound allows, and reading them needs no rank
+        matrix; pipe_dreams keeps one entry per permutation, at most all of
+        S_7.  rank_matrix and init_ideal, which the sweeps call, keep 2**10
+        ASMs each."""
         _row_upset.cache_clear()
         misses = rank_matrix.cache_info().misses
         for A in ASMS_UPTO_6[6]:
             analyze_asm(A, ("codim",))
-        assert _row_upset.cache_info().currsize <= 2**6
+        assert _row_upset.cache_info().currsize <= sum(2**m - 1 for m in range(1, 7)) == 120
         assert rank_matrix.cache_info().misses == misses
         assert _row_upset.cache_info().maxsize == ROW_UPSET_MEMO_SIZE == 2**10
-        assert sum(2**n for n in range(1, PERM_TABLE_BOUND + 1)) <= ROW_UPSET_MEMO_SIZE
+        keys = sum(2**m - 1 for m in range(1, PERM_TABLE_BOUND + 1))
+        assert keys == 1013 <= ROW_UPSET_MEMO_SIZE
         for A in ASMS_UPTO_6[6]:
             essential_set(A)
         assert rank_matrix.cache_info().currsize == rank_matrix.cache_info().maxsize == 2**10

@@ -1,6 +1,7 @@
 import os
 import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +22,7 @@ from asmlab import (
     minimal_primes,
     minimal_primes_bruteforce,
     natural_init_ideal,
+    one_plus,
     perm_from_prime,
     perm_set,
     perm_set_naive,
@@ -42,7 +44,7 @@ from asmlab.ideals import (
     SquarefreeIdeal,
     _above,
     _lex_perm,
-    _rank_table,
+    _row_upset,
     cell_label,
     cells,
     mask,
@@ -331,6 +333,29 @@ def naive(A) -> PermSet:
     return PermSet(perms, min(lengths), len(lengths) == 1)
 
 
+def drawn_asms(n, count):
+    """count distinct ASM(n) drawn by a seeded random descent through the
+    stream's row steps, in the order drawn."""
+    rng, drawn = random.Random(n), {}
+    while len(drawn) < count:
+        prev, rows = (), []
+        for _ in range(n):
+            prev, row = rng.choice(_next_rows(prev, n))
+            rows.append(row)
+        drawn.setdefault(Asm(tuple(rows)))
+    return list(drawn)
+
+
+def lex_line(n, k) -> tuple:
+    """The k-th permutation of S_n in lex order: the factorial-base digits
+    of k pick each value from those left."""
+    values, line = list(range(1, n + 1)), []
+    for place in range(n - 1, -1, -1):
+        d, k = divmod(k, factorial(place))
+        line.append(values.pop(d))
+    return tuple(line)
+
+
 def rank_at(line, i, j) -> int:
     """The rank of the permutation at the cell (i, j)."""
     return sum(v <= j for v in line[:i])
@@ -374,15 +399,18 @@ class TestPermSet:
         """perm_set_naive stops at n=7, so at n=8 the oracle is the
         pipe-dream reading of the primes, on 100 distinct ASM(8) drawn by a
         seeded random descent through the stream's row steps."""
-        rng, drawn = random.Random(8), {}
-        while len(drawn) < 100:
-            prev, rows = (), []
-            for _ in range(8):
-                prev, row = rng.choice(_next_rows(prev, 8))
-                rows.append(row)
-            drawn.setdefault(Asm(tuple(rows)))
-        for A in drawn:
+        for A in drawn_asms(8, 100):
             assert perm_set(A) == via_primes(A)
+
+    def test_one_plus_n9(self):
+        """At n=9, on 50 drawn ASM(8): Perm(1 + A) is 1 + w for each w of
+        Perm(A), with the same codimension and equidimensionality."""
+        for A in drawn_asms(8, 50):
+            ps, ps1 = perm_set(A), perm_set(one_plus(A))
+            assert ps1.perms == {
+                Permutation((1, *(v + 1 for v in w.one_line))) for w in ps.perms
+            }
+            assert (ps1.codim, ps1.equidimensional) == (ps.codim, ps.equidimensional)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_upset_equals_bruhat_scan(self, n):
@@ -396,8 +424,8 @@ class TestPermSet:
 
     @given(st.integers(1, 5).flatmap(lambda n: st.permutations(range(1, n + 1))))
     def test_table_matches_rank_matrices(self, line):
-        """Lex order extends the Bruhat order, and the rank table holds
-        exactly the permutations of each rank at each cell."""
+        """Lex order extends the Bruhat order, and _lex_perm reads the k-th
+        permutation, its length and its up-set."""
         n = len(line)
         lex = list(permutations(range(1, n + 1)))
         k = lex.index(tuple(line))
@@ -405,17 +433,39 @@ class TestPermSet:
         ranks = rank_matrix(w.to_asm())
         for u in lex[:k]:  # no permutation after w lies below it
             assert not asm_geq(Permutation(u).to_asm(), w.to_asm())
-        _, le = _rank_table(n)
-        for i in range(1, n):
-            for j in range(1, n):
-                for r, bitset in enumerate(le[i - 1][j - 1]):
-                    assert (bitset >> k & 1) == (ranks[i - 1][j - 1] <= r)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
                 assert rank_at(line, i, j) == ranks[i - 1][j - 1]
         lex_w, length, up = _lex_perm(n, k)
         assert lex_w == w and length == w.length
         assert up == sum(
             1 << b for b, u in enumerate(lex) if asm_geq(Permutation(u).to_asm(), w.to_asm())
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+    def test_row_upsets_by_brute_force(self, n):
+        """_row_upset(n, S) holds exactly the permutations of S_n whose rank
+        at (|S|, j) is at most |S & [j]| at every column j, for every proper
+        column set S of [n]: on all of S_n for n <= 7, and on a seeded 300
+        of S_n, each read from its lex index, for n = 8 and 9."""
+        indices = range(factorial(n))
+        if n > 7:
+            indices = random.Random(n).sample(indices, 300)
+        lines = {k: lex_line(n, k) for k in indices}
+        if n <= 7:
+            assert list(lines.values()) == list(permutations(range(1, n + 1)))
+        grid = range(1, n + 1)
+        ranks = {
+            k: [tuple(rank_at(line, i, j) for j in grid) for i in range(n)]
+            for k, line in lines.items()
+        }
+        for S in range((1 << n) - 1):
+            i = S.bit_count()
+            bound = tuple((S & ((1 << j) - 1)).bit_count() for j in grid)
+            up = _row_upset(n, S)
+            assert up >> factorial(n) == 0
+            for k, r in ranks.items():
+                assert (up >> k & 1) == all(map(int.__le__, r[i], bound))
 
     def test_size_bound(self):
         with pytest.raises(SizeBoundExceededError):
