@@ -51,6 +51,7 @@ from .enumeration import (
     VerificationReport,
     analyze_asm,
     enumerate_asms,
+    is_cohen_macaulay,
     tabulate,
     verify_statement,
 )
@@ -60,7 +61,6 @@ from .homology import (
     HomologyProfile,
     chain_complex,
     hochster_depth,
-    is_cohen_macaulay,
     reduced_homology_ranks,
     sparse_rank,
 )

@@ -48,14 +48,7 @@ from .errors import (
     UnknownCheckError,
     UnknownStatementError,
 )
-from .homology import (
-    _all_faces,
-    cascade_is_cm,
-    characteristic,
-    decided_by_perms,
-    is_cohen_macaulay,
-    parse_field,
-)
+from .homology import _all_faces, cascade_is_cm, characteristic, parse_field
 from .ideals import (
     SquarefreeIdeal,
     cells,
@@ -154,14 +147,20 @@ def _known_checks(checks) -> frozenset:
 
 
 def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
-    """Answer the requested checks.  codim, perm_count and equidimensionality
-    come from perm_set(A).  So do "cm" and "km_vd" when Perm(A) has more
-    than one length or is one permutation (`homology.decided_by_perms`);
-    otherwise they are decided on the Stanley-Reisner complex built from the
-    pipe dreams of the same Perm(A), with no ideal and no minimal-prime
-    search, and "km_vd" is a flag of the vd search, a memo hit after "cm".
-    Each timing is the time since the previous one, so building the complex
-    is charged to the first of those two stages."""
+    """Answer the requested checks: the one place an ASM's CM and KM-vd
+    answers are decided (`is_cohen_macaulay` is its "cm" answer).
+
+    codim, perm_count and equidimensionality come from perm_set(A), and so
+    do "cm" and "km_vd" when Perm(A) settles both.  A facet of the
+    Stanley-Reisner complex Delta_A is the complement of a pipe dream of
+    some w in Perm(A), with l(w) cells, so with more than one length Delta_A
+    is not pure: neither CM (Reisner) nor vertex decomposable.  For one
+    permutation it is a subword complex, vertex decomposable at the first
+    letter, the fixed KM order (Knutson-Miller), so CM over every field.
+    Otherwise Delta_A is built once from the pipe dreams of Perm(A), with no
+    ideal: "cm" is the cascade on it, and "km_vd" a flag of the vd search, a
+    memo hit after "cm".  Each timing is the time since the previous one, so
+    building the complex is charged to the first of those two stages."""
     checks = _known_checks(checks)
     timings = []
     codim = perm_count = equidim = cm = km_vd = None
@@ -181,9 +180,12 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
         equidim = ps.equidimensional if "equidim" in checks else None
         lap("primes")
     if checks & {"cm", "km_vd"}:
-        known = decided_by_perms(ps)
-        if known is None:
-            facets = asm_complex(ps).facets
+        if not ps.equidimensional:
+            known = False
+        elif len(ps.perms) == 1:
+            known = True
+        else:
+            known, facets = None, asm_complex(ps).facets
         if "cm" in checks:
             p = characteristic(field)  # rejects a bad field, decided or not
             cm = cascade_is_cm(facets, p) if known is None else known
@@ -201,6 +203,12 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
         a11_is_one=A.a11_is_one,
         timings=tuple(timings),
     )
+
+
+def is_cohen_macaulay(A: Asm, field="rational") -> bool:
+    """Whether the ASM defines a Cohen-Macaulay quotient over the field:
+    analyze_asm's "cm" answer."""
+    return analyze_asm(A, ("cm",), field).cm
 
 
 # -- census tabulation ---------------------------------------------------------

@@ -1,20 +1,15 @@
-"""Exact reduced simplicial homology and the Cohen-Macaulayness decision.
+"""Exact reduced simplicial homology and the Cohen-Macaulayness of a complex.
 
 Homology is computed over the rationals (exact integer elimination; no
-floating point) or over a prime field.  Cohen-Macaulayness of an ASM is
-decided on the Stanley-Reisner complex of its antidiagonal initial ideal,
-built from the pipe dreams of Perm(A) (`complexes.asm_complex`).
-Perm(A) alone settles it, with no complex, when its permutations have more
-than one length (the complex is not pure) or when it is one permutation (a
-subword complex, vertex decomposable): `decided_by_perms`.  Every other
-ASM goes through a cascade that runs homology only when no certificate
-settles the question: a vertex decomposable complex (one search, greatest
-vertex first) is shellable and so CM over every field (Provan-Billera);
-the rest go through Reisner's link-vanishing criterion, which rejects a
-non-pure complex at once.  Reisner's criterion on its own (`complex_is_cm`)
-and Hochster's depth formula over all induced subcomplexes
-(`hochster_depth`) are the oracles the cascade is checked against.  Faces
-are masks in the layout of `ideals`, their vertices in ascending bit order.
+floating point) or over a prime field.  A complex is given by its facets,
+masks in the layout of `ideals` with their vertices in ascending bit order.
+`cascade_is_cm` runs homology only when no certificate settles the
+question: a vertex decomposable complex (one search, greatest vertex first)
+is shellable and so CM over every field (Provan-Billera); the rest go
+through Reisner's link-vanishing criterion, which rejects a non-pure complex
+at once.  Reisner's criterion on its own (`complex_is_cm`) and Hochster's
+depth formula over all induced subcomplexes (`hochster_depth`) are the
+oracles the cascade is checked against.
 """
 
 from __future__ import annotations
@@ -23,16 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
 
-from .asm import Asm
-from .complexes import (
-    MEMO_SIZE,
-    SimplicialComplex,
-    asm_complex,
-    link_facets,
-    vd_facets,
-)
+from .complexes import MEMO_SIZE, SimplicialComplex, link_facets, vd_facets
 from .errors import FaceBudgetExceededError, InvalidFieldError
-from .ideals import PermSet, bits, is_pure_family, maximal_sets, perm_set, submasks, union
+from .ideals import bits, is_pure_family, maximal_sets, submasks, union
 
 FACE_BUDGET = 2**24  # the most faces chain_complex builds
 
@@ -264,30 +252,3 @@ def cascade_is_cm(facets, p: int = 0) -> bool:
     recurse on are antichains."""
     facets = frozenset(facets)
     return vd_facets(facets)[0] or complex_is_cm(facets, p)
-
-
-def decided_by_perms(ps: PermSet) -> bool | None:
-    """The CM and KM-vd answer for the complex of an ASM when ps =
-    perm_set(A) settles both, else None.  A facet is the complement of a
-    pipe dream of some w in Perm(A), with l(w) cells, so with more than one
-    length the complex is not pure: neither CM (Reisner) nor vertex
-    decomposable.  The complex of one permutation is its subword complex,
-    vertex decomposable at the first letter (Knutson-Miller), which is the
-    fixed KM order, and so CM over every field."""
-    if not ps.equidimensional:
-        return False
-    if len(ps.perms) == 1:
-        return True
-    return None
-
-
-def is_cohen_macaulay(A: Asm, field="rational") -> bool:
-    """Whether the ASM defines a Cohen-Macaulay quotient: decided by Perm(A)
-    when it is not equidimensional or is one permutation, else the cascade
-    on the Stanley-Reisner complex of its antidiagonal initial ideal, whose
-    facets are the complements of the pipe dreams of Perm(A)."""
-    p = characteristic(field)
-    ps = perm_set(A)
-    known = decided_by_perms(ps)
-    return cascade_is_cm(asm_complex(ps).facets, p) if known is None else known
-

@@ -432,16 +432,17 @@ def _lex_perm(n: int, k: int) -> tuple[Permutation, int, int]:
 
 def perm_set(A: Asm) -> PermSet:
     """Perm(A) with its codimension and equidimensionality.  The lowest
-    permutation above A is minimal, and each minimal w found removes its
-    up-set from the rest."""
+    permutation above A is minimal, and each minimal w found removes itself
+    and its up-set from the rest."""
     n = A.n
     rest = _above(A)
     perms, lengths = [], set()
     while rest:
-        w, length, up = _lex_perm(n, (rest & -rest).bit_length() - 1)
+        low = rest & -rest
+        w, length, up = _lex_perm(n, low.bit_length() - 1)
         perms.append(w)
         lengths.add(length)
-        rest &= ~up
+        rest &= ~(up | low)
     return PermSet(frozenset(perms), min(lengths), len(lengths) == 1)
 
 

@@ -1,6 +1,28 @@
+import sys
+
 import pytest
 
 from asmlab import validate_asm
+
+
+@pytest.fixture()
+def calls_through(monkeypatch):
+    """calls_through(fn) counts the calls of fn through every asmlab module
+    that binds its name: it returns the list of their argument tuples."""
+
+    def through(fn):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "asmlab" and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
+        return calls
+
+    return through
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import runpy
@@ -18,6 +19,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 RUN_CENSUS = SCRIPTS / "run_census.py"
 RUN_VERIFICATIONS = SCRIPTS / "run_verifications.py"
 BENCH = SCRIPTS / "bench.py"
+# sha256 of every `asmlab analyze` report on ASM(n <= 5), as
+# TestAnalyze.test_reports_pinned reads them
+ANALYZE_REPORTS_SHA256 = "2064f56d2873234d90447f831339404dfe8ad115ca7354f1b6f6a7d7e8d43b1d"
 
 
 def assert_one_error_line(capsys, code):
@@ -123,6 +127,20 @@ class TestAnalyze:
     def test_prime_field_accepted(self, worked_example_path, capsys):
         assert main(["analyze", "--input", worked_example_path, "--field", "p=3"]) == 0
         assert json.loads(capsys.readouterr().out)["cm"] is False
+
+    def test_reports_pinned(self, tmp_path, capsys):
+        """The JSON reports stay byte-identical: the stdout of `analyze` on
+        each ASM(n <= 5) in stream order, over Q and then GF(2), hashed in
+        sequence."""
+        path = tmp_path / "a.json"
+        digest = hashlib.sha256()
+        for n in range(1, 6):
+            for A in enumerate_asms(n):
+                path.write_text(json.dumps(A.to_json_dict()))
+                for field in ("rational", "p=2"):
+                    assert main(["analyze", "--input", str(path), "--field", field]) == 0
+                    digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == ANALYZE_REPORTS_SHA256
 
 
 class TestEnumerate:

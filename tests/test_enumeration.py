@@ -587,20 +587,6 @@ class TestFold:
         assert (t.total, t.equidim) == (218348, 71382)
 
 
-def calls_through(monkeypatch, fn):
-    """Count calls of fn through every asmlab module that binds its name."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "asmlab" and getattr(mod, fn.__name__, None) is fn:
-            monkeypatch.setattr(mod, fn.__name__, counted)
-    return calls
-
-
 class TestOneDerivation:
     """analyze_asm builds the complex of an ASM at most once, from the pipe
     dreams of Perm(A), only for the CM and KM-vd checks and none when
@@ -608,11 +594,11 @@ class TestOneDerivation:
     analyze_asm and builds the complex once more only for the trace of a
     KM-vd failure."""
 
-    def test_all_checks(self, monkeypatch, non_km_gvd, b4):
-        primes = calls_through(monkeypatch, minimal_primes)
-        ideal_complexes = calls_through(monkeypatch, sr_complex_from_ideal)
-        complexes = calls_through(monkeypatch, asm_complex)
-        cascades = calls_through(monkeypatch, cascade_is_cm)
+    def test_all_checks(self, calls_through, non_km_gvd, b4):
+        primes = calls_through(minimal_primes)
+        ideal_complexes = calls_through(sr_complex_from_ideal)
+        complexes = calls_through(asm_complex)
+        cascades = calls_through(cascade_is_cm)
         # equidimensional with two permutations: the complex decides
         assert analyze_asm(non_km_gvd).cm is True
         assert len(complexes) == len(cascades) == 1
@@ -626,12 +612,12 @@ class TestOneDerivation:
         assert len(cascades) == 1
         assert primes == ideal_complexes == []
 
-    def test_primes_only_builds_no_complex(self, monkeypatch, non_km_gvd, b4):
+    def test_primes_only_builds_no_complex(self, calls_through, non_km_gvd, b4):
         # codim and equidimensionality come from perm_set: no ideal, no
         # prime, no complex
-        primes = calls_through(monkeypatch, minimal_primes)
-        ideals = calls_through(monkeypatch, init_ideal)
-        complexes = calls_through(monkeypatch, asm_complex)
+        primes = calls_through(minimal_primes)
+        ideals = calls_through(init_ideal)
+        complexes = calls_through(asm_complex)
         for A in (non_km_gvd, b4):
             r = analyze_asm(A, checks=("codim", "equidim"))
             assert (r.codim, r.perm_count, r.equidimensional) == (
@@ -641,14 +627,14 @@ class TestOneDerivation:
             )
         assert primes == ideals == complexes == []
 
-    def test_cli_analyze(self, monkeypatch, tmp_path, capsys, b4, non_km_gvd):
+    def test_cli_analyze(self, calls_through, tmp_path, capsys, b4, non_km_gvd):
         from asmlab.cli import main
 
         w = Permutation((2, 4, 1, 3)).to_asm()
         expected = {A: analyze_asm(A, field="p=2") for A in (b4, non_km_gvd, w)}
-        primes = calls_through(monkeypatch, minimal_primes)
-        complexes = calls_through(monkeypatch, asm_complex)
-        cascades = calls_through(monkeypatch, cascade_is_cm)
+        primes = calls_through(minimal_primes)
+        complexes = calls_through(asm_complex)
+        cascades = calls_through(cascade_is_cm)
         # (complexes, cascades): b4 and w are decided by Perm(A), and b4's
         # KM-vd failure is traced on its complex; non_km_gvd's complex
         # decides, and is built again for the trace
@@ -754,7 +740,7 @@ class TestPairMemo:
             assert analyze_asm(first).km_vd == expected[first]
             assert analyze_asm(second).km_vd == expected[second]
 
-    def test_cm_not_shared_across_fields(self, monkeypatch, non_km_gvd):
+    def test_cm_not_shared_across_fields(self, calls_through, non_km_gvd):
         # each analysis runs its own cascade, over its own field; A and A^T
         # are equidimensional with two permutations each, so Perm(A) leaves
         # CM to the complex
@@ -763,7 +749,7 @@ class TestPairMemo:
         for B in (non_km_gvd, At):
             ps = perm_set(B)
             assert ps.equidimensional and len(ps.perms) == 2
-        cascades = calls_through(monkeypatch, cascade_is_cm)
+        cascades = calls_through(cascade_is_cm)
         assert analyze_asm(non_km_gvd, ("cm",)).cm is True
         assert analyze_asm(At, ("cm",), field="p=2").cm is True
         assert analyze_asm(non_km_gvd, ("cm",), field="p=2").cm is True

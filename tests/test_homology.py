@@ -23,7 +23,7 @@ from asmlab import (
 from asmlab import homology
 from asmlab.errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
 from asmlab.complexes import asm_complex, vd_facets
-from asmlab.homology import cascade_is_cm, complex_is_cm, compose_boundaries, decided_by_perms
+from asmlab.homology import cascade_is_cm, complex_is_cm, compose_boundaries
 from asmlab.ideals import is_pure_family
 
 
@@ -236,15 +236,23 @@ class TestCascade:
         assert not cascade_is_cm(facets({1, 2}, {3}))
 
 
+def left_open(ps):
+    """Whether Perm(A) leaves CM and KM-vd to the complex: one length and
+    more than one permutation.  Otherwise both answers are
+    ps.equidimensional."""
+    return ps.equidimensional and len(ps.perms) > 1
+
+
 class TestDecidedByPerms:
-    """Perm(A) settles CM and KM-vd with no complex when its permutations
-    have more than one length, or when it is one permutation; checked
-    against the cascade and the vd search on the complex itself."""
+    """analyze_asm lets Perm(A) settle CM and KM-vd with no complex when its
+    permutations have more than one length, or when it is one permutation;
+    checked against the cascade and the vd search on the complex itself."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=stretch("all of ASM(6)"))])
-    def test_matches_the_complex(self, n):
+    def test_matches_the_complex(self, n, calls_through):
         # 1 + A only below n = 6: the 7436 complexes of 1 + A in ASM(7) take
         # minutes
+        built = calls_through(asm_complex)
         for A in enumerate_asms(n):
             for B in (A, one_plus(A)) if n < 6 else (A,):
                 ps = perm_set(B)
@@ -252,37 +260,50 @@ class TestDecidedByPerms:
                 km_vd = vd_facets(facets)[1]
                 for field, p in (("rational", 0), ("p=2", 2)):
                     cm = cascade_is_cm(facets, p)
+                    built.clear()
                     r = analyze_asm(B, field=field)
                     assert (r.cm, r.km_vd) == (cm, km_vd)
+                    assert len(built) == left_open(ps)
+                    if not left_open(ps):
+                        assert (r.cm, r.km_vd) == (ps.equidimensional,) * 2
                     assert is_cohen_macaulay(B, field) == cm
-                    assert decided_by_perms(ps) in (None, cm)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=stretch("all of S_7"))])
-    def test_permutations_km_vd(self, n):
+    def test_permutations_km_vd(self, n, calls_through):
+        built = calls_through(asm_complex)
         for line in permutations(range(1, n + 1)):
-            ps = perm_set(Permutation(line).to_asm())
-            assert decided_by_perms(ps) is True
-            assert vd_facets(asm_complex(ps).facets) == (True, True)
+            A = Permutation(line).to_asm()
+            r = analyze_asm(A, ("cm", "km_vd"))
+            assert (r.cm, r.km_vd) == (True, True)
+            assert vd_facets(asm_complex(perm_set(A)).facets) == (True, True)
+        assert built == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_pure_exactly_when_equidimensional(self, n):
+    def test_pure_exactly_when_equidimensional(self, n, calls_through):
         # and what Perm(A) decides, the fixed-order search agrees with
+        built = calls_through(asm_complex)
         for A in enumerate_asms(n):
             ps = perm_set(A)
             facets = asm_complex(ps).facets
             assert is_pure_family(facets) == ps.equidimensional
+            built.clear()
+            km_vd = analyze_asm(A, ("km_vd",)).km_vd
+            assert km_vd == vd_facets(facets)[1]
+            assert len(built) == left_open(ps)
             if not ps.equidimensional:
-                assert decided_by_perms(ps) is False
-            assert decided_by_perms(ps) in (None, vd_facets(facets)[1])
+                assert km_vd is False
 
-    def test_field_checked_when_decided(self, b4):
+    def test_field_checked_when_decided(self, b4, calls_through):
+        built = calls_through(asm_complex)
         w = Permutation((2, 1, 3)).to_asm()
         for A, answer in ((b4, False), (w, True)):
-            assert decided_by_perms(perm_set(A)) is answer
+            r = analyze_asm(A, ("cm", "km_vd"))
+            assert (r.cm, r.km_vd) == (answer, answer)
             with pytest.raises(InvalidFieldError):
                 analyze_asm(A, ("cm",), field="p=4")
             with pytest.raises(InvalidFieldError):
                 is_cohen_macaulay(A, "p=4")
+        assert built == []
 
 
 class TestHochsterBackend:

@@ -1,5 +1,6 @@
 import os
 import random
+import signal
 from itertools import permutations
 from math import factorial
 
@@ -30,6 +31,7 @@ from asmlab import (
     rank_matrix,
     yo_induction_states,
 )
+from asmlab import ideals
 from asmlab.enumeration import _next_rows
 from asmlab.errors import (
     NonReducedWordError,
@@ -466,6 +468,28 @@ class TestPermSet:
             assert up >> factorial(n) == 0
             for k, r in ranks.items():
                 assert (up >> k & 1) == all(map(int.__le__, r[i], bound))
+
+    def test_returns_when_an_upset_lacks_its_own_bit(self, monkeypatch):
+        """Each pass of perm_set clears the bit it read, so an up-set that
+        lacks w itself cannot make it loop; the alarm turns a loop into a
+        failure."""
+
+        def lacking(n, k):
+            w, length, up = _lex_perm(n, k)
+            return w, length, up & ~(1 << k)
+
+        def timeout(signum, frame):
+            raise TimeoutError("perm_set did not return")
+
+        expected = [perm_set(A) for A in ASMS_UPTO_6[4]]
+        monkeypatch.setattr(ideals, "_lex_perm", lacking)
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            assert [perm_set(A) for A in ASMS_UPTO_6[4]] == expected
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_size_bound(self):
         with pytest.raises(SizeBoundExceededError):
