@@ -1,7 +1,9 @@
 """Command-line front end: analyze / enumerate / verify / pattern / diagram.
 
-JSON is the output contract; text renderings are conveniences.  Every
-failure path exits nonzero and reports a machine-parsable error code.
+JSON is the output contract; text renderings are conveniences.  enumerate
+takes several sizes and verify several sizes and statements; each run's
+line is written as soon as that run finishes.  Every failure path exits
+nonzero and reports a machine-parsable error code.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 
 from .asm import (
     Asm,
@@ -44,12 +47,17 @@ def _load_asm(path: str) -> Asm:
     return asm_from_json(data)
 
 
-def _emit(args, text: str) -> None:
-    if args.out_path:
-        with open(args.out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(args, chunks) -> None:
+    """Write each chunk to --out or stdout, flushed, as soon as it is made.
+    --out is opened at the first chunk, so a command that fails before
+    making one leaves no file, and the chunks made before a failure stay."""
+    out = sys.stdout
+    with ExitStack() as stack:
+        for i, chunk in enumerate(chunks):
+            if i == 0 and args.out_path:
+                out = stack.enter_context(open(args.out_path, "w"))
+            out.write(chunk)
+            out.flush()
 
 
 def cmd_analyze(args) -> int:
@@ -88,37 +96,56 @@ def cmd_analyze(args) -> int:
             f"equidimensional {report['equidimensional']}",
             f"cm {report['cm']}  km_vd {report['km_vd']}",
         ]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     else:
-        _emit(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _emit(args, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    table = tabulate(
-        args.n,
-        checks=args.checks,
-        filter_spec=args.filter_spec,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        field=args.field,
-    )
-    if args.out_format == "json":
-        _emit(args, json.dumps(table.to_json_dict(), sort_keys=True) + "\n")
-    else:
-        _emit(args, table.to_csv())
+    """One census row per size, in the order given: a JSON object per line,
+    or CSV with the header once."""
+
+    def rows():
+        for i, n in enumerate(args.n):
+            table = tabulate(
+                n,
+                checks=args.checks,
+                filter_spec=args.filter_spec,
+                jobs=args.jobs,
+                cache_dir=args.cache_dir,
+                field=args.field,
+            )
+            if args.out_format == "json":
+                yield json.dumps(table.to_json_dict(), sort_keys=True) + "\n"
+            else:
+                text = table.to_csv()
+                yield text if i == 0 else text.partition("\n")[2]
+
+    _emit(args, rows())
     return 0
 
 
 def cmd_verify(args) -> int:
-    report = verify_statement(args.statement, args.n, seed=args.seed)
-    if args.out_format == "json":
-        _emit(args, json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
-    else:
-        status = "PASS" if report.passed else "FAIL"
-        good = report.cases - len(report.failures)
-        _emit(args, f"{status} {good}/{report.cases}\n")
-    return 0 if report.passed else 1
+    """Each statement at each size, sizes outermost: one JSON report per
+    line, or `PASS|FAIL <statement> n=<n> <good>/<cases>`.  Exits 1 if any
+    run fails."""
+    passed = []
+
+    def lines():
+        for n in args.n:
+            for name in args.statement:
+                report = verify_statement(name, n, seed=args.seed)
+                passed.append(report.passed)
+                if args.out_format == "json":
+                    yield json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
+                else:
+                    status = "PASS" if report.passed else "FAIL"
+                    good = report.cases - len(report.failures)
+                    yield f"{status} {name} n={n} {good}/{report.cases}\n"
+
+    _emit(args, lines())
+    return 0 if all(passed) else 1
 
 
 def cmd_pattern(args) -> int:
@@ -126,7 +153,7 @@ def cmd_pattern(args) -> int:
     pattern = _load_asm(args.pattern_path)
     witness = find_pattern(target, pattern)
     if witness is None:
-        _emit(args, json.dumps({"contains": False}) + "\n")
+        _emit(args, [json.dumps({"contains": False}) + "\n"])
         return 1
     cr = check_containment_constraints(target, pattern, witness)
     out = {
@@ -138,13 +165,13 @@ def cmd_pattern(args) -> int:
         "entry_sum": cr.entry_sum,
         "constraints_ok": cr.ok,
     }
-    _emit(args, json.dumps(out, sort_keys=True) + "\n")
+    _emit(args, [json.dumps(out, sort_keys=True) + "\n"])
     return 0
 
 
 def cmd_diagram(args) -> int:
     A = _load_asm(args.input_path)
-    _emit(args, ascii_diagram(A) + "\n")
+    _emit(args, [ascii_diagram(A) + "\n"])
     return 0
 
 
@@ -176,15 +203,17 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--input", dest="input_path", required=True)
 
     p = command("enumerate", ("csv", "json"), field=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=int, nargs="+", required=True)
     p.add_argument("--checks", default=",".join(ALL_CHECKS))
     p.add_argument("--filter", dest="filter_spec")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache", dest="cache_dir")
 
     p = command("verify", ("text", "json"))
-    p.add_argument("--statement", required=True, choices=STATEMENT_NAMES)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument(
+        "--statement", nargs="+", choices=STATEMENT_NAMES, default=STATEMENT_NAMES
+    )
+    p.add_argument("-n", type=int, nargs="+", required=True)
     p.add_argument("--seed", type=int, default=0)
 
     p = command("pattern")

@@ -21,7 +21,7 @@ import shutil
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cache
 from itertools import combinations, islice
 from math import fsum, inf
 
@@ -67,9 +67,6 @@ ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 # older code is ever served.
 CACHE_VERSION = 6
 MAX_STREAM_N = 8
-# One entry per one-position tuple of a partial column-sum row: 2**n - 1
-# for ASM(n), 502 over every streamable n.
-STREAM_MEMO_SIZE = 2**9
 SHARD_SIZE = 128
 ALL_CHECKS = ("codim", "equidim", "cm", "km_vd")
 CENSUS_COLUMNS = (
@@ -87,7 +84,7 @@ CENSUS_COLUMNS = (
 # -- the stream ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=STREAM_MEMO_SIZE)
+@cache  # keys: the one-position tuples of each n <= MAX_STREAM_N, 502 in all
 def _next_rows(prev: tuple[int, ...], n: int) -> tuple:
     """(positions, row) for each extension of the one-positions prev, in
     lexicographic order: the ASM row is the 0/1 vector of the positions
@@ -132,8 +129,6 @@ class AnalysisReport:
     equidimensional: bool | None = None
     cm: bool | None = None
     km_vd: bool | None = None
-    a11_is_one: bool = False
-    timings: tuple = ()  # tuple[(stage, seconds), ...]
 
 
 def _known_checks(checks) -> frozenset:
@@ -159,26 +154,16 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
     letter, the fixed KM order (Knutson-Miller), so CM over every field.
     Otherwise Delta_A is built once from the pipe dreams of Perm(A), with no
     ideal: "cm" is the cascade on it, and "km_vd" a flag of the vd search, a
-    memo hit after "cm".  Each timing is the time since the previous one, so
-    building the complex is charged to the first of those two stages."""
+    memo hit after "cm".  The field is checked first, whatever the checks."""
     checks = _known_checks(checks)
-    timings = []
+    p = characteristic(field)
     codim = perm_count = equidim = cm = km_vd = None
-    t0 = time.perf_counter()
-
-    def lap(stage):
-        nonlocal t0
-        t1 = time.perf_counter()
-        timings.append((stage, t1 - t0))
-        t0 = t1
-
     if checks:
         ps = perm_set(A)
     if checks & {"codim", "equidim"}:
         codim = ps.codim if "codim" in checks else None
         perm_count = len(ps.perms)
         equidim = ps.equidimensional if "equidim" in checks else None
-        lap("primes")
     if checks & {"cm", "km_vd"}:
         if not ps.equidimensional:
             known = False
@@ -187,12 +172,9 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
         else:
             known, facets = None, asm_complex(ps).facets
         if "cm" in checks:
-            p = characteristic(field)  # rejects a bad field, decided or not
             cm = cascade_is_cm(facets, p) if known is None else known
-            lap("cm")
         if "km_vd" in checks:
             km_vd = vd_facets(facets)[1] if known is None else known
-            lap("km_vd")
     return AnalysisReport(
         asm=A,
         codim=codim,
@@ -200,8 +182,6 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
         equidimensional=equidim,
         cm=cm,
         km_vd=km_vd,
-        a11_is_one=A.a11_is_one,
-        timings=tuple(timings),
     )
 
 
@@ -292,7 +272,7 @@ def _shard_worker(args):
     counts with the seconds its analyses took, the object its file holds."""
     start, asms, checks, field = args
     counts = Counter()
-    seconds = []
+    t0 = time.perf_counter()
     for A in asms:
         r = analyze_asm(A, checks=checks, field=field)
         # the headline KM-vd count is CM complexes missed by the fixed-order
@@ -303,10 +283,10 @@ def _shard_worker(args):
         counts["cm"] += bool(r.cm)
         counts["equidim"] += bool(r.equidimensional)
         counts["km_vd_fail"] += bool(miss)
-        counts["km_vd_fail_a11"] += bool(miss and r.a11_is_one)
-        seconds.extend(t for _, t in r.timings)
+        counts["km_vd_fail_a11"] += bool(miss and A.a11_is_one)
+    seconds = time.perf_counter() - t0
     shard = {k: counts[k] for k in _SHARD_COUNTS}
-    return start, {**shard, "total": len(asms), "seconds": fsum(seconds)}
+    return start, {**shard, "total": len(asms), "seconds": seconds}
 
 
 def tabulate(

@@ -19,7 +19,7 @@ kernel serve the theorem sweeps and the oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import combinations
 from math import factorial
 from operator import or_
@@ -352,10 +352,6 @@ PERM_TABLE_BOUND = 9
 # An entry holds a permutation and its up-set, n!/8 bytes: all 5040 of S_7
 # fit in 5.6 MB; at n=8 an entry is over 5 KB.
 UPSET_MEMO_SIZE = 2**13
-# One entry per proper column set of every n <= PERM_TABLE_BOUND, the
-# recursion's keys included: 1 + 3 + ... + (2**9 - 1) = 1013.  The 255 of
-# S_8 take 1.4 MB, the 511 of S_9 25 MB, and all 1013 build in 0.03 s.
-ROW_UPSET_MEMO_SIZE = 2**10
 
 
 @dataclass(frozen=True)
@@ -368,7 +364,7 @@ class PermSet:
     equidimensional: bool
 
 
-@lru_cache(maxsize=ROW_UPSET_MEMO_SIZE)
+@cache  # keys: the proper column sets of each n <= PERM_TABLE_BOUND, 1013 in all
 def _row_upset(n: int, S: int) -> int:
     """The permutations w of S_n that meet the rank condition of row |S| of
     any matrix whose columns with partial sum 1 through that row are S (bit

@@ -12,13 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from asmlab import enumerate_asms, init_ideal, sr_complex_from_ideal
 from asmlab.cli import main
-from asmlab.enumeration import ALL_CHECKS, STATEMENT_NAMES
+from asmlab.enumeration import ALL_CHECKS, STATEMENT_NAMES, _STATEMENTS
 from asmlab.homology import complex_is_cm
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-RUN_CENSUS = SCRIPTS / "run_census.py"
-RUN_VERIFICATIONS = SCRIPTS / "run_verifications.py"
-BENCH = SCRIPTS / "bench.py"
+BENCH = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
 # sha256 of every `asmlab analyze` report on ASM(n <= 5), as
 # TestAnalyze.test_reports_pinned reads them
 ANALYZE_REPORTS_SHA256 = "2064f56d2873234d90447f831339404dfe8ad115ca7354f1b6f6a7d7e8d43b1d"
@@ -187,6 +184,59 @@ class TestEnumerate:
         assert json.loads(captured.err)["error"] == "error"
 
 
+class TestRunCensus:
+    """enumerate over several sizes: the header once, then each size's row
+    as that size gives it alone (runtime_s aside), written as it comes."""
+
+    def lines(self, capsys, out_format, *sizes):
+        # the empty name after a trailing comma is dropped
+        argv = ["enumerate", "-n", *sizes, "--checks", "codim,equidim,"]
+        assert main([*argv, "--format", out_format]) == 0
+        out = capsys.readouterr().out.splitlines()
+        if out_format == "csv":
+            return [line.rsplit(",", 1)[0] for line in out]
+        return [{**json.loads(line), "runtime_s": None} for line in out]
+
+    def test_rows(self, capsys):
+        rows = self.lines(capsys, "csv", "3", "4")
+        assert rows == self.lines(capsys, "csv", "3") + self.lines(capsys, "csv", "4")[1:]
+        assert [r.split(",")[:2] for r in rows[1:]] == [["3", "7"], ["4", "42"]]
+
+    def test_json_lines(self, capsys):
+        rows = self.lines(capsys, "json", "3", "4")
+        assert rows == self.lines(capsys, "json", "3") + self.lines(capsys, "json", "4")
+        assert [r["total"] for r in rows] == [7, 42]
+
+    def test_cache_env_per_size(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ASMLAB_CACHE", str(tmp_path))
+        assert main(["enumerate", "-n", "3", "4", "--checks", "codim"]) == 0
+        capsys.readouterr()
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_rows_before_an_error_stay(self, tmp_path, capsys):
+        out = tmp_path / "census.csv"
+        argv = ["enumerate", "-n", "3", "9", "--checks", "codim", "--out", str(out)]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "size-bound-exceeded"
+        assert [r.split(",")[:2] for r in out.read_text().splitlines()] == [
+            ["n", "total"],
+            ["3", "7"],
+        ]
+
+    @pytest.mark.parametrize(
+        "flag, value, code",
+        [
+            ("--field", "p=4", "invalid-field"),
+            ("--checks", "bogus", "unknown-check"),
+            ("--filter", "nope", "error"),
+            ("--jobs", "0", "error"),
+        ],
+    )
+    def test_asmlab_error_exits_2(self, capsys, flag, value, code):
+        assert main(["enumerate", "-n", "3", "4", flag, value]) == 2
+        assert_one_error_line(capsys, code)
+
+
 class TestUsageErrors:
     """A command line argparse rejects exits 2 with one JSON error line."""
 
@@ -199,6 +249,8 @@ class TestUsageErrors:
             ["enumerate", "-n", "3", "--format", "text"],
             ["verify", "--statement", "badblock", "-n", "3", "--field", "p=2"],
             [],
+            ["enumerate", "-n", "3", "abc"],
+            ["verify", "-n", "x"],
         ],
     )
     def test_cli(self, capsys, argv):
@@ -219,79 +271,69 @@ class TestUsageErrors:
         assert main([command, *files, *flag]) == 2
         assert_one_error_line(capsys, "usage")
 
-    @pytest.mark.parametrize(
-        "script, argv",
-        [
-            (RUN_CENSUS, ["-n", "abc"]),
-            (RUN_VERIFICATIONS, ["--max-n", "x"]),
-            (BENCH, ["--seeds", "x"]),
-        ],
-    )
-    def test_scripts(self, monkeypatch, capsys, script, argv):
-        monkeypatch.setattr(sys, "argv", [script.name, *argv])
-        assert runpy.run_path(str(script))["main"]() == 2
+    def test_bench_script(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", [BENCH.name, "--seeds", "x"])
+        assert runpy.run_path(str(BENCH))["main"]() == 2
         assert_one_error_line(capsys, "usage")
-
-
-class TestRunCensus:
-    def run(self, monkeypatch, *argv):
-        monkeypatch.setattr(sys, "argv", ["run_census.py", *argv])
-        return runpy.run_path(str(RUN_CENSUS))["main"]()
-
-    def test_rows(self, monkeypatch, capsys):
-        # the empty name after a trailing comma is dropped, as by the CLI
-        assert self.run(monkeypatch, "-n", "3", "4", "--checks", "codim,equidim,") == 0
-        rows = capsys.readouterr().out.strip().split("\n")
-        assert [r.split(",")[:2] for r in rows[1:]] == [["3", "7"], ["4", "42"]]
-
-    @pytest.mark.parametrize(
-        "flag, value, code",
-        [
-            ("--field", "p=4", "invalid-field"),
-            ("--checks", "bogus", "unknown-check"),
-            ("--filter", "nope", "error"),
-            ("--jobs", "0", "error"),
-        ],
-    )
-    def test_asmlab_error_exits_2(self, monkeypatch, capsys, flag, value, code):
-        assert self.run(monkeypatch, "-n", "3", flag, value) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == code
-
-
-class TestRunVerifications:
-    def run(self, monkeypatch, *argv):
-        monkeypatch.setattr(sys, "argv", ["run_verifications.py", *argv])
-        return runpy.run_path(str(RUN_VERIFICATIONS))["main"]()
-
-    def test_pass_lines(self, monkeypatch, capsys):
-        assert self.run(monkeypatch, "--min-n", "3", "--max-n", "3") == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert [line.split()[:3] for line in lines] == [
-            ["PASS", name, "n=3"] for name in STATEMENT_NAMES
-        ]
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("--min-n", "6", "--max-n", "6", "--statements", "cm-conjecture"),
-            ("--min-n", "9", "--max-n", "9", "--statements", "direct-sum"),
-        ],
-    )
-    def test_size_bound_exits_2(self, monkeypatch, capsys, argv):
-        assert self.run(monkeypatch, *argv) == 2
-        err = capsys.readouterr().err.strip().split("\n")
-        assert len(err) == 1 and json.loads(err[0])["error"] == "size-bound-exceeded"
 
 
 class TestVerify:
     def test_pass_line(self, capsys):
         assert main(["verify", "--statement", "perm-bijection", "-n", "4"]) == 0
-        assert capsys.readouterr().out == "PASS 42/42\n"
+        assert capsys.readouterr().out == "PASS perm-bijection n=4 42/42\n"
 
     def test_json(self, capsys):
         assert main(["verify", "--statement", "badblock", "-n", "4", "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] and report["detail"]["matches"] == 1
+
+
+class TestRunVerifications:
+    """verify over several sizes and statements, sizes outermost."""
+
+    def test_pass_lines(self, capsys):
+        # every statement by default, in STATEMENT_NAMES order
+        assert main(["verify", "-n", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:3] for line in lines] == [
+            ["PASS", name, "n=3"] for name in STATEMENT_NAMES
+        ]
+
+    def test_sizes_outermost(self, capsys):
+        argv = ["verify", "--statement", "direct-sum", "badblock", "-n", "3", "2"]
+        assert main([*argv, "--format", "json"]) == 0
+        reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["statement"], r["n"]) for r in reports] == [
+            ("direct-sum", 3),
+            ("badblock", 3),
+            ("direct-sum", 2),
+            ("badblock", 2),
+        ]
+
+    def test_a_failing_run_exits_1(self, monkeypatch, capsys):
+        def fail(n, rng, report):
+            report.cases += 1
+            report.failures.append({"n": n})
+
+        monkeypatch.setitem(_STATEMENTS, "direct-sum", fail)
+        assert main(["verify", "-n", "2", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 * len(STATEMENT_NAMES)
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL direct-sum n=2 0/1",
+            "FAIL direct-sum n=3 0/1",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--statement", "cm-conjecture", "-n", "6"),
+            ("--statement", "direct-sum", "-n", "9"),
+        ],
+    )
+    def test_size_bound_exits_2(self, capsys, argv):
+        assert main(["verify", *argv]) == 2
+        assert_one_error_line(capsys, "size-bound-exceeded")
 
 
 class TestPattern:
@@ -394,9 +436,10 @@ def invocations(draw):
         files["--pattern"] = draw(ASM_FILES)
         files["--target"] = draw(ASM_FILES)
     else:
-        argv.append(f"-n{draw(SIZES)}")
+        argv += ["-n", *draw(st.lists(SIZES, min_size=1, max_size=2))]
         if command == "verify":
-            argv.append(f"--statement={draw(st.sampled_from(STATEMENT_NAMES))}")
+            statements = st.lists(st.sampled_from(STATEMENT_NAMES), min_size=1, max_size=2)
+            argv += ["--statement", *draw(statements)]
         else:
             argv.append(f"--checks={draw(CHECKS)}")
             filter_spec = draw(st.sampled_from([None, "a11=1", "bogus"]))

@@ -4,7 +4,7 @@ import os
 import random
 import sys
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from itertools import combinations, permutations
 from math import factorial, fsum
 
@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 
 from asmlab import (
     ASM_COUNTS,
-    AnalysisReport,
     Asm,
     Permutation,
     analyze_asm,
@@ -38,7 +37,6 @@ from asmlab.complexes import asm_complex
 from asmlab.homology import cascade_is_cm
 from asmlab.ideals import (
     PERM_TABLE_BOUND,
-    ROW_UPSET_MEMO_SIZE,
     _row_upset,
     cells,
     mask,
@@ -133,7 +131,7 @@ class TestAnalyze:
             if r.cm:
                 assert r.equidimensional
             assert r.perm_count >= 1
-            assert r.a11_is_one == (A[(1, 1)] == 1)
+            assert r.asm.a11_is_one == (A[(1, 1)] == 1)
 
     def test_partial_checks(self, b4):
         r = analyze_asm(b4, checks=("codim",))
@@ -503,7 +501,7 @@ def oracle(checks, filter_spec, field):
             # fixed-order test misses
             missed = [r for r in reports if r.km_vd is False and r.cm is not False]
             counts["km_vd_fail"] = len(missed)
-            counts["km_vd_fail_a11"] = sum(r.a11_is_one for r in missed)
+            counts["km_vd_fail_a11"] = sum(r.asm.a11_is_one for r in missed)
         shards.append(counts)
     return shards
 
@@ -673,11 +671,6 @@ class TestOneDerivation:
                 analyze_asm(A, field=field)
 
 
-def answers(report) -> AnalysisReport:
-    """A report with the stage names of its timings but not their seconds."""
-    return replace(report, timings=tuple(stage for stage, _ in report.timings))
-
-
 def fresh(A, checks=enumeration_mod.ALL_CHECKS, field="rational"):
     """analyze_asm(A) with every memo of the package empty."""
     for name, mod in list(sys.modules.items()):
@@ -709,7 +702,7 @@ class TestPairMemo:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_stream_equals_fresh(self, n):
         streamed = [analyze_asm(A) for A in enumerate_asms(n)]
-        assert [answers(r) for r in streamed] == [answers(fresh(r.asm)) for r in streamed]
+        assert streamed == [fresh(r.asm) for r in streamed]
 
     @given(st.integers(1, 6).flatmap(lambda n: st.sampled_from(ASMS_UPTO_6[n])))
     def test_transposed_primes(self, A):
@@ -770,9 +763,11 @@ class TestPairMemo:
             analyze_asm(A, ("codim",))
         assert _row_upset.cache_info().currsize <= sum(2**m - 1 for m in range(1, 7)) == 120
         assert rank_matrix.cache_info().misses == misses
-        assert _row_upset.cache_info().maxsize == ROW_UPSET_MEMO_SIZE == 2**10
+        for S in range(2**PERM_TABLE_BOUND - 1):
+            _row_upset(PERM_TABLE_BOUND, S)
         keys = sum(2**m - 1 for m in range(1, PERM_TABLE_BOUND + 1))
-        assert keys == 1013 <= ROW_UPSET_MEMO_SIZE
+        assert _row_upset.cache_info().currsize == keys == 1013
+        _row_upset.cache_clear()
         for A in ASMS_UPTO_6[6]:
             essential_set(A)
         assert rank_matrix.cache_info().currsize == rank_matrix.cache_info().maxsize == 2**10

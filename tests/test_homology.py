@@ -1,5 +1,5 @@
 import os
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +23,7 @@ from asmlab import (
 from asmlab import homology
 from asmlab.errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
 from asmlab.complexes import asm_complex, vd_facets
+from asmlab.enumeration import ALL_CHECKS
 from asmlab.homology import cascade_is_cm, complex_is_cm, compose_boundaries
 from asmlab.ideals import is_pure_family
 
@@ -294,15 +295,19 @@ class TestDecidedByPerms:
                 assert km_vd is False
 
     def test_field_checked_when_decided(self, b4, calls_through):
+        # a bad field is rejected whatever the checks, none included
         built = calls_through(asm_complex)
         w = Permutation((2, 1, 3)).to_asm()
-        for A, answer in ((b4, False), (w, True)):
+        subsets = [c for k in range(5) for c in combinations(ALL_CHECKS, k)]
+        for A, answer in ((b4, False), (w, True), (Asm.identity(3), True)):
             r = analyze_asm(A, ("cm", "km_vd"))
             assert (r.cm, r.km_vd) == (answer, answer)
-            with pytest.raises(InvalidFieldError):
-                analyze_asm(A, ("cm",), field="p=4")
-            with pytest.raises(InvalidFieldError):
-                is_cohen_macaulay(A, "p=4")
+            for field in ("p=4", "banana"):
+                for checks in subsets:
+                    with pytest.raises(InvalidFieldError):
+                        analyze_asm(A, checks, field=field)
+                with pytest.raises(InvalidFieldError):
+                    is_cohen_macaulay(A, field)
         assert built == []
 
 
