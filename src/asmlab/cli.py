@@ -128,8 +128,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     """Each statement at each size, sizes outermost: one JSON report per
-    line, or `PASS|FAIL <statement> n=<n> <good>/<cases>`.  Exits 1 if any
-    run fails."""
+    line, or `PASS|FAIL <statement> n=<n> <good>/<cases>`, `SKIP` for a run
+    with no case.  Exits 1 if any run fails."""
     passed = []
 
     def lines():
@@ -140,7 +140,7 @@ def cmd_verify(args) -> int:
                 if args.out_format == "json":
                     yield json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
                 else:
-                    status = "PASS" if report.passed else "FAIL"
+                    status = "SKIP" if not report.cases else "PASS" if report.passed else "FAIL"
                     good = report.cases - len(report.failures)
                     yield f"{status} {name} n={n} {good}/{report.cases}\n"
 

@@ -29,6 +29,7 @@ from .ideals import (
     minimal_primes,
     minimal_transversals,
     pipe_dreams,
+    strip_apex,
     union,
 )
 
@@ -113,7 +114,7 @@ def is_face(delta: SimplicialComplex, sigma: int) -> bool:
 
 # link_facets and deletion_facets take an antichain and return one, so no
 # step re-maximalizes: a complex's facets are one, and so is every family
-# the vd search and Reisner's criterion recurse on, being pure.
+# Reisner's criterion and the KM-vd failure walk recurse on, being pure.
 
 
 def link_facets(facets, sigma: int) -> frozenset:
@@ -178,18 +179,50 @@ def vd_facets(facets: frozenset) -> tuple[bool, bool]:
     """(vd, km_vd): vertex decomposable in some order, which implies CM over
     every field (Provan-Billera), and in the fixed Knutson-Miller order.  The
     search tries the vertices greatest first, deletion before link, so km_vd
-    holds exactly when its first try succeeds with both children km_vd."""
+    holds exactly when its first try succeeds with both children km_vd.
+
+    Purity is checked here, on the family as given, and nowhere below: the
+    links of a pure complex are pure, and so is every deletion the search
+    enters.  This memo is keyed on the facets as passed in, so the cascade
+    and analyze_asm asking about one complex share an entry."""
     if not is_pure_family(facets):
         return False, False
+    return _coneless_vd(strip_apex(facets))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _coneless_vd(facets: frozenset) -> tuple[bool, bool]:
+    """vd_facets on a pure family with no cone point.
+
+    A cone v * Gamma is vd (KM-vd) exactly when Gamma is: at v the deletion
+    and the link are both Gamma, and at any other vertex u they are v times
+    those of Gamma, so by induction the answer at u is Gamma's.  So every
+    family is searched with its cone points stripped, and cones over one
+    Gamma share one memo entry.
+
+    For a vertex v of a pure complex that is not a cone point, the deletion
+    keeps the facets missing v, and adds each F ^ v for a facet F through v
+    that lies in none of them, one dimension lower.  So the deletion is pure,
+    and then just the kept facets, exactly when every such F ^ v lies in a
+    kept facet (v is a shedding vertex); otherwise it is not vd and v is
+    skipped unbuilt."""
     if len(facets) <= 1:
         return True, True
     vertices = union(facets)
     for v in bits(vertices):
-        deletion_vd, deletion_km = vd_facets(deletion_facets(facets, v))
-        if deletion_vd:
-            link_vd, link_km = vd_facets(link_facets(facets, v))
-            if link_vd:
-                return True, v == vertices & -vertices and deletion_km and link_km
+        kept, link = [], []
+        for F in facets:
+            if F & v:
+                link.append(F ^ v)
+            else:
+                kept.append(F)
+        outside = [~G for G in kept]  # L lies in G when L & ~G == 0
+        if all(0 in map(L.__and__, outside) for L in link):
+            deletion_vd, deletion_km = _coneless_vd(strip_apex(kept))
+            if deletion_vd:
+                link_vd, link_km = _coneless_vd(strip_apex(link))
+                if link_vd:
+                    return True, v == vertices & -vertices and deletion_km and link_km
     return False, False
 
 

@@ -65,7 +65,7 @@ ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 # Part of every census cache key.  Bump it whenever an algorithm behind a
 # cached answer or the shard format changes, so that no cache written by
 # older code is ever served.
-CACHE_VERSION = 6
+CACHE_VERSION = 7
 MAX_STREAM_N = 8
 SHARD_SIZE = 128
 ALL_CHECKS = ("codim", "equidim", "cm", "km_vd")

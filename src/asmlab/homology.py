@@ -15,12 +15,11 @@ oracles the cascade is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import and_
+from functools import lru_cache
 
 from .complexes import MEMO_SIZE, SimplicialComplex, link_facets, vd_facets
 from .errors import FaceBudgetExceededError, InvalidFieldError
-from .ideals import bits, is_pure_family, maximal_sets, submasks, union
+from .ideals import bits, is_pure_family, maximal_sets, strip_apex, submasks, union
 
 FACE_BUDGET = 2**24  # the most faces chain_complex builds
 
@@ -213,9 +212,7 @@ def complex_is_cm(facets, p: int = 0) -> bool:
         return True
     if not is_pure_family(facets):
         return False
-    common = reduce(and_, facets)
-    if common:
-        facets = frozenset(F & ~common for F in facets)
+    facets = strip_apex(facets)
     if facets == {0}:
         return True
     return _coneless_is_cm(facets, p)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from itertools import combinations
 from math import factorial
-from operator import or_
+from operator import and_, or_
 
 from .asm import (
     Asm,
@@ -71,6 +71,13 @@ def submasks(m: int):
 
 def union(masks) -> int:
     return reduce(or_, masks, 0)
+
+
+def strip_apex(family) -> frozenset:
+    """A collection of masks with the bits common to all of them removed:
+    for the facets of a cone Delta = v * Gamma, the facets of Gamma."""
+    common = reduce(and_, family, -1)
+    return frozenset(F & ~common for F in family) if common else frozenset(family)
 
 
 def cell_label(cell: Cell) -> str:

@@ -282,6 +282,11 @@ class TestVerify:
         assert main(["verify", "--statement", "perm-bijection", "-n", "4"]) == 0
         assert capsys.readouterr().out == "PASS perm-bijection n=4 42/42\n"
 
+    def test_skip_line(self, capsys):
+        # a run that checked nothing is neither a pass nor a failure
+        assert main(["verify", "--statement", "badblock", "-n", "3"]) == 0
+        assert capsys.readouterr().out == "SKIP badblock n=3 0/0\n"
+
     def test_json(self, capsys):
         assert main(["verify", "--statement", "badblock", "-n", "4", "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -292,11 +297,12 @@ class TestRunVerifications:
     """verify over several sizes and statements, sizes outermost."""
 
     def test_pass_lines(self, capsys):
-        # every statement by default, in STATEMENT_NAMES order
+        # every statement by default, in STATEMENT_NAMES order; badblock has
+        # no case at n=3
         assert main(["verify", "-n", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[:3] for line in lines] == [
-            ["PASS", name, "n=3"] for name in STATEMENT_NAMES
+            ["SKIP" if name == "badblock" else "PASS", name, "n=3"] for name in STATEMENT_NAMES
         ]
 
     def test_sizes_outermost(self, capsys):

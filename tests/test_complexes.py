@@ -22,9 +22,10 @@ from asmlab import (
     stanley_reisner_ideal,
 )
 from asmlab.errors import NotAFaceError
-from asmlab.complexes import deletion_facets, link_facets
+from asmlab.complexes import deletion_facets, link_facets, vd_facets
 from asmlab.homology import _all_faces
-from asmlab.ideals import SquarefreeIdeal, bits, cells, mask, maximal_sets
+from asmlab.ideals import SquarefreeIdeal, bits, cells, is_pure_family, mask, maximal_sets, union
+from functools import cache
 from itertools import permutations
 
 from asmlab import Permutation
@@ -262,6 +263,55 @@ class TestKmVdOracle:
                     checked += 1
                     failures += not result
         assert checked == 962 and failures > 0
+
+
+@cache
+def vd_facets_oracle(facets):
+    """The vd search written out plainly, as an oracle: purity checked at
+    every step, every deletion built with deletion_facets, no cone stripped,
+    and the vertices tried greatest first, deletion before link."""
+    if not is_pure_family(facets):
+        return False, False
+    if len(facets) <= 1:
+        return True, True
+    vertices = union(facets)
+    for v in bits(vertices):
+        deletion_vd, deletion_km = vd_facets_oracle(deletion_facets(facets, v))
+        if deletion_vd:
+            link_vd, link_km = vd_facets_oracle(link_facets(facets, v))
+            if link_vd:
+                return True, v == vertices & -vertices and deletion_km and link_km
+    return False, False
+
+
+def open_complexes(n, with_one_plus):
+    """The facets of every complex of ASM(n) (and of 1 + A) that Perm(A)
+    leaves open: equidimensional, more than one permutation."""
+    for A in enumerate_asms(n):
+        for B in (A, one_plus(A)) if with_one_plus else (A,):
+            ps = perm_set(B)
+            if ps.equidimensional and len(ps.perms) > 1:
+                yield asm_complex(ps).facets
+
+
+class TestVdOracle:
+    """vd_facets, which strips cone points, skips vertices that do not shed
+    and checks purity once, against the plain search."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=STRETCH)])
+    def test_open_complexes_links_and_deletions(self, n):
+        # the deletions at vertices that do not shed are impure
+        checked = impure = 0
+        for facets in open_complexes(n, with_one_plus=n < 6):
+            families = [facets]
+            for v in bits(union(facets)):
+                families += [link_facets(facets, v), deletion_facets(facets, v)]
+            for family in families:
+                assert vd_facets(family) == vd_facets_oracle(family)
+                checked += 1
+                impure += not is_pure_family(family)
+        assert checked == {1: 0, 2: 0, 3: 16, 4: 376, 5: 7954}.get(n, checked)
+        assert impure > 0 or n < 4
 
 
 class TestPurityEquidimensionality:

@@ -23,6 +23,7 @@ from asmlab import (
 from asmlab.complexes import vd_facets
 from asmlab.homology import cascade_is_cm, complex_is_cm, compose_boundaries
 from asmlab.ideals import cells, mask, maximal_sets, minimal_sets, minimal_transversals
+from test_complexes import vd_facets_oracle
 
 POOLS = {n: list(enumerate_asms(n)) for n in range(1, 6)}
 
@@ -181,6 +182,19 @@ def test_vd_certificates_imply_cm(facets):
         if vd:
             assert complex_is_cm(facets, p)
         assert cascade_is_cm(facets, p) == complex_is_cm(facets, p)
+
+
+@settings(max_examples=200)
+@given(pure_complexes, st.integers(0, 6))
+def test_cone_has_the_answers_of_its_base(facets, k):
+    """A new vertex v, bit k of the shifted family: the greatest vertex for
+    k = 0, else one further down the order.  v * Gamma is vd, and KM-vd,
+    exactly when Gamma is."""
+    low = (1 << k) - 1
+    base = frozenset(F & low | (F & ~low) << 1 for F in facets)
+    cone = frozenset(F | 1 << k for F in base)
+    assert vd_facets(base) == vd_facets(facets) == vd_facets_oracle(facets)
+    assert vd_facets(cone) == vd_facets(base) == vd_facets_oracle(cone)
 
 
 # -- the set-family kernel against subset-enumeration definitions ------------
