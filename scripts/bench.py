@@ -8,7 +8,10 @@ end-to-end metric over the seeds.  With --baseline DIR, a checkout of
 another commit (made with `git archive` or `git clone`), every seed runs
 the baseline and this checkout as a pair, alternating which goes first, and
 the output also holds the baseline's summary and, per metric, the number of
-pairs this checkout won (ties count for neither side).  Progress goes to
+pairs this checkout won (ties count for neither side).  Every run starts
+with PYTHONDONTWRITEBYTECODE=1 and a fresh, empty PYTHONPYCACHEPREFIX, so
+each side compiles its sources alike and no `__pycache__` left in either
+checkout is read.  Progress goes to
 stderr; the exit status is 1 when any run fails its checks, and 2, with one
 JSON error line on stderr, for a bad command line.
 """
@@ -16,9 +19,11 @@ JSON error line on stderr, for a bad command line.
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,7 +36,9 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one benchmark run in the checkout at `root`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
+        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith('{"correct"'):
         raise SystemExit(f"{root}: {workload} seed {seed} gave no result\n{proc.stderr}")

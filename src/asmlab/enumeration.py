@@ -50,6 +50,7 @@ from .errors import (
 )
 from .homology import _all_faces, cascade_is_cm, characteristic, parse_field
 from .ideals import (
+    PermSet,
     SquarefreeIdeal,
     cells,
     construct_yo_primes,
@@ -59,13 +60,14 @@ from .ideals import (
     is_minimal_prime,
     mask,
     perm_set,
+    perm_walk,
 )
 
 ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 # Part of every census cache key.  Bump it whenever an algorithm behind a
 # cached answer or the shard format changes, so that no cache written by
 # older code is ever served.
-CACHE_VERSION = 7
+CACHE_VERSION = 8
 MAX_STREAM_N = 8
 SHARD_SIZE = 128
 ALL_CHECKS = ("codim", "equidim", "cm", "km_vd")
@@ -131,58 +133,62 @@ class AnalysisReport:
     km_vd: bool | None = None
 
 
+_CHECK_SET = frozenset(ALL_CHECKS)
+
+
 def _known_checks(checks) -> frozenset:
-    """The check names as a set, rejecting any not in ALL_CHECKS."""
-    unknown = set(checks) - set(ALL_CHECKS)
-    if unknown:
+    """The check names as a set, rejecting any not in ALL_CHECKS.  A
+    frozenset, such as the one tabulate hands its workers, is returned as
+    it is."""
+    if not isinstance(checks, frozenset):
+        checks = frozenset(checks)
+    if not checks <= _CHECK_SET:
         raise UnknownCheckError(
-            f"unknown checks {sorted(unknown)}; expected some of {list(ALL_CHECKS)}"
+            f"unknown checks {sorted(checks - _CHECK_SET)}; expected some of {list(ALL_CHECKS)}"
         )
-    return frozenset(checks)
+    return checks
 
 
 def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
     """Answer the requested checks: the one place an ASM's CM and KM-vd
     answers are decided (`is_cohen_macaulay` is its "cm" answer).
 
-    codim, perm_count and equidimensionality come from perm_set(A), and so
-    do "cm" and "km_vd" when Perm(A) settles both.  A facet of the
-    Stanley-Reisner complex Delta_A is the complement of a pipe dream of
-    some w in Perm(A), with l(w) cells, so with more than one length Delta_A
-    is not pure: neither CM (Reisner) nor vertex decomposable.  For one
-    permutation it is a subword complex, vertex decomposable at the first
-    letter, the fixed KM order (Knutson-Miller), so CM over every field.
-    Otherwise Delta_A is built once from the pipe dreams of Perm(A), with no
-    ideal: "cm" is the cascade on it, and "km_vd" a flag of the vd search, a
-    memo hit after "cm".  The field is checked first, whatever the checks."""
+    codim, perm_count and equidimensionality come from Perm(A), walked
+    once as lex indices and lengths (perm_walk), and so do "cm" and "km_vd"
+    when Perm(A) settles both.  A facet of the Stanley-Reisner complex
+    Delta_A is the complement of a pipe dream of some w in Perm(A), with
+    l(w) cells, so with more than one length Delta_A is not pure: neither
+    CM (Reisner) nor vertex decomposable.  For one permutation it is a
+    subword complex, vertex decomposable at the first letter, the fixed KM
+    order (Knutson-Miller), so CM over every field.  Otherwise Delta_A is
+    built once from the pipe dreams of Perm(A), the only step that reads
+    its permutations, with no ideal: "cm" is the cascade on it, and "km_vd"
+    a flag of the vd search, a memo hit after "cm".  The field is checked
+    first, whatever the checks."""
     checks = _known_checks(checks)
     p = characteristic(field)
     codim = perm_count = equidim = cm = km_vd = None
     if checks:
-        ps = perm_set(A)
-    if checks & {"codim", "equidim"}:
-        codim = ps.codim if "codim" in checks else None
-        perm_count = len(ps.perms)
-        equidim = ps.equidimensional if "equidim" in checks else None
-    if checks & {"cm", "km_vd"}:
-        if not ps.equidimensional:
+        indices, lengths = perm_walk(A)
+        least = min(lengths)
+        pure = least == max(lengths)
+    if "codim" in checks or "equidim" in checks:
+        codim = least if "codim" in checks else None
+        perm_count = len(indices)
+        equidim = pure if "equidim" in checks else None
+    if "cm" in checks or "km_vd" in checks:
+        if not pure:
             known = False
-        elif len(ps.perms) == 1:
+        elif len(indices) == 1:
             known = True
         else:
+            ps = PermSet.from_walk(A.n, indices, lengths)
             known, facets = None, asm_complex(ps).facets
         if "cm" in checks:
             cm = cascade_is_cm(facets, p) if known is None else known
         if "km_vd" in checks:
             km_vd = vd_facets(facets)[1] if known is None else known
-    return AnalysisReport(
-        asm=A,
-        codim=codim,
-        perm_count=perm_count,
-        equidimensional=equidim,
-        cm=cm,
-        km_vd=km_vd,
-    )
+    return AnalysisReport(A, codim, perm_count, equidim, cm, km_vd)
 
 
 def is_cohen_macaulay(A: Asm, field="rational") -> bool:
@@ -271,22 +277,28 @@ def _shard_worker(args):
     """Analyse one shard's ASMs.  Returns the shard's start and its census
     counts with the seconds its analyses took, the object its file holds."""
     start, asms, checks, field = args
-    counts = Counter()
+    with_cm = "cm" in checks
+    cm = equidim = km_vd_fail = km_vd_fail_a11 = 0
     t0 = time.perf_counter()
     for A in asms:
         r = analyze_asm(A, checks=checks, field=field)
         # the headline KM-vd count is CM complexes missed by the fixed-order
         # test
-        miss = not r.km_vd and (r.cm if "cm" in checks else True)
-        # += on a Counter's 0 gives an int even from a bool; update() on an
-        # empty Counter would store the bools themselves
-        counts["cm"] += bool(r.cm)
-        counts["equidim"] += bool(r.equidimensional)
-        counts["km_vd_fail"] += bool(miss)
-        counts["km_vd_fail_a11"] += bool(miss and A.a11_is_one)
+        miss = not r.km_vd and (r.cm if with_cm else True)
+        # int += bool stays an int, so the shard file holds no bools
+        cm += bool(r.cm)
+        equidim += bool(r.equidimensional)
+        km_vd_fail += bool(miss)
+        km_vd_fail_a11 += bool(miss and A.a11_is_one)
     seconds = time.perf_counter() - t0
-    shard = {k: counts[k] for k in _SHARD_COUNTS}
-    return start, {**shard, "total": len(asms), "seconds": seconds}
+    return start, {
+        "cm": cm,
+        "equidim": equidim,
+        "km_vd_fail": km_vd_fail,
+        "km_vd_fail_a11": km_vd_fail_a11,
+        "total": len(asms),
+        "seconds": seconds,
+    }
 
 
 def tabulate(
@@ -310,12 +322,12 @@ def tabulate(
     memory does not grow with n.  At most min(jobs, os.cpu_count())
     worker processes run.
     """
-    checks = tuple(sorted(_known_checks(checks)))
+    checks = _known_checks(checks)
     field = parse_field(field)
     if not (1 <= n <= MAX_STREAM_N):
         raise SizeBoundExceededError(f"census size n={n} outside [1, {MAX_STREAM_N}]")
     if ("cm" in checks or "km_vd" in checks) and n > 7:
-        raise SizeBoundExceededError(f"cm/km_vd censuses are limited to n <= 7")
+        raise SizeBoundExceededError("cm/km_vd censuses are limited to n <= 7")
     if filter_spec not in _FILTERS:
         raise AsmlabError(f"unknown filter {filter_spec!r}")
     if jobs < 1:

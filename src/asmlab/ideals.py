@@ -370,6 +370,13 @@ class PermSet:
     codim: int
     equidimensional: bool
 
+    @classmethod
+    def from_walk(cls, n: int, indices, lengths) -> "PermSet":
+        """The Perm(A) of perm_walk's lex indices in S_n and their lengths."""
+        least = min(lengths)
+        perms = frozenset(_lex_perm(n, k)[0] for k in indices)
+        return cls(perms, least, least == max(lengths))
+
 
 @cache  # keys: the proper column sets of each n <= PERM_TABLE_BOUND, 1013 in all
 def _row_upset(n: int, S: int) -> int:
@@ -399,17 +406,39 @@ def _row_upset(n: int, S: int) -> int:
     return up
 
 
+# The rows 1..n-1 of the last ASM _above read, each as (row, its column
+# set, the AND of the row up-sets through it).  The list is replaced, never
+# changed in place, so a reader always sees one whole path.
+_path: list[tuple[tuple[int, ...], int, int]] = []
+
+
 def _above(A: Asm) -> int:
     """The permutations of S_n above A: the AND of the row up-sets of rows
     1..n-1, row n holding no condition.  The partial column sums of an ASM
-    are 0 or 1, and a nonzero entry flips its column's."""
-    n, S = A.n, 0
-    up = _row_upset(n, 0)
-    for row in A.entries[:-1]:
+    are 0 or 1, and a nonzero entry flips its column's.  The AND restarts
+    after the longest row prefix A shares with the last ASM read, compared
+    row by row, so it holds for ASMs read in any order and of any size (rows
+    of different sizes never match); consecutive ASMs of the stream share
+    all but one or two rows."""
+    global _path
+    rows, path = A.entries, _path
+    n, k = len(rows), 0
+    for entry, row in zip(path, rows):
+        if entry[0] != row:
+            break
+        k += 1
+    if k:
+        _, S, up = path[k - 1]
+    else:
+        S, up = 0, _row_upset(n, 0)
+    path = path[:k]
+    for row in rows[k:-1]:
         for j, a in enumerate(row):
             if a:
                 S ^= 1 << j
         up &= _row_upset(n, S)
+        path.append((row, S, up))
+    _path = path
     return up
 
 
@@ -433,20 +462,25 @@ def _lex_perm(n: int, k: int) -> tuple[Permutation, int, int]:
     return Permutation(tuple(line)), length, up
 
 
-def perm_set(A: Asm) -> PermSet:
-    """Perm(A) with its codimension and equidimensionality.  The lowest
-    permutation above A is minimal, and each minimal w found removes itself
-    and its up-set from the rest."""
-    n = A.n
-    rest = _above(A)
-    perms, lengths = [], set()
+def perm_walk(A: Asm) -> tuple[list[int], list[int]]:
+    """Perm(A) as the lex indices of its permutations in S_n, lowest first,
+    and their Coxeter lengths.  The lowest permutation above A is minimal,
+    and each minimal w found removes itself and its up-set from the rest."""
+    n, rest = A.n, _above(A)
+    indices, lengths = [], []
     while rest:
         low = rest & -rest
-        w, length, up = _lex_perm(n, low.bit_length() - 1)
-        perms.append(w)
-        lengths.add(length)
+        k = low.bit_length() - 1
+        _, length, up = _lex_perm(n, k)
+        indices.append(k)
+        lengths.append(length)
         rest &= ~(up | low)
-    return PermSet(frozenset(perms), min(lengths), len(lengths) == 1)
+    return indices, lengths
+
+
+def perm_set(A: Asm) -> PermSet:
+    """Perm(A) with its codimension and equidimensionality."""
+    return PermSet.from_walk(A.n, *perm_walk(A))
 
 
 # -- the two-prime construction for badblock ASMs ----------------------------

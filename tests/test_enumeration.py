@@ -37,6 +37,7 @@ from asmlab.complexes import asm_complex
 from asmlab.homology import cascade_is_cm
 from asmlab.ideals import (
     PERM_TABLE_BOUND,
+    _above,
     _row_upset,
     cells,
     mask,
@@ -50,6 +51,7 @@ from asmlab.errors import (
     UnknownStatementError,
 )
 import asmlab.enumeration as enumeration_mod
+import asmlab.ideals as ideals_mod
 
 
 def stream_by_positions(n):
@@ -153,6 +155,12 @@ class TestTabulate:
         t1 = tabulate(4, jobs=1)
         t4 = tabulate(4, jobs=4)
         assert t1.row()[:-1] == t4.row()[:-1]
+
+    def test_pool_n5_every_check(self):
+        """Two worker processes, each reading Perm(A) after its own row
+        prefixes, give the pinned n=5 row, as one process does."""
+        rows = {jobs: tabulate(5, jobs=jobs).row()[:-1] for jobs in (1, 2)}
+        assert rows[1] == rows[2] == (5, 429, 328, 101, 35, 2, 329)
 
     @pytest.mark.parametrize("n, jobs, pools", [(4, 4, []), (5, 8, [4])])
     def test_pool_no_larger_than_the_missing_shards(self, monkeypatch, n, jobs, pools):
@@ -610,6 +618,15 @@ class TestOneDerivation:
         assert len(cascades) == 1
         assert primes == ideal_complexes == []
 
+    def test_one_perm_walk(self, calls_through, non_km_gvd):
+        """With every check on an ASM that Perm(A) leaves open, Perm(A) is
+        walked once, for the answers and the complex alike."""
+        above = calls_through(_above)
+        complexes = calls_through(asm_complex)
+        r = analyze_asm(non_km_gvd)
+        assert (r.cm, r.km_vd) == (True, False)
+        assert len(complexes) == len(above) == 1
+
     def test_primes_only_builds_no_complex(self, calls_through, non_km_gvd, b4):
         # codim and equidimensionality come from perm_set: no ideal, no
         # prime, no complex
@@ -672,12 +689,14 @@ class TestOneDerivation:
 
 
 def fresh(A, checks=enumeration_mod.ALL_CHECKS, field="rational"):
-    """analyze_asm(A) with every memo of the package empty."""
+    """analyze_asm(A) with every memo of the package empty, and no row
+    prefix kept from the last ASM read."""
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "asmlab":
             for fn in list(vars(mod).values()):
                 if hasattr(fn, "cache_clear"):
                     fn.cache_clear()
+    ideals_mod._path = []
     return analyze_asm(A, checks, field)
 
 

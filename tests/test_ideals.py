@@ -1,6 +1,7 @@
 import os
 import random
 import signal
+from functools import cache
 from itertools import permutations
 from math import factorial
 
@@ -52,6 +53,7 @@ from asmlab.ideals import (
     mask,
     monomial_label,
     parse_cell_label,
+    perm_walk,
 )
 
 
@@ -329,10 +331,40 @@ class TestPermSetViaPrimes:
             assert via_primes(A).perms == perm_set_naive(A)
 
 
+@cache
 def naive(A) -> PermSet:
     perms = perm_set_naive(A)
     lengths = {w.length for w in perms}
     return PermSet(perms, min(lengths), len(lengths) == 1)
+
+
+@cache
+def lex_asms(n) -> list:
+    """The permutation matrices of S_n in lex order."""
+    return [Permutation(line).to_asm() for line in permutations(range(1, n + 1))]
+
+
+@cache
+def bruhat_scan(A) -> int:
+    """The up-set _above(A) should be, by brute force over S_n: bit k for
+    the k-th permutation of S_n in lex order when it lies above A."""
+    return sum(1 << k for k, w in enumerate(lex_asms(A.n)) if asm_geq(w, A))
+
+
+@st.composite
+def stream_runs(draw):
+    """ASMs of mixed sizes 1-6 for _above to read one after another: runs of
+    consecutive ASMs of one stream, some reversed and some read twice over,
+    the runs of different sizes interleaved."""
+    asms = []
+    for _ in range(draw(st.integers(1, 6))):
+        stream = ASMS_UPTO_6[draw(st.integers(1, 6))]
+        start = draw(st.integers(0, len(stream) - 1))
+        run = stream[start : start + draw(st.integers(1, 8))]
+        if draw(st.booleans()):
+            run = run[::-1]
+        asms += run * draw(st.integers(1, 2))
+    return asms
 
 
 def drawn_asms(n, count):
@@ -419,10 +451,38 @@ class TestPermSet:
         """The up-set perm_set reads Perm(A) from holds exactly the w of S_n
         above A, by brute force over S_n: on all of ASM(n <= 5) and on a
         seeded 200 of ASM(6)."""
-        lex = [Permutation(line).to_asm() for line in permutations(range(1, n + 1))]
         asms = ASMS_UPTO_6[n] if n < 6 else random.Random(6).sample(ASMS_UPTO_6[6], 200)
         for A in asms:
-            assert _above(A) == sum(1 << k for k, w in enumerate(lex) if asm_geq(w, A))
+            assert _above(A) == bruhat_scan(A)
+
+    @given(stream_runs())
+    def test_shared_prefix_equals_bruhat_scan(self, asms):
+        """_above restarts each ASM after the rows it shares with the last
+        one read, the last example's included, so it must hold in any order:
+        forward and reversed runs of the stream, repeats, and sizes
+        interleaved."""
+        for A in asms:
+            assert _above(A) == bruhat_scan(A)
+
+    @pytest.mark.parametrize("order", ["stream", "reversed", "shuffled"])
+    def test_walk_equals_naive_in_any_order(self, order):
+        """perm_walk's count, least length and equidimensionality, and the
+        permutations of its lex indices, against perm_set_naive on all of
+        ASM(n <= 5), read in stream order, reversed and shuffled."""
+        asms = [A for n in range(1, 6) for A in ASMS_UPTO_6[n]]
+        if order == "reversed":
+            asms.reverse()
+        elif order == "shuffled":
+            random.Random(5).shuffle(asms)
+        for A in asms:
+            indices, lengths = perm_walk(A)
+            expected = naive(A)
+            assert (len(indices), min(lengths), len(set(lengths)) == 1) == (
+                len(expected.perms),
+                expected.codim,
+                expected.equidimensional,
+            )
+            assert PermSet.from_walk(A.n, indices, lengths) == expected
 
     @given(st.integers(1, 5).flatmap(lambda n: st.permutations(range(1, n + 1))))
     def test_table_matches_rank_matrices(self, line):
