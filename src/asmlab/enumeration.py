@@ -67,7 +67,7 @@ ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 # Part of every census cache key.  Bump it whenever an algorithm behind a
 # cached answer or the shard format changes, so that no cache written by
 # older code is ever served.
-CACHE_VERSION = 8
+CACHE_VERSION = 9
 MAX_STREAM_N = 8
 SHARD_SIZE = 128
 ALL_CHECKS = ("codim", "equidim", "cm", "km_vd")
@@ -101,29 +101,35 @@ def _next_rows(prev: tuple[int, ...], n: int) -> tuple:
 
 
 def enumerate_asms(n: int):
-    """Yield every element of ASM(n) exactly once, in a fixed order."""
+    """Yield every element of ASM(n) exactly once, in a fixed order: a
+    depth-first walk of the row steps, with one iterator of _next_rows per
+    row on an explicit stack."""
     if not (1 <= n <= MAX_STREAM_N):
         raise SizeBoundExceededError(f"stream size n={n} outside [1, {MAX_STREAM_N}]")
-    rows: list[tuple[int, ...]] = []
-
-    def rec(prev: tuple[int, ...]):
-        if len(rows) == n:
-            yield Asm(tuple(rows))
-            return
-        for cur, row in _next_rows(prev, n):
-            rows.append(row)
-            yield from rec(cur)
-            rows.pop()
-
-    yield from rec(())
+    rows: list = [None] * n
+    stack = [iter(_next_rows((), n))]
+    while stack:
+        depth = len(stack)
+        for cur, row in stack[-1]:
+            rows[depth - 1] = row
+            if depth == n:
+                yield Asm(tuple(rows))
+            else:
+                stack.append(iter(_next_rows(cur, n)))
+                break
+        else:  # this row's steps are used up
+            stack.pop()
 
 
 # -- per-ASM analysis ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AnalysisReport:
-    """Everything the census needs to know about one ASM."""
+    """Everything the census needs to know about one ASM.  Not frozen, so
+    not hashable: a frozen dataclass would set each field through
+    object.__setattr__, at a third of the cost of a warm codim+equidim
+    analyze_asm."""
 
     asm: Asm
     codim: int | None = None

@@ -356,8 +356,8 @@ def pipe_dreams(w: Permutation) -> frozenset[int]:
 # S_9 covers 1 + A for every streamable A.  A set of S_9 takes 48 KB, so
 # its row up-sets take 25 MB; those of S_10 would take about 500 MB.
 PERM_TABLE_BOUND = 9
-# An entry holds a permutation and its up-set, n!/8 bytes: all 5040 of S_7
-# fit in 5.6 MB; at n=8 an entry is over 5 KB.
+# An entry holds a permutation and the rest of S_n outside its up-set,
+# n!/8 bytes: all 5040 of S_7 fit in 5.6 MB; at n=8 an entry is over 5 KB.
 UPSET_MEMO_SIZE = 2**13
 
 
@@ -406,6 +406,13 @@ def _row_upset(n: int, S: int) -> int:
     return up
 
 
+@cache  # keys: the rows of ASMs of each n <= PERM_TABLE_BOUND, 511 in all
+def _row_flips(row: tuple[int, ...]) -> int:
+    """The columns whose partial sums a row flips: bit j-1 for each nonzero
+    entry in column j."""
+    return sum(1 << j for j, a in enumerate(row) if a)
+
+
 # The rows 1..n-1 of the last ASM _above read, each as (row, its column
 # set, the AND of the row up-sets through it).  The list is replaced, never
 # changed in place, so a reader always sees one whole path.
@@ -433,17 +440,14 @@ def _above(A: Asm) -> int:
         S, up = 0, _row_upset(n, 0)
     path = path[:k]
     for row in rows[k:-1]:
-        for j, a in enumerate(row):
-            if a:
-                S ^= 1 << j
+        S ^= _row_flips(row)
         up &= _row_upset(n, S)
         path.append((row, S, up))
     _path = path
     return up
 
 
-@lru_cache(maxsize=UPSET_MEMO_SIZE)
-def _lex_perm(n: int, k: int) -> tuple[Permutation, int, int]:
+def _lex_upset(n: int, k: int) -> tuple[Permutation, int, int]:
     """The k-th permutation w of S_n in lex order, its Coxeter length and
     its Bruhat up-set.  The factorial-base digits of k are the Lehmer code
     of w, so they sum to its length; the columns with partial sum 1 through
@@ -462,6 +466,18 @@ def _lex_perm(n: int, k: int) -> tuple[Permutation, int, int]:
     return Permutation(tuple(line)), length, up
 
 
+@lru_cache(maxsize=UPSET_MEMO_SIZE)
+def _lex_perm(n: int, k: int) -> tuple[Permutation, int, int]:
+    """The k-th permutation w of S_n in lex order, its Coxeter length, and
+    keep: the permutations of S_n outside w's up-set and other than w, those
+    a walk may still find once w is found.  Bit k is cleared whatever the
+    up-set holds, so a walk that ANDs keep in always removes the bit it
+    read.  keep is ~(up | 1 << k) taken within S_n, so nonnegative: an AND
+    with a negative int makes CPython build its two's complement first."""
+    w, length, up = _lex_upset(n, k)
+    return w, length, _row_upset(n, 0) & ~(up | 1 << k)
+
+
 def perm_walk(A: Asm) -> tuple[list[int], list[int]]:
     """Perm(A) as the lex indices of its permutations in S_n, lowest first,
     and their Coxeter lengths.  The lowest permutation above A is minimal,
@@ -469,12 +485,11 @@ def perm_walk(A: Asm) -> tuple[list[int], list[int]]:
     n, rest = A.n, _above(A)
     indices, lengths = [], []
     while rest:
-        low = rest & -rest
-        k = low.bit_length() - 1
-        _, length, up = _lex_perm(n, k)
+        k = (rest & -rest).bit_length() - 1
+        _, length, keep = _lex_perm(n, k)
         indices.append(k)
         lengths.append(length)
-        rest &= ~(up | low)
+        rest &= keep
     return indices, lengths
 
 

@@ -363,6 +363,14 @@ class TestCensusStream:
         warm = tabulate(5, checks=CODIM, cache_dir=tmp_path)
         assert pulled == [] and warm == cold
 
+    def test_each_asm_analysed_through_the_module_attribute(self, calls_through):
+        """A jobs=1 census calls analyze_asm once per ASM through the module
+        attribute asmlab.enumeration.analyze_asm, which a wrapper such as a
+        profiler or a per-answer timer replaces."""
+        calls = calls_through(analyze_asm)
+        t = tabulate(5, checks=("codim", "equidim"), jobs=1)
+        assert len(calls) == t.total == 429
+
     @pytest.mark.parametrize("lost, pulls", [(0, SHARD_SIZE), (1, 2 * SHARD_SIZE)])
     def test_stream_stops_after_the_last_missing_shard(self, tmp_path, monkeypatch, lost, pulls):
         cold = tabulate(5, checks=CODIM, cache_dir=tmp_path)

@@ -47,6 +47,7 @@ from asmlab.ideals import (
     SquarefreeIdeal,
     _above,
     _lex_perm,
+    _lex_upset,
     _row_upset,
     cell_label,
     cells,
@@ -486,8 +487,9 @@ class TestPermSet:
 
     @given(st.integers(1, 5).flatmap(lambda n: st.permutations(range(1, n + 1))))
     def test_table_matches_rank_matrices(self, line):
-        """Lex order extends the Bruhat order, and _lex_perm reads the k-th
-        permutation, its length and its up-set."""
+        """Lex order extends the Bruhat order, _lex_upset reads the k-th
+        permutation, its length and its up-set, and _lex_perm the same
+        permutation and length with the rest of S_n."""
         n = len(line)
         lex = list(permutations(range(1, n + 1)))
         k = lex.index(tuple(line))
@@ -498,11 +500,12 @@ class TestPermSet:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert rank_at(line, i, j) == ranks[i - 1][j - 1]
-        lex_w, length, up = _lex_perm(n, k)
+        lex_w, length, up = _lex_upset(n, k)
         assert lex_w == w and length == w.length
         assert up == sum(
             1 << b for b, u in enumerate(lex) if asm_geq(Permutation(u).to_asm(), w.to_asm())
         )
+        assert _lex_perm(n, k) == (w, length, (1 << factorial(n)) - 1 - up)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_row_upsets_by_brute_force(self, n):
@@ -530,19 +533,23 @@ class TestPermSet:
                 assert (up >> k & 1) == all(map(int.__le__, r[i], bound))
 
     def test_returns_when_an_upset_lacks_its_own_bit(self, monkeypatch):
-        """Each pass of perm_set clears the bit it read, so an up-set that
-        lacks w itself cannot make it loop; the alarm turns a loop into a
-        failure."""
+        """_lex_perm clears the bit of w in the mask the walk ANDs in, so an
+        up-set that lacks w itself cannot make perm_set loop; the alarm
+        turns a loop into a failure.  The memo is emptied first, so that
+        every permutation the walk reads is built from the lacking up-set."""
 
         def lacking(n, k):
-            w, length, up = _lex_perm(n, k)
+            built.append(k)
+            w, length, up = _lex_upset(n, k)
             return w, length, up & ~(1 << k)
 
         def timeout(signum, frame):
             raise TimeoutError("perm_set did not return")
 
         expected = [perm_set(A) for A in ASMS_UPTO_6[4]]
-        monkeypatch.setattr(ideals, "_lex_perm", lacking)
+        built = []
+        monkeypatch.setattr(ideals, "_lex_upset", lacking)
+        _lex_perm.cache_clear()
         previous = signal.signal(signal.SIGALRM, timeout)
         signal.alarm(5)
         try:
@@ -550,6 +557,8 @@ class TestPermSet:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+            _lex_perm.cache_clear()
+        assert built
 
     def test_size_bound(self):
         with pytest.raises(SizeBoundExceededError):
