@@ -18,7 +18,6 @@ from .asm import (
     badblock_match,
     check_containment_constraints,
     coxeter_length,
-    delete_row_col,
     direct_sum,
     dominant_part,
     essential_set,
@@ -37,9 +36,7 @@ from .complexes import (
     SimplicialComplex,
     asm_complex,
     face_subcomplex,
-    full_grid_ideal,
     is_face,
-    is_pure,
     km_vertex_decomposable,
     sr_complex_from_ideal,
     stanley_reisner_ideal,
@@ -65,14 +62,11 @@ from .homology import (
     sparse_rank,
 )
 from .ideals import (
-    MinorSpec,
     PermSet,
     SquarefreeIdeal,
     construct_yo_primes,
-    fulton_minor_specs,
     ideal_colon,
     ideal_intersection,
-    ideal_sum,
     init_ideal,
     is_minimal_prime,
     minimal_primes,

@@ -47,20 +47,8 @@ class Asm:
     def a11_is_one(self) -> bool:
         return self.entries[0][0] == 1
 
-    def is_permutation(self) -> bool:
-        return all(e >= 0 for row in self.entries for e in row)
-
-    def to_permutation(self) -> "Permutation":
-        if not self.is_permutation():
-            raise EntryOutOfRangeError("ASM has a -1 entry; not a permutation matrix")
-        one_line = tuple(row.index(1) + 1 for row in self.entries)
-        return Permutation(one_line)
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "matrix": [list(row) for row in self.entries]}
-
-    def transpose(self) -> "Asm":
-        return Asm(tuple(zip(*self.entries)))
 
     @classmethod
     def identity(cls, n: int) -> "Asm":
@@ -132,9 +120,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.one_line)
-
-    def __call__(self, i: int) -> int:
-        return self.one_line[i - 1]
 
     @property
     def length(self) -> int:
@@ -222,7 +207,8 @@ def dominant_part(A: Asm) -> frozenset[Cell]:
 
 
 def asm_geq(A: Asm, B: Asm) -> bool:
-    """A >= B iff rk_A <= rk_B entrywise (Bruhat order on permutations)."""
+    """A >= B iff rk_A <= rk_B entrywise (Bruhat order on permutations);
+    an oracle for the Perm(A) walk."""
     if A.n != B.n:
         raise SizeMismatchError(f"cannot compare sizes {A.n} and {B.n}")
     ra, rb = rank_matrix(A), rank_matrix(B)
@@ -230,7 +216,8 @@ def asm_geq(A: Asm, B: Asm) -> bool:
 
 
 def perm_set_naive(A: Asm) -> frozenset[Permutation]:
-    """Bruhat-minimal permutations above A, by brute-force scan of S_n.
+    """Bruhat-minimal permutations above A, by brute-force scan of S_n; the
+    oracle perm_set is checked against.
 
     Candidates are visited in increasing Coxeter length; a candidate is
     minimal iff it dominates no previously-found minimal element.
@@ -289,15 +276,6 @@ def insert_unit(A: Asm, i: int, j: int) -> Asm:
 
 def one_plus(A: Asm) -> Asm:
     return insert_unit(A, 1, 1)
-
-
-def delete_row_col(A: Asm, i: int, j: int) -> tuple[tuple[int, ...], ...]:
-    """Raw submatrix with row i and column j removed (not validated)."""
-    return tuple(
-        tuple(e for b, e in enumerate(row, start=1) if b != j)
-        for a, row in enumerate(A.entries, start=1)
-        if a != i
-    )
 
 
 @dataclass(frozen=True)
@@ -382,7 +360,7 @@ def check_containment_constraints(
     return ContainmentReport(k, deleted_rows, deleted_cols, zeros_ok, entry_sum)
 
 
-def badblock_at(A: Asm, r: int, c: int, strict: bool = False) -> bool:
+def badblock_at(A: Asm, r: int, c: int) -> bool:
     """Whether (r, c) marks the non-equidimensional obstruction block."""
     n = A.n
     if not (2 <= r <= n - 1 and 1 <= c <= n - 2):
@@ -409,20 +387,15 @@ def badblock_at(A: Asm, r: int, c: int, strict: bool = False) -> bool:
         rk = ranks[i - 1][j - 1]
         if not (rk == 0 or rk >= r - 1):
             return False
-    for (i, j) in ess:
-        if j != c:
-            continue
-        if strict or ranks[i - 1][j - 1] > 0:
-            return False
-    return True
+    return all(ranks[i - 1][j - 1] == 0 for (i, j) in ess if j == c)
 
 
-def badblock_match(A: Asm, strict: bool = False) -> Cell | None:
+def badblock_match(A: Asm) -> Cell | None:
     """Lexicographically first (r, c) at which the obstruction block occurs."""
     n = A.n
     for r in range(2, n):
         for c in range(1, n - 1):
-            if badblock_at(A, r, c, strict=strict):
+            if badblock_at(A, r, c):
                 return (r, c)
     return None
 

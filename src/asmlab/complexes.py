@@ -23,7 +23,6 @@ from .ideals import (
     PermSet,
     SquarefreeIdeal,
     bits,
-    cell_label,
     cells,
     is_pure_family,
     minimal_primes,
@@ -48,15 +47,6 @@ class SimplicialComplex:
 
     def dim(self) -> int:
         return max(F.bit_count() for F in self.facets) - 1
-
-    def to_json_dict(self) -> dict:
-        n = self.ambient_n
-        facets = sorted(tuple(sorted(cells(F, n))) for F in self.facets)
-        facets.sort(key=len)
-        return {
-            "vertices": [cell_label(c) for c in sorted(cells(self.vertex_universe, n))],
-            "facets": [[cell_label(c) for c in F] for F in facets],
-        }
 
 
 def _complex_from_primes(n: int, primes) -> SimplicialComplex:
@@ -96,15 +86,6 @@ def stanley_reisner_ideal(delta: SimplicialComplex) -> SquarefreeIdeal:
     return SquarefreeIdeal(
         delta.ambient_n,
         minimal_transversals(delta.vertex_universe & ~F for F in delta.facets),
-    )
-
-
-def full_grid_ideal(delta: SimplicialComplex) -> SquarefreeIdeal:
-    """Stanley-Reisner ideal re-expanded over the grid: excluded vertices
-    come back as single-variable generators."""
-    I = stanley_reisner_ideal(delta)
-    return SquarefreeIdeal.make(
-        delta.ambient_n, set(I.gens) | set(bits(delta.excluded_vertices))
     )
 
 
@@ -152,10 +133,6 @@ def face_subcomplex(delta: SimplicialComplex, sigma: int, kind: str) -> Simplici
         cone_points=delta.cone_points,
         excluded_vertices=delta.excluded_vertices,
     )
-
-
-def is_pure(delta: SimplicialComplex) -> bool:
-    return is_pure_family(delta.facets)
 
 
 @dataclass(frozen=True)

@@ -154,26 +154,11 @@ def chain_complex(facets) -> ChainComplex:
     return ChainComplex(dims, tuple(boundaries))
 
 
-def compose_boundaries(outer, inner) -> dict:
-    """Sparse product of two boundary matrices (for the del-del = 0 check)."""
-    result: dict[tuple[int, int], int] = {}
-    for r, row in enumerate(outer):
-        acc: dict[int, int] = {}
-        for t, v in row.items():
-            for c, w in inner[t].items():
-                acc[c] = acc.get(c, 0) + v * w
-        for c, v in acc.items():
-            if v:
-                result[(r, c)] = v
-    return result
-
-
 @dataclass(frozen=True)
 class HomologyProfile:
     """Reduced Betti numbers indexed from dimension -1 upward."""
 
     reduced_betti: tuple[int, ...]
-    field: object = "rational"
 
     def betti(self, dim: int) -> int:
         idx = dim + 1
@@ -193,7 +178,7 @@ def _reduced_betti(facets: frozenset, p: int) -> tuple[int, ...]:
 def reduced_homology_ranks(delta, field="rational") -> HomologyProfile:
     """Reduced Betti numbers of a complex (or raw facet collection)."""
     facets = delta.facets if isinstance(delta, SimplicialComplex) else frozenset(delta)
-    return HomologyProfile(_reduced_betti(facets, characteristic(field)), field)
+    return HomologyProfile(_reduced_betti(facets, characteristic(field)))
 
 
 # -- Cohen-Macaulayness --------------------------------------------------------

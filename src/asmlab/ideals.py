@@ -84,17 +84,6 @@ def cell_label(cell: Cell) -> str:
     return f"z_{cell[0]}_{cell[1]}"
 
 
-def parse_cell_label(label: str) -> Cell:
-    _, i, j = label.split("_")
-    return (int(i), int(j))
-
-
-def monomial_label(cell_set) -> str:
-    if not cell_set:
-        return "1"
-    return "*".join(cell_label(c) for c in sorted(cell_set))
-
-
 # -- the set-family kernel: minimal primes are the minimal transversals of the
 # generators, and the Stanley-Reisner ideal those of the facet complements.
 
@@ -179,34 +168,6 @@ class SquarefreeIdeal:
         return [[cell_label(c) for c in g] for g in self.sorted_gens()]
 
 
-@dataclass(frozen=True)
-class MinorSpec:
-    """Row/column subsets of the generic matrix cutting out one Fulton minor."""
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def antidiagonal(self) -> frozenset[Cell]:
-        k = self.size
-        return frozenset((self.rows[a], self.cols[k - 1 - a]) for a in range(k))
-
-
-def fulton_minor_specs(A: Asm) -> list[MinorSpec]:
-    """All (rk+1)-minors in the northwest submatrix at each essential cell."""
-    ranks = rank_matrix(A)
-    specs = []
-    for (i, j) in sorted(essential_set(A)):
-        k = ranks[i - 1][j - 1] + 1
-        for rows in combinations(range(1, i + 1), k):
-            for cols in combinations(range(1, j + 1), k):
-                specs.append(MinorSpec(rows, cols))
-    return specs
-
-
 @lru_cache(maxsize=4096)
 def _antidiagonal_masks(n: int, i: int, j: int, k: int) -> tuple[int, ...]:
     """The antidiagonals of all k-minors northwest of (i, j), as masks."""
@@ -239,11 +200,6 @@ def natural_init_ideal(A: Asm) -> SquarefreeIdeal:
 def _check_same_grid(I: SquarefreeIdeal, J: SquarefreeIdeal) -> None:
     if I.n != J.n:
         raise SizeMismatchError(f"grid sides differ: {I.n} vs {J.n}")
-
-
-def ideal_sum(I: SquarefreeIdeal, J: SquarefreeIdeal) -> SquarefreeIdeal:
-    _check_same_grid(I, J)
-    return SquarefreeIdeal.make(I.n, I.gens | J.gens)
 
 
 def ideal_intersection(I: SquarefreeIdeal, J: SquarefreeIdeal) -> SquarefreeIdeal:
@@ -290,7 +246,8 @@ def is_minimal_prime(I: SquarefreeIdeal, S: int) -> bool:
 
 
 def perm_from_prime(S: int, n: int) -> Permutation:
-    """Read a minimal prime as a reduced pipe dream.
+    """Read a minimal prime as a reduced pipe dream; an oracle for
+    pipe_dreams and perm_set.
 
     Cell (i,j) maps to the simple reflection s_{i+j-1}; cells are read in
     ascending bit order (row by row, right-to-left within each row), and
@@ -501,7 +458,7 @@ def perm_set(A: Asm) -> PermSet:
 # -- the two-prime construction for badblock ASMs ----------------------------
 
 
-def yo_induction_states(A: Asm, r: int, c: int):
+def yo_induction_states(A: Asm, r: int):
     """Yield ((i,j), Y, O) states of the southwest/northeast prime growth,
     with Y and O as masks.
 
@@ -530,10 +487,10 @@ def yo_induction_states(A: Asm, r: int, c: int):
 
 def construct_yo_primes(A: Asm, r: int, c: int) -> tuple[int, int]:
     """Two minimal primes of distinct heights certifying non-equidimensionality."""
-    if not badblock_at(A, r, c, strict=False):
+    if not badblock_at(A, r, c):
         raise NotBadblockError(f"({r},{c}) is not an obstruction block of A")
     state = None
-    for state in yo_induction_states(A, r, c):
+    for state in yo_induction_states(A, r):
         pass
     _, Y, O = state
     dom = mask(dominant_part(A), A.n)

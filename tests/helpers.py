@@ -1,0 +1,43 @@
+"""Independent checks the tests share: the transpose of an ASM, the product
+of two boundary matrices, and the Fulton minors of an ASM read off its
+essential set cell by cell."""
+
+from itertools import combinations
+
+from asmlab import Asm, essential_set, rank_matrix
+
+
+def transpose(A: Asm) -> Asm:
+    return Asm(tuple(zip(*A.entries)))
+
+
+def compose_boundaries(outer, inner) -> dict:
+    """Sparse product of two boundary matrices (for the del-del = 0 check)."""
+    result: dict[tuple[int, int], int] = {}
+    for r, row in enumerate(outer):
+        acc: dict[int, int] = {}
+        for t, v in row.items():
+            for c, w in inner[t].items():
+                acc[c] = acc.get(c, 0) + v * w
+        for c, v in acc.items():
+            if v:
+                result[(r, c)] = v
+    return result
+
+
+def fulton_minors(A: Asm) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (rows, cols) of every (rk+1)-minor in the northwest submatrix at
+    each essential cell, essential cells in order."""
+    ranks = rank_matrix(A)
+    minors = []
+    for (i, j) in sorted(essential_set(A)):
+        k = ranks[i - 1][j - 1] + 1
+        for rows in combinations(range(1, i + 1), k):
+            for cols in combinations(range(1, j + 1), k):
+                minors.append((rows, cols))
+    return minors
+
+
+def antidiagonal(rows, cols) -> frozenset:
+    """The cells of the antidiagonal of the minor on rows x cols."""
+    return frozenset(zip(rows, reversed(cols)))

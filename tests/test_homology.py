@@ -24,8 +24,9 @@ from asmlab import homology
 from asmlab.errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
 from asmlab.complexes import asm_complex, vd_facets
 from asmlab.enumeration import ALL_CHECKS
-from asmlab.homology import cascade_is_cm, complex_is_cm, compose_boundaries
+from asmlab.homology import cascade_is_cm, complex_is_cm
 from asmlab.ideals import is_pure_family
+from helpers import compose_boundaries
 from test_complexes import vd_facets_oracle
 
 

@@ -21,8 +21,9 @@ from asmlab import (
     validate_asm,
 )
 from asmlab.complexes import vd_facets
-from asmlab.homology import cascade_is_cm, complex_is_cm, compose_boundaries
+from asmlab.homology import cascade_is_cm, complex_is_cm
 from asmlab.ideals import cells, mask, maximal_sets, minimal_sets, minimal_transversals
+from helpers import compose_boundaries
 from test_complexes import vd_facets_oracle
 
 POOLS = {n: list(enumerate_asms(n)) for n in range(1, 6)}
