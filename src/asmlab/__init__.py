@@ -55,10 +55,9 @@ from .enumeration import (
 from .errors import AsmlabError
 from .homology import (
     ChainComplex,
-    HomologyProfile,
     chain_complex,
     hochster_depth,
-    reduced_homology_ranks,
+    reduced_betti,
     sparse_rank,
 )
 from .ideals import (

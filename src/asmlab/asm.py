@@ -134,10 +134,6 @@ class Permutation:
             )
         )
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
     def __str__(self) -> str:
         if self.n <= 9:
             return "".join(str(v) for v in self.one_line)

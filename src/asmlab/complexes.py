@@ -25,6 +25,7 @@ from .ideals import (
     bits,
     cells,
     is_pure_family,
+    maximal_sets,
     minimal_primes,
     minimal_transversals,
     pipe_dreams,
@@ -93,9 +94,10 @@ def is_face(delta: SimplicialComplex, sigma: int) -> bool:
     return any(not sigma & ~F for F in delta.facets)
 
 
-# link_facets and deletion_facets take an antichain and return one, so no
-# step re-maximalizes: a complex's facets are one, and so is every family
-# Reisner's criterion and the KM-vd failure walk recurse on, being pure.
+# link_facets takes an antichain and returns one, so it need not maximalize:
+# a complex's facets are one, and so is every family Reisner's criterion and
+# the KM-vd failure walk recurse on, being pure.  A deletion, sigma cut from
+# every facet, is maximalized (maximal_sets).
 
 
 def link_facets(facets, sigma: int) -> frozenset:
@@ -104,32 +106,20 @@ def link_facets(facets, sigma: int) -> frozenset:
     return frozenset(F & ~sigma for F in facets if not sigma & ~F)
 
 
-def deletion_facets(facets, sigma: int) -> frozenset:
-    """The facets of the complex induced on the vertices outside sigma,
-    deleting one vertex v at a time.  The facets missing v stay; a facet cut
-    by v can lie only in one of those, since two facets through v do not
-    nest once v is removed."""
-    for v in bits(sigma):
-        kept, cut = [], []
-        for F in facets:
-            (cut if F & v else kept).append(F)
-        outside = [~G for G in kept]  # F ^ v lies in G when (F ^ v) & ~G == 0
-        kept += [F ^ v for F in cut if 0 not in map((F ^ v).__and__, outside)]
-        facets = kept
-    return frozenset(facets)
-
-
 def face_subcomplex(delta: SimplicialComplex, sigma: int, kind: str) -> SimplicialComplex:
     """Link or deletion at a face, in facet-list form."""
     if not is_face(delta, sigma):
         raise NotAFaceError(f"{sorted(cells(sigma, delta.ambient_n))} is not a face")
-    facets_at = {"link": link_facets, "deletion": deletion_facets}.get(kind)
-    if facets_at is None:
+    if kind == "link":
+        facets = link_facets(delta.facets, sigma)
+    elif kind == "deletion":
+        facets = maximal_sets(F & ~sigma for F in delta.facets)
+    else:
         raise ValueError(f"kind must be 'link' or 'deletion', got {kind!r}")
     return SimplicialComplex(
         ambient_n=delta.ambient_n,
         vertex_universe=delta.vertex_universe & ~sigma,
-        facets=facets_at(delta.facets, sigma),
+        facets=facets,
         cone_points=delta.cone_points,
         excluded_vertices=delta.excluded_vertices,
     )
@@ -216,7 +206,7 @@ def km_vertex_decomposable(delta: SimplicialComplex) -> DecompositionTrace:
         v = vertices & -vertices  # the greatest surviving vertex
         link = link_facets(facets, v)
         if vd_facets(link)[1]:
-            branch, facets = "deletion", deletion_facets(facets, v)
+            branch, facets = "deletion", maximal_sets(F & ~v for F in facets)
         else:
             branch, facets = "link", link
         path.append((min(cells(v, delta.ambient_n)), branch))

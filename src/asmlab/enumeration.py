@@ -1,5 +1,6 @@
 """Streaming generation of ASM(n), the per-ASM analysis pipeline, census
-tabulation with a resumable shard cache, and theorem-verification sweeps.
+tabulation with a resumable, append-only shard cache, and
+theorem-verification sweeps.
 
 ASMs are generated through their column-sum matrices: row i of the partial
 column sums is a 0/1 vector with i ones whose one-positions interlace the
@@ -48,7 +49,7 @@ from .errors import (
     UnknownCheckError,
     UnknownStatementError,
 )
-from .homology import _all_faces, cascade_is_cm, characteristic, parse_field
+from .homology import _all_faces, cascade_is_cm, parse_field
 from .ideals import (
     PermSet,
     SquarefreeIdeal,
@@ -67,7 +68,7 @@ ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 # Part of every census cache key.  Bump it whenever an algorithm behind a
 # cached answer or the shard format changes, so that no cache written by
 # older code is ever served.
-CACHE_VERSION = 9
+CACHE_VERSION = 10
 MAX_STREAM_N = 8
 SHARD_SIZE = 128
 ALL_CHECKS = ("codim", "equidim", "cm", "km_vd")
@@ -172,7 +173,7 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
     a flag of the vd search, a memo hit after "cm".  The field is checked
     first, whatever the checks."""
     checks = _known_checks(checks)
-    p = characteristic(field)
+    p = parse_field(field)
     codim = perm_count = equidim = cm = km_vd = None
     if checks:
         indices, lengths = perm_walk(A)
@@ -243,45 +244,42 @@ class CensusTable:
         return dict(zip(CENSUS_COLUMNS, self.row()))
 
 
-_FILTERS = {
-    None: lambda A: True,
-    "a11=1": lambda A: A.a11_is_one,
-}
+_FILTERS = {None: lambda A: True, "a11=1": lambda A: A.a11_is_one}
 
-# the counts a shard file holds besides its total and its seconds
+# the counts a shard line holds besides its start, its total and its seconds
 _SHARD_COUNTS = ("cm", "equidim", "km_vd_fail", "km_vd_fail_a11")
+_SHARD_KEYS = frozenset(("start", "total", "seconds", *_SHARD_COUNTS))
 
 
-def _cache_key(n: int, checks, field, filter_spec) -> str:
-    """The name of a census's key directory: v{CACHE_VERSION}-<16 hex>."""
+def _cache_key(n: int, checks, field: int, filter_spec) -> str:
+    """The name of a census's key file: v{CACHE_VERSION}-<16 hex>.jsonl."""
     payload = json.dumps(
-        {
-            "version": CACHE_VERSION,
-            "n": n,
-            "checks": sorted(checks),
-            "field": str(field),
-            "filter": filter_spec,
-        },
+        dict(version=CACHE_VERSION, n=n, checks=sorted(checks), field=field, filter=filter_spec),
         sort_keys=True,
     )
-    return f"v{CACHE_VERSION}-{hashlib.sha1(payload.encode()).hexdigest()[:16]}"
+    return f"v{CACHE_VERSION}-{hashlib.sha1(payload.encode()).hexdigest()[:16]}.jsonl"
 
 
-_KEY_DIR = re.compile(r"v(\d+)-[0-9a-f]{16}")
+_KEY = re.compile(r"v(\d+)-[0-9a-f]{16}(\.jsonl)?")
 
 
 def _remove_stale_keys(cache_dir) -> None:
-    """Delete the key directories an older CACHE_VERSION wrote, those named
-    v{k}-<16 hex> with k < CACHE_VERSION, and leave everything else alone."""
+    """Delete the key files v{k}-<16 hex>.jsonl and the key directories
+    v{k}-<16 hex> (one file per shard, versions 6 to 9) with k below
+    CACHE_VERSION.  Everything else is left alone, such as a file named like
+    a key directory or a directory named like a key file."""
     for entry in cache_dir.iterdir():
-        match = _KEY_DIR.fullmatch(entry.name)
-        if match and int(match[1]) < CACHE_VERSION and entry.is_dir():
-            shutil.rmtree(entry)
+        match = _KEY.fullmatch(entry.name)
+        if match and int(match[1]) < CACHE_VERSION:
+            if match[2] and entry.is_file():
+                entry.unlink()
+            elif not match[2] and entry.is_dir():
+                shutil.rmtree(entry)
 
 
 def _shard_worker(args):
-    """Analyse one shard's ASMs.  Returns the shard's start and its census
-    counts with the seconds its analyses took, the object its file holds."""
+    """Analyse one shard's ASMs.  Returns its cache line's object: the
+    shard's start, its census counts and the seconds its analyses took."""
     start, asms, checks, field = args
     with_cm = "cm" in checks
     cm = equidim = km_vd_fail = km_vd_fail_a11 = 0
@@ -291,19 +289,19 @@ def _shard_worker(args):
         # the headline KM-vd count is CM complexes missed by the fixed-order
         # test
         miss = not r.km_vd and (r.cm if with_cm else True)
-        # int += bool stays an int, so the shard file holds no bools
+        # int += bool stays an int, so the cache line holds no bools
         cm += bool(r.cm)
         equidim += bool(r.equidimensional)
         km_vd_fail += bool(miss)
         km_vd_fail_a11 += bool(miss and A.a11_is_one)
-    seconds = time.perf_counter() - t0
-    return start, {
+    return {
+        "start": start,
         "cm": cm,
         "equidim": equidim,
         "km_vd_fail": km_vd_fail,
         "km_vd_fail_a11": km_vd_fail_a11,
         "total": len(asms),
-        "seconds": seconds,
+        "seconds": time.perf_counter() - t0,
     }
 
 
@@ -319,13 +317,13 @@ def tabulate(
 
     ASM(n) is streamed once, in this process, up to the last shard missing
     from the cache, and cut into shards of SHARD_SIZE matrices; each missing
-    shard goes to a worker, which returns the shard's census counts.  Each
-    shard's counts are cached as one JSON object in a content-addressed
-    subdirectory of cache_dir, written as soon as its shard finishes, so
+    shard goes to a worker, which returns the shard's census counts.  A
+    census's cache is one content-addressed key file in cache_dir, with one
+    JSON line per shard, appended as soon as its shard finishes, so
     interrupted runs resume, and warm reruns recompute nothing and do not
-    stream.  The key directories an older CACHE_VERSION wrote are removed.
-    The shards' counts are added up as they are read or computed, so
-    memory does not grow with n.  At most min(jobs, os.cpu_count())
+    stream.  The key files and directories an older CACHE_VERSION wrote are
+    removed.  The shards' counts are added up as they are read or computed,
+    so memory does not grow with n.  At most min(jobs, os.cpu_count())
     worker processes run.
     """
     checks = _known_checks(checks)
@@ -339,42 +337,32 @@ def tabulate(
     if jobs < 1:
         raise AsmlabError(f"jobs must be at least 1, got {jobs}")
     keep = _FILTERS[filter_spec]
-    starts = range(0, ASM_COUNTS[n - 1], SHARD_SIZE)
-    key_dir = None
+    key_file = None
     if cache_dir is not None:
         from pathlib import Path
 
-        key_dir = Path(cache_dir) / _cache_key(n, checks, field, filter_spec)
-        key_dir.mkdir(parents=True, exist_ok=True)
-        _remove_stale_keys(key_dir.parent)
+        cache_dir = Path(cache_dir)
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        _remove_stale_keys(cache_dir)
+        key_file = cache_dir / _cache_key(n, checks, field, filter_spec)
 
-    def shard_path(start):
-        return key_dir / f"shard_{start:08d}.jsonl"
+    def within(v, top):
+        return type(v) is int and 0 <= v <= top
 
-    def cached(start):
-        """The shard's stored counts, or None when it is to be computed: no
-        file, no JSON object with exactly the shard's keys, a total above
-        SHARD_SIZE, a count that is not an int in [0, total], or seconds
-        that are not a finite float >= 0."""
-        if key_dir is None or not shard_path(start).exists():
-            return None
-        try:
-            shard = json.loads(shard_path(start).read_text())
-        except ValueError:  # JSONDecodeError, UnicodeDecodeError
-            return None
-
-        def within(v, top):
-            return type(v) is int and 0 <= v <= top
-
-        valid = (
+    def valid(shard):
+        """Whether a parsed line is a shard: a JSON object with exactly the
+        shard's keys, an int start (a bool is not one), a total of at most
+        SHARD_SIZE, every count an int in [0, total], and seconds a finite
+        float >= 0."""
+        return (
             isinstance(shard, dict)
-            and shard.keys() == {"total", "seconds", *_SHARD_COUNTS}
+            and shard.keys() == _SHARD_KEYS
+            and type(shard["start"]) is int
             and within(shard["total"], SHARD_SIZE)
             and all(within(shard[k], shard["total"]) for k in _SHARD_COUNTS)
             and type(shard["seconds"]) is float
             and 0 <= shard["seconds"] < inf
         )
-        return shard if valid else None
 
     tally = Counter()
     subtotals = []  # the analysis seconds of each shard
@@ -384,13 +372,25 @@ def tabulate(
             tally[k] += shard[k]
         subtotals.append(shard["seconds"])
 
-    missing = set()
-    for start in starts:
-        shard = cached(start)
-        if shard is None:
-            missing.add(start)
-        else:
-            count(shard)
+    # the first valid line of each shard start is served; every other line
+    # (torn, damaged, a duplicate, a foreign start) is skipped
+    missing = set(range(0, ASM_COUNTS[n - 1], SHARD_SIZE))
+    line = b"\n"
+    if key_file is not None and key_file.exists():
+        with key_file.open("rb") as lines:
+            for line in lines:
+                try:
+                    shard = json.loads(line)
+                except (ValueError, RecursionError):  # not JSON, not UTF-8, too deep
+                    continue
+                if valid(shard) and shard["start"] in missing:
+                    missing.remove(shard["start"])
+                    count(shard)
+    # a torn last line is ended before any append, which would otherwise
+    # glue onto it and be lost with it
+    if missing and not line.endswith(b"\n"):
+        with key_file.open("a") as out:
+            out.write("\n")
 
     def missing_shards():
         stream = enumerate_asms(n)
@@ -400,12 +400,11 @@ def tabulate(
                 yield start, [A for A in asms if keep(A)], checks, field
 
     def store(computed):
-        for start, shard in computed:
+        for shard in computed:
             count(shard)
-            if key_dir is not None:
-                tmp = shard_path(start).with_suffix(".tmp")
-                tmp.write_text(json.dumps(shard, sort_keys=True) + "\n")
-                tmp.replace(shard_path(start))
+            if key_file is not None:
+                with key_file.open("a") as out:
+                    out.write(json.dumps(shard, sort_keys=True) + "\n")
 
     # no more workers than cores or missing shards; a lone shard runs in
     # this process

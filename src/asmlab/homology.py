@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import MEMO_SIZE, SimplicialComplex, link_facets, vd_facets
+from .complexes import MEMO_SIZE, link_facets, vd_facets
 from .errors import FaceBudgetExceededError, InvalidFieldError
 from .ideals import bits, is_pure_family, maximal_sets, strip_apex, submasks, union
 
@@ -34,23 +34,17 @@ def _is_prime(p: int) -> bool:
     return all(x == 1 or any(pow(x, 2**r, p) == p - 1 for r in range(s)) for x in xs)
 
 
-def parse_field(field):
-    """Validate a coefficient field: "rational" (or None, or 0) for Q, else a
-    prime p given as an int or as the text "p=<p>".  Returns "rational" or p.
-    """
+def parse_field(field) -> int:
+    """The characteristic of a coefficient field: 0 for Q, given as
+    "rational", None or 0, else a prime p given as an int or as the text
+    "p=<p>"."""
     if field in ("rational", None, 0):
-        return "rational"
+        return 0
     text = field if isinstance(field, str) else f"p={field}"
     digits = text[2:] if text.startswith("p=") else ""
     if not (digits.isdecimal() and _is_prime(int(digits))):
         raise InvalidFieldError(f"field must be 'rational' or 'p=<prime>', got {field!r}")
     return int(digits)
-
-
-def characteristic(field) -> int:
-    """0 for the rationals, else the prime p of a field parse_field accepts."""
-    p = parse_field(field)
-    return 0 if p == "rational" else p
 
 
 # -- exact ranks --------------------------------------------------------------
@@ -154,31 +148,14 @@ def chain_complex(facets) -> ChainComplex:
     return ChainComplex(dims, tuple(boundaries))
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
-    """Reduced Betti numbers indexed from dimension -1 upward."""
-
-    reduced_betti: tuple[int, ...]
-
-    def betti(self, dim: int) -> int:
-        idx = dim + 1
-        if 0 <= idx < len(self.reduced_betti):
-            return self.reduced_betti[idx]
-        return 0
-
-
-def _reduced_betti(facets: frozenset, p: int) -> tuple[int, ...]:
+def reduced_betti(facets, p: int = 0) -> tuple[int, ...]:
+    """The reduced Betti numbers of a complex given by its facets, over Q
+    (p = 0) or GF(p), indexed from dimension -1 upward."""
     cc = chain_complex(facets)
     # dims[i] counts the faces of dimension i - 1, and boundaries[i] maps
     # dimension i to i - 1, so ranks[i] and ranks[i + 1] leave and enter dims[i]
     ranks = [0, *(sparse_rank(b, p) for b in cc.boundaries), 0]
     return tuple(count - ranks[i] - ranks[i + 1] for i, count in enumerate(cc.dims))
-
-
-def reduced_homology_ranks(delta, field="rational") -> HomologyProfile:
-    """Reduced Betti numbers of a complex (or raw facet collection)."""
-    facets = delta.facets if isinstance(delta, SimplicialComplex) else frozenset(delta)
-    return HomologyProfile(_reduced_betti(facets, characteristic(field)))
 
 
 # -- Cohen-Macaulayness --------------------------------------------------------
@@ -207,7 +184,7 @@ def complex_is_cm(facets, p: int = 0) -> bool:
 def _coneless_is_cm(facets: frozenset, p: int) -> bool:
     """complex_is_cm on a pure complex with no cone point and some vertex."""
     top = max(F.bit_count() for F in facets) - 1
-    betti = _reduced_betti(facets, p)
+    betti = reduced_betti(facets, p)
     if any(betti[d + 1] for d in range(-1, top)):
         return False
     return all(complex_is_cm(link_facets(facets, v), p) for v in bits(union(facets)))
@@ -219,7 +196,7 @@ def hochster_depth(facets, universe, p: int = 0) -> int:
     pd = 0
     for W in submasks(universe):
         sub = maximal_sets(F & W for F in facets)
-        betti = _reduced_betti(sub, p)
+        betti = reduced_betti(sub, p)
         for idx, b in enumerate(betti):
             if b:
                 pd = max(pd, W.bit_count() - idx)  # homological degree |W| - d - 1, d = idx - 1

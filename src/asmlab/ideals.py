@@ -146,14 +146,6 @@ class SquarefreeIdeal:
     def make(cls, n: int, monomials) -> "SquarefreeIdeal":
         return cls(n, minimal_sets(monomials))
 
-    @classmethod
-    def zero(cls, n: int) -> "SquarefreeIdeal":
-        return cls(n, frozenset())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.gens
-
     @property
     def is_unit(self) -> bool:
         return 0 in self.gens

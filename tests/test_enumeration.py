@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import sys
 import tracemalloc
 from dataclasses import astuple
@@ -34,7 +35,7 @@ from asmlab.enumeration import (
     _shard_worker,
 )
 from asmlab.complexes import asm_complex
-from asmlab.homology import cascade_is_cm
+from asmlab.homology import cascade_is_cm, parse_field
 from asmlab.ideals import (
     PERM_TABLE_BOUND,
     _above,
@@ -211,17 +212,36 @@ class TestTabulate:
 
     def test_cache_round_trip(self, tmp_path, monkeypatch):
         t1 = tabulate(4, cache_dir=tmp_path)
-        shards = sorted(p.name for p in (tmp_path / _cache_key(
-            4, tuple(sorted(("cm", "codim", "equidim", "km_vd"))), "rational", None
-        )).iterdir())
-        assert shards == ["shard_00000000.jsonl"]
+        path = tmp_path / _cache_key(4, enumeration_mod.ALL_CHECKS, 0, None)
+        assert list(tmp_path.iterdir()) == [path]
+        assert [d["start"] for d in shard_lines(path)] == [0]
+        text = path.read_bytes()
 
         def boom(args):
             raise AssertionError("warm cache must not recompute")
 
         monkeypatch.setattr(enumeration_mod, "_shard_worker", boom)
         t2 = tabulate(4, cache_dir=tmp_path)
-        assert t1 == t2
+        assert t1 == t2 and path.read_bytes() == text
+
+    def test_one_file_per_census(self, tmp_path, monkeypatch):
+        """A cold n=6 census writes one key file of 59 lines, and a warm
+        rerun leaves its bytes as they are and calls no worker or stream."""
+        checks = ("codim", "equidim")
+        cold = tabulate(6, checks=checks, cache_dir=tmp_path)
+        (path,) = tmp_path.iterdir()
+        version = enumeration_mod.CACHE_VERSION
+        assert re.fullmatch(rf"v{version}-[0-9a-f]{{16}}\.jsonl", path.name)
+        assert [d["start"] for d in shard_lines(path)] == list(range(0, 7436, SHARD_SIZE))
+        text = path.read_bytes()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a warm census adds up stored counts")
+
+        monkeypatch.setattr(enumeration_mod, "_shard_worker", boom)
+        monkeypatch.setattr(enumeration_mod, "enumerate_asms", boom)
+        assert tabulate(6, checks=checks, cache_dir=tmp_path).to_csv() == cold.to_csv()
+        assert path.read_bytes() == text
 
     def test_warm_pass_rebuilds_no_report(self, tmp_path, monkeypatch):
         cold = tabulate(4, cache_dir=tmp_path).to_csv()
@@ -249,9 +269,9 @@ class TestTabulate:
         cold = tabulate(n, checks=checks, filter_spec=filter_spec, cache_dir=tmp_path)
         assert all(type(v) is int for v in cold.row()[1:-1] if v != "")
         assert cold.to_csv().split("\n")[1].startswith(cells + ",")
-        (key_dir,) = tmp_path.iterdir()
-        (path,) = key_dir.iterdir()
-        assert all(type(v) is int for v in stored(path).values())
+        (path,) = tmp_path.iterdir()
+        (shard,) = stored(path).values()
+        assert all(type(v) is int for v in shard.values())
 
         def boom(*args, **kwargs):
             raise AssertionError("a warm census adds up stored counts")
@@ -266,31 +286,31 @@ class TestTabulate:
         monkeypatch.setattr(enumeration_mod, "CACHE_VERSION", version - 1)
         tabulate(4, checks=("cm",), cache_dir=tmp_path)
         (old,) = tmp_path.iterdir()
-        shard = old / "shard_00000000.jsonl"
         # an older code's wrong answers: every ASM(4) not CM
-        shard.write_text(json.dumps({**json.loads(shard.read_text()), "cm": 0}))
+        (shard,) = shard_lines(old)
+        old.write_text(json.dumps({**shard, "cm": 0}) + "\n")
         assert tabulate(4, checks=("cm",), cache_dir=tmp_path).not_cm == 42
-        # a newer code's key directory, an unprefixed one, an older prefix
-        # on another name and a file named like an older key directory are
-        # left alone
-        kept_dirs = [
-            tmp_path / f"v{version + 1}-{'0' * 16}",
-            tmp_path / ("0" * 16),
-            tmp_path / f"v{version - 1}-backup",
-        ]
-        for other in kept_dirs:
-            other.mkdir()
-            (other / "shard_00000000.jsonl").write_text("{}")
-        stray = tmp_path / f"v{version - 1}-{'1' * 16}"
-        stray.write_text("kept")
+        kept = keys_left_alone(tmp_path, version)
         monkeypatch.setattr(enumeration_mod, "CACHE_VERSION", version)
         assert tabulate(4, checks=("cm",), cache_dir=tmp_path).cm == 39
-        current = tmp_path / _cache_key(4, ("cm",), "rational", None)
-        assert set(tmp_path.iterdir()) == {current, stray, *kept_dirs}
+        current = tmp_path / _cache_key(4, ("cm",), 0, None)
+        assert set(tmp_path.iterdir()) == {current, *kept}
         assert not old.exists() and old.name.startswith(f"v{version - 1}-")
         assert current.name.startswith(f"v{version}-")
-        for other in kept_dirs:
-            assert [p.name for p in other.iterdir()] == ["shard_00000000.jsonl"]
+        assert all(kept[p] == p.is_dir() for p in kept)
+
+    def test_old_layout_key_directory_removed(self, tmp_path):
+        """A key directory of one file per shard, as version 9 wrote, is
+        deleted; the names keys_left_alone makes are kept."""
+        old = tmp_path / f"v9-{'3' * 16}"
+        old.mkdir()
+        (old / "shard_00000000.jsonl").write_text("{}")
+        (old / "shard_00000128.tmp").write_text("{")
+        kept = keys_left_alone(tmp_path, enumeration_mod.CACHE_VERSION)
+        tabulate(4, checks=CODIM, cache_dir=tmp_path)
+        current = tmp_path / _cache_key(4, CODIM, 0, None)
+        assert set(tmp_path.iterdir()) == {current, *kept}
+        assert all(kept[p] == p.is_dir() for p in kept)
 
     def test_cm_size_bound(self):
         with pytest.raises(SizeBoundExceededError):
@@ -309,15 +329,62 @@ class TestTabulate:
 CODIM = ("codim",)
 
 
-def shard_dir(cache_dir, n):
-    return cache_dir / _cache_key(n, CODIM, "rational", None)
+def key_file(cache_dir, n):
+    """The key file of a codim census of ASM(n) over Q."""
+    return cache_dir / _cache_key(n, CODIM, 0, None)
+
+
+def shard_lines(path):
+    """The objects of a key file's lines, in file order."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def counts(line):
+    """A shard line's object without its seconds."""
+    return {k: v for k, v in json.loads(line).items() if k != "seconds"}
 
 
 def stored(path):
-    """A shard file's counts without its seconds."""
-    shard = json.loads(path.read_text())
-    del shard["seconds"]
-    return shard
+    """A key file's shards without their seconds, by start; the first line
+    of each start is kept."""
+    shards = {}
+    for line in path.read_text().splitlines():
+        shard = counts(line)
+        shards.setdefault(shard["start"], shard)
+    return shards
+
+
+def keys_left_alone(cache_dir, version):
+    """Make the names a census must not delete: a file named like an older
+    key directory, a directory named like an older key file, a newer
+    version's key file and key directory, unprefixed ones and an older
+    prefix on another name.  Returns whether each is a directory, by path."""
+    kept = {
+        cache_dir / f"v{version - 1}-{'1' * 16}": False,
+        cache_dir / f"v{version - 1}-{'2' * 16}.jsonl": True,
+        cache_dir / f"v{version + 1}-{'0' * 16}.jsonl": False,
+        cache_dir / f"v{version + 1}-{'0' * 16}": True,
+        cache_dir / ("0" * 16): True,
+        cache_dir / f"{'0' * 16}.jsonl": False,
+        cache_dir / f"v{version - 1}-backup": True,
+        cache_dir / f"v{version - 1}-backup.jsonl": False,
+    }
+    for path, is_dir in kept.items():
+        if is_dir:
+            path.mkdir()
+            (path / "shard_00000000.jsonl").write_text("{}")
+        else:
+            path.write_text("kept")
+    return kept
+
+
+def drop_lines(path, *indices):
+    """Rewrite a key file without the lines at these indices; returns the
+    bytes left."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    text = b"".join(line for i, line in enumerate(lines) if i not in indices)
+    path.write_bytes(text)
+    return text
 
 
 def record_pools(monkeypatch, cores):
@@ -376,7 +443,7 @@ class TestCensusStream:
     def test_stream_stops_after_the_last_missing_shard(self, tmp_path, monkeypatch, lost, pulls):
         cold = tabulate(5, checks=CODIM, cache_dir=tmp_path)
         pulled = self.count_pulls(monkeypatch)
-        sorted(shard_dir(tmp_path, 5).glob("*.jsonl"))[lost].unlink()
+        drop_lines(key_file(tmp_path, 5), lost)
         rerun = tabulate(5, checks=CODIM, cache_dir=tmp_path)
         assert len(pulled) == pulls
         assert rerun.row()[:-1] == cold.row()[:-1]
@@ -394,8 +461,7 @@ class TestCensusStream:
         monkeypatch.setattr(enumeration_mod, "analyze_asm", failing)
         with pytest.raises(KeyboardInterrupt):
             tabulate(5, checks=CODIM, cache_dir=tmp_path)
-        written = sorted(p.name for p in shard_dir(tmp_path, 5).glob("*.jsonl"))
-        assert written == ["shard_00000000.jsonl"]
+        assert [d["start"] for d in shard_lines(key_file(tmp_path, 5))] == [0]
 
         def counting(A, **kwargs):
             calls.append(A)
@@ -410,20 +476,16 @@ class TestCensusStream:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_missing_middle_shard_recomputed_alone(self, tmp_path, jobs):
         tabulate(5, checks=CODIM, cache_dir=tmp_path)
-        paths = sorted(shard_dir(tmp_path, 5).glob("*.jsonl"))
-        assert len(paths) == 4
-        middle = paths[2]
-        before = stored(middle)
-
-        def stamps():
-            kept = [p.stat() for p in paths if p != middle]
-            return [(st.st_ino, st.st_mtime_ns) for st in kept]
-
-        kept = stamps()
-        middle.unlink()
+        path = key_file(tmp_path, 5)
+        before = stored(path)
+        assert list(before) == [0, 128, 256, 384]
+        kept = drop_lines(path, 2)
         tabulate(5, checks=CODIM, cache_dir=tmp_path, jobs=jobs)
-        assert stamps() == kept
-        assert stored(middle) == before
+        # the other lines stay as they were, and the middle one is appended
+        text = path.read_bytes()
+        assert text.startswith(kept)
+        assert [d["start"] for d in shard_lines(path)] == [0, 128, 384, 256]
+        assert stored(path) == before
 
 
 def cut(text, shard):
@@ -449,6 +511,7 @@ DAMAGES = {
     "truncated": cut,
     "not-json": lambda text, shard: "total=42 cm=39\n",
     "not-utf8": lambda text, shard: b"\xff\xfe".decode("latin-1"),
+    "nested-too-deep": lambda text, shard: "[" * 100_000,
     "not-an-object": lambda text, shard: json.dumps(list(shard.values())),
     "missing-key": without("equidim"),
     "extra-key": setting("matrix", [[1]]),
@@ -466,32 +529,105 @@ DAMAGES = {
 
 
 class TestShardValidation:
-    """A damaged shard is recomputed and rewritten, never served."""
+    """A damaged, duplicate or foreign line is skipped, never served; its
+    shard is recomputed and appended."""
 
     @pytest.mark.parametrize("damage", list(DAMAGES))
     def test_damaged_shard_recomputed(self, tmp_path, damage):
-        checks = ("codim", "equidim")
-        cold = tabulate(4, checks=checks, cache_dir=tmp_path)
-        (shard,) = (tmp_path / _cache_key(4, checks, "rational", None)).iterdir()
-        before = stored(shard)
-        text = shard.read_text()
-        damaged = DAMAGES[damage](text, json.loads(text))
-        shard.write_text(damaged, encoding="latin-1")
-        warm = tabulate(4, checks=checks, cache_dir=tmp_path)
-        assert warm.row()[:-1] == cold.row()[:-1] and warm.total == 42
-        assert shard.read_text(encoding="latin-1") != damaged
-        assert stored(shard) == before
+        cold = tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        path = key_file(tmp_path, 5)
+        before = stored(path)
+        lines = path.read_text().splitlines()
+        damaged = DAMAGES[damage](lines[1], json.loads(lines[1])).rstrip("\n")
+        lines[1] = damaged
+        text = "\n".join(lines) + "\n"
+        path.write_text(text, encoding="latin-1")
+        warm = tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        assert warm.row()[:-1] == cold.row()[:-1] and warm.total == 429
+        rewritten = path.read_text(encoding="latin-1")
+        assert rewritten.startswith(text) and rewritten.count("\n") == 5
+        assert counts(rewritten.splitlines()[-1]) == before[128]
 
     def test_truncated_filtered_shard_recomputed(self, tmp_path):
         checks = ("codim", "equidim")
         cold = tabulate(4, checks=checks, filter_spec="a11=1", cache_dir=tmp_path)
         assert cold.total == 7
-        (shard,) = (tmp_path / _cache_key(4, checks, "rational", "a11=1")).iterdir()
-        before = stored(shard)
-        shard.write_text(shard.read_text()[:20])
+        (path,) = tmp_path.iterdir()
+        before = stored(path)
+        path.write_text(path.read_text()[:20])
         warm = tabulate(4, checks=checks, filter_spec="a11=1", cache_dir=tmp_path)
         assert warm.row()[:-1] == cold.row()[:-1]
-        assert stored(shard) == before
+        assert counts(path.read_text().splitlines()[-1]) == before[0]
+
+    @pytest.mark.parametrize("left", [1, 60, -1], ids=["one-byte", "half", "all-but-the-brace"])
+    def test_cut_last_line_recomputed_once(self, tmp_path, monkeypatch, left):
+        """A last line cut mid-object, as an interrupted append leaves it, is
+        skipped and its shard appended after a newline that ends the cut
+        line; so a third run serves every shard and calls no worker."""
+        cold = tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        path = key_file(tmp_path, 5)
+        before = stored(path)
+        text = path.read_bytes()
+        last = text.rstrip(b"\n").rsplit(b"\n", 1)[1]
+        cut_text = text[: len(text) - len(last) - 1] + last[:left]
+        path.write_bytes(cut_text)
+        resumed = tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        assert resumed.row()[:-1] == cold.row()[:-1]
+        rewritten = path.read_bytes()
+        assert rewritten.startswith(cut_text + b"\n") and rewritten.count(b"\n") == 5
+        assert counts(rewritten.splitlines()[-1]) == before[384]
+
+        def boom(args):
+            raise AssertionError("every shard is served")
+
+        monkeypatch.setattr(enumeration_mod, "_shard_worker", boom)
+        third = tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        assert third.to_csv() == resumed.to_csv() and path.read_bytes() == rewritten
+
+    def test_first_of_two_valid_lines_served(self, tmp_path, monkeypatch):
+        cold = tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        path = key_file(tmp_path, 5)
+        lines = path.read_text().splitlines()
+        shard = json.loads(lines[1])
+        other = json.dumps({**shard, "seconds": shard["seconds"] + 1.0}, sort_keys=True)
+
+        def boom(args):
+            raise AssertionError("every shard is served")
+
+        monkeypatch.setattr(enumeration_mod, "_shard_worker", boom)
+        # a later duplicate is skipped, so the warm row and runtime_s stand
+        path.write_text("\n".join([*lines, other]) + "\n")
+        for _ in range(2):
+            assert tabulate(5, checks=CODIM, cache_dir=tmp_path).to_csv() == cold.to_csv()
+        # an earlier one is served instead
+        path.write_text("\n".join([other, *lines]) + "\n")
+        seconds = [json.loads(line)["seconds"] for line in (other, *lines) if line != lines[1]]
+        warm = tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        assert warm.runtime_s == round(fsum(seconds), 3) > cold.runtime_s + 0.9
+
+    @pytest.mark.parametrize(
+        "start", [False, True, 64, 512], ids=["false", "true", "not-a-multiple", "past-the-end"]
+    )
+    def test_foreign_start_not_served(self, tmp_path, monkeypatch, start):
+        """A line whose start is not a shard start of the census, a JSON
+        false (equal to 0 in Python) included, is skipped: shard 0 is
+        recomputed and appended."""
+        cold = tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        path = key_file(tmp_path, 5)
+        before = stored(path)
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "start": start}, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        worker, starts = enumeration_mod._shard_worker, []
+
+        def recording(args):
+            starts.append(args[0])
+            return worker(args)
+
+        monkeypatch.setattr(enumeration_mod, "_shard_worker", recording)
+        warm = tabulate(5, checks=CODIM, cache_dir=tmp_path)
+        assert starts == [0] and warm.row()[:-1] == cold.row()[:-1]
+        assert counts(path.read_text().splitlines()[-1]) == before[0]
 
 
 CHECK_SETS = [c for k in range(5) for c in combinations(enumeration_mod.ALL_CHECKS, k)]
@@ -563,16 +699,17 @@ class TestFold:
 
         shards = oracle(checks, filter_spec, field)
         cold = census(tmp_path)
-        key_dir = tmp_path / _cache_key(5, checks, field, filter_spec)
-        paths = sorted(key_dir.glob("shard_*.jsonl"))
-        assert [{k: stored(p)[k] for k in d} for p, d in zip(paths, shards)] == shards
-        for path in paths[1::2]:
-            path.unlink()
+        path = tmp_path / _cache_key(5, checks, parse_field(field), filter_spec)
+        served = stored(path)
+        assert list(served) == list(range(0, 429, SHARD_SIZE))
+        assert [{k: s[k] for k in d} for s, d in zip(served.values(), shards)] == shards
+        drop_lines(path, 1, 3)
         mixed = census(tmp_path)
         row = census_row(shards, checks)
         assert astuple(cold)[:-1] == astuple(mixed)[:-1] == astuple(census(None))[:-1] == row
-        seconds = [json.loads(p.read_text())["seconds"] for p in paths]
-        assert mixed.runtime_s == round(fsum(seconds), 3)
+        assert stored(path) == served
+        seconds = [json.loads(line)["seconds"] for line in path.read_text().splitlines()]
+        assert len(seconds) == 4 and mixed.runtime_s == round(fsum(seconds), 3)
 
     def test_warm_memory_does_not_grow_with_n(self, tmp_path):
         checks = ("codim", "equidim")
@@ -600,6 +737,8 @@ class TestFold:
     def test_n7_codim_equidim_census(self, tmp_path):
         t = tabulate(7, checks=("codim", "equidim"), cache_dir=tmp_path)
         assert (t.total, t.equidim) == (218348, 71382)
+        (path,) = tmp_path.iterdir()  # one key file, a line per shard
+        assert len(path.read_bytes().splitlines()) == 1706
 
 
 class TestOneDerivation:
