@@ -1,6 +1,5 @@
 """Streaming generation of ASM(n), the per-ASM analysis pipeline, census
-tabulation with a resumable, append-only shard cache, and
-theorem-verification sweeps.
+tabulation with a resumable shard cache, and theorem-verification sweeps.
 
 ASMs are generated through their column-sum matrices: row i of the partial
 column sums is a 0/1 vector with i ones whose one-positions interlace the
@@ -244,17 +243,25 @@ class CensusTable:
         return dict(zip(CENSUS_COLUMNS, self.row()))
 
 
-_FILTERS = {None: lambda A: True, "a11=1": lambda A: A.a11_is_one}
+_FILTERS = {
+    None: lambda A: True,
+    "a11=1": lambda A: A.a11_is_one,
+}
 
 # the counts a shard line holds besides its start, its total and its seconds
 _SHARD_COUNTS = ("cm", "equidim", "km_vd_fail", "km_vd_fail_a11")
-_SHARD_KEYS = frozenset(("start", "total", "seconds", *_SHARD_COUNTS))
 
 
 def _cache_key(n: int, checks, field: int, filter_spec) -> str:
     """The name of a census's key file: v{CACHE_VERSION}-<16 hex>.jsonl."""
     payload = json.dumps(
-        dict(version=CACHE_VERSION, n=n, checks=sorted(checks), field=field, filter=filter_spec),
+        {
+            "version": CACHE_VERSION,
+            "n": n,
+            "checks": sorted(checks),
+            "field": field,
+            "filter": filter_spec,
+        },
         sort_keys=True,
     )
     return f"v{CACHE_VERSION}-{hashlib.sha1(payload.encode()).hexdigest()[:16]}.jsonl"
@@ -294,6 +301,7 @@ def _shard_worker(args):
         equidim += bool(r.equidimensional)
         km_vd_fail += bool(miss)
         km_vd_fail_a11 += bool(miss and A.a11_is_one)
+    seconds = time.perf_counter() - t0
     return {
         "start": start,
         "cm": cm,
@@ -301,7 +309,7 @@ def _shard_worker(args):
         "km_vd_fail": km_vd_fail,
         "km_vd_fail_a11": km_vd_fail_a11,
         "total": len(asms),
-        "seconds": time.perf_counter() - t0,
+        "seconds": seconds,
     }
 
 
@@ -356,7 +364,7 @@ def tabulate(
         float >= 0."""
         return (
             isinstance(shard, dict)
-            and shard.keys() == _SHARD_KEYS
+            and shard.keys() == {"start", "total", "seconds", *_SHARD_COUNTS}
             and type(shard["start"]) is int
             and within(shard["total"], SHARD_SIZE)
             and all(within(shard[k], shard["total"]) for k in _SHARD_COUNTS)

@@ -211,37 +211,27 @@ class TestTabulate:
         assert row.startswith("3,7,7,0,")
 
     def test_cache_round_trip(self, tmp_path, monkeypatch):
-        t1 = tabulate(4, cache_dir=tmp_path)
-        path = tmp_path / _cache_key(4, enumeration_mod.ALL_CHECKS, 0, None)
-        assert list(tmp_path.iterdir()) == [path]
-        assert [d["start"] for d in shard_lines(path)] == [0]
-        text = path.read_bytes()
+        """A cold census writes one key file, a line per shard; a warm rerun
+        leaves its bytes as they are and calls no worker or stream."""
+        for n, checks in ((4, enumeration_mod.ALL_CHECKS), (6, ("codim", "equidim"))):
+            cache_dir = tmp_path / str(n)
+            t1 = tabulate(n, checks=checks, cache_dir=cache_dir)
+            path = cache_dir / _cache_key(n, checks, 0, None)
+            assert list(cache_dir.iterdir()) == [path]
+            version = enumeration_mod.CACHE_VERSION
+            assert re.fullmatch(rf"v{version}-[0-9a-f]{{16}}\.jsonl", path.name)
+            starts = range(0, ASM_COUNTS[n - 1], SHARD_SIZE)
+            assert [d["start"] for d in shard_lines(path)] == list(starts)
+            text = path.read_bytes()
 
-        def boom(args):
-            raise AssertionError("warm cache must not recompute")
+            def boom(*args, **kwargs):
+                raise AssertionError("warm cache must not recompute")
 
-        monkeypatch.setattr(enumeration_mod, "_shard_worker", boom)
-        t2 = tabulate(4, cache_dir=tmp_path)
-        assert t1 == t2 and path.read_bytes() == text
-
-    def test_one_file_per_census(self, tmp_path, monkeypatch):
-        """A cold n=6 census writes one key file of 59 lines, and a warm
-        rerun leaves its bytes as they are and calls no worker or stream."""
-        checks = ("codim", "equidim")
-        cold = tabulate(6, checks=checks, cache_dir=tmp_path)
-        (path,) = tmp_path.iterdir()
-        version = enumeration_mod.CACHE_VERSION
-        assert re.fullmatch(rf"v{version}-[0-9a-f]{{16}}\.jsonl", path.name)
-        assert [d["start"] for d in shard_lines(path)] == list(range(0, 7436, SHARD_SIZE))
-        text = path.read_bytes()
-
-        def boom(*args, **kwargs):
-            raise AssertionError("a warm census adds up stored counts")
-
-        monkeypatch.setattr(enumeration_mod, "_shard_worker", boom)
-        monkeypatch.setattr(enumeration_mod, "enumerate_asms", boom)
-        assert tabulate(6, checks=checks, cache_dir=tmp_path).to_csv() == cold.to_csv()
-        assert path.read_bytes() == text
+            with monkeypatch.context() as m:
+                m.setattr(enumeration_mod, "_shard_worker", boom)
+                m.setattr(enumeration_mod, "enumerate_asms", boom)
+                t2 = tabulate(n, checks=checks, cache_dir=cache_dir)
+            assert t1 == t2 and t2.to_csv() == t1.to_csv() and path.read_bytes() == text
 
     def test_warm_pass_rebuilds_no_report(self, tmp_path, monkeypatch):
         cold = tabulate(4, cache_dir=tmp_path).to_csv()
@@ -297,7 +287,7 @@ class TestTabulate:
         assert set(tmp_path.iterdir()) == {current, *kept}
         assert not old.exists() and old.name.startswith(f"v{version - 1}-")
         assert current.name.startswith(f"v{version}-")
-        assert all(kept[p] == p.is_dir() for p in kept)
+        assert untouched(kept)
 
     def test_old_layout_key_directory_removed(self, tmp_path):
         """A key directory of one file per shard, as version 9 wrote, is
@@ -310,7 +300,7 @@ class TestTabulate:
         tabulate(4, checks=CODIM, cache_dir=tmp_path)
         current = tmp_path / _cache_key(4, CODIM, 0, None)
         assert set(tmp_path.iterdir()) == {current, *kept}
-        assert all(kept[p] == p.is_dir() for p in kept)
+        assert untouched(kept)
 
     def test_cm_size_bound(self):
         with pytest.raises(SizeBoundExceededError):
@@ -376,6 +366,20 @@ def keys_left_alone(cache_dir, version):
         else:
             path.write_text("kept")
     return kept
+
+
+def untouched(kept):
+    """Whether each name keys_left_alone made is still as it was made: a
+    directory holding only its shard file of "{}", or a file reading
+    "kept"."""
+    return all(
+        path.is_dir()
+        and [(q.name, q.read_text()) for q in path.iterdir()]
+        == [("shard_00000000.jsonl", "{}")]
+        if is_dir
+        else path.is_file() and path.read_text() == "kept"
+        for path, is_dir in kept.items()
+    )
 
 
 def drop_lines(path, *indices):
