@@ -7,9 +7,9 @@ plain frozensets of cells; rank matrices are nested tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations as iter_permutations
+from typing import NamedTuple
 
 from .errors import (
     AlternationError,
@@ -29,8 +29,7 @@ Cell = tuple[int, int]
 PERM_SET_NAIVE_BOUND = 7
 
 
-@dataclass(frozen=True)
-class Asm:
+class Asm(NamedTuple):
     """A validated alternating sign matrix."""
 
     entries: tuple[tuple[int, ...], ...]
@@ -111,8 +110,7 @@ def asm_from_json(data: dict) -> Asm:
     return validate_asm(matrix)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(NamedTuple):
     """A permutation of [n] in one-line notation."""
 
     one_line: tuple[int, ...]
@@ -274,8 +272,7 @@ def one_plus(A: Asm) -> Asm:
     return insert_unit(A, 1, 1)
 
 
-@dataclass(frozen=True)
-class ContainmentWitness:
+class ContainmentWitness(NamedTuple):
     """Row/column subsets of a target realizing a pattern as a submatrix."""
 
     kept_rows: tuple[int, ...]
@@ -307,8 +304,7 @@ def find_pattern(target: Asm, pattern: Asm) -> ContainmentWitness | None:
     return next(iter_pattern_witnesses(target, pattern), None)
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
+class ContainmentReport(NamedTuple):
     k: int
     deleted_rows: tuple[int, ...]
     deleted_cols: tuple[int, ...]

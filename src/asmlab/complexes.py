@@ -13,9 +13,9 @@ complex of an ASM is built from the pipe dreams of Perm(A), with no ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
+from typing import NamedTuple
 
 from .asm import Cell
 from .errors import NotAFaceError
@@ -36,8 +36,7 @@ from .ideals import (
 MEMO_SIZE = 10**6  # the bound of every facet-keyed memo, here and in homology
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(NamedTuple):
     """Facet-list complex over a subset of the n x n grid, vertex sets as masks."""
 
     ambient_n: int
@@ -125,8 +124,7 @@ def face_subcomplex(delta: SimplicialComplex, sigma: int, kind: str) -> Simplici
     )
 
 
-@dataclass(frozen=True)
-class DecompositionTrace:
+class DecompositionTrace(NamedTuple):
     result: bool
     failure_vertex: Cell | None = None
     failure_reason: str | None = None  # "NotPure" | "RecursiveFailure"

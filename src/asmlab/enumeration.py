@@ -20,10 +20,10 @@ import re
 import shutil
 import time
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from functools import cache
 from itertools import combinations, islice
 from math import fsum, inf
+from typing import NamedTuple
 
 from .asm import (
     Asm,
@@ -67,7 +67,7 @@ ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 # Part of every census cache key.  Bump it whenever an algorithm behind a
 # cached answer or the shard format changes, so that no cache written by
 # older code is ever served.
-CACHE_VERSION = 10
+CACHE_VERSION = 11
 MAX_STREAM_N = 8
 SHARD_SIZE = 128
 ALL_CHECKS = ("codim", "equidim", "cm", "km_vd")
@@ -124,19 +124,50 @@ def enumerate_asms(n: int):
 # -- per-ASM analysis ----------------------------------------------------------
 
 
-@dataclass(slots=True)
-class AnalysisReport:
-    """Everything the census needs to know about one ASM.  Not frozen, so
-    not hashable: a frozen dataclass would set each field through
-    object.__setattr__, at a third of the cost of a warm codim+equidim
-    analyze_asm."""
+class _Slotted:
+    """Field-by-field equality and a keyword repr for a plain __slots__
+    class whose slots are its fields.  Its fields may be set, so it is not
+    hashable."""
 
-    asm: Asm
-    codim: int | None = None
-    perm_count: int | None = None
-    equidimensional: bool | None = None
-    cm: bool | None = None
-    km_vd: bool | None = None
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class AnalysisReport(_Slotted):
+    """Everything the census needs to know about one ASM; a check not asked
+    for is None.  Every analyze_asm builds one, so it is a plain slotted
+    class whose __init__ stores six slots: a NamedTuple's __new__ takes
+    half as long again."""
+
+    __slots__ = ("asm", "codim", "perm_count", "equidimensional", "cm", "km_vd")
+
+    def __init__(
+        self,
+        asm: Asm,
+        codim: int | None = None,
+        perm_count: int | None = None,
+        equidimensional: bool | None = None,
+        cm: bool | None = None,
+        km_vd: bool | None = None,
+    ):
+        self.asm = asm
+        self.codim = codim
+        self.perm_count = perm_count
+        self.equidimensional = equidimensional
+        self.cm = cm
+        self.km_vd = km_vd
 
 
 _CHECK_SET = frozenset(ALL_CHECKS)
@@ -206,8 +237,7 @@ def is_cohen_macaulay(A: Asm, field="rational") -> bool:
 # -- census tabulation ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusTable:
+class CensusTable(NamedTuple):
     n: int
     total: int
     cm: int | None
@@ -288,19 +318,20 @@ def _shard_worker(args):
     """Analyse one shard's ASMs.  Returns its cache line's object: the
     shard's start, its census counts and the seconds its analyses took."""
     start, asms, checks, field = args
-    with_cm = "cm" in checks
+    with_cm, with_km_vd = "cm" in checks, "km_vd" in checks
     cm = equidim = km_vd_fail = km_vd_fail_a11 = 0
     t0 = time.perf_counter()
     for A in asms:
         r = analyze_asm(A, checks=checks, field=field)
-        # the headline KM-vd count is CM complexes missed by the fixed-order
-        # test
-        miss = not r.km_vd and (r.cm if with_cm else True)
-        # int += bool stays an int, so the cache line holds no bools
+        # int += bool stays an int, so the cache line holds no bools; a
+        # check not run answers None and counts 0
         cm += bool(r.cm)
         equidim += bool(r.equidimensional)
-        km_vd_fail += bool(miss)
-        km_vd_fail_a11 += bool(miss and A.a11_is_one)
+        # the headline KM-vd count is CM complexes missed by the fixed-order
+        # test
+        if with_km_vd and not r.km_vd and (r.cm or not with_cm):
+            km_vd_fail += 1
+            km_vd_fail_a11 += A.a11_is_one
     seconds = time.perf_counter() - t0
     return {
         "start": start,
@@ -446,13 +477,25 @@ def tabulate(
 # -- theorem sweeps ------------------------------------------------------------
 
 
-@dataclass
-class VerificationReport:
-    statement: str
-    n: int
-    cases: int = 0
-    failures: list = dc_field(default_factory=list)
-    detail: dict = dc_field(default_factory=dict)
+class VerificationReport(_Slotted):
+    """One sweep's case count, failures and extra detail, filled in as the
+    sweep runs."""
+
+    __slots__ = ("statement", "n", "cases", "failures", "detail")
+
+    def __init__(
+        self,
+        statement: str,
+        n: int,
+        cases: int = 0,
+        failures: list | None = None,
+        detail: dict | None = None,
+    ):
+        self.statement = statement
+        self.n = n
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.detail = {} if detail is None else detail
 
     @property
     def passed(self) -> bool:

@@ -14,8 +14,8 @@ oracles the cascade is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .complexes import MEMO_SIZE, link_facets, vd_facets
 from .errors import FaceBudgetExceededError, InvalidFieldError
@@ -34,17 +34,30 @@ def _is_prime(p: int) -> bool:
     return all(x == 1 or any(pow(x, 2**r, p) == p - 1 for r in range(s)) for x in xs)
 
 
+def _prime_field(field) -> int:
+    """The p of a field given as a prime p or as the text "p=<p>"."""
+    text = field if isinstance(field, str) else f"p={field}"
+    digits = text[2:] if text.startswith("p=") else ""
+    if not (digits.isdecimal() and _is_prime(int(digits))):
+        raise InvalidFieldError(f"field must be 'rational' or 'p=<prime>', got {field!r}")
+    return int(digits)
+
+
+# A GF(p) census parses its field once per analyze_asm, so each int or str
+# field is proved prime once.  Other types are parsed every time: 2.0
+# equals the key 2, and a list has no hash.
+_known_prime_field = lru_cache(maxsize=2**8)(_prime_field)
+
+
 def parse_field(field) -> int:
     """The characteristic of a coefficient field: 0 for Q, given as
     "rational", None or 0, else a prime p given as an int or as the text
     "p=<p>"."""
     if field in ("rational", None, 0):
         return 0
-    text = field if isinstance(field, str) else f"p={field}"
-    digits = text[2:] if text.startswith("p=") else ""
-    if not (digits.isdecimal() and _is_prime(int(digits))):
-        raise InvalidFieldError(f"field must be 'rational' or 'p=<prime>', got {field!r}")
-    return int(digits)
+    if type(field) is int or type(field) is str:
+        return _known_prime_field(field)
+    return _prime_field(field)
 
 
 # -- exact ranks --------------------------------------------------------------
@@ -110,8 +123,7 @@ def sparse_rank(rows, p: int = 0) -> int:
 # -- chain complexes -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(NamedTuple):
     """Face counts per dimension (from -1 up) and boundary matrices.
 
     boundaries[k] is the matrix of the map from dimension-k chains to

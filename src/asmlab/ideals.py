@@ -18,11 +18,11 @@ kernel serve the theorem sweeps and the oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from itertools import combinations
 from math import factorial
 from operator import and_, or_
+from typing import NamedTuple
 
 from .asm import (
     Asm,
@@ -135,8 +135,7 @@ def is_pure_family(sets) -> bool:
     return len({s.bit_count() for s in sets}) <= 1
 
 
-@dataclass(frozen=True)
-class SquarefreeIdeal:
+class SquarefreeIdeal(NamedTuple):
     """A squarefree monomial ideal with a minimal generating set of masks."""
 
     n: int
@@ -310,8 +309,7 @@ PERM_TABLE_BOUND = 9
 UPSET_MEMO_SIZE = 2**13
 
 
-@dataclass(frozen=True)
-class PermSet:
+class PermSet(NamedTuple):
     """Perm(A), its least Coxeter length (the codimension), and whether all
     of its permutations have one length (equidimensionality)."""
 

@@ -5,7 +5,6 @@ import random
 import re
 import sys
 import tracemalloc
-from dataclasses import astuple
 from itertools import combinations, permutations
 from math import factorial, fsum
 
@@ -232,6 +231,22 @@ class TestTabulate:
                 m.setattr(enumeration_mod, "enumerate_asms", boom)
                 t2 = tabulate(n, checks=checks, cache_dir=cache_dir)
             assert t1 == t2 and t2.to_csv() == t1.to_csv() and path.read_bytes() == text
+
+    @pytest.mark.parametrize(
+        "checks, not_run",
+        [
+            (("codim", "equidim"), ("cm", "km_vd_fail", "km_vd_fail_a11")),
+            (("cm",), ("equidim", "km_vd_fail", "km_vd_fail_a11")),
+        ],
+    )
+    def test_checks_not_run_count_zero(self, tmp_path, checks, not_run):
+        """A key file holds no count for a check its census did not run."""
+        t = tabulate(5, checks=checks, cache_dir=tmp_path)
+        (path,) = tmp_path.iterdir()
+        lines = shard_lines(path)
+        assert len(lines) == 4 and all(d[k] == 0 for d in lines for k in not_run)
+        ran = "equidim" if "equidim" in checks else "cm"
+        assert sum(d[ran] for d in lines) == getattr(t, ran) > 0
 
     def test_warm_pass_rebuilds_no_report(self, tmp_path, monkeypatch):
         cold = tabulate(4, cache_dir=tmp_path).to_csv()
@@ -710,7 +725,7 @@ class TestFold:
         drop_lines(path, 1, 3)
         mixed = census(tmp_path)
         row = census_row(shards, checks)
-        assert astuple(cold)[:-1] == astuple(mixed)[:-1] == astuple(census(None))[:-1] == row
+        assert tuple(cold)[:-1] == tuple(mixed)[:-1] == tuple(census(None))[:-1] == row
         assert stored(path) == served
         seconds = [json.loads(line)["seconds"] for line in path.read_text().splitlines()]
         assert len(seconds) == 4 and mixed.runtime_s == round(fsum(seconds), 3)

@@ -24,7 +24,7 @@ from asmlab import homology
 from asmlab.errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
 from asmlab.complexes import asm_complex, vd_facets
 from asmlab.enumeration import ALL_CHECKS
-from asmlab.homology import cascade_is_cm, complex_is_cm
+from asmlab.homology import cascade_is_cm, complex_is_cm, parse_field
 from asmlab.ideals import is_pure_family
 from helpers import compose_boundaries
 from test_complexes import vd_facets_oracle
@@ -307,6 +307,28 @@ class TestDecidedByPerms:
                 with pytest.raises(InvalidFieldError):
                     is_cohen_macaulay(A, field)
         assert built == []
+
+
+class TestParseField:
+    def test_prime_field_proved_once(self, monkeypatch):
+        assert parse_field(2) == parse_field(2) == 2
+        assert parse_field("p=3") == 3
+        homology._known_prime_field.cache_clear()
+        assert parse_field(5) == 5
+
+        def boom(p):
+            raise AssertionError("a field seen before is not proved prime again")
+
+        monkeypatch.setattr(homology, "_is_prime", boom)
+        assert parse_field(5) == 5
+
+    @pytest.mark.parametrize("field", [[2], b"p=2", -3, 4, "p=4", 2.0, True])
+    def test_malformed_field_raises_every_time(self, field):
+        # 2.0 equals the int 2 that an earlier call accepted
+        assert parse_field(2) == 2
+        for _ in range(2):
+            with pytest.raises(InvalidFieldError):
+                parse_field(field)
 
 
 class TestHochsterBackend:
