@@ -11,7 +11,6 @@ and cache keys are stable across runs.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
@@ -67,7 +66,7 @@ ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 # Part of every census cache key.  Bump it whenever an algorithm behind a
 # cached answer or the shard format changes, so that no cache written by
 # older code is ever served.
-CACHE_VERSION = 11
+CACHE_VERSION = 12
 MAX_STREAM_N = 8
 SHARD_SIZE = 128
 ALL_CHECKS = ("codim", "equidim", "cm", "km_vd")
@@ -103,17 +102,22 @@ def _next_rows(prev: tuple[int, ...], n: int) -> tuple:
 def enumerate_asms(n: int):
     """Yield every element of ASM(n) exactly once, in a fixed order: a
     depth-first walk of the row steps, with one iterator of _next_rows per
-    row on an explicit stack."""
+    row on an explicit stack.  Row n is forced, since all n one-positions
+    are taken, so each step of row n - 1 yields one ASM."""
     if not (1 <= n <= MAX_STREAM_N):
         raise SizeBoundExceededError(f"stream size n={n} outside [1, {MAX_STREAM_N}]")
+    if n == 1:
+        yield Asm(((1,),))
+        return
     rows: list = [None] * n
     stack = [iter(_next_rows((), n))]
     while stack:
         depth = len(stack)
         for cur, row in stack[-1]:
             rows[depth - 1] = row
-            if depth == n:
-                yield Asm(tuple(rows))
+            if depth == n - 1:
+                rows[-1] = _next_rows(cur, n)[0][1]
+                yield tuple.__new__(Asm, (tuple(rows),))
             else:
                 stack.append(iter(_next_rows(cur, n)))
                 break
@@ -284,6 +288,8 @@ _SHARD_COUNTS = ("cm", "equidim", "km_vd_fail", "km_vd_fail_a11")
 
 def _cache_key(n: int, checks, field: int, filter_spec) -> str:
     """The name of a census's key file: v{CACHE_VERSION}-<16 hex>.jsonl."""
+    import hashlib  # here, not at the top: its OpenSSL module slows every import
+
     payload = json.dumps(
         {
             "version": CACHE_VERSION,

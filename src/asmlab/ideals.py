@@ -304,8 +304,12 @@ def pipe_dreams(w: Permutation) -> frozenset[int]:
 # S_9 covers 1 + A for every streamable A.  A set of S_9 takes 48 KB, so
 # its row up-sets take 25 MB; those of S_10 would take about 500 MB.
 PERM_TABLE_BOUND = 9
-# An entry holds a permutation and the rest of S_n outside its up-set,
-# n!/8 bytes: all 5040 of S_7 fit in 5.6 MB; at n=8 an entry is over 5 KB.
+# The most entries of the permutation tables (_lex_table) filled at once,
+# counted over all n together; a fill that would pass it empties them all.
+# S_n's table is filled whole at its first use when n! is at most this, so
+# for n <= 7, and an entry at a time above.  An entry holds a permutation
+# and the rest of S_n outside its up-set, n!/8 bytes: the tables of S_1 to
+# S_7, 5913 entries, fit in 6 MB; at n=8 an entry is over 5 KB.
 UPSET_MEMO_SIZE = 2**13
 
 
@@ -394,35 +398,76 @@ def _above(A: Asm) -> int:
     return up
 
 
-def _lex_upset(n: int, k: int) -> tuple[Permutation, int, int]:
-    """The k-th permutation w of S_n in lex order, its Coxeter length and
-    its Bruhat up-set.  The factorial-base digits of k are the Lehmer code
-    of w, so they sum to its length; the columns with partial sum 1 through
-    row i of w's matrix are w(1), ..., w(i)."""
-    values = list(range(1, n + 1))
-    line, length, S = [], 0, 0
-    up = _row_upset(n, 0)
-    for place in range(n - 1, -1, -1):
+@cache  # one list per n; cache_clear empties them all
+def _lex_table(n: int) -> list:
+    """The slots of S_n in lex order, each None or, once filled, the entry
+    (w, its Coxeter length, keep) of the k-th permutation w: keep is the
+    permutations of S_n outside w's up-set and other than w, those a walk
+    may still find once w is found.  Bit k is cleared whatever the up-set
+    holds, so a walk that ANDs keep in always removes the bit it read.
+    keep is the complement of up | 1 << k within S_n, taken as an XOR with
+    all of S_n, which holds up, so nonnegative: an AND with a negative int
+    makes CPython build its two's complement first."""
+    _row_upset(n, 0)  # raises SizeBoundExceededError before the list is made
+    return [None] * factorial(n)
+
+
+def _lex_upsets(n: int, k: int, m: int):
+    """(w's one-line tuple, its Coxeter length, its Bruhat up-set) for each
+    permutation w of S_n sharing the first n - m values of the k-th, in lex
+    order.  The factorial-base digits of k are the Lehmer code of the k-th
+    permutation, so they sum to its length; the columns with partial sum 1
+    through row i of w's matrix are w(1), ..., w(i), and the up-set is the
+    AND of the row up-sets of rows 1..n-1.  The prefix tree below the first
+    n - m values is grown a level at a time, so each prefix's AND is shared
+    by all of its leaves; the last value is forced and takes no AND."""
+    values, line, length, S, up = list(range(1, n + 1)), (), 0, 0, _row_upset(n, 0)
+    for place in range(n - 1, m - 1, -1):
         d, k = divmod(k, factorial(place))
         v = values.pop(d)
-        line.append(v)
+        line += (v,)
         length += d
-        if place:
-            S |= 1 << (v - 1)
-            up &= _row_upset(n, S)
-    return Permutation(tuple(line)), length, up
+        S |= 1 << (v - 1)
+        up &= _row_upset(n, S)
+    level = [(line, tuple(values), S, up, length)]
+    for _ in range(m - 1):
+        level = [
+            (line + (v,), rest[:d] + rest[d + 1 :], T, up & _row_upset(n, T), length + d)
+            for line, rest, S, up, length in level
+            for d, v in enumerate(rest)
+            for T in (S | 1 << (v - 1),)
+        ]
+    return ((line + rest, length, up) for line, rest, _, up, length in level)
 
 
-@lru_cache(maxsize=UPSET_MEMO_SIZE)
+# The entries filled since _fill last emptied the tables, over all n.  An
+# emptying elsewhere (cache_clear) leaves it high, which only brings the
+# next emptying forward.
+_filled = 0
+
+
+def _fill(n: int, k: int) -> tuple[Permutation, int, int]:
+    """Fill slot k of S_n's table and return its entry, filling with it the
+    slots of every permutation sharing its first n - m values: all of S_n
+    (m = n) when n! is at most UPSET_MEMO_SIZE, else slot k alone (m = 1).
+    A fill that would take the filled entries past UPSET_MEMO_SIZE empties
+    every table first."""
+    global _filled
+    m = n if factorial(n) <= UPSET_MEMO_SIZE else 1
+    if _filled + factorial(m) > UPSET_MEMO_SIZE:
+        _lex_table.cache_clear()
+        _filled = 0
+    tab, full = _lex_table(n), _row_upset(n, 0)
+    _filled += factorial(m)
+    start = k - k % factorial(m)
+    for j, (line, length, up) in enumerate(_lex_upsets(n, k, m), start):
+        tab[j] = tuple.__new__(Permutation, (line,)), length, full ^ (up | 1 << j)
+    return tab[k]
+
+
 def _lex_perm(n: int, k: int) -> tuple[Permutation, int, int]:
-    """The k-th permutation w of S_n in lex order, its Coxeter length, and
-    keep: the permutations of S_n outside w's up-set and other than w, those
-    a walk may still find once w is found.  Bit k is cleared whatever the
-    up-set holds, so a walk that ANDs keep in always removes the bit it
-    read.  keep is ~(up | 1 << k) taken within S_n, so nonnegative: an AND
-    with a negative int makes CPython build its two's complement first."""
-    w, length, up = _lex_upset(n, k)
-    return w, length, _row_upset(n, 0) & ~(up | 1 << k)
+    """The entry of the k-th permutation of S_n in lex order: see _lex_table."""
+    return _lex_table(n)[k] or _fill(n, k)
 
 
 def perm_walk(A: Asm) -> tuple[list[int], list[int]]:
@@ -430,10 +475,11 @@ def perm_walk(A: Asm) -> tuple[list[int], list[int]]:
     and their Coxeter lengths.  The lowest permutation above A is minimal,
     and each minimal w found removes itself and its up-set from the rest."""
     n, rest = A.n, _above(A)
+    tab = _lex_table(n)
     indices, lengths = [], []
     while rest:
         k = (rest & -rest).bit_length() - 1
-        _, length, keep = _lex_perm(n, k)
+        _, length, keep = tab[k] or _fill(n, k)
         indices.append(k)
         lengths.append(length)
         rest &= keep

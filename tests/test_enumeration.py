@@ -38,6 +38,8 @@ from asmlab.homology import cascade_is_cm, parse_field
 from asmlab.ideals import (
     PERM_TABLE_BOUND,
     _above,
+    _lex_perm,
+    _lex_table,
     _row_upset,
     cells,
     mask,
@@ -884,6 +886,15 @@ class TestPairMemo:
     each ASM gets the answers it gets alone, and the pair agrees where
     transposition says it must.  Transposing A transposes init(I_A), its
     minimal primes and its complex, and inverts Perm(A)."""
+
+    def test_fresh_empties_the_table(self):
+        """fresh() empties the permutation tables with every other memo:
+        S_5's, filled here, is empty after an analysis of an ASM(4)."""
+        _lex_perm(5, 0)
+        assert None not in _lex_table(5)
+        fresh(ASMS_UPTO_6[4][3])
+        assert _lex_table(5) == [None] * 120
+        assert None not in _lex_table(4)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_stream_equals_fresh(self, n):

@@ -40,11 +40,12 @@ from asmlab.errors import (
 )
 from asmlab.ideals import (
     PERM_TABLE_BOUND,
+    UPSET_MEMO_SIZE,
     PermSet,
     SquarefreeIdeal,
     _above,
     _lex_perm,
-    _lex_upset,
+    _lex_table,
     _row_upset,
     cell_label,
     cells,
@@ -472,9 +473,9 @@ class TestPermSet:
 
     @given(st.integers(1, 5).flatmap(lambda n: st.permutations(range(1, n + 1))))
     def test_table_matches_rank_matrices(self, line):
-        """Lex order extends the Bruhat order, _lex_upset reads the k-th
-        permutation, its length and its up-set, and _lex_perm the same
-        permutation and length with the rest of S_n."""
+        """Lex order extends the Bruhat order, and the table entry of the
+        k-th permutation holds it, its length and keep: the rest of S_n
+        outside its up-set, found here with asm_geq."""
         n = len(line)
         lex = list(permutations(range(1, n + 1)))
         k = lex.index(tuple(line))
@@ -485,12 +486,12 @@ class TestPermSet:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert rank_at(line, i, j) == ranks[i - 1][j - 1]
-        lex_w, length, up = _lex_upset(n, k)
-        assert lex_w == w and length == w.length
-        assert up == sum(
+        up = sum(
             1 << b for b, u in enumerate(lex) if asm_geq(Permutation(u).to_asm(), w.to_asm())
         )
-        assert _lex_perm(n, k) == (w, length, (1 << factorial(n)) - 1 - up)
+        entry = _lex_perm(n, k)
+        assert entry == (w, w.length, (1 << factorial(n)) - 1 - up)
+        assert type(entry[0]) is Permutation and entry is _lex_table(n)[k]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_row_upsets_by_brute_force(self, n):
@@ -518,23 +519,25 @@ class TestPermSet:
                 assert (up >> k & 1) == all(map(int.__le__, r[i], bound))
 
     def test_returns_when_an_upset_lacks_its_own_bit(self, monkeypatch):
-        """_lex_perm clears the bit of w in the mask the walk ANDs in, so an
-        up-set that lacks w itself cannot make perm_set loop; the alarm
-        turns a loop into a failure.  The memo is emptied first, so that
-        every permutation the walk reads is built from the lacking up-set."""
+        """The table's keep clears the bit of w in the mask the walk ANDs
+        in, so an up-set that lacks w itself cannot make perm_set loop; the
+        alarm turns a loop into a failure.  The tables are emptied first, so
+        that every permutation the walk reads is built from the lacking
+        up-set."""
 
-        def lacking(n, k):
-            built.append(k)
-            w, length, up = _lex_upset(n, k)
-            return w, length, up & ~(1 << k)
+        def lacking(n, k, m):
+            start = k - k % factorial(m)
+            for j, (line, length, up) in enumerate(real(n, k, m), start):
+                built.append(j)
+                yield line, length, up & ~(1 << j)
 
         def timeout(signum, frame):
             raise TimeoutError("perm_set did not return")
 
         expected = [perm_set(A) for A in ASMS_UPTO_6[4]]
-        built = []
-        monkeypatch.setattr(ideals, "_lex_upset", lacking)
-        _lex_perm.cache_clear()
+        built, real = [], ideals._lex_upsets
+        monkeypatch.setattr(ideals, "_lex_upsets", lacking)
+        _lex_table.cache_clear()
         previous = signal.signal(signal.SIGALRM, timeout)
         signal.alarm(5)
         try:
@@ -542,12 +545,42 @@ class TestPermSet:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-            _lex_perm.cache_clear()
-        assert built
+            _lex_table.cache_clear()
+        assert sorted(built) == list(range(24))
+
+    def test_filled_entries_stay_within_the_bound(self):
+        """perm_walk over more than UPSET_MEMO_SIZE permutation matrices of
+        S_8 fills an entry for each, one at a time, and never holds more
+        than UPSET_MEMO_SIZE of them; an entry read again after the tables
+        are emptied equals the one read before."""
+        _lex_table.cache_clear()
+        ideals._filled = 0
+        ks = range(0, factorial(8), 4)
+        assert len(ks) > UPSET_MEMO_SIZE
+        kept, clears = {}, 0
+        for t, k in enumerate(ks):
+            before = ideals._filled
+            assert perm_walk(Permutation(lex_line(8, k)).to_asm())[0] == [k]
+            assert ideals._filled <= UPSET_MEMO_SIZE
+            clears += ideals._filled < before
+            if t % 97 == 0 or ideals._filled < before:
+                kept[k] = _lex_perm(8, k)
+                table = _lex_table(8)
+                assert len(table) - table.count(None) == ideals._filled
+        assert clears == 1
+        emptied = [k for k in kept if _lex_table(8)[k] is None]
+        assert len(emptied) > 80
+        for k, entry in kept.items():
+            assert perm_walk(Permutation(lex_line(8, k)).to_asm())[0] == [k]
+            assert _lex_perm(8, k) == entry
+        _lex_table.cache_clear()
+        ideals._filled = 0
 
     def test_size_bound(self):
         with pytest.raises(SizeBoundExceededError):
             perm_set(Asm.identity(PERM_TABLE_BOUND + 1))
+        with pytest.raises(SizeBoundExceededError):
+            _lex_perm(PERM_TABLE_BOUND + 1, 0)
         assert perm_set(Asm.identity(PERM_TABLE_BOUND)).codim == 0
 
 

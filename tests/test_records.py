@@ -1,7 +1,7 @@
 """The package's records: immutable ones are NamedTuples, and the mutable
 AnalysisReport and VerificationReport are slotted classes.  They pickle (a
 Pool ships ASM lists and shard results), hash alike when equal, and the
-package imports neither dataclasses nor inspect."""
+package imports none of dataclasses, inspect and hashlib."""
 
 import os
 import pickle
@@ -33,10 +33,11 @@ A3 = validate_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
 B4 = validate_asm([[0, 1, 0, 0], [0, 0, 1, 0], [1, -1, 0, 1], [0, 1, 0, 0]])
 
 
-def test_import_loads_no_dataclasses_or_inspect():
-    # -S: no site hook can load either module first
+def loaded_by_import(*names) -> list:
+    """Those of the named modules that a fresh `import asmlab` loads, under
+    -S, so that no site hook can load one first."""
     src = str(Path(asmlab.__file__).resolve().parent.parent)
-    code = "import sys, asmlab; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = f"import sys, asmlab; print(*sorted({set(names)!r} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": src},
@@ -45,7 +46,16 @@ def test_import_loads_no_dataclasses_or_inspect():
         check=True,
         timeout=60,
     )
-    assert out.stdout == "[]\n"
+    return out.stdout.split()
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    assert loaded_by_import("dataclasses", "inspect") == []
+
+
+def test_import_loads_no_hashlib():
+    # only a census with a cache directory names its key file with hashlib
+    assert loaded_by_import("hashlib") == []
 
 
 @pytest.mark.parametrize(
