@@ -14,28 +14,12 @@ import os
 import sys
 from contextlib import ExitStack
 
-from .asm import (
-    Asm,
-    asm_from_json,
-    ascii_diagram,
-    check_containment_constraints,
-    dominant_part,
-    essential_set,
-    find_pattern,
-    rank_matrix,
-    rothe_diagram,
-)
-from .complexes import asm_complex, km_vertex_decomposable
-from .enumeration import (
-    ALL_CHECKS,
-    STATEMENT_NAMES,
-    analyze_asm,
-    tabulate,
-    verify_statement,
-)
+from .asm import Asm, asm_from_json, rank_matrix
+from .complexes import asm_complex
+from .enumeration import ALL_CHECKS, analyze_asm, tabulate
 from .errors import AsmlabError, MalformedInputError, UsageError
 from .homology import parse_field
-from .ideals import cell_label, init_ideal, perm_set
+from .ideals import perm_set
 
 
 def _load_asm(path: str) -> Asm:
@@ -61,6 +45,9 @@ def _emit(args, chunks) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from .combinatorics import ascii_diagram, dominant_part, essential_set, rothe_diagram
+    from .squarefree import cell_label, init_ideal, km_vertex_decomposable
+
     A = _load_asm(args.input_path)
     ps = perm_set(A)
     result = analyze_asm(A, field=args.field)
@@ -129,12 +116,22 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     """Each statement at each size, sizes outermost: one JSON report per
     line, or `PASS|FAIL <statement> n=<n> <good>/<cases>`, `SKIP` for a run
-    with no case.  Exits 1 if any run fails."""
+    with no case.  Exits 1 if any run fails, and exits 2, before any run,
+    if a statement is not one of STATEMENT_NAMES."""
+    from .sweeps import STATEMENT_NAMES, verify_statement
+
+    statements = args.statement or STATEMENT_NAMES
+    for name in statements:
+        if name not in STATEMENT_NAMES:
+            raise UsageError(
+                f"asmlab verify: argument --statement: invalid choice: {name!r} "
+                f"(choose from {', '.join(map(repr, STATEMENT_NAMES))})"
+            )
     passed = []
 
     def lines():
         for n in args.n:
-            for name in args.statement:
+            for name in statements:
                 report = verify_statement(name, n, seed=args.seed)
                 passed.append(report.passed)
                 if args.out_format == "json":
@@ -149,6 +146,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pattern(args) -> int:
+    from .combinatorics import check_containment_constraints, find_pattern
+
     target = _load_asm(args.target_path)
     pattern = _load_asm(args.pattern_path)
     witness = find_pattern(target, pattern)
@@ -170,6 +169,8 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_diagram(args) -> int:
+    from .combinatorics import ascii_diagram
+
     A = _load_asm(args.input_path)
     _emit(args, [ascii_diagram(A) + "\n"])
     return 0
@@ -210,8 +211,12 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--cache", dest="cache_dir")
 
     p = command("verify", ("text", "json"))
+    # checked by cmd_verify, which loads the sweeps
     p.add_argument(
-        "--statement", nargs="+", choices=STATEMENT_NAMES, default=STATEMENT_NAMES
+        "--statement",
+        nargs="+",
+        metavar="NAME",
+        help="statements to verify (default: all); an unknown name prints the list",
     )
     p.add_argument("-n", type=int, nargs="+", required=True)
     p.add_argument("--seed", type=int, default=0)

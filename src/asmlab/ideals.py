@@ -1,45 +1,30 @@
-"""Squarefree monomial ideals over the n-by-n variable grid.
+"""Cell sets of the n-by-n grid as bitmasks, the reduced pipe dreams of a
+permutation, and Perm(A) from memoized bitsets of S_n.
 
-A squarefree monomial is identified with its support, a set of grid cells
-held as an int bitmask: cell (i, j) is bit (i-1)*n + (n-j), row by row and
-right to left within a row, so ascending bit order is the reading order of
-a pipe dream and the lowest set bit is the greatest cell in the
-Knutson-Miller order z_{1,n} > ... > z_{n,1}.  Divisibility is `a & ~b == 0`.
+A set of grid cells (a squarefree monomial, a prime, a face) is held as an
+int bitmask: cell (i, j) is bit (i-1)*n + (n-j), row by row and right to
+left within a row, so ascending bit order is the reading order of a pipe
+dream and the lowest set bit is the greatest cell in the Knutson-Miller
+order z_{1,n} > ... > z_{n,1}.  Divisibility is `a & ~b == 0`.
 `mask(cells, n)` and `cells(m, n)` are the one codec between masks and
-cells.  The antidiagonal initial ideal of an ASM is generated by the
-antidiagonal lead terms of its Fulton generators, which form a Groebner
-basis under any antidiagonal term order.  Its minimal primes are the
+cells.  The minimal primes of an ASM's antidiagonal initial ideal are the
 reduced pipe dreams of the permutations of Perm(A) (Knutson-Miller), those
 of distinct w disjoint; `perm_set` finds Perm(A) from memoized bitsets of
 S_n, and `pipe_dreams` lists the pipe dreams of one w by ladder moves, so
-neither needs the ideal.  `init_ideal`, `minimal_primes` and the Berge
-kernel serve the theorem sweeps and the oracles.
+a census needs no ideal.  The ideals themselves, their minimal primes and
+the Berge kernel serve the theorem sweeps and the oracles, and live in
+`squarefree`, which `import asmlab` loads only on first use.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache, reduce
-from itertools import combinations
 from math import factorial
 from operator import and_, or_
 from typing import NamedTuple
 
-from .asm import (
-    Asm,
-    Cell,
-    Permutation,
-    badblock_at,
-    dominant_part,
-    essential_set,
-    rank_matrix,
-)
-from .errors import (
-    NonReducedWordError,
-    NotBadblockError,
-    SizeBoundExceededError,
-    SizeMismatchError,
-    SupportViolationError,
-)
+from .asm import Asm, Cell, Permutation
+from .errors import SizeBoundExceededError
 
 
 def mask(cell_set, n: int) -> int:
@@ -80,21 +65,8 @@ def strip_apex(family) -> frozenset:
     return frozenset(F & ~common for F in family) if common else frozenset(family)
 
 
-def cell_label(cell: Cell) -> str:
-    return f"z_{cell[0]}_{cell[1]}"
-
-
-# -- the set-family kernel: minimal primes are the minimal transversals of the
-# generators, and the Stanley-Reisner ideal those of the facet complements.
-
-
-def minimal_sets(sets) -> frozenset:
-    """The inclusion-minimal members of a family of masks."""
-    kept: list[int] = []
-    for s in sorted(set(sets), key=int.bit_count):
-        if 0 not in map((~s).__and__, kept):  # no kept k has k & ~s == 0
-            kept.append(s)
-    return frozenset(kept)
+# -- the set-family kernel's maximal sets and purity, which the complexes and
+# homology share; minimal sets and minimal transversals are in squarefree.
 
 
 def maximal_sets(sets) -> frozenset:
@@ -106,154 +78,9 @@ def maximal_sets(sets) -> frozenset:
     return frozenset(~k for k in outside)
 
 
-def minimal_transversals(family) -> frozenset:
-    """Inclusion-minimal masks meeting every member of the family.
-
-    Berge's algorithm folds the members in, smallest first.  A cover c that
-    misses the member g grows into c | v for each v in g; a kept cover h
-    meeting g lies inside c | v exactly when h & ~c == v, so only those are
-    compared and no round is re-minimalized.  The empty family has the
-    single transversal 0; a family containing 0 has none.
-    """
-    covers = [0]
-    for g in sorted(set(family), key=int.bit_count):
-        hit, missed = [], []
-        for c in covers:
-            (hit if c & g else missed).append(c)
-        covers = hit
-        for c in missed:
-            free = g
-            for d in map((~c).__and__, hit):
-                if not d & (d - 1):  # d is one vertex of g, and h lies in c | d
-                    free &= ~d
-            covers += [c | v for v in bits(free)]
-    return frozenset(covers)
-
-
 def is_pure_family(sets) -> bool:
     """Whether all members have one size, i.e. a facet list is pure."""
     return len({s.bit_count() for s in sets}) <= 1
-
-
-class SquarefreeIdeal(NamedTuple):
-    """A squarefree monomial ideal with a minimal generating set of masks."""
-
-    n: int
-    gens: frozenset  # frozenset[int]
-
-    @classmethod
-    def make(cls, n: int, monomials) -> "SquarefreeIdeal":
-        return cls(n, minimal_sets(monomials))
-
-    @property
-    def is_unit(self) -> bool:
-        return 0 in self.gens
-
-    def support(self) -> int:
-        return union(self.gens)
-
-    def sorted_gens(self) -> list[tuple[Cell, ...]]:
-        return sorted(tuple(sorted(cells(g, self.n))) for g in self.gens)
-
-    def to_json_list(self) -> list[list[str]]:
-        return [[cell_label(c) for c in g] for g in self.sorted_gens()]
-
-
-@lru_cache(maxsize=4096)
-def _antidiagonal_masks(n: int, i: int, j: int, k: int) -> tuple[int, ...]:
-    """The antidiagonals of all k-minors northwest of (i, j), as masks."""
-    row_bits = [[(r - 1) * n for r in rows] for rows in combinations(range(1, i + 1), k)]
-    col_bits = [[n - c for c in cols[::-1]] for cols in combinations(range(1, j + 1), k)]
-    return tuple(sum(1 << (r + c) for r, c in zip(rs, cs)) for rs in row_bits for cs in col_bits)
-
-
-def _rank_condition_ideal(A: Asm, where) -> SquarefreeIdeal:
-    """The antidiagonals of the (rk+1)-minors northwest of the cells `where`."""
-    n, ranks = A.n, rank_matrix(A)
-    return SquarefreeIdeal.make(
-        n, (g for (i, j) in where for g in _antidiagonal_masks(n, i, j, ranks[i - 1][j - 1] + 1))
-    )
-
-
-@lru_cache(maxsize=2**10)  # per ASM, as rank_matrix
-def init_ideal(A: Asm) -> SquarefreeIdeal:
-    """Antidiagonal initial ideal from the Fulton generators, which live at
-    the essential set."""
-    return _rank_condition_ideal(A, essential_set(A))
-
-
-def natural_init_ideal(A: Asm) -> SquarefreeIdeal:
-    """Same ideal built from the rank conditions at every grid cell (oracle)."""
-    grid = range(1, A.n + 1)
-    return _rank_condition_ideal(A, ((i, j) for i in grid for j in grid))
-
-
-def _check_same_grid(I: SquarefreeIdeal, J: SquarefreeIdeal) -> None:
-    if I.n != J.n:
-        raise SizeMismatchError(f"grid sides differ: {I.n} vs {J.n}")
-
-
-def ideal_intersection(I: SquarefreeIdeal, J: SquarefreeIdeal) -> SquarefreeIdeal:
-    """Generated by pairwise lcms, i.e. support unions."""
-    _check_same_grid(I, J)
-    return SquarefreeIdeal.make(I.n, (g | h for g in I.gens for h in J.gens))
-
-
-def ideal_colon(I: SquarefreeIdeal, m: int) -> SquarefreeIdeal:
-    """Colon by a squarefree monomial: strip m from each generator."""
-    return SquarefreeIdeal.make(I.n, (g & ~m for g in I.gens))
-
-
-def minimal_primes(I: SquarefreeIdeal) -> frozenset[int]:
-    """Minimal primes as minimal vertex covers of the generator supports.
-
-    The zero ideal yields the single prime generated by nothing.
-    """
-    return minimal_transversals(I.gens)
-
-
-def minimal_primes_bruteforce(I: SquarefreeIdeal) -> frozenset[int]:
-    """Subset-enumeration oracle; only usable for small supports."""
-    support = list(bits(I.support()))
-    covers = []
-    for k in range(len(support) + 1):
-        for subset in combinations(support, k):
-            s = sum(subset)
-            if any(not c & ~s for c in covers):
-                continue
-            if all(g & s for g in I.gens):
-                covers.append(s)
-    return frozenset(covers)
-
-
-def is_minimal_prime(I: SquarefreeIdeal, S: int) -> bool:
-    """Cover + uniqueness criterion: every generator meets S, and every
-    element of S is the unique S-element of some generator's support."""
-    if S & ~I.support():
-        raise SupportViolationError("S is not contained in the support of I")
-    if not all(g & S for g in I.gens):
-        return False
-    return all(any(g & S == x for g in I.gens) for x in bits(S))
-
-
-def perm_from_prime(S: int, n: int) -> Permutation:
-    """Read a minimal prime as a reduced pipe dream; an oracle for
-    pipe_dreams and perm_set.
-
-    Cell (i,j) maps to the simple reflection s_{i+j-1}; cells are read in
-    ascending bit order (row by row, right-to-left within each row), and
-    the word is multiplied left-to-right acting on positions.
-    """
-    line = list(range(1, n + 1))
-    for v in bits(S):
-        b = v.bit_length() - 1
-        k = n + b // n - b % n  # i + j - 1 for the cell (i, j) of bit b
-        if k >= n:
-            raise NonReducedWordError(f"letter s_{k} outside S_{n}")
-        if line[k - 1] > line[k]:
-            raise NonReducedWordError("word from cells is not reduced")
-        line[k - 1], line[k] = line[k], line[k - 1]
-    return Permutation(tuple(line))
 
 
 @lru_cache(maxsize=factorial(7))
@@ -489,45 +316,3 @@ def perm_walk(A: Asm) -> tuple[list[int], list[int]]:
 def perm_set(A: Asm) -> PermSet:
     """Perm(A) with its codimension and equidimensionality."""
     return PermSet.from_walk(A.n, *perm_walk(A))
-
-
-# -- the two-prime construction for badblock ASMs ----------------------------
-
-
-def yo_induction_states(A: Asm, r: int):
-    """Yield ((i,j), Y, O) states of the southwest/northeast prime growth,
-    with Y and O as masks.
-
-    The base state at (r, n) seeds Y with the row-major-largest cell of
-    each generator living in the first r rows and O with the smallest.
-    Generators are then revealed along the row-major staircase: the ones
-    first seen at (i,j) are exactly those whose largest cell is (i,j), and
-    (i,j) joins a prime whenever such a generator escapes it.  Cells are
-    compared as pairs here, so the generators are read as cells.
-    """
-    n = A.n
-    gens = [cells(g, n) for g in init_ideal(A).gens if g.bit_count() >= 2]
-    base = [g for g in gens if max(g) <= (r, n)]
-    Y = {max(g) for g in base}
-    O = {min(g) for g in base}
-    yield (r, n), mask(Y, n), mask(O, n)
-    for i in range(r + 1, n + 1):
-        for j in range(1, n + 1):
-            fresh = [g for g in gens if max(g) == (i, j)]
-            if any(not (g & Y) for g in fresh):
-                Y.add((i, j))
-            if any(not (g & O) for g in fresh):
-                O.add((i, j))
-            yield (i, j), mask(Y, n), mask(O, n)
-
-
-def construct_yo_primes(A: Asm, r: int, c: int) -> tuple[int, int]:
-    """Two minimal primes of distinct heights certifying non-equidimensionality."""
-    if not badblock_at(A, r, c):
-        raise NotBadblockError(f"({r},{c}) is not an obstruction block of A")
-    state = None
-    for state in yo_induction_states(A, r):
-        pass
-    _, Y, O = state
-    dom = mask(dominant_part(A), A.n)
-    return Y | dom, O | dom

@@ -35,7 +35,7 @@ from asmlab.errors import (
     RowSumError,
     SizeMismatchError,
 )
-from asmlab.asm import ContainmentWitness
+from asmlab.combinatorics import ContainmentWitness
 
 
 class TestValidation:

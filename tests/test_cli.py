@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from asmlab import enumerate_asms, init_ideal, sr_complex_from_ideal
 from asmlab.cli import main
-from asmlab.enumeration import ALL_CHECKS, STATEMENT_NAMES, _STATEMENTS
+from asmlab.enumeration import ALL_CHECKS
 from asmlab.homology import complex_is_cm
+from asmlab.sweeps import STATEMENT_NAMES, _STATEMENTS
 
 BENCH = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
 # sha256 of every `asmlab analyze` report on ASM(n <= 5), as
@@ -244,7 +245,7 @@ class TestUsageErrors:
         "argv",
         [
             ["enumerate", "-n", "abc"],
-            ["verify", "--statement", "nope"],
+            ["verify", "--statement", "nope", "-n", "3"],
             ["verify", "--statement", "badblock", "-n", "3", "--format", "csv"],
             ["enumerate", "-n", "3", "--format", "text"],
             ["verify", "--statement", "badblock", "-n", "3", "--field", "p=2"],
@@ -256,6 +257,20 @@ class TestUsageErrors:
     def test_cli(self, capsys, argv):
         assert main(argv) == 2
         assert_one_error_line(capsys, "usage")
+
+    def test_unknown_statement_before_any_run(self, capsys):
+        """An unknown name among known ones is rejected before any run, with
+        the message argparse gave when it checked the names."""
+        assert main(["verify", "--statement", "badblock", "nope", "-n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        names = ", ".join(repr(name) for name in STATEMENT_NAMES)
+        assert json.loads(line) == {
+            "error": "usage",
+            "message": "asmlab verify: argument --statement: invalid choice: "
+            f"'nope' (choose from {names})",
+        }
 
     @pytest.mark.parametrize(
         "flag",

@@ -22,7 +22,8 @@ from asmlab import (
 from asmlab.errors import NotAFaceError
 from asmlab.complexes import link_facets, vd_facets
 from asmlab.homology import _all_faces
-from asmlab.ideals import SquarefreeIdeal, bits, cells, is_pure_family, mask, maximal_sets, union
+from asmlab.ideals import bits, cells, is_pure_family, mask, maximal_sets, union
+from asmlab.squarefree import SquarefreeIdeal
 from functools import cache
 from itertools import permutations
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -30,9 +31,9 @@ from asmlab.enumeration import (
     CENSUS_COLUMNS,
     SHARD_SIZE,
     _cache_key,
-    _sampled_asms,
     _shard_worker,
 )
+from asmlab.sweeps import _sampled_asms
 from asmlab.complexes import asm_complex
 from asmlab.homology import cascade_is_cm, parse_field
 from asmlab.ideals import (
@@ -54,6 +55,7 @@ from asmlab.errors import (
 )
 import asmlab.enumeration as enumeration_mod
 import asmlab.ideals as ideals_mod
+import asmlab.sweeps as sweeps_mod
 from helpers import transpose
 
 
@@ -95,7 +97,36 @@ def stream_by_positions(n):
     yield from rec([])
 
 
+# sha256 of the stream's entries in yield order, one tuple repr per line:
+# shard boundaries and cached lines depend on this order.
+STREAM_SHA256 = {
+    5: "fd98d63354d454eae427d2742aed27552d9c85784e740a8e326c1284b77548d9",
+    6: "a8f5a066f8c8c93a0b4a750b06645d793159f05cfa7f9d0dde0223cbe25c6b19",
+    7: "354dd8e3395c0c390da99ecea5f691c496941e51b3737d0742cbd4be5126da61",
+}
+
+
 class TestStream:
+    @pytest.mark.parametrize(
+        "n",
+        [
+            5,
+            6,
+            pytest.param(
+                7,
+                marks=pytest.mark.skipif(
+                    os.environ.get("ASMLAB_STRETCH") != "1",
+                    reason="all of ASM(7); set ASMLAB_STRETCH=1 to run",
+                ),
+            ),
+        ],
+    )
+    def test_order_is_pinned(self, n):
+        digest = hashlib.sha256()
+        for A in enumerate_asms(n):
+            digest.update(f"{A.entries}\n".encode())
+        assert digest.hexdigest() == STREAM_SHA256[n]
+
     def test_counts(self):
         for n in range(1, 6):
             assert sum(1 for _ in enumerate_asms(n)) == ASM_COUNTS[n - 1]
@@ -1016,13 +1047,13 @@ class TestVerifyStatement:
     def test_cm_conjecture_failure_kinds(self, monkeypatch, false_for, kind):
         # every ASM(3) and its 1 + A are CM; declaring one side not CM
         # must show up as failures of exactly the matching kind
-        cm = enumeration_mod.is_cohen_macaulay
+        cm = sweeps_mod.is_cohen_macaulay
         size = {"A": 3, "1+A": 4}[false_for]
 
         def patched(A, field="rational"):
             return False if A.n == size else cm(A, field)
 
-        monkeypatch.setattr(enumeration_mod, "is_cohen_macaulay", patched)
+        monkeypatch.setattr(sweeps_mod, "is_cohen_macaulay", patched)
         report = verify_statement("cm-conjecture", 3)
         assert report.cases == len(report.failures) == 7
         assert {f["kind"] for f in report.failures} == {kind}

@@ -42,16 +42,15 @@ from asmlab.ideals import (
     PERM_TABLE_BOUND,
     UPSET_MEMO_SIZE,
     PermSet,
-    SquarefreeIdeal,
     _above,
     _lex_perm,
     _lex_table,
     _row_upset,
-    cell_label,
     cells,
     mask,
     perm_walk,
 )
+from asmlab.squarefree import SquarefreeIdeal, cell_label
 from helpers import antidiagonal, fulton_minors
 
 

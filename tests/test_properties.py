@@ -22,7 +22,8 @@ from asmlab import (
 )
 from asmlab.complexes import vd_facets
 from asmlab.homology import cascade_is_cm, complex_is_cm
-from asmlab.ideals import cells, mask, maximal_sets, minimal_sets, minimal_transversals
+from asmlab.ideals import cells, mask, maximal_sets
+from asmlab.squarefree import minimal_sets, minimal_transversals
 from helpers import compose_boundaries
 from test_complexes import vd_facets_oracle
 

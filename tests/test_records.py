@@ -1,8 +1,10 @@
 """The package's records: immutable ones are NamedTuples, and the mutable
 AnalysisReport and VerificationReport are slotted classes.  They pickle (a
 Pool ships ASM lists and shard results), hash alike when equal, and the
-package imports none of dataclasses, inspect and hashlib."""
+package imports none of dataclasses, inspect and hashlib.  What no census
+reads is loaded at the first use of one of its names."""
 
+import json
 import os
 import pickle
 import subprocess
@@ -27,26 +29,33 @@ from asmlab import (
     validate_asm,
     verify_statement,
 )
-from asmlab.enumeration import AnalysisReport, VerificationReport
+from asmlab.enumeration import AnalysisReport
+from asmlab.sweeps import VerificationReport
 
 A3 = validate_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
 B4 = validate_asm([[0, 1, 0, 0], [0, 0, 1, 0], [1, -1, 0, 1], [0, 1, 0, 0]])
 
 
-def loaded_by_import(*names) -> list:
-    """Those of the named modules that a fresh `import asmlab` loads, under
-    -S, so that no site hook can load one first."""
+def fresh_python(code: str, stdin: bytes = b"") -> str:
+    """The output of code run in a fresh interpreter with this asmlab on its
+    path, under -S, so that no site hook can load a module first."""
     src = str(Path(asmlab.__file__).resolve().parent.parent)
-    code = f"import sys, asmlab; print(*sorted({set(names)!r} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": src},
+        input=stdin,
         capture_output=True,
-        text=True,
         check=True,
         timeout=60,
     )
-    return out.stdout.split()
+    return out.stdout.decode()
+
+
+def loaded_by_import(*names, then: str = "") -> list:
+    """Those of the named modules that a fresh `import asmlab` loads, with
+    the statements `then` run after it."""
+    code = f"import sys, asmlab\n{then}\nprint(*sorted({set(names)!r} & set(sys.modules)))"
+    return fresh_python(code).split()
 
 
 def test_import_loads_no_dataclasses_or_inspect():
@@ -54,8 +63,88 @@ def test_import_loads_no_dataclasses_or_inspect():
 
 
 def test_import_loads_no_hashlib():
-    # only a census with a cache directory names its key file with hashlib
+    # a census's key file is named by its fields, not by a hash of them
     assert loaded_by_import("hashlib") == []
+
+
+# The modules that `import asmlab` leaves to the first use of one of their
+# names: no census or analysis reads them.
+LAZY_MODULES = ("asmlab.combinatorics", "asmlab.squarefree", "asmlab.sweeps")
+
+
+def test_import_loads_no_lazy_module():
+    assert loaded_by_import(*LAZY_MODULES) == []
+
+
+def test_census_and_analysis_load_no_lazy_module(tmp_path):
+    """A cached census with every check, the analysis of every ASM(5) over
+    GF(2) (Reisner's criterion included) and the brute-force Perm(A) of the
+    benchmark's check phase compile nothing more."""
+    then = (
+        f"asmlab.tabulate(5, cache_dir={str(tmp_path)!r})\n"
+        "for A in asmlab.enumerate_asms(5):\n"
+        "    asmlab.analyze_asm(A, field=2)\n"
+        "    asmlab.perm_set_naive(A)"
+    )
+    assert loaded_by_import(*LAZY_MODULES, then=then) == []
+
+
+# Every name `asmlab` exported when all of its modules were imported with it.
+EXPORTS = (
+    "ASM_COUNTS", "AnalysisReport", "Asm", "AsmlabError", "CensusTable", "ChainComplex",
+    "ContainmentReport", "ContainmentWitness", "DecompositionTrace", "PermSet", "Permutation",
+    "SimplicialComplex", "SquarefreeIdeal", "VerificationReport", "__version__", "analyze_asm",
+    "ascii_diagram", "asm_complex", "asm_from_json", "asm_geq", "badblock_at", "badblock_match",
+    "chain_complex", "check_containment_constraints", "construct_yo_primes", "coxeter_length",
+    "direct_sum", "dominant_part", "enumerate_asms", "essential_set", "face_subcomplex",
+    "find_pattern", "hochster_depth", "ideal_colon", "ideal_intersection", "init_ideal",
+    "insert_unit", "is_cohen_macaulay", "is_face", "is_minimal_prime", "iter_pattern_witnesses",
+    "km_vertex_decomposable", "minimal_primes", "minimal_primes_bruteforce",
+    "natural_init_ideal", "one_plus", "perm_direct_sum", "perm_from_prime", "perm_set",
+    "perm_set_naive", "pipe_dreams", "rank_matrix", "reduced_betti", "rothe_diagram",
+    "sparse_rank", "sr_complex_from_ideal", "stanley_reisner_ideal", "tabulate",
+    "validate_asm", "verify_statement", "yo_induction_states",
+)
+
+
+def test_every_export_resolves_in_a_fresh_process():
+    """Each name is in dir(asmlab) before any is used, `from asmlab import`
+    gives the object its defining module holds, and `from asmlab import *`
+    binds every name."""
+    code = (
+        "import sys, asmlab\n"
+        f"names = {EXPORTS!r}\n"
+        "print(*[n for n in names if n not in dir(asmlab)])\n"
+        "star = {}\n"
+        "exec('from asmlab import *', star)\n"
+        "print(*[n for n in names if n not in star and n != '__version__'])\n"
+        "for n in names:\n"
+        "    exec(f'from asmlab import {n} as got')\n"
+        "    home = getattr(got, '__module__', None)\n"
+        "    if home and home.startswith('asmlab') and getattr(sys.modules[home], n) is not got:\n"
+        "        print(n)"
+    )
+    assert fresh_python(code).split() == []
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        asmlab.no_such_name
+    with pytest.raises(ImportError):
+        exec("from asmlab import no_such_name")
+
+
+def test_lazy_record_unpickles_in_a_fresh_process():
+    """Unpickling a VerificationReport where asmlab.sweeps is not loaded
+    yet imports it and gives an equal report."""
+    report = verify_statement("badblock", 4)
+    code = (
+        "import json, pickle, sys\n"
+        "r = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(type(r).__module__, json.dumps(r.to_json_dict(), sort_keys=True))"
+    )
+    out = fresh_python(code, stdin=pickle.dumps(report))
+    assert out == f"asmlab.sweeps {json.dumps(report.to_json_dict(), sort_keys=True)}\n"
 
 
 @pytest.mark.parametrize(
