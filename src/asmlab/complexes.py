@@ -6,7 +6,9 @@ a vertex set is its greatest vertex in the Knutson-Miller order.  Links and
 deletions at a vertex v are `F & ~v`.  Degree-1 generators of the ideal are
 tracked as excluded vertices and grid cells outside the support as cone
 points, so the complex itself lives on a small active universe.  The
-complex of an ASM is built from the pipe dreams of Perm(A), with no ideal.
+facets of an ASM's complex are built from the pipe dreams of Perm(A), read
+at the lex indices perm_walk gives, with no ideal and no record
+(`perm_facets`); `asm_complex` wraps them in a record for the KM-vd trace.
 The complex of an ideal, its Stanley-Reisner ideal, links and deletions of
 faces and the KM-vd failure trace, which no census reads, are in
 `squarefree`.
@@ -22,7 +24,8 @@ from .ideals import (
     PermSet,
     bits,
     is_pure_family,
-    pipe_dreams,
+    lex_pipe_dreams,
+    lex_rank,
     strip_apex,
     union,
 )
@@ -58,12 +61,37 @@ def complex_from_primes(n: int, primes) -> SimplicialComplex:
     )
 
 
+def perm_facets(n: int, indices) -> frozenset:
+    """The facets of Delta_A, the Stanley-Reisner complex of init(I_A), for
+    Perm(A) as lex indices in S_n (perm_walk's): its minimal primes are the
+    reduced pipe dreams of the permutations of Perm(A), with no ideal.  The
+    cells in every pipe dream are degree-1 generators and those in none
+    cone points, both outside the vertex universe, so a facet is the
+    complement of a pipe dream in the union of the pipe dreams: the cells
+    in every one are in none of the complements."""
+    dreams = []
+    for k in indices:
+        dreams += lex_pipe_dreams(n, k)
+    support = union(dreams)
+    return frozenset([support & ~D for D in dreams])
+
+
 def asm_complex(ps: PermSet) -> SimplicialComplex:
-    """The Stanley-Reisner complex of init(I_A), where ps = perm_set(A): its
-    minimal primes are the reduced pipe dreams of the permutations of
-    Perm(A), with no ideal."""
-    w = next(iter(ps.perms))
-    return complex_from_primes(w.n, frozenset().union(*map(pipe_dreams, ps.perms)))
+    """The complex of perm_facets as a record, where ps = perm_set(A).  Its
+    facets cover the vertex universe, and a pipe dream's cells outside the
+    universe are the cells in every pipe dream: the excluded vertices."""
+    n = next(iter(ps.perms)).n
+    indices = [lex_rank(w.one_line) for w in ps.perms]
+    facets = perm_facets(n, indices)
+    universe = union(facets)
+    excluded = next(iter(lex_pipe_dreams(n, indices[0]))) & ~universe
+    return SimplicialComplex(
+        ambient_n=n,
+        vertex_universe=universe,
+        facets=facets,
+        cone_points=((1 << n * n) - 1) & ~(universe | excluded),
+        excluded_vertices=excluded,
+    )
 
 
 # link_facets takes an antichain and returns one, so it need not maximalize:

@@ -22,16 +22,16 @@ from math import fsum, inf
 from typing import NamedTuple
 
 from .asm import Asm
-from .complexes import asm_complex, vd_facets
+from .complexes import perm_facets, vd_facets
 from .errors import AsmlabError, SizeBoundExceededError, UnknownCheckError
 from .homology import cascade_is_cm, parse_field
-from .ideals import PermSet, perm_walk
+from .ideals import perm_walk
 
 ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 # Part of every census cache key.  Bump it whenever an algorithm behind a
 # cached answer or the shard format changes, so that no cache written by
 # older code is ever served.
-CACHE_VERSION = 12
+CACHE_VERSION = 13
 MAX_STREAM_N = 8
 SHARD_SIZE = 128
 ALL_CHECKS = ("codim", "equidim", "cm", "km_vd")
@@ -179,11 +179,11 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
     l(w) cells, so with more than one length Delta_A is not pure: neither
     CM (Reisner) nor vertex decomposable.  For one permutation it is a
     subword complex, vertex decomposable at the first letter, the fixed KM
-    order (Knutson-Miller), so CM over every field.  Otherwise Delta_A is
-    built once from the pipe dreams of Perm(A), the only step that reads
-    its permutations, with no ideal: "cm" is the cascade on it, and "km_vd"
-    a flag of the vd search, a memo hit after "cm".  The field is checked
-    first, whatever the checks."""
+    order (Knutson-Miller), so CM over every field.  Otherwise the facets
+    of Delta_A are built once from the pipe dreams of Perm(A), read at its
+    lex indices (perm_facets), with no ideal, Permutation or record: "cm"
+    is the cascade on them, and "km_vd" a flag of the vd search, a memo hit
+    after "cm".  The field is checked first, whatever the checks."""
     checks = _known_checks(checks)
     p = parse_field(field)
     codim = perm_count = equidim = cm = km_vd = None
@@ -201,8 +201,7 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
         elif len(indices) == 1:
             known = True
         else:
-            ps = PermSet.from_walk(A.n, indices, lengths)
-            known, facets = None, asm_complex(ps).facets
+            known, facets = None, perm_facets(A.n, indices)
         if "cm" in checks:
             cm = cascade_is_cm(facets, p) if known is None else known
         if "km_vd" in checks:

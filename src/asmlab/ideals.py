@@ -9,11 +9,16 @@ order z_{1,n} > ... > z_{n,1}.  Divisibility is `a & ~b == 0`.
 `mask(cells, n)` and `cells(m, n)` are the one codec between masks and
 cells.  The minimal primes of an ASM's antidiagonal initial ideal are the
 reduced pipe dreams of the permutations of Perm(A) (Knutson-Miller), those
-of distinct w disjoint; `perm_set` finds Perm(A) from memoized bitsets of
-S_n, and `pipe_dreams` lists the pipe dreams of one w by ladder moves, so
-a census needs no ideal.  The ideals themselves, their minimal primes and
-the Berge kernel serve the theorem sweeps and the oracles, and live in
-`squarefree`, which `import asmlab` loads only on first use.
+of distinct w disjoint.  A permutation of S_n is named by its index k in
+lex order, whose factorial-base digits are its Lehmer code: `perm_walk`
+finds Perm(A) as such indices from memoized bitsets of S_n, and
+`lex_pipe_dreams(n, k)` lists the pipe dreams of one w by ladder moves
+from those digits, so a census and the complex of an ASM need no ideal and
+no `Permutation`.  `perm_set` and `pipe_dreams(w)` give the same answers
+for `Permutation`s, through `lex_unrank` and `lex_rank`.  The ideals
+themselves, their minimal primes and the Berge kernel serve the theorem
+sweeps and the oracles, and live in `squarefree`, which `import asmlab`
+loads only on first use.
 """
 
 from __future__ import annotations
@@ -83,20 +88,45 @@ def is_pure_family(sets) -> bool:
     return len({s.bit_count() for s in sets}) <= 1
 
 
-@lru_cache(maxsize=factorial(7))
-def pipe_dreams(w: Permutation) -> frozenset[int]:
-    """The reduced pipe dreams of w as masks: the minimal primes of
-    init(I_w), found with no ideal (Bergeron-Billey).  They are the closure
-    of the bottom pipe dream, whose row i is the cells (i, 1..c_i) for the
-    Lehmer code c of w, under ladder moves: a cross at (i, j) with (i, j+1)
-    empty moves to (i-m, j+1) when rows i-1 .. i-m+1 have crosses at both j
-    and j+1 and row i-m has neither.  In the mask layout (i, j+1) is one bit
-    below (i, j) and (i-1, j) is n bits below; every cross lies in the
-    staircase i + j <= n, so j + 1 <= n throughout."""
-    line, n = w.one_line, w.n
-    bottom = 0
+def lex_rank(line) -> int:
+    """The index of the permutation with one-line form `line` in the lex
+    order of S_n: its Lehmer code read as factorial-base digits."""
+    n, k = len(line), 0
     for i, v in enumerate(line):
-        c = sum(u < v for u in line[i + 1 :])
+        k += sum(u < v for u in line[i + 1 :]) * factorial(n - 1 - i)
+    return k
+
+
+def lex_unrank(n: int, k: int) -> tuple[int, ...]:
+    """The one-line form of the k-th permutation of S_n in lex order: the
+    factorial-base digits of k pick each value from those left."""
+    values, line = list(range(1, n + 1)), []
+    for place in range(n - 1, -1, -1):
+        d, k = divmod(k, factorial(place))
+        line.append(values.pop(d))
+    return tuple(line)
+
+
+def pipe_dreams(w: Permutation) -> frozenset[int]:
+    """The reduced pipe dreams of w as masks: lex_pipe_dreams at w's lex
+    rank, one memo for both."""
+    return lex_pipe_dreams(w.n, lex_rank(w.one_line))
+
+
+@lru_cache(maxsize=factorial(7))
+def lex_pipe_dreams(n: int, k: int) -> frozenset[int]:
+    """The reduced pipe dreams, as masks, of the k-th permutation w of S_n
+    in lex order: the minimal primes of init(I_w), found with no ideal
+    (Bergeron-Billey).  They are the closure of the bottom pipe dream, whose
+    row i is the cells (i, 1..c_i) for the Lehmer code c of w, the
+    factorial-base digits of k, under ladder moves: a cross at (i, j) with
+    (i, j+1) empty moves to (i-m, j+1) when rows i-1 .. i-m+1 have crosses
+    at both j and j+1 and row i-m has neither.  In the mask layout (i, j+1)
+    is one bit below (i, j) and (i-1, j) is n bits below; every cross lies
+    in the staircase i + j <= n, so j + 1 <= n throughout."""
+    bottom = 0
+    for i in range(n):
+        c, k = divmod(k, factorial(n - 1 - i))
         bottom |= ((1 << c) - 1) << (i * n + n - c)
     seen, todo = {bottom}, [bottom]
     while todo:
@@ -134,9 +164,9 @@ PERM_TABLE_BOUND = 9
 # The most entries of the permutation tables (_lex_table) filled at once,
 # counted over all n together; a fill that would pass it empties them all.
 # S_n's table is filled whole at its first use when n! is at most this, so
-# for n <= 7, and an entry at a time above.  An entry holds a permutation
-# and the rest of S_n outside its up-set, n!/8 bytes: the tables of S_1 to
-# S_7, 5913 entries, fit in 6 MB; at n=8 an entry is over 5 KB.
+# for n <= 7, and an entry at a time above.  An entry holds a length and
+# the rest of S_n outside its up-set, n!/8 bytes: the tables of S_1 to S_7,
+# 5913 entries, fit in 6 MB; at n=8 an entry is over 5 KB.
 UPSET_MEMO_SIZE = 2**13
 
 
@@ -152,7 +182,7 @@ class PermSet(NamedTuple):
     def from_walk(cls, n: int, indices, lengths) -> "PermSet":
         """The Perm(A) of perm_walk's lex indices in S_n and their lengths."""
         least = min(lengths)
-        perms = frozenset(_lex_perm(n, k)[0] for k in indices)
+        perms = frozenset(tuple.__new__(Permutation, (lex_unrank(n, k),)) for k in indices)
         return cls(perms, least, least == max(lengths))
 
 
@@ -228,43 +258,42 @@ def _above(A: Asm) -> int:
 @cache  # one list per n; cache_clear empties them all
 def _lex_table(n: int) -> list:
     """The slots of S_n in lex order, each None or, once filled, the entry
-    (w, its Coxeter length, keep) of the k-th permutation w: keep is the
+    (length, keep) of the k-th permutation w: its Coxeter length, and the
     permutations of S_n outside w's up-set and other than w, those a walk
-    may still find once w is found.  Bit k is cleared whatever the up-set
-    holds, so a walk that ANDs keep in always removes the bit it read.
-    keep is the complement of up | 1 << k within S_n, taken as an XOR with
-    all of S_n, which holds up, so nonnegative: an AND with a negative int
-    makes CPython build its two's complement first."""
+    may still find once w is found.  w itself is its index k (lex_unrank).
+    Bit k is cleared whatever the up-set holds, so a walk that ANDs keep in
+    always removes the bit it read.  keep is the complement of up | 1 << k
+    within S_n, taken as an XOR with all of S_n, which holds up, so
+    nonnegative: an AND with a negative int makes CPython build its two's
+    complement first."""
     _row_upset(n, 0)  # raises SizeBoundExceededError before the list is made
     return [None] * factorial(n)
 
 
 def _lex_upsets(n: int, k: int, m: int):
-    """(w's one-line tuple, its Coxeter length, its Bruhat up-set) for each
-    permutation w of S_n sharing the first n - m values of the k-th, in lex
-    order.  The factorial-base digits of k are the Lehmer code of the k-th
-    permutation, so they sum to its length; the columns with partial sum 1
-    through row i of w's matrix are w(1), ..., w(i), and the up-set is the
-    AND of the row up-sets of rows 1..n-1.  The prefix tree below the first
-    n - m values is grown a level at a time, so each prefix's AND is shared
-    by all of its leaves; the last value is forced and takes no AND."""
-    values, line, length, S, up = list(range(1, n + 1)), (), 0, 0, _row_upset(n, 0)
+    """(Coxeter length, Bruhat up-set) of each permutation w of S_n sharing
+    the first n - m values of the k-th, in lex order.  The factorial-base
+    digits of k are the Lehmer code of the k-th permutation, so they sum to
+    its length; the columns with partial sum 1 through row i of w's matrix
+    are w(1), ..., w(i), and the up-set is the AND of the row up-sets of
+    rows 1..n-1.  The prefix tree below the first n - m values is grown a
+    level at a time, so each prefix's AND is shared by all of its leaves;
+    the last value is forced and takes no AND."""
+    values, length, S, up = list(range(1, n + 1)), 0, 0, _row_upset(n, 0)
     for place in range(n - 1, m - 1, -1):
         d, k = divmod(k, factorial(place))
-        v = values.pop(d)
-        line += (v,)
+        S |= 1 << (values.pop(d) - 1)
         length += d
-        S |= 1 << (v - 1)
         up &= _row_upset(n, S)
-    level = [(line, tuple(values), S, up, length)]
+    level = [(tuple(values), S, up, length)]
     for _ in range(m - 1):
         level = [
-            (line + (v,), rest[:d] + rest[d + 1 :], T, up & _row_upset(n, T), length + d)
-            for line, rest, S, up, length in level
+            (rest[:d] + rest[d + 1 :], T, up & _row_upset(n, T), length + d)
+            for rest, S, up, length in level
             for d, v in enumerate(rest)
             for T in (S | 1 << (v - 1),)
         ]
-    return ((line + rest, length, up) for line, rest, _, up, length in level)
+    return ((length, up) for _, _, up, length in level)
 
 
 # The entries filled since _fill last emptied the tables, over all n.  An
@@ -273,7 +302,7 @@ def _lex_upsets(n: int, k: int, m: int):
 _filled = 0
 
 
-def _fill(n: int, k: int) -> tuple[Permutation, int, int]:
+def _fill(n: int, k: int) -> tuple[int, int]:
     """Fill slot k of S_n's table and return its entry, filling with it the
     slots of every permutation sharing its first n - m values: all of S_n
     (m = n) when n! is at most UPSET_MEMO_SIZE, else slot k alone (m = 1).
@@ -287,14 +316,9 @@ def _fill(n: int, k: int) -> tuple[Permutation, int, int]:
     tab, full = _lex_table(n), _row_upset(n, 0)
     _filled += factorial(m)
     start = k - k % factorial(m)
-    for j, (line, length, up) in enumerate(_lex_upsets(n, k, m), start):
-        tab[j] = tuple.__new__(Permutation, (line,)), length, full ^ (up | 1 << j)
+    for j, (length, up) in enumerate(_lex_upsets(n, k, m), start):
+        tab[j] = length, full ^ (up | 1 << j)
     return tab[k]
-
-
-def _lex_perm(n: int, k: int) -> tuple[Permutation, int, int]:
-    """The entry of the k-th permutation of S_n in lex order: see _lex_table."""
-    return _lex_table(n)[k] or _fill(n, k)
 
 
 def perm_walk(A: Asm) -> tuple[list[int], list[int]]:
@@ -306,7 +330,7 @@ def perm_walk(A: Asm) -> tuple[list[int], list[int]]:
     indices, lengths = [], []
     while rest:
         k = (rest & -rest).bit_length() - 1
-        _, length, keep = tab[k] or _fill(n, k)
+        length, keep = tab[k] or _fill(n, k)
         indices.append(k)
         lengths.append(length)
         rest &= keep

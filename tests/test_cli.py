@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import runpy
+import shutil
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -290,6 +292,29 @@ class TestUsageErrors:
         monkeypatch.setattr(sys, "argv", [BENCH.name, "--seeds", "x"])
         assert runpy.run_path(str(BENCH))["main"]() == 2
         assert_one_error_line(capsys, "usage")
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_bench_plain_copy(self, tmp_path):
+        """Each side of a paired run is a plain copy: of a git checkout, the
+        files git tracks or would track, as they are in the working tree,
+        with no ignored file and no .git; of any other directory, all of
+        it."""
+        plain_copy = runpy.run_path(str(BENCH))["plain_copy"]
+        root = tmp_path / "root"
+        (root / "pkg").mkdir(parents=True)
+        (root / ".gitignore").write_text("*.pyc\n")
+        (root / "pkg" / "a.py").write_text("a = 1\n")
+        (root / "pkg" / "a.pyc").write_text("")
+
+        def files(dest):
+            return sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file())
+
+        assert plain_copy(root, tmp_path / "a") == tmp_path / "a"
+        assert files(tmp_path / "a") == [".gitignore", "pkg/a.py", "pkg/a.pyc"]
+        subprocess.run(["git", "init", "-q"], cwd=root, check=True)
+        assert plain_copy(root, tmp_path / "b") == tmp_path / "b"
+        assert files(tmp_path / "b") == [".gitignore", "pkg/a.py"]
+        assert (tmp_path / "b" / "pkg" / "a.py").read_text() == "a = 1\n"
 
 
 class TestVerify:

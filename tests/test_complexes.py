@@ -20,9 +20,9 @@ from asmlab import (
     stanley_reisner_ideal,
 )
 from asmlab.errors import NotAFaceError
-from asmlab.complexes import link_facets, vd_facets
+from asmlab.complexes import complex_from_primes, link_facets, perm_facets, vd_facets
 from asmlab.homology import _all_faces
-from asmlab.ideals import bits, cells, is_pure_family, mask, maximal_sets, union
+from asmlab.ideals import bits, cells, is_pure_family, mask, maximal_sets, perm_walk, union
 from asmlab.squarefree import SquarefreeIdeal
 from functools import cache
 from itertools import permutations
@@ -100,6 +100,16 @@ class TestAsmComplex:
             # the primes give what the generators give
             assert delta.excluded_vertices == sum(g for g in I.gens if g.bit_count() == 1)
             assert delta.cone_points == ((1 << n * n) - 1) & ~I.support()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=STRETCH)])
+    def test_facets_from_lex_indices(self, n):
+        """The facets analyze_asm reads, built from perm_walk's lex indices,
+        against the ideal route: the complex of the minimal primes of
+        init_ideal(A)."""
+        for A in enumerate_asms(n):
+            indices, _ = perm_walk(A)
+            primes = minimal_primes(init_ideal(A))
+            assert perm_facets(n, indices) == complex_from_primes(n, primes).facets
 
     def test_b4(self, b4):
         delta = asm_complex(perm_set(b4))

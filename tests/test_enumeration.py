@@ -34,15 +34,17 @@ from asmlab.enumeration import (
     _shard_worker,
 )
 from asmlab.sweeps import _sampled_asms
-from asmlab.complexes import asm_complex
+from asmlab.complexes import asm_complex, perm_facets
 from asmlab.homology import cascade_is_cm, parse_field
 from asmlab.ideals import (
     PERM_TABLE_BOUND,
+    PermSet,
     _above,
-    _lex_perm,
+    _fill,
     _lex_table,
     _row_upset,
     cells,
+    lex_pipe_dreams,
     mask,
     pipe_dreams,
 )
@@ -53,6 +55,7 @@ from asmlab.errors import (
     UnknownCheckError,
     UnknownStatementError,
 )
+import asmlab.complexes as complexes_mod
 import asmlab.enumeration as enumeration_mod
 import asmlab.ideals as ideals_mod
 import asmlab.sweeps as sweeps_mod
@@ -803,7 +806,7 @@ class TestOneDerivation:
     def test_all_checks(self, calls_through, non_km_gvd, b4):
         primes = calls_through(minimal_primes)
         ideal_complexes = calls_through(sr_complex_from_ideal)
-        complexes = calls_through(asm_complex)
+        complexes = calls_through(perm_facets)
         cascades = calls_through(cascade_is_cm)
         # equidimensional with two permutations: the complex decides
         assert analyze_asm(non_km_gvd).cm is True
@@ -818,11 +821,27 @@ class TestOneDerivation:
         assert len(cascades) == 1
         assert primes == ideal_complexes == []
 
+    def test_no_permutation_record(self, monkeypatch):
+        """With every check, over Q and GF(2), no ASM(5) turns its lex
+        indices into Permutations or builds a complex record: the facets
+        come straight from the indices."""
+
+        def refuse(*args):
+            raise AssertionError("Perm(A) or a complex record built")
+
+        monkeypatch.setattr(PermSet, "from_walk", refuse)
+        monkeypatch.setattr(complexes_mod, "complex_from_primes", refuse)
+        monkeypatch.setattr(complexes_mod, "SimplicialComplex", refuse)
+        for A in enumerate_asms(5):
+            for field in ("rational", 2):
+                fresh(A, field=field)
+                analyze_asm(A, field=field)
+
     def test_one_perm_walk(self, calls_through, non_km_gvd):
         """With every check on an ASM that Perm(A) leaves open, Perm(A) is
         walked once, for the answers and the complex alike."""
         above = calls_through(_above)
-        complexes = calls_through(asm_complex)
+        complexes = calls_through(perm_facets)
         r = analyze_asm(non_km_gvd)
         assert (r.cm, r.km_vd) == (True, False)
         assert len(complexes) == len(above) == 1
@@ -832,7 +851,7 @@ class TestOneDerivation:
         # prime, no complex
         primes = calls_through(minimal_primes)
         ideals = calls_through(init_ideal)
-        complexes = calls_through(asm_complex)
+        complexes = calls_through(perm_facets)
         for A in (non_km_gvd, b4):
             r = analyze_asm(A, checks=("codim", "equidim"))
             assert (r.codim, r.perm_count, r.equidimensional) == (
@@ -848,7 +867,7 @@ class TestOneDerivation:
         w = Permutation((2, 4, 1, 3)).to_asm()
         expected = {A: analyze_asm(A, field="p=2") for A in (b4, non_km_gvd, w)}
         primes = calls_through(minimal_primes)
-        complexes = calls_through(asm_complex)
+        complexes = calls_through(perm_facets)
         cascades = calls_through(cascade_is_cm)
         # (complexes, cascades): b4 and w are decided by Perm(A), and b4's
         # KM-vd failure is traced on its complex; non_km_gvd's complex
@@ -921,7 +940,7 @@ class TestPairMemo:
     def test_fresh_empties_the_table(self):
         """fresh() empties the permutation tables with every other memo:
         S_5's, filled here, is empty after an analysis of an ASM(4)."""
-        _lex_perm(5, 0)
+        _fill(5, 0)
         assert None not in _lex_table(5)
         fresh(ASMS_UPTO_6[4][3])
         assert _lex_table(5) == [None] * 120
@@ -982,9 +1001,9 @@ class TestPairMemo:
         keep one entry per proper column set of each m <= n, the recursion's
         keys for smaller m included, so at most 120 for all of ASM(6) and
         1013 for every n the bound allows, and reading them needs no rank
-        matrix; pipe_dreams keeps one entry per permutation, at most all of
-        S_7.  rank_matrix and init_ideal, which the sweeps call, keep 2**10
-        ASMs each."""
+        matrix; lex_pipe_dreams keeps one entry per permutation, at most
+        all of S_7.  rank_matrix and init_ideal, which the sweeps call, keep
+        2**10 ASMs each."""
         _row_upset.cache_clear()
         misses = rank_matrix.cache_info().misses
         for A in ASMS_UPTO_6[6]:
@@ -999,10 +1018,10 @@ class TestPairMemo:
         for A in ASMS_UPTO_6[6]:
             essential_set(A)
         assert rank_matrix.cache_info().currsize == rank_matrix.cache_info().maxsize == 2**10
-        assert pipe_dreams.cache_info().maxsize == factorial(7)
+        assert lex_pipe_dreams.cache_info().maxsize == factorial(7)
         for A in ASMS_UPTO_6[5]:
             analyze_asm(A, ("cm",))
-        assert pipe_dreams.cache_info().currsize <= sum(map(factorial, range(1, 8)))
+        assert lex_pipe_dreams.cache_info().currsize <= sum(map(factorial, range(1, 8)))
         assert init_ideal.cache_info().maxsize == 2**10
 
 

@@ -22,7 +22,7 @@ from asmlab import (
 )
 from asmlab import homology
 from asmlab.errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
-from asmlab.complexes import asm_complex, vd_facets
+from asmlab.complexes import asm_complex, perm_facets, vd_facets
 from asmlab.enumeration import ALL_CHECKS
 from asmlab.homology import cascade_is_cm, complex_is_cm, parse_field
 from asmlab.ideals import is_pure_family
@@ -251,7 +251,7 @@ class TestDecidedByPerms:
     def test_matches_the_complex(self, n, calls_through):
         # 1 + A only below n = 6: the 7436 complexes of 1 + A in ASM(7) take
         # minutes
-        built = calls_through(asm_complex)
+        built = calls_through(perm_facets)
         for A in enumerate_asms(n):
             for B in (A, one_plus(A)) if n < 6 else (A,):
                 ps = perm_set(B)
@@ -269,18 +269,19 @@ class TestDecidedByPerms:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=stretch("all of S_7"))])
     def test_permutations_km_vd(self, n, calls_through):
-        built = calls_through(asm_complex)
+        built = calls_through(perm_facets)
         for line in permutations(range(1, n + 1)):
             A = Permutation(line).to_asm()
+            assert vd_facets(asm_complex(perm_set(A)).facets) == (True, True)
+            built.clear()
             r = analyze_asm(A, ("cm", "km_vd"))
             assert (r.cm, r.km_vd) == (True, True)
-            assert vd_facets(asm_complex(perm_set(A)).facets) == (True, True)
-        assert built == []
+            assert built == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_pure_exactly_when_equidimensional(self, n, calls_through):
         # and what Perm(A) decides, the fixed-order search agrees with
-        built = calls_through(asm_complex)
+        built = calls_through(perm_facets)
         for A in enumerate_asms(n):
             ps = perm_set(A)
             facets = asm_complex(ps).facets
@@ -294,7 +295,7 @@ class TestDecidedByPerms:
 
     def test_field_checked_when_decided(self, b4, calls_through):
         # a bad field is rejected whatever the checks, none included
-        built = calls_through(asm_complex)
+        built = calls_through(perm_facets)
         w = Permutation((2, 1, 3)).to_asm()
         subsets = [c for k in range(5) for c in combinations(ALL_CHECKS, k)]
         for A, answer in ((b4, False), (w, True), (Asm.identity(3), True)):

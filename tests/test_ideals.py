@@ -43,10 +43,13 @@ from asmlab.ideals import (
     UPSET_MEMO_SIZE,
     PermSet,
     _above,
-    _lex_perm,
+    _fill,
     _lex_table,
     _row_upset,
     cells,
+    lex_pipe_dreams,
+    lex_rank,
+    lex_unrank,
     mask,
     perm_walk,
 )
@@ -224,6 +227,53 @@ class TestMinimalPrimes:
                 assert is_minimal_prime(I, P)
 
 
+def ladder_closure(line) -> set:
+    """The reduced pipe dreams of the permutation with one-line form line,
+    as cell sets: the bottom pipe dream, row i the cells (i, 1..c_i) for the
+    Lehmer code c read off line, closed under ladder moves written on cells
+    (Bergeron-Billey)."""
+    bottom = frozenset(
+        (i, j)
+        for i, v in enumerate(line, 1)
+        for j in range(1, sum(u < v for u in line[i:]) + 1)
+    )
+    seen, todo = {bottom}, [bottom]
+    while todo:
+        D = todo.pop()
+        for i, j in D:
+            if (i, j + 1) in D:
+                continue
+            top = i - 1
+            while top >= 1 and {(top, j), (top, j + 1)} <= D:
+                top -= 1
+            if top >= 1 and not {(top, j), (top, j + 1)} & D:
+                E = D - {(i, j)} | {(top, j + 1)}
+                if E not in seen:
+                    seen.add(E)
+                    todo.append(E)
+    return seen
+
+
+class TestLexIndex:
+    """A permutation is named on the census path by its lex index in S_n."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_unrank_inverts_rank(self, n):
+        for k, line in enumerate(permutations(range(1, n + 1))):
+            assert lex_unrank(n, k) == line
+            assert lex_rank(line) == k
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_pipe_dreams_equal_ladder_closure(self, n):
+        """The pipe dreams read from k's factorial digits against the ladder
+        closure taken from w's one-line form, for every w of S_n; pipe_dreams
+        reads the same memo at w's lex rank."""
+        for k, line in enumerate(permutations(range(1, n + 1))):
+            dreams = lex_pipe_dreams(n, k)
+            assert dreams == {mask(D, n) for D in ladder_closure(line)}
+            assert pipe_dreams(Permutation(line)) is dreams
+
+
 class TestPipeDreams:
     def test_known_words(self):
         assert str(perm_from_prime(m(4, (1, 1), (2, 1), (3, 1)), 4)) == "2341"
@@ -366,16 +416,6 @@ def drawn_asms(n, count):
     return list(drawn)
 
 
-def lex_line(n, k) -> tuple:
-    """The k-th permutation of S_n in lex order: the factorial-base digits
-    of k pick each value from those left."""
-    values, line = list(range(1, n + 1)), []
-    for place in range(n - 1, -1, -1):
-        d, k = divmod(k, factorial(place))
-        line.append(values.pop(d))
-    return tuple(line)
-
-
 def rank_at(line, i, j) -> int:
     """The rank of the permutation at the cell (i, j)."""
     return sum(v <= j for v in line[:i])
@@ -488,9 +528,9 @@ class TestPermSet:
         up = sum(
             1 << b for b, u in enumerate(lex) if asm_geq(Permutation(u).to_asm(), w.to_asm())
         )
-        entry = _lex_perm(n, k)
-        assert entry == (w, w.length, (1 << factorial(n)) - 1 - up)
-        assert type(entry[0]) is Permutation and entry is _lex_table(n)[k]
+        entry = _lex_table(n)[k] or _fill(n, k)
+        assert entry == (w.length, (1 << factorial(n)) - 1 - up)
+        assert entry is _lex_table(n)[k]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_row_upsets_by_brute_force(self, n):
@@ -501,7 +541,7 @@ class TestPermSet:
         indices = range(factorial(n))
         if n > 7:
             indices = random.Random(n).sample(indices, 300)
-        lines = {k: lex_line(n, k) for k in indices}
+        lines = {k: lex_unrank(n, k) for k in indices}
         if n <= 7:
             assert list(lines.values()) == list(permutations(range(1, n + 1)))
         grid = range(1, n + 1)
@@ -526,9 +566,9 @@ class TestPermSet:
 
         def lacking(n, k, m):
             start = k - k % factorial(m)
-            for j, (line, length, up) in enumerate(real(n, k, m), start):
+            for j, (length, up) in enumerate(real(n, k, m), start):
                 built.append(j)
-                yield line, length, up & ~(1 << j)
+                yield length, up & ~(1 << j)
 
         def timeout(signum, frame):
             raise TimeoutError("perm_set did not return")
@@ -559,19 +599,19 @@ class TestPermSet:
         kept, clears = {}, 0
         for t, k in enumerate(ks):
             before = ideals._filled
-            assert perm_walk(Permutation(lex_line(8, k)).to_asm())[0] == [k]
+            assert perm_walk(Permutation(lex_unrank(8, k)).to_asm())[0] == [k]
             assert ideals._filled <= UPSET_MEMO_SIZE
             clears += ideals._filled < before
             if t % 97 == 0 or ideals._filled < before:
-                kept[k] = _lex_perm(8, k)
+                kept[k] = _lex_table(8)[k]
                 table = _lex_table(8)
                 assert len(table) - table.count(None) == ideals._filled
         assert clears == 1
         emptied = [k for k in kept if _lex_table(8)[k] is None]
         assert len(emptied) > 80
         for k, entry in kept.items():
-            assert perm_walk(Permutation(lex_line(8, k)).to_asm())[0] == [k]
-            assert _lex_perm(8, k) == entry
+            assert perm_walk(Permutation(lex_unrank(8, k)).to_asm())[0] == [k]
+            assert _lex_table(8)[k] == entry
         _lex_table.cache_clear()
         ideals._filled = 0
 
@@ -579,7 +619,7 @@ class TestPermSet:
         with pytest.raises(SizeBoundExceededError):
             perm_set(Asm.identity(PERM_TABLE_BOUND + 1))
         with pytest.raises(SizeBoundExceededError):
-            _lex_perm(PERM_TABLE_BOUND + 1, 0)
+            _lex_table(PERM_TABLE_BOUND + 1)
         assert perm_set(Asm.identity(PERM_TABLE_BOUND)).codim == 0
 
 
