@@ -40,7 +40,7 @@ from .homology import (
     reduced_betti,
     sparse_rank,
 )
-from .ideals import PermSet, perm_set, pipe_dreams
+from .ideals import perm_set, pipe_dreams
 
 __version__ = "0.1.0"
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations as iter_permutations
+from operator import index
 from typing import NamedTuple
 
 from .errors import (
@@ -62,10 +63,13 @@ class Asm(NamedTuple):
 def validate_asm(matrix) -> Asm:
     """Validate a square integer matrix as an ASM.
 
-    Raises an error naming the first violated axiom: entry range (row-major
-    scan), column sums, row sums, then sign alternation.
+    Raises an error naming the first violated axiom: an entry that is not
+    an integer (operator.index rejects it), entry range (row-major scan),
+    column sums, row sums, then sign alternation.
     """
-    rows = [tuple(int(e) for e in row) for row in matrix]
+    rows = [
+        tuple(_entry(e, i, j) for j, e in enumerate(row, 1)) for i, row in enumerate(matrix, 1)
+    ]
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise NonSquareError(f"expected a nonempty square matrix, got {n} rows")
@@ -84,6 +88,13 @@ def validate_asm(matrix) -> Asm:
     for j in range(1, n + 1):
         _check_alternation([rows[i][j - 1] for i in range(n)], "column", j)
     return Asm(tuple(rows))
+
+
+def _entry(e, i: int, j: int) -> int:
+    try:
+        return index(e)
+    except TypeError:
+        raise MalformedInputError(f"entry {e!r} at ({i},{j}) is not an integer") from None
 
 
 def _check_alternation(line, kind: str, index: int) -> None:

@@ -49,7 +49,6 @@ def cmd_analyze(args) -> int:
     from .squarefree import cell_label, init_ideal, km_vertex_decomposable
 
     A = _load_asm(args.input_path)
-    ps = perm_set(A)
     result = analyze_asm(A, field=args.field)
     report = {
         "asm": A.to_json_dict(),
@@ -61,7 +60,7 @@ def cmd_analyze(args) -> int:
         "init_ideal": init_ideal(A).to_json_list(),
         "perms": [
             {"one_line": list(w.one_line), "word": str(w), "length": w.length}
-            for w in sorted(ps.perms, key=lambda w: w.one_line)
+            for w in sorted(perm_set(A), key=lambda w: w.one_line)
         ],
         "codim": result.codim,
         "perm_count": result.perm_count,
@@ -71,7 +70,7 @@ def cmd_analyze(args) -> int:
         "km_vd": result.km_vd,
     }
     if not result.km_vd:
-        trace = km_vertex_decomposable(asm_complex(ps))
+        trace = km_vertex_decomposable(asm_complex(A))
         report["km_vd_trace"] = trace.to_json_dict()
         report["km_vd_failure_vertex"] = (
             cell_label(trace.failure_vertex) if trace.failure_vertex else None

@@ -8,8 +8,9 @@ tracked as excluded vertices and grid cells outside the support as cone
 points, so the complex itself lives on a small active universe.  The
 facets of an ASM's complex are built from the pipe dreams of Perm(A), read
 at the lex indices perm_walk gives, with no ideal and no record
-(`perm_facets`); `asm_complex` wraps them in a record for the KM-vd trace.
-The complex of an ideal, its Stanley-Reisner ideal, links and deletions of
+(`perm_facets`); `asm_complex(A)` hands the same pipe dreams to
+`complex_from_primes` for the record that the KM-vd trace reads.  The
+complex of an ideal, its Stanley-Reisner ideal, links and deletions of
 faces and the KM-vd failure trace, which no census reads, are in
 `squarefree`.
 """
@@ -20,15 +21,8 @@ from functools import lru_cache, reduce
 from operator import and_
 from typing import NamedTuple
 
-from .ideals import (
-    PermSet,
-    bits,
-    is_pure_family,
-    lex_pipe_dreams,
-    lex_rank,
-    strip_apex,
-    union,
-)
+from .asm import Asm
+from .ideals import bits, is_pure_family, lex_pipe_dreams, perm_walk, strip_apex, union
 
 MEMO_SIZE = 10**6  # the bound of every facet-keyed memo, here and in homology
 
@@ -76,22 +70,11 @@ def perm_facets(n: int, indices) -> frozenset:
     return frozenset([support & ~D for D in dreams])
 
 
-def asm_complex(ps: PermSet) -> SimplicialComplex:
-    """The complex of perm_facets as a record, where ps = perm_set(A).  Its
-    facets cover the vertex universe, and a pipe dream's cells outside the
-    universe are the cells in every pipe dream: the excluded vertices."""
-    n = next(iter(ps.perms)).n
-    indices = [lex_rank(w.one_line) for w in ps.perms]
-    facets = perm_facets(n, indices)
-    universe = union(facets)
-    excluded = next(iter(lex_pipe_dreams(n, indices[0]))) & ~universe
-    return SimplicialComplex(
-        ambient_n=n,
-        vertex_universe=universe,
-        facets=facets,
-        cone_points=((1 << n * n) - 1) & ~(universe | excluded),
-        excluded_vertices=excluded,
-    )
+def asm_complex(A: Asm) -> SimplicialComplex:
+    """Delta_A as a record: complex_from_primes over the pipe dreams of
+    Perm(A), read at perm_walk's lex indices, with no ideal."""
+    dreams = [D for k in perm_walk(A)[0] for D in lex_pipe_dreams(A.n, k)]
+    return complex_from_primes(A.n, dreams)
 
 
 # link_facets takes an antichain and returns one, so it need not maximalize:

@@ -158,9 +158,8 @@ _CHECK_SET = frozenset(ALL_CHECKS)
 def _known_checks(checks) -> frozenset:
     """The check names as a set, rejecting any not in ALL_CHECKS.  A
     frozenset, such as the one tabulate hands its workers, is returned as
-    it is."""
-    if not isinstance(checks, frozenset):
-        checks = frozenset(checks)
+    it is (frozenset(fs) is fs)."""
+    checks = frozenset(checks)
     if not checks <= _CHECK_SET:
         raise UnknownCheckError(
             f"unknown checks {sorted(checks - _CHECK_SET)}; expected some of {list(ALL_CHECKS)}"

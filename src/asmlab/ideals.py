@@ -14,11 +14,11 @@ lex order, whose factorial-base digits are its Lehmer code: `perm_walk`
 finds Perm(A) as such indices from memoized bitsets of S_n, and
 `lex_pipe_dreams(n, k)` lists the pipe dreams of one w by ladder moves
 from those digits, so a census and the complex of an ASM need no ideal and
-no `Permutation`.  `perm_set` and `pipe_dreams(w)` give the same answers
-for `Permutation`s, through `lex_unrank` and `lex_rank`.  The ideals
-themselves, their minimal primes and the Berge kernel serve the theorem
-sweeps and the oracles, and live in `squarefree`, which `import asmlab`
-loads only on first use.
+no `Permutation`.  `perm_set(A)` unranks the indices to `Permutation`s,
+as the oracle `perm_set_naive` gives them.  The ideals themselves, their
+minimal primes and the Berge kernel serve the theorem sweeps and the
+oracles, and live in `squarefree`, which `import asmlab` loads only on
+first use.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 from functools import cache, lru_cache, reduce
 from math import factorial
 from operator import and_, or_
-from typing import NamedTuple
 
 from .asm import Asm, Cell, Permutation
 from .errors import SizeBoundExceededError
@@ -168,22 +167,6 @@ PERM_TABLE_BOUND = 9
 # the rest of S_n outside its up-set, n!/8 bytes: the tables of S_1 to S_7,
 # 5913 entries, fit in 6 MB; at n=8 an entry is over 5 KB.
 UPSET_MEMO_SIZE = 2**13
-
-
-class PermSet(NamedTuple):
-    """Perm(A), its least Coxeter length (the codimension), and whether all
-    of its permutations have one length (equidimensionality)."""
-
-    perms: frozenset  # frozenset[Permutation]
-    codim: int
-    equidimensional: bool
-
-    @classmethod
-    def from_walk(cls, n: int, indices, lengths) -> "PermSet":
-        """The Perm(A) of perm_walk's lex indices in S_n and their lengths."""
-        least = min(lengths)
-        perms = frozenset(tuple.__new__(Permutation, (lex_unrank(n, k),)) for k in indices)
-        return cls(perms, least, least == max(lengths))
 
 
 @cache  # keys: the proper column sets of each n <= PERM_TABLE_BOUND, 1013 in all
@@ -337,6 +320,7 @@ def perm_walk(A: Asm) -> tuple[list[int], list[int]]:
     return indices, lengths
 
 
-def perm_set(A: Asm) -> PermSet:
-    """Perm(A) with its codimension and equidimensionality."""
-    return PermSet.from_walk(A.n, *perm_walk(A))
+def perm_set(A: Asm) -> frozenset[Permutation]:
+    """Perm(A) as Permutations, as its oracle perm_set_naive gives it:
+    perm_walk's lex indices, unranked."""
+    return frozenset(Permutation(lex_unrank(A.n, k)) for k in perm_walk(A)[0])

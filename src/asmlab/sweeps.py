@@ -105,13 +105,13 @@ def _sum_holds(A1: Asm, A2: Asm) -> bool:
     """Whether Perm(A1 + A2) is the set of sums of the blocks' permutations,
     the codimensions add, and A1 + A2 is equidimensional exactly when both
     blocks are."""
-    p1, p2 = perm_set(A1), perm_set(A2)
-    ps = perm_set(direct_sum(A1, A2))
-    expected = frozenset(perm_direct_sum(u, v) for u in p1.perms for v in p2.perms)
+    A, p1, p2 = direct_sum(A1, A2), perm_set(A1), perm_set(A2)
+    expected = frozenset(perm_direct_sum(u, v) for u in p1 for v in p2)
+    r, r1, r2 = (analyze_asm(B, ("codim", "equidim")) for B in (A, A1, A2))
     return (
-        ps.perms == expected
-        and ps.codim == p1.codim + p2.codim
-        and ps.equidimensional == (p1.equidimensional and p2.equidimensional)
+        perm_set(A) == expected
+        and r.codim == r1.codim + r2.codim
+        and r.equidimensional == (r1.equidimensional and r2.equidimensional)
     )
 
 
@@ -134,8 +134,7 @@ def _verify_init_split(n, rng, report):
     for A in _sampled_asms(n, rng, 600):
         report.cases += 1
         I = init_ideal(A)
-        perms = perm_set(A).perms
-        parts = [init_ideal(w.to_asm()) for w in perms]
+        parts = [init_ideal(w.to_asm()) for w in perm_set(A)]
         meet = parts[0]
         for part in parts[1:]:
             meet = ideal_intersection(meet, part)
@@ -206,7 +205,7 @@ def _verify_badblock(n, rng, report):
         Y, O = construct_yo_primes(A, *cell)
         I = init_ideal(A)
         ok = (
-            not perm_set(A).equidimensional
+            not analyze_asm(A, ("equidim",)).equidimensional
             and Y.bit_count() != O.bit_count()
             and is_minimal_prime(I, Y)
             and is_minimal_prime(I, O)

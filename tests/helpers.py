@@ -1,10 +1,35 @@
 """Independent checks the tests share: the transpose of an ASM, the product
-of two boundary matrices, and the Fulton minors of an ASM read off its
-essential set cell by cell."""
+of two boundary matrices, the Fulton minors of an ASM read off its
+essential set cell by cell, and Perm(A) with its codimension and
+equidimensionality as asmlab answers them, for comparison with an oracle's
+reading."""
 
 from itertools import combinations
+from typing import NamedTuple
 
-from asmlab import Asm, essential_set, rank_matrix
+from asmlab import Asm, analyze_asm, essential_set, perm_set, rank_matrix
+
+
+class PermReading(NamedTuple):
+    """Perm(A), its least Coxeter length (the codimension), and whether all
+    of its permutations have one length (equidimensionality)."""
+
+    perms: frozenset
+    codim: int
+    equidimensional: bool
+
+    @classmethod
+    def of(cls, perms) -> "PermReading":
+        """The reading of a set of permutations, from their lengths."""
+        lengths = {w.length for w in perms}
+        return cls(frozenset(perms), min(lengths), len(lengths) == 1)
+
+
+def answered(A: Asm) -> PermReading:
+    """perm_set(A), with the codimension and equidimensionality that
+    analyze_asm answers."""
+    r = analyze_asm(A, ("codim", "equidim"))
+    return PermReading(perm_set(A), r.codim, r.equidimensional)
 
 
 def transpose(A: Asm) -> Asm:

@@ -11,6 +11,7 @@ import pytest
 from asmlab import (
     ASM_COUNTS,
     Asm,
+    analyze_asm,
     badblock_match,
     chain_complex,
     construct_yo_primes,
@@ -119,11 +120,10 @@ def test_criterion_3_worked_examples(capsys):
 
     a3 = Asm(((0, 1, 0), (1, -1, 1), (0, 1, 0)))
     b4 = Asm(((0, 1, 0, 0), (0, 0, 1, 0), (1, -1, 0, 1), (0, 1, 0, 0)))
-    pa3 = perm_set(a3)
-    pb4 = perm_set(b4)
-    if {w.one_line for w in pa3.perms} != {(3, 1, 2), (2, 3, 1)} or pa3.codim != 2:
+    codim = {A: analyze_asm(A, ("codim",)).codim for A in (a3, b4)}
+    if {w.one_line for w in perm_set(a3)} != {(3, 1, 2), (2, 3, 1)} or codim[a3] != 2:
         failures.append("permBij Perm(A)")
-    if {w.one_line for w in pb4.perms} != {(3, 4, 1, 2), (2, 3, 4, 1)} or pb4.codim != 3:
+    if {w.one_line for w in perm_set(b4)} != {(3, 4, 1, 2), (2, 3, 4, 1)} or codim[b4] != 3:
         failures.append("permBij Perm(B)")
 
     b5 = Asm(
@@ -146,15 +146,15 @@ def test_criterion_3_worked_examples(capsys):
         )
     )
     pb5 = perm_set(b5)
-    if {w.one_line for w in pb5.perms} != {
+    if {w.one_line for w in pb5} != {
         (4, 5, 2, 1, 3),
         (3, 4, 5, 1, 2),
         (3, 5, 2, 4, 1),
     }:
         failures.append("Perm(B) one-lines")
-    if sorted(w.length for w in pb5.perms) != [6, 7, 7]:
+    if sorted(w.length for w in pb5) != [6, 7, 7]:
         failures.append("Perm(B) lengths")
-    if len(perm_set(a6).perms) != 4:
+    if len(perm_set(a6)) != 4:
         failures.append("|Perm(A)| != 4")
 
     report(capsys, "criterion 3: worked-example fidelity", failures)
@@ -231,7 +231,7 @@ def test_criterion_5_property_suites(capsys):
             pipe_dreams = {perm_from_prime(P, n) for P in minimal_primes(init_ideal(A))}
             if pipe_dreams != perm_set_naive(A):
                 failures.append(f"pipe-dream mismatch for {A.entries}")
-            if perm_set(A).perms != pipe_dreams:
+            if perm_set(A) != pipe_dreams:
                 failures.append(f"perm_set mismatch for {A.entries}")
 
     for A in enumerate_asms(4):
@@ -264,7 +264,7 @@ def test_criterion_5_property_suites(capsys):
                 continue
             if A == b4:
                 saw_b4 = True
-            if perm_set(A).equidimensional:
+            if analyze_asm(A, ("equidim",)).equidimensional:
                 failures.append(f"badblock match equidimensional: {A.entries}")
             P, Q = construct_yo_primes(A, *match)
             I = init_ideal(A)

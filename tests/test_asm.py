@@ -31,6 +31,7 @@ from asmlab.errors import (
     EntryOutOfRangeError,
     IndexOutOfRangeError,
     InvalidWitnessError,
+    MalformedInputError,
     NonSquareError,
     RowSumError,
     SizeMismatchError,
@@ -53,6 +54,22 @@ class TestValidation:
     def test_entry_out_of_range(self):
         with pytest.raises(EntryOutOfRangeError):
             validate_asm([[2, -1], [-1, 2]])
+
+    @pytest.mark.parametrize(
+        "matrix, cell",
+        [
+            ([[1.9]], "(1,1)"),
+            ([[1.0]], "(1,1)"),
+            ([["1"]], "(1,1)"),
+            ([[0, 1.0], [1, 0]], "(1,2)"),
+            ([[1, 0], [0, None]], "(2,2)"),
+        ],
+    )
+    def test_entry_not_an_integer(self, matrix, cell):
+        # no entry is truncated or parsed: int(1.9) would read it as 1
+        with pytest.raises(MalformedInputError) as e:
+            validate_asm(matrix)
+        assert f"at {cell}" in str(e.value)
 
     def test_col_sum_checked_first(self):
         # both column 2 and row 2 are wrong; the column must be reported

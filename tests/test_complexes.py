@@ -6,6 +6,7 @@ from asmlab import (
     Asm,
     DecompositionTrace,
     SimplicialComplex,
+    analyze_asm,
     asm_complex,
     enumerate_asms,
     face_subcomplex,
@@ -15,7 +16,6 @@ from asmlab import (
     km_vertex_decomposable,
     minimal_primes,
     one_plus,
-    perm_set,
     sr_complex_from_ideal,
     stanley_reisner_ideal,
 )
@@ -95,7 +95,7 @@ class TestAsmComplex:
     def test_equals_ideal_complex(self, n):
         for A in enumerate_asms(n):
             I = init_ideal(A)
-            delta = asm_complex(perm_set(A))
+            delta = asm_complex(A)
             assert delta == sr_complex_from_ideal(I)
             # the primes give what the generators give
             assert delta.excluded_vertices == sum(g for g in I.gens if g.bit_count() == 1)
@@ -112,12 +112,12 @@ class TestAsmComplex:
             assert perm_facets(n, indices) == complex_from_primes(n, primes).facets
 
     def test_b4(self, b4):
-        delta = asm_complex(perm_set(b4))
+        delta = asm_complex(b4)
         assert delta.excluded_vertices == m(4, (1, 1), (2, 1))
         assert delta.facets == {m(4, (1, 2), (2, 2)), m(4, (3, 1))}
 
     def test_identity_is_a_point(self):
-        delta = asm_complex(perm_set(Asm.identity(3)))
+        delta = asm_complex(Asm.identity(3))
         assert delta.facets == {0} and delta.vertex_universe == 0
         assert delta.cone_points.bit_count() == 9
 
@@ -138,7 +138,7 @@ class TestLinkDeletion:
         faces = 0
         for n in range(1, 6):
             for A in enumerate_asms(n):
-                facets = asm_complex(perm_set(A)).facets
+                facets = asm_complex(A).facets
                 for sigma in _all_faces(facets):
                     faces += 1
                     assert link_facets(facets, sigma) == old_link(facets, sigma)
@@ -294,9 +294,9 @@ def open_complexes(n, with_one_plus):
     leaves open: equidimensional, more than one permutation."""
     for A in enumerate_asms(n):
         for B in (A, one_plus(A)) if with_one_plus else (A,):
-            ps = perm_set(B)
-            if ps.equidimensional and len(ps.perms) > 1:
-                yield asm_complex(ps).facets
+            r = analyze_asm(B, ("equidim",))
+            if r.equidimensional and r.perm_count > 1:
+                yield asm_complex(B).facets
 
 
 class TestVdOracle:
@@ -327,4 +327,5 @@ class TestPurityEquidimensionality:
                 if not I.gens:
                     continue
                 delta = sr_complex_from_ideal(I)
-                assert is_pure_family(delta.facets) == perm_set(A).equidimensional
+                equidim = analyze_asm(A, ("equidim",)).equidimensional
+                assert is_pure_family(delta.facets) == equidim

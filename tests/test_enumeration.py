@@ -34,11 +34,10 @@ from asmlab.enumeration import (
     _shard_worker,
 )
 from asmlab.sweeps import _sampled_asms
-from asmlab.complexes import asm_complex, perm_facets
+from asmlab.complexes import asm_complex, complex_from_primes, perm_facets
 from asmlab.homology import cascade_is_cm, parse_field
 from asmlab.ideals import (
     PERM_TABLE_BOUND,
-    PermSet,
     _above,
     _fill,
     _lex_table,
@@ -59,7 +58,7 @@ import asmlab.complexes as complexes_mod
 import asmlab.enumeration as enumeration_mod
 import asmlab.ideals as ideals_mod
 import asmlab.sweeps as sweeps_mod
-from helpers import transpose
+from helpers import PermReading, transpose
 
 
 def stream_by_positions(n):
@@ -829,7 +828,7 @@ class TestOneDerivation:
         def refuse(*args):
             raise AssertionError("Perm(A) or a complex record built")
 
-        monkeypatch.setattr(PermSet, "from_walk", refuse)
+        monkeypatch.setattr(ideals_mod, "lex_unrank", refuse)
         monkeypatch.setattr(complexes_mod, "complex_from_primes", refuse)
         monkeypatch.setattr(complexes_mod, "SimplicialComplex", refuse)
         for A in enumerate_asms(5):
@@ -847,17 +846,18 @@ class TestOneDerivation:
         assert len(complexes) == len(above) == 1
 
     def test_primes_only_builds_no_complex(self, calls_through, non_km_gvd, b4):
-        # codim and equidimensionality come from perm_set: no ideal, no
-        # prime, no complex
+        # codim and equidimensionality come from Perm(A)'s walk: no ideal,
+        # no prime, no complex
         primes = calls_through(minimal_primes)
         ideals = calls_through(init_ideal)
         complexes = calls_through(perm_facets)
         for A in (non_km_gvd, b4):
             r = analyze_asm(A, checks=("codim", "equidim"))
+            expected = PermReading.of(perm_set(A))
             assert (r.codim, r.perm_count, r.equidimensional) == (
-                perm_set(A).codim,
-                len(perm_set(A).perms),
-                perm_set(A).equidimensional,
+                expected.codim,
+                len(expected.perms),
+                expected.equidimensional,
             )
         assert primes == ideals == complexes == []
 
@@ -867,18 +867,20 @@ class TestOneDerivation:
         w = Permutation((2, 4, 1, 3)).to_asm()
         expected = {A: analyze_asm(A, field="p=2") for A in (b4, non_km_gvd, w)}
         primes = calls_through(minimal_primes)
-        complexes = calls_through(perm_facets)
+        facets = calls_through(perm_facets)
+        records = calls_through(complex_from_primes)
         cascades = calls_through(cascade_is_cm)
         # (complexes, cascades): b4 and w are decided by Perm(A), and b4's
-        # KM-vd failure is traced on its complex; non_km_gvd's complex
-        # decides, and is built again for the trace
+        # KM-vd failure is traced on its complex record; non_km_gvd's facets
+        # decide, and its record is built for the trace
         for A, built in ((b4, (1, 0)), (w, (0, 0)), (non_km_gvd, (2, 1))):
             path = tmp_path / "a.json"
             path.write_text(json.dumps(A.to_json_dict()))
-            complexes.clear()
+            facets.clear()
+            records.clear()
             cascades.clear()
             assert main(["analyze", "--input", str(path), "--field", "p=2"]) == 0
-            assert (len(complexes), len(cascades)) == built
+            assert (len(facets) + len(records), len(cascades)) == built
             out = json.loads(capsys.readouterr().out)
             r = expected[A]
             assert (out["codim"], out["perm_count"], out["equidimensional"]) == (
@@ -954,10 +956,10 @@ class TestPairMemo:
     @given(st.integers(1, 6).flatmap(lambda n: st.sampled_from(ASMS_UPTO_6[n])))
     def test_transposed_primes(self, A):
         At = transpose(A)
-        delta, delta_t = asm_complex(perm_set(A)), asm_complex(perm_set(At))
+        delta, delta_t = asm_complex(A), asm_complex(At)
         assert {transpose_mask(F, A.n) for F in delta.facets} == delta_t.facets
         assert transpose_mask(delta.excluded_vertices, A.n) == delta_t.excluded_vertices
-        assert perm_set(At).perms == {inverse(w) for w in perm_set(A).perms}
+        assert perm_set(At) == {inverse(w) for w in perm_set(A)}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_pipe_dreams_of_inverse(self, n):
@@ -987,8 +989,8 @@ class TestPairMemo:
         At = transpose(non_km_gvd)
         assert At != non_km_gvd
         for B in (non_km_gvd, At):
-            ps = perm_set(B)
-            assert ps.equidimensional and len(ps.perms) == 2
+            r = analyze_asm(B, ("equidim",))
+            assert r.equidimensional and r.perm_count == 2
         cascades = calls_through(cascade_is_cm)
         assert analyze_asm(non_km_gvd, ("cm",)).cm is True
         assert analyze_asm(At, ("cm",), field="p=2").cm is True
@@ -997,7 +999,7 @@ class TestPairMemo:
         assert [p for _, p in cascades] == [0, 2, 2, 0]
 
     def test_bound(self):
-        """The memos an analysis fills are bounded: perm_set's row up-sets
+        """The memos an analysis fills are bounded: perm_walk's row up-sets
         keep one entry per proper column set of each m <= n, the recursion's
         keys for smaller m included, so at most 120 for all of ASM(6) and
         1013 for every n the bound allows, and reading them needs no rank

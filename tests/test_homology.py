@@ -14,7 +14,6 @@ from asmlab import (
     init_ideal,
     is_cohen_macaulay,
     one_plus,
-    perm_set,
     reduced_betti,
     sparse_rank,
     sr_complex_from_ideal,
@@ -204,11 +203,9 @@ class TestCohenMacaulay:
         assert is_cohen_macaulay(Asm.identity(5))
 
     def test_cm_implies_equidimensional_n4(self):
-        from asmlab import perm_set
-
         for A in enumerate_asms(4):
             if is_cohen_macaulay(A):
-                assert perm_set(A).equidimensional
+                assert analyze_asm(A, ("equidim",)).equidimensional
 
 
 class TestCascade:
@@ -235,11 +232,11 @@ class TestCascade:
         assert not cascade_is_cm(facets({1, 2}, {3}))
 
 
-def left_open(ps):
-    """Whether Perm(A) leaves CM and KM-vd to the complex: one length and
-    more than one permutation.  Otherwise both answers are
-    ps.equidimensional."""
-    return ps.equidimensional and len(ps.perms) > 1
+def left_open(r):
+    """Whether Perm(A) leaves CM and KM-vd to the complex, for
+    r = analyze_asm(A, ("equidim",)): one length and more than one
+    permutation.  Otherwise both answers are r.equidimensional."""
+    return r.equidimensional and r.perm_count > 1
 
 
 class TestDecidedByPerms:
@@ -254,17 +251,17 @@ class TestDecidedByPerms:
         built = calls_through(perm_facets)
         for A in enumerate_asms(n):
             for B in (A, one_plus(A)) if n < 6 else (A,):
-                ps = perm_set(B)
-                facets = asm_complex(ps).facets
+                walk = analyze_asm(B, ("equidim",))
+                facets = asm_complex(B).facets
                 km_vd = vd_facets(facets)[1]
                 for field, p in (("rational", 0), ("p=2", 2)):
                     cm = cascade_is_cm(facets, p)
                     built.clear()
                     r = analyze_asm(B, field=field)
                     assert (r.cm, r.km_vd) == (cm, km_vd)
-                    assert len(built) == left_open(ps)
-                    if not left_open(ps):
-                        assert (r.cm, r.km_vd) == (ps.equidimensional,) * 2
+                    assert len(built) == left_open(walk)
+                    if not left_open(walk):
+                        assert (r.cm, r.km_vd) == (walk.equidimensional,) * 2
                     assert is_cohen_macaulay(B, field) == cm
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=stretch("all of S_7"))])
@@ -272,7 +269,7 @@ class TestDecidedByPerms:
         built = calls_through(perm_facets)
         for line in permutations(range(1, n + 1)):
             A = Permutation(line).to_asm()
-            assert vd_facets(asm_complex(perm_set(A)).facets) == (True, True)
+            assert vd_facets(asm_complex(A).facets) == (True, True)
             built.clear()
             r = analyze_asm(A, ("cm", "km_vd"))
             assert (r.cm, r.km_vd) == (True, True)
@@ -283,14 +280,14 @@ class TestDecidedByPerms:
         # and what Perm(A) decides, the fixed-order search agrees with
         built = calls_through(perm_facets)
         for A in enumerate_asms(n):
-            ps = perm_set(A)
-            facets = asm_complex(ps).facets
-            assert is_pure_family(facets) == ps.equidimensional
+            walk = analyze_asm(A, ("equidim",))
+            facets = asm_complex(A).facets
+            assert is_pure_family(facets) == walk.equidimensional
             built.clear()
             km_vd = analyze_asm(A, ("km_vd",)).km_vd
             assert km_vd == vd_facets(facets)[1]
-            assert len(built) == left_open(ps)
-            if not ps.equidimensional:
+            assert len(built) == left_open(walk)
+            if not walk.equidimensional:
                 assert km_vd is False
 
     def test_field_checked_when_decided(self, b4, calls_through):

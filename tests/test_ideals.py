@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from asmlab import (
     Asm,
     Permutation,
+    analyze_asm,
     asm_geq,
     construct_yo_primes,
     enumerate_asms,
@@ -41,7 +42,6 @@ from asmlab.errors import (
 from asmlab.ideals import (
     PERM_TABLE_BOUND,
     UPSET_MEMO_SIZE,
-    PermSet,
     _above,
     _fill,
     _lex_table,
@@ -54,7 +54,7 @@ from asmlab.ideals import (
     perm_walk,
 )
 from asmlab.squarefree import SquarefreeIdeal, cell_label
-from helpers import antidiagonal, fulton_minors
+from helpers import PermReading, answered, antidiagonal, fulton_minors
 
 
 ASMS_UPTO_6 = {n: list(enumerate_asms(n)) for n in range(1, 7)}
@@ -324,17 +324,17 @@ class TestPipeDreams:
     def test_disjoint_over_perm_set(self, A):
         """No pipe dream of one w in Perm(A) is one of another, so the
         minimal primes of init(I_A) are their disjoint union."""
-        dreams = [pipe_dreams(w) for w in perm_set(A).perms]
+        dreams = [pipe_dreams(w) for w in perm_set(A)]
         assert sum(map(len, dreams)) == len(frozenset().union(*dreams))
 
 
-def via_primes(A) -> PermSet:
+def via_primes(A) -> PermReading:
     """Perm(A), codim and equidimensionality read off the minimal primes of
     init_ideal(A), each prime as a reduced pipe dream and its height."""
     primes = minimal_primes(init_ideal(A))
     heights = {P.bit_count() for P in primes}
     perms = frozenset(perm_from_prime(P, A.n) for P in primes)
-    return PermSet(perms, min(heights), len(heights) == 1)
+    return PermReading(perms, min(heights), len(heights) == 1)
 
 
 class TestPermSetViaPrimes:
@@ -344,18 +344,18 @@ class TestPermSetViaPrimes:
         pa = via_primes(b4)
         assert {str(w) for w in pa.perms} == {"3412", "2341"}
         assert pa.codim == 3 and not pa.equidimensional
-        assert perm_set(b4) == pa
+        assert answered(b4) == pa
 
     def test_a6(self, a6):
         pa = via_primes(a6)
         assert {str(w) for w in pa.perms} == {"562314", "462513", "456213", "462351"}
-        assert perm_set(a6) == pa
+        assert answered(a6) == pa
 
     def test_identity(self):
         pa = via_primes(Asm.identity(4))
         assert pa.perms == {Permutation(tuple(range(1, 5)))}
         assert pa.codim == 0 and pa.equidimensional
-        assert perm_set(Asm.identity(4)) == pa
+        assert answered(Asm.identity(4)) == pa
 
     def test_agrees_with_naive(self):
         for n in range(1, 5):
@@ -368,10 +368,8 @@ class TestPermSetViaPrimes:
 
 
 @cache
-def naive(A) -> PermSet:
-    perms = perm_set_naive(A)
-    lengths = {w.length for w in perms}
-    return PermSet(perms, min(lengths), len(lengths) == 1)
+def naive(A) -> PermReading:
+    return PermReading.of(perm_set_naive(A))
 
 
 @cache
@@ -422,13 +420,15 @@ def rank_at(line, i, j) -> int:
 
 
 class TestPermSet:
-    """perm_set against its oracles: the brute-force Bruhat scan and the
-    pipe-dream reading of the minimal primes."""
+    """perm_set, with analyze_asm's codimension and equidimensionality,
+    against its oracles: the brute-force Bruhat scan and the pipe-dream
+    reading of the minimal primes."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_equals_naive(self, n):
         for A in enumerate_asms(n):
-            assert perm_set(A) == naive(A)
+            assert perm_set(A) == perm_set_naive(A)
+            assert answered(A) == naive(A)
 
     @pytest.mark.parametrize(
         "n",
@@ -449,7 +449,7 @@ class TestPermSet:
     )
     def test_equals_pipe_dreams(self, n):
         for A in enumerate_asms(n):
-            assert perm_set(A) == via_primes(A)
+            assert answered(A) == via_primes(A)
 
     @pytest.mark.skipif(
         os.environ.get("ASMLAB_STRETCH") != "1",
@@ -460,13 +460,13 @@ class TestPermSet:
         pipe-dream reading of the primes, on 100 distinct ASM(8) drawn by a
         seeded random descent through the stream's row steps."""
         for A in drawn_asms(8, 100):
-            assert perm_set(A) == via_primes(A)
+            assert answered(A) == via_primes(A)
 
     def test_one_plus_n9(self):
         """At n=9, on 50 drawn ASM(8): Perm(1 + A) is 1 + w for each w of
         Perm(A), with the same codimension and equidimensionality."""
         for A in drawn_asms(8, 50):
-            ps, ps1 = perm_set(A), perm_set(one_plus(A))
+            ps, ps1 = answered(A), answered(one_plus(A))
             assert ps1.perms == {
                 Permutation((1, *(v + 1 for v in w.one_line))) for w in ps.perms
             }
@@ -492,9 +492,10 @@ class TestPermSet:
 
     @pytest.mark.parametrize("order", ["stream", "reversed", "shuffled"])
     def test_walk_equals_naive_in_any_order(self, order):
-        """perm_walk's count, least length and equidimensionality, and the
-        permutations of its lex indices, against perm_set_naive on all of
-        ASM(n <= 5), read in stream order, reversed and shuffled."""
+        """perm_walk's count, least length and equidimensionality, the
+        permutations of its lex indices, and perm_set with analyze_asm's
+        answers, against perm_set_naive on all of ASM(n <= 5), read in
+        stream order, reversed and shuffled."""
         asms = [A for n in range(1, 6) for A in ASMS_UPTO_6[n]]
         if order == "reversed":
             asms.reverse()
@@ -508,7 +509,9 @@ class TestPermSet:
                 expected.codim,
                 expected.equidimensional,
             )
-            assert PermSet.from_walk(A.n, indices, lengths) == expected
+            perms = frozenset(Permutation(lex_unrank(A.n, k)) for k in indices)
+            assert perms == expected.perms
+            assert answered(A) == expected
 
     @given(st.integers(1, 5).flatmap(lambda n: st.permutations(range(1, n + 1))))
     def test_table_matches_rank_matrices(self, line):
@@ -573,14 +576,14 @@ class TestPermSet:
         def timeout(signum, frame):
             raise TimeoutError("perm_set did not return")
 
-        expected = [perm_set(A) for A in ASMS_UPTO_6[4]]
+        expected = [answered(A) for A in ASMS_UPTO_6[4]]
         built, real = [], ideals._lex_upsets
         monkeypatch.setattr(ideals, "_lex_upsets", lacking)
         _lex_table.cache_clear()
         previous = signal.signal(signal.SIGALRM, timeout)
         signal.alarm(5)
         try:
-            assert [perm_set(A) for A in ASMS_UPTO_6[4]] == expected
+            assert [answered(A) for A in ASMS_UPTO_6[4]] == expected
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -620,7 +623,7 @@ class TestPermSet:
             perm_set(Asm.identity(PERM_TABLE_BOUND + 1))
         with pytest.raises(SizeBoundExceededError):
             _lex_table(PERM_TABLE_BOUND + 1)
-        assert perm_set(Asm.identity(PERM_TABLE_BOUND)).codim == 0
+        assert analyze_asm(Asm.identity(PERM_TABLE_BOUND), ("codim",)).codim == 0
 
 
 class TestYoPrimes:

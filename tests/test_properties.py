@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from asmlab import (
+    analyze_asm,
     asm_geq,
     chain_complex,
     enumerate_asms,
@@ -88,7 +89,7 @@ def test_minimal_primes_are_minimal_covers(A):
 def test_pipe_dream_matches_bruhat_minimal(A):
     primes = minimal_primes(init_ideal(A))
     assert {perm_from_prime(P, A.n) for P in primes} == perm_set_naive(A)
-    assert perm_set(A).perms == perm_set_naive(A)
+    assert perm_set(A) == perm_set_naive(A)
     if init_ideal(A).gens:
         for P in primes:
             assert perm_from_prime(P, A.n).length == P.bit_count()
@@ -104,11 +105,10 @@ def test_geq_antisymmetry_via_rank_matrices(A, B):
 
 @given(asm_upto_4)
 def test_codim_is_min_perm_length(A):
-    ps = perm_set(A)
-    assert ps.codim == min(w.length for w in ps.perms)
-    assert ps.equidimensional == (
-        len({w.length for w in ps.perms}) == 1
-    )
+    r = analyze_asm(A, ("codim", "equidim"))
+    perms = perm_set(A)
+    assert r.codim == min(w.length for w in perms)
+    assert r.equidimensional == (len({w.length for w in perms}) == 1)
 
 
 random_facets = st.lists(

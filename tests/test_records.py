@@ -23,7 +23,6 @@ from asmlab import (
     find_pattern,
     init_ideal,
     km_vertex_decomposable,
-    perm_set,
     sr_complex_from_ideal,
     tabulate,
     validate_asm,
@@ -92,7 +91,7 @@ def test_census_and_analysis_load_no_lazy_module(tmp_path):
 # Every name `asmlab` exported when all of its modules were imported with it.
 EXPORTS = (
     "ASM_COUNTS", "AnalysisReport", "Asm", "AsmlabError", "CensusTable", "ChainComplex",
-    "ContainmentReport", "ContainmentWitness", "DecompositionTrace", "PermSet", "Permutation",
+    "ContainmentReport", "ContainmentWitness", "DecompositionTrace", "Permutation",
     "SimplicialComplex", "SquarefreeIdeal", "VerificationReport", "__version__", "analyze_asm",
     "ascii_diagram", "asm_complex", "asm_from_json", "asm_geq", "badblock_at", "badblock_match",
     "chain_complex", "check_containment_constraints", "construct_yo_primes", "coxeter_length",
@@ -152,7 +151,6 @@ def test_lazy_record_unpickles_in_a_fresh_process():
     [
         A3,
         Permutation((3, 1, 2)),
-        perm_set(A3),
         analyze_asm(A3),
         tabulate(4),
         verify_statement("badblock", 4),
@@ -188,7 +186,6 @@ def immutable_records():
         tabulate(3),
         chain_complex(delta.facets),
         init_ideal(B4),
-        perm_set(B4),
     ]
 
 
