@@ -63,13 +63,17 @@ class Asm(NamedTuple):
 def validate_asm(matrix) -> Asm:
     """Validate a square integer matrix as an ASM.
 
-    Raises an error naming the first violated axiom: an entry that is not
-    an integer (operator.index rejects it), entry range (row-major scan),
-    column sums, row sums, then sign alternation.
+    Raises an error naming the first violated axiom: a matrix or row that
+    is not iterable, an entry that is not an integer (operator.index
+    rejects it), entry range (row-major scan), column sums, row sums, then
+    sign alternation.
     """
-    rows = [
-        tuple(_entry(e, i, j) for j, e in enumerate(row, 1)) for i, row in enumerate(matrix, 1)
-    ]
+    try:
+        rows = [
+            tuple(_entry(e, i, j) for j, e in enumerate(row, 1)) for i, row in enumerate(matrix, 1)
+        ]
+    except TypeError:  # from iteration: _entry turns its own into MalformedInputError
+        raise MalformedInputError("expected a matrix: an iterable of rows of integers") from None
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise NonSquareError(f"expected a nonempty square matrix, got {n} rows")

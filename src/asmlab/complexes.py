@@ -120,24 +120,26 @@ def _coneless_vd(facets: frozenset) -> tuple[bool, bool]:
     that lies in none of them, one dimension lower.  So the deletion is pure,
     and then just the kept facets, exactly when every such F ^ v lies in a
     kept facet (v is a shedding vertex); otherwise it is not vd and v is
-    skipped unbuilt."""
+    skipped unbuilt.  A kept facet is one larger than F ^ v, so F ^ v lies
+    in one exactly when (F ^ v) | u is a facet for some vertex u other than
+    v: u = v gives F, and u in F gives F ^ v, not a facet."""
     if len(facets) <= 1:
         return True, True
-    vertices = union(facets)
-    for v in bits(vertices):
+    vertices = list(bits(union(facets)))
+    for v in vertices:
         kept, link = [], []
         for F in facets:
             if F & v:
                 link.append(F ^ v)
             else:
                 kept.append(F)
-        outside = [~G for G in kept]  # L lies in G when L & ~G == 0
-        if all(0 in map(L.__and__, outside) for L in link):
+        others = [u for u in vertices if u != v]
+        if all(not facets.isdisjoint(map(L.__or__, others)) for L in link):
             deletion_vd, deletion_km = _coneless_vd(strip_apex(kept))
             if deletion_vd:
                 link_vd, link_km = _coneless_vd(strip_apex(link))
                 if link_vd:
-                    return True, v == vertices & -vertices and deletion_km and link_km
+                    return True, v == vertices[0] and deletion_km and link_km
     return False, False
 
 

@@ -10,15 +10,15 @@ order z_{1,n} > ... > z_{n,1}.  Divisibility is `a & ~b == 0`.
 cells.  The minimal primes of an ASM's antidiagonal initial ideal are the
 reduced pipe dreams of the permutations of Perm(A) (Knutson-Miller), those
 of distinct w disjoint.  A permutation of S_n is named by its index k in
-lex order, whose factorial-base digits are its Lehmer code: `perm_walk`
-finds Perm(A) as such indices from memoized bitsets of S_n, and
-`lex_pipe_dreams(n, k)` lists the pipe dreams of one w by ladder moves
-from those digits, so a census and the complex of an ASM need no ideal and
-no `Permutation`.  `perm_set(A)` unranks the indices to `Permutation`s,
-as the oracle `perm_set_naive` gives them.  The ideals themselves, their
-minimal primes and the Berge kernel serve the theorem sweeps and the
-oracles, and live in `squarefree`, which `import asmlab` loads only on
-first use.
+lex order, whose factorial-base digits are its Lehmer code, and a set of
+them by the int with bit n! - 1 - k for each k: `perm_walk` finds Perm(A)
+as such indices from memoized sets, and `lex_pipe_dreams(n, k)` lists the
+pipe dreams of one w by ladder moves from k's digits, so a census and the
+complex of an ASM need no ideal and no `Permutation`.  `perm_set(A)`
+unranks the indices to `Permutation`s, as the oracle `perm_set_naive`
+gives them.  The ideals themselves, their minimal primes and the Berge
+kernel serve the theorem sweeps and the oracles, and live in
+`squarefree`, which `import asmlab` loads only on first use.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from functools import cache, lru_cache, reduce
 from math import factorial
 from operator import and_, or_
+from threading import local
 
 from .asm import Asm, Cell, Permutation
 from .errors import SizeBoundExceededError
@@ -149,13 +150,14 @@ def lex_pipe_dreams(n: int, k: int) -> frozenset[int]:
 # Perm(A) is the set of Bruhat-minimal permutations w with r_w <= r_A
 # entrywise, and on permutations the Bruhat order is exactly that entrywise
 # comparison of rank matrices.  S_n is held in lexicographic order, the order
-# itertools.permutations yields, and a set of permutations as an int whose
-# bit k stands for the k-th of them.  Lex order extends the Bruhat order: if
-# u < w, then at the first position k where they differ, r_u >= r_w on row k
-# forces u(k) < w(k).  So the lowest permutation of a set is Bruhat-minimal
-# in it.  Row i of r_A depends only on the set S of columns whose partial
-# column sum through row i is 1, and |S| = i, so the permutations above A are
-# the AND of one memoized up-set per row, keyed by (n, S).
+# itertools.permutations yields, and a set of permutations as an int whose bit
+# n! - 1 - k stands for the k-th of them: the lowest index in a set is n! less
+# its bit_length, with no negation of an n!-bit int.  Lex order extends the
+# Bruhat order: if u < w, then at the first position k where they differ,
+# r_u >= r_w on row k forces u(k) < w(k).  So the lowest permutation of a set
+# is Bruhat-minimal in it.  Row i of r_A depends only on the set S of columns
+# whose partial column sum through row i is 1, and |S| = i, so the permutations
+# above A are the AND of one memoized up-set per row, keyed by (n, S).
 
 # S_9 covers 1 + A for every streamable A.  A set of S_9 takes 48 KB, so
 # its row up-sets take 25 MB; those of S_10 would take about 500 MB.
@@ -175,12 +177,12 @@ def _row_upset(n: int, S: int) -> int:
     any matrix whose columns with partial sum 1 through that row are S (bit
     j-1 for column j, S a proper subset of [n]): the first |S| values T of w
     have |T & [j]| <= |S & [j]| at every column j, i.e. T lies above S in
-    the Gale order.  S = 0 gives all of S_n.  Block u of the lex order, the
-    (n-1)! bits from (u-1) * (n-1)!, holds the w with w(1) = u, indexed in
-    S_{n-1} by the rest of w with each value v relabelled v - (v > u).  T
-    lies above S exactly when S has a column <= u and the rest of T lies
-    above S less its largest such column, so the block is empty or the
-    up-set in S_{n-1} of that set, relabelled the same way."""
+    the Gale order.  S = 0 gives all of S_n.  Block u, the (n-1)! bits from
+    (n-u) * (n-1)!, holds the w with w(1) = u, indexed in S_{n-1} by the
+    rest of w with each value v relabelled v - (v > u).  T lies above S
+    exactly when S has a column <= u and the rest of T lies above S less its
+    largest such column, so the block is empty or the up-set in S_{n-1} of
+    that set, relabelled the same way."""
     if n > PERM_TABLE_BOUND:
         raise SizeBoundExceededError(
             f"n={n} exceeds the permutation table bound {PERM_TABLE_BOUND}"
@@ -193,7 +195,7 @@ def _row_upset(n: int, S: int) -> int:
         if low:
             rest = S ^ 1 << (low.bit_length() - 1)
             sub = rest & ((1 << (u - 1)) - 1) | rest >> u << (u - 1)
-            up |= _row_upset(n - 1, sub) << ((u - 1) * block)
+            up |= _row_upset(n - 1, sub) << ((n - u) * block)
     return up
 
 
@@ -204,51 +206,16 @@ def _row_flips(row: tuple[int, ...]) -> int:
     return sum(1 << j for j, a in enumerate(row) if a)
 
 
-# The rows 1..n-1 of the last ASM _above read, each as (row, its column
-# set, the AND of the row up-sets through it).  The list is replaced, never
-# changed in place, so a reader always sees one whole path.
-_path: list[tuple[tuple[int, ...], int, int]] = []
-
-
-def _above(A: Asm) -> int:
-    """The permutations of S_n above A: the AND of the row up-sets of rows
-    1..n-1, row n holding no condition.  The partial column sums of an ASM
-    are 0 or 1, and a nonzero entry flips its column's.  The AND restarts
-    after the longest row prefix A shares with the last ASM read, compared
-    row by row, so it holds for ASMs read in any order and of any size (rows
-    of different sizes never match); consecutive ASMs of the stream share
-    all but one or two rows."""
-    global _path
-    rows, path = A.entries, _path
-    n, k = len(rows), 0
-    for entry, row in zip(path, rows):
-        if entry[0] != row:
-            break
-        k += 1
-    if k:
-        _, S, up = path[k - 1]
-    else:
-        S, up = 0, _row_upset(n, 0)
-    path = path[:k]
-    for row in rows[k:-1]:
-        S ^= _row_flips(row)
-        up &= _row_upset(n, S)
-        path.append((row, S, up))
-    _path = path
-    return up
-
-
 @cache  # one list per n; cache_clear empties them all
 def _lex_table(n: int) -> list:
     """The slots of S_n in lex order, each None or, once filled, the entry
     (length, keep) of the k-th permutation w: its Coxeter length, and the
     permutations of S_n outside w's up-set and other than w, those a walk
     may still find once w is found.  w itself is its index k (lex_unrank).
-    Bit k is cleared whatever the up-set holds, so a walk that ANDs keep in
-    always removes the bit it read.  keep is the complement of up | 1 << k
-    within S_n, taken as an XOR with all of S_n, which holds up, so
-    nonnegative: an AND with a negative int makes CPython build its two's
-    complement first."""
+    w's bit n! - 1 - k is cleared whatever the up-set holds, so a walk that
+    ANDs keep in always removes the bit it read.  keep is an XOR with all of
+    S_n, which holds up-set and bit, so nonnegative: an AND with a negative
+    int makes CPython build its two's complement first."""
     _row_upset(n, 0)  # raises SizeBoundExceededError before the list is made
     return [None] * factorial(n)
 
@@ -279,18 +246,17 @@ def _lex_upsets(n: int, k: int, m: int):
     return ((length, up) for _, _, up, length in level)
 
 
-# The entries filled since _fill last emptied the tables, over all n.  An
-# emptying elsewhere (cache_clear) leaves it high, which only brings the
-# next emptying forward.
+# The entries filled since _fill last emptied the tables, over all n; an
+# emptying elsewhere (cache_clear) leaves it high, bringing the next forward.
 _filled = 0
 
 
 def _fill(n: int, k: int) -> tuple[int, int]:
     """Fill slot k of S_n's table and return its entry, filling with it the
     slots of every permutation sharing its first n - m values: all of S_n
-    (m = n) when n! is at most UPSET_MEMO_SIZE, else slot k alone (m = 1).
-    A fill that would take the filled entries past UPSET_MEMO_SIZE empties
-    every table first."""
+    (m = n) when n! is at most UPSET_MEMO_SIZE, else slot k alone (m = 1);
+    slot j's keep clears bit n! - 1 - j.  A fill that would take the filled
+    entries past UPSET_MEMO_SIZE empties every table first."""
     global _filled
     m = n if factorial(n) <= UPSET_MEMO_SIZE else 1
     if _filled + factorial(m) > UPSET_MEMO_SIZE:
@@ -298,21 +264,55 @@ def _fill(n: int, k: int) -> tuple[int, int]:
         _filled = 0
     tab, full = _lex_table(n), _row_upset(n, 0)
     _filled += factorial(m)
-    start = k - k % factorial(m)
+    start, last = k - k % factorial(m), len(tab) - 1
     for j, (length, up) in enumerate(_lex_upsets(n, k, m), start):
-        tab[j] = length, full ^ (up | 1 << j)
+        tab[j] = length, full ^ (up | 1 << (last - j))
     return tab[k]
+
+
+class _Prefix:
+    """Per depth, the row, column set and running up-set AND of rows 1..n-1
+    of a thread's last walk.  The first `depth` are valid: depth drops
+    before a rewrite and rises after, so a cut walk leaves none stale."""
+
+    __slots__ = ("depth", "rows", "cols", "ups")
+
+    def __init__(self):
+        self.depth, self.rows = 0, [None] * PERM_TABLE_BOUND
+        self.cols, self.ups = [0] * PERM_TABLE_BOUND, [0] * PERM_TABLE_BOUND
+
+
+_thread = local()  # .prefix: this thread's _Prefix, read once a walk
 
 
 def perm_walk(A: Asm) -> tuple[list[int], list[int]]:
     """Perm(A) as the lex indices of its permutations in S_n, lowest first,
-    and their Coxeter lengths.  The lowest permutation above A is minimal,
-    and each minimal w found removes itself and its up-set from the rest."""
-    n, rest = A.n, _above(A)
-    tab = _lex_table(n)
-    indices, lengths = [], []
+    and their Coxeter lengths.  The permutations above A are the AND of the
+    row up-sets of rows 1..n-1, restarted after the rows A shares with the
+    last ASM this thread walked, in any order and size (stream neighbours
+    share all but one or two).  The lowest permutation left is minimal, and
+    one AND with its keep removes it and its up-set."""
+    try:
+        p = _thread.prefix
+    except AttributeError:
+        p = _thread.prefix = _Prefix()
+    rows = A.entries
+    n, kept, depth, d = len(rows), p.rows, p.depth, 0
+    while d < depth and (kept[d] is rows[d] or kept[d] == rows[d]):
+        d += 1
+    rest = p.ups[d - 1] if d else _row_upset(n, 0)
+    if d < n - 1:
+        p.depth = d
+        S, cols, ups = p.cols[d - 1] if d else 0, p.cols, p.ups
+        for i in range(d, n - 1):
+            row = rows[i]
+            S ^= _row_flips(row)
+            rest &= _row_upset(n, S)
+            kept[i], cols[i], ups[i] = row, S, rest
+        p.depth = n - 1
+    indices, lengths, tab, top = [], [], _lex_table(n), factorial(n)
     while rest:
-        k = (rest & -rest).bit_length() - 1
+        k = top - rest.bit_length()
         length, keep = tab[k] or _fill(n, k)
         indices.append(k)
         lengths.append(length)

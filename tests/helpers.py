@@ -2,9 +2,10 @@
 of two boundary matrices, the Fulton minors of an ASM read off its
 essential set cell by cell, and Perm(A) with its codimension and
 equidimensionality as asmlab answers them, for comparison with an oracle's
-reading."""
+reading, and the bitset of S_n that holds given permutations."""
 
 from itertools import combinations
+from math import factorial
 from typing import NamedTuple
 
 from asmlab import Asm, analyze_asm, essential_set, perm_set, rank_matrix
@@ -30,6 +31,14 @@ def answered(A: Asm) -> PermReading:
     analyze_asm answers."""
     r = analyze_asm(A, ("codim", "equidim"))
     return PermReading(perm_set(A), r.codim, r.equidimensional)
+
+
+def lex_bits(n: int, indices) -> int:
+    """The set of S_n holding the permutations of the given lex indices, as
+    asmlab.ideals stores one: bit n! - 1 - k for the k-th permutation, so
+    the first in lex order is the highest bit."""
+    top = factorial(n) - 1
+    return sum(1 << (top - k) for k in indices)
 
 
 def transpose(A: Asm) -> Asm:

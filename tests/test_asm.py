@@ -71,6 +71,14 @@ class TestValidation:
             validate_asm(matrix)
         assert f"at {cell}" in str(e.value)
 
+    @pytest.mark.parametrize("matrix", [5, [1], None, [[1], 2]])
+    def test_not_iterable(self, matrix):
+        # a matrix or row that cannot be iterated is malformed input, not a
+        # bare TypeError
+        with pytest.raises(MalformedInputError) as e:
+            validate_asm(matrix)
+        assert e.value.code == "malformed-input"
+
     def test_col_sum_checked_first(self):
         # both column 2 and row 2 are wrong; the column must be reported
         with pytest.raises(ColSumError) as e:

@@ -38,13 +38,13 @@ from asmlab.complexes import asm_complex, complex_from_primes, perm_facets
 from asmlab.homology import cascade_is_cm, parse_field
 from asmlab.ideals import (
     PERM_TABLE_BOUND,
-    _above,
     _fill,
     _lex_table,
     _row_upset,
     cells,
     lex_pipe_dreams,
     mask,
+    perm_walk,
     pipe_dreams,
 )
 from asmlab.errors import (
@@ -839,11 +839,11 @@ class TestOneDerivation:
     def test_one_perm_walk(self, calls_through, non_km_gvd):
         """With every check on an ASM that Perm(A) leaves open, Perm(A) is
         walked once, for the answers and the complex alike."""
-        above = calls_through(_above)
+        walks = calls_through(perm_walk)
         complexes = calls_through(perm_facets)
         r = analyze_asm(non_km_gvd)
         assert (r.cm, r.km_vd) == (True, False)
-        assert len(complexes) == len(above) == 1
+        assert len(complexes) == len(walks) == 1
 
     def test_primes_only_builds_no_complex(self, calls_through, non_km_gvd, b4):
         # codim and equidimensionality come from Perm(A)'s walk: no ideal,
@@ -917,7 +917,7 @@ def fresh(A, checks=enumeration_mod.ALL_CHECKS, field="rational"):
             for fn in list(vars(mod).values()):
                 if hasattr(fn, "cache_clear"):
                     fn.cache_clear()
-    ideals_mod._path = []
+    ideals_mod._thread.prefix = ideals_mod._Prefix()
     return analyze_asm(A, checks, field)
 
 

@@ -1,6 +1,8 @@
 import os
 import random
 import signal
+import sys
+import threading
 from functools import cache
 from itertools import permutations
 from math import factorial
@@ -28,6 +30,7 @@ from asmlab import (
     perm_set_naive,
     pipe_dreams,
     rank_matrix,
+    validate_asm,
     yo_induction_states,
 )
 from asmlab import ideals
@@ -42,7 +45,6 @@ from asmlab.errors import (
 from asmlab.ideals import (
     PERM_TABLE_BOUND,
     UPSET_MEMO_SIZE,
-    _above,
     _fill,
     _lex_table,
     _row_upset,
@@ -54,7 +56,7 @@ from asmlab.ideals import (
     perm_walk,
 )
 from asmlab.squarefree import SquarefreeIdeal, cell_label
-from helpers import PermReading, answered, antidiagonal, fulton_minors
+from helpers import PermReading, answered, antidiagonal, fulton_minors, lex_bits
 
 
 ASMS_UPTO_6 = {n: list(enumerate_asms(n)) for n in range(1, 7)}
@@ -380,14 +382,66 @@ def lex_asms(n) -> list:
 
 @cache
 def bruhat_scan(A) -> int:
-    """The up-set _above(A) should be, by brute force over S_n: bit k for
-    the k-th permutation of S_n in lex order when it lies above A."""
-    return sum(1 << k for k, w in enumerate(lex_asms(A.n)) if asm_geq(w, A))
+    """The up-set perm_walk(A) should read Perm(A) from, by brute force over
+    S_n: the permutations of S_n in lex order that lie above A."""
+    return lex_bits(A.n, (k for k, w in enumerate(lex_asms(A.n)) if asm_geq(w, A)))
+
+
+def walked_upset(A) -> int:
+    """The up-set perm_walk(A) reads Perm(A) from: the AND of row up-sets
+    that the walk keeps for A's row n-1, or all of S_1 for n = 1."""
+    perm_walk(A)
+    if A.n == 1:
+        return 1
+    prefix = ideals._thread.prefix
+    assert prefix.depth == A.n - 1
+    return prefix.ups[A.n - 2]
+
+
+def shuffled_runs(seed, run=8) -> list:
+    """All of ASM(n <= 5) cut into runs of consecutive ASMs of the stream,
+    the runs shuffled: sizes mix, and neighbours within a run share rows."""
+    asms = [A for n in range(1, 6) for A in ASMS_UPTO_6[n]]
+    runs = [asms[i : i + run] for i in range(0, len(asms), run)]
+    random.Random(seed).shuffle(runs)
+    return [A for r in runs for A in r]
+
+
+def column_sets(A) -> list:
+    """The columns whose partial sums through row r are 1, for rows 1..n-1."""
+    S, sets = 0, []
+    for row in A.entries[:-1]:
+        S ^= sum(1 << j for j, a in enumerate(row) if a)
+        sets.append(S)
+    return sets
+
+
+@cache
+def spliced(n=5) -> tuple:
+    """ASMs X and Y of ASM(n) with the same column set after their first i
+    rows, but other rows there, and Z, Y's first i rows then X's rest, an
+    ASM with another Perm than X's: a walk that kept X's up-sets past rows
+    it rewrote with Y's would answer Z with X's."""
+    for X in ASMS_UPTO_6[n]:
+        for Y in ASMS_UPTO_6[n]:
+            for i in range(1, n - 1):
+                same = column_sets(X)[i - 1] == column_sets(Y)[i - 1]
+                if same and X.entries[:i] != Y.entries[:i]:
+                    Z = validate_asm(Y.entries[:i] + X.entries[i:])
+                    if naive(Z).perms != naive(X).perms:
+                        return X, Y, i, Z
+    raise AssertionError("no such X, Y")
+
+
+@cache
+def naive_indices(A) -> list:
+    """perm_set_naive(A) as perm_walk gives it: lex indices, lowest first."""
+    return sorted(lex_rank(w.one_line) for w in naive(A).perms)
 
 
 @st.composite
 def stream_runs(draw):
-    """ASMs of mixed sizes 1-6 for _above to read one after another: runs of
+    """ASMs of mixed sizes 1-6 for perm_walk to read one after another: runs of
     consecutive ASMs of one stream, some reversed and some read twice over,
     the runs of different sizes interleaved."""
     asms = []
@@ -474,21 +528,80 @@ class TestPermSet:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_upset_equals_bruhat_scan(self, n):
-        """The up-set perm_set reads Perm(A) from holds exactly the w of S_n
-        above A, by brute force over S_n: on all of ASM(n <= 5) and on a
+        """The up-set perm_walk reads Perm(A) from holds exactly the w of
+        S_n above A, by brute force over S_n: on all of ASM(n <= 5) and on a
         seeded 200 of ASM(6)."""
         asms = ASMS_UPTO_6[n] if n < 6 else random.Random(6).sample(ASMS_UPTO_6[6], 200)
         for A in asms:
-            assert _above(A) == bruhat_scan(A)
+            assert walked_upset(A) == bruhat_scan(A)
 
     @given(stream_runs())
     def test_shared_prefix_equals_bruhat_scan(self, asms):
-        """_above restarts each ASM after the rows it shares with the last
-        one read, the last example's included, so it must hold in any order:
-        forward and reversed runs of the stream, repeats, and sizes
+        """perm_walk restarts each ASM after the rows it shares with the
+        last one walked, the last example's included, so it must hold in any
+        order: forward and reversed runs of the stream, repeats, and sizes
         interleaved."""
         for A in asms:
-            assert _above(A) == bruhat_scan(A)
+            assert walked_upset(A) == bruhat_scan(A)
+
+    def test_walks_after_a_cut_walk(self, monkeypatch):
+        """_row_upset raises once, at row i of the walk of Y after X: rows
+        d..i-1 of Y are rewritten by then.  The walk must keep none of X's
+        up-sets beside them: Z, Y's first i rows then X's rest, must not read
+        X's.  Every walk that follows, Z's and Y's and then all of
+        ASM(n <= 5) in shuffled runs, equals perm_set_naive."""
+        X, Y, i, Z = spliced()
+        real = ideals._row_upset
+
+        def flaky(n, S):
+            if (n, S) == (Y.n, column_sets(Y)[i]):
+                monkeypatch.setattr(ideals, "_row_upset", real)
+                raise ZeroDivisionError("cut")
+            return real(n, S)
+
+        perm_walk(X)
+        monkeypatch.setattr(ideals, "_row_upset", flaky)
+        with pytest.raises(ZeroDivisionError):
+            perm_walk(Y)
+        for A in (Z, Y, *shuffled_runs(3)):
+            assert perm_walk(A)[0] == naive_indices(A)
+
+    def test_threads_keep_their_own_prefix(self, monkeypatch):
+        """Two threads walk different shuffled runs of ASM(n <= 5) at once.
+        The first stops at row i of its first walk, of X, until the second
+        has walked its runs and then Y; it then walks Z, Y's first i rows
+        then X's rest, and its runs.  A prefix shared by the threads would
+        answer Z with X's up-set; each thread's walks equal perm_set_naive."""
+        X, Y, i, Z = spliced()
+        streams = [[X, Z, *shuffled_runs(1)], [*shuffled_runs(2), Y]]
+        real, paused, resume = ideals._row_upset, threading.Event(), threading.Event()
+        got = [None, None]
+
+        def pausing(n, S):
+            if (n, S) == (X.n, column_sets(X)[i]) and not paused.is_set():
+                paused.set()
+                assert resume.wait(30)
+            return real(n, S)
+
+        def walk(t):
+            if t == 1:
+                assert paused.wait(30)
+            got[t] = [perm_walk(A)[0] for A in streams[t]]
+            resume.set()
+
+        monkeypatch.setattr(ideals, "_row_upset", pausing)
+        threads = [threading.Thread(target=walk, args=(t,)) for t in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the runs interleave finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[naive_indices(A) for A in stream] for stream in streams]
 
     @pytest.mark.parametrize("order", ["stream", "reversed", "shuffled"])
     def test_walk_equals_naive_in_any_order(self, order):
@@ -528,8 +641,8 @@ class TestPermSet:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert rank_at(line, i, j) == ranks[i - 1][j - 1]
-        up = sum(
-            1 << b for b, u in enumerate(lex) if asm_geq(Permutation(u).to_asm(), w.to_asm())
+        up = lex_bits(
+            n, (b for b, u in enumerate(lex) if asm_geq(Permutation(u).to_asm(), w.to_asm()))
         )
         entry = _lex_table(n)[k] or _fill(n, k)
         assert entry == (w.length, (1 << factorial(n)) - 1 - up)
@@ -558,7 +671,7 @@ class TestPermSet:
             up = _row_upset(n, S)
             assert up >> factorial(n) == 0
             for k, r in ranks.items():
-                assert (up >> k & 1) == all(map(int.__le__, r[i], bound))
+                assert bool(up & lex_bits(n, [k])) == all(map(int.__le__, r[i], bound))
 
     def test_returns_when_an_upset_lacks_its_own_bit(self, monkeypatch):
         """The table's keep clears the bit of w in the mask the walk ANDs
@@ -571,7 +684,7 @@ class TestPermSet:
             start = k - k % factorial(m)
             for j, (length, up) in enumerate(real(n, k, m), start):
                 built.append(j)
-                yield length, up & ~(1 << j)
+                yield length, up & ~lex_bits(n, [j])
 
         def timeout(signum, frame):
             raise TimeoutError("perm_set did not return")
