@@ -15,7 +15,6 @@ import json
 import os
 import re
 import time
-from collections import Counter
 from functools import cache
 from itertools import combinations, islice
 from math import fsum, inf
@@ -251,13 +250,19 @@ class CensusTable(NamedTuple):
         return dict(zip(CENSUS_COLUMNS, self.row()))
 
 
+# None keeps every ASM, with no call per ASM
 _FILTERS = {
-    None: lambda A: True,
+    None: None,
     "a11=1": lambda A: A.a11_is_one,
 }
 
-# the counts a shard line holds besides its start, its total and its seconds
-_SHARD_COUNTS = ("cm", "equidim", "km_vd_fail", "km_vd_fail_a11")
+# the counts a census adds up, in the order _read_shards returns their sums
+_SUMMED = ("total", "cm", "equidim", "km_vd_fail", "km_vd_fail_a11")
+# the keys of a shard line, in the order json.dumps(..., sort_keys=True)
+# writes them
+_LINE_KEYS = ("cm", "equidim", "km_vd_fail", "km_vd_fail_a11", "seconds", "start", "total")
+# one JSON value, trailing text refused; an object as its (key, value) pairs
+_decode = json.JSONDecoder(object_pairs_hook=tuple).decode
 
 
 def _cache_key(n: int, checks, field: int, filter_spec) -> str:
@@ -275,6 +280,65 @@ def _cache_key(n: int, checks, field: int, filter_spec) -> str:
         sort_keys=True,
     )
     return f"v{CACHE_VERSION}-{hashlib.sha1(payload.encode()).hexdigest()[:16]}.jsonl"
+
+
+def _read_shards(path, missing: set) -> tuple[list, list, bool]:
+    """Serve the lines of the key file at path (none if it does not exist).
+    A line is served when it is a JSON object of the seven _LINE_KEYS in
+    that order, with an int start (a bool is not one) that is still in
+    missing, a total of at most SHARD_SIZE, every count an int in
+    [0, total] and seconds a finite float >= 0; its start then leaves
+    missing.  Every other line (torn, damaged, a duplicate, a foreign start)
+    is skipped.  Returns the sums of the served lines (total, cm, equidim,
+    km_vd_fail, km_vd_fail_a11), their seconds, and whether the file ends
+    in a torn line, one with no newline."""
+    try:
+        lines = open(path, "rb")
+    except FileNotFoundError:  # no line yet
+        return [0] * len(_SUMMED), [], False
+    total_sum = cm_sum = equidim_sum = km_vd_fail_sum = km_vd_fail_a11_sum = 0
+    seconds_list = []
+    line = b"\n"
+    with lines:
+        for line in lines:
+            try:
+                pairs = _decode(line.decode())
+            except (ValueError, RecursionError):  # not UTF-8, not one JSON value, too deep
+                continue
+            if type(pairs) is not tuple or len(pairs) != 7:  # not an object of seven keys
+                continue
+            (
+                (k0, cm),
+                (k1, equidim),
+                (k2, km_vd_fail),
+                (k3, km_vd_fail_a11),
+                (k4, seconds),
+                (k5, start),
+                (k6, total),
+            ) = pairs
+            if (
+                (k0, k1, k2, k3, k4, k5, k6) == _LINE_KEYS
+                and type(start) is int
+                and start in missing
+                and type(total) is int
+                and 0 <= total <= SHARD_SIZE
+                and type(cm) is type(equidim) is type(km_vd_fail) is type(km_vd_fail_a11) is int
+                and 0 <= cm <= total
+                and 0 <= equidim <= total
+                and 0 <= km_vd_fail <= total
+                and 0 <= km_vd_fail_a11 <= total
+                and type(seconds) is float
+                and 0 <= seconds < inf
+            ):
+                missing.remove(start)
+                total_sum += total
+                cm_sum += cm
+                equidim_sum += equidim
+                km_vd_fail_sum += km_vd_fail
+                km_vd_fail_a11_sum += km_vd_fail_a11
+                seconds_list.append(seconds)
+    sums = [total_sum, cm_sum, equidim_sum, km_vd_fail_sum, km_vd_fail_a11_sum]
+    return sums, seconds_list, not line.endswith(b"\n")
 
 
 _KEY = re.compile(r"v(\d+)-[0-9a-f]{16}(\.jsonl)?")
@@ -342,10 +406,12 @@ def tabulate(
     census's cache is one content-addressed key file in cache_dir, with one
     JSON line per shard, appended as soon as its shard finishes, so
     interrupted runs resume, and warm reruns recompute nothing and do not
-    stream.  The key files and directories an older CACHE_VERSION wrote are
-    removed.  The shards' counts are added up as they are read or computed,
-    so memory does not grow with n.  At most min(jobs, os.cpu_count())
-    worker processes run.
+    stream: they open the key file and nothing else.  A census that computes
+    a shard first makes cache_dir and removes the key files and directories
+    an older CACHE_VERSION wrote, then appends each shard's line through one
+    handle, flushed per line.  The shards' counts are added up as they are
+    read or computed, so memory does not grow with n.  At most
+    min(jobs, os.cpu_count()) worker processes run.
     """
     checks = _known_checks(checks)
     field = parse_field(field)
@@ -358,99 +424,70 @@ def tabulate(
     if jobs < 1:
         raise AsmlabError(f"jobs must be at least 1, got {jobs}")
     keep = _FILTERS[filter_spec]
-    key_file = None
-    if cache_dir is not None:
-        from pathlib import Path
-
-        cache_dir = Path(cache_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        _remove_stale_keys(cache_dir)
-        key_file = cache_dir / _cache_key(n, checks, field, filter_spec)
-
-    def within(v, top):
-        return type(v) is int and 0 <= v <= top
-
-    def valid(shard):
-        """Whether a parsed line is a shard: a JSON object with exactly the
-        shard's keys, an int start (a bool is not one), a total of at most
-        SHARD_SIZE, every count an int in [0, total], and seconds a finite
-        float >= 0."""
-        return (
-            isinstance(shard, dict)
-            and shard.keys() == {"start", "total", "seconds", *_SHARD_COUNTS}
-            and type(shard["start"]) is int
-            and within(shard["total"], SHARD_SIZE)
-            and all(within(shard[k], shard["total"]) for k in _SHARD_COUNTS)
-            and type(shard["seconds"]) is float
-            and 0 <= shard["seconds"] < inf
-        )
-
-    tally = Counter()
-    subtotals = []  # the analysis seconds of each shard
-
-    def count(shard):
-        for k in ("total", *_SHARD_COUNTS):
-            tally[k] += shard[k]
-        subtotals.append(shard["seconds"])
-
-    # the first valid line of each shard start is served; every other line
-    # (torn, damaged, a duplicate, a foreign start) is skipped
     missing = set(range(0, ASM_COUNTS[n - 1], SHARD_SIZE))
-    line = b"\n"
-    if key_file is not None and key_file.exists():
-        with key_file.open("rb") as lines:
-            for line in lines:
-                try:
-                    shard = json.loads(line)
-                except (ValueError, RecursionError):  # not JSON, not UTF-8, too deep
-                    continue
-                if valid(shard) and shard["start"] in missing:
-                    missing.remove(shard["start"])
-                    count(shard)
-    # a torn last line is ended before any append, which would otherwise
-    # glue onto it and be lost with it
-    if missing and not line.endswith(b"\n"):
-        with key_file.open("a") as out:
-            out.write("\n")
+    key_path = None
+    if cache_dir is None:
+        sums, subtotals, torn = [0] * len(_SUMMED), [], False
+    else:
+        key_path = os.path.join(cache_dir, _cache_key(n, checks, field, filter_spec))
+        sums, subtotals, torn = _read_shards(key_path, missing)
 
     def missing_shards():
         stream = enumerate_asms(n)
         for start in range(0, max(missing) + 1, SHARD_SIZE):
             asms = list(islice(stream, SHARD_SIZE))
             if start in missing:
-                yield start, [A for A in asms if keep(A)], checks, field
+                yield start, asms if keep is None else list(filter(keep, asms)), checks, field
 
-    def store(computed):
+    def store(computed, out):
         for shard in computed:
-            count(shard)
-            if key_file is not None:
-                with key_file.open("a") as out:
-                    out.write(json.dumps(shard, sort_keys=True) + "\n")
+            for i, k in enumerate(_SUMMED):
+                sums[i] += shard[k]
+            subtotals.append(shard["seconds"])
+            if out is not None:
+                out.write(json.dumps(shard, sort_keys=True) + "\n")
+                out.flush()
 
-    # no more workers than cores or missing shards; a lone shard runs in
-    # this process
-    workers = min(jobs, len(missing), os.cpu_count() or 1)
-    if workers > 1:
-        from multiprocessing import Pool
+    def compute(out):
+        # no more workers than cores or missing shards; a lone shard runs in
+        # this process
+        workers = min(jobs, len(missing), os.cpu_count() or 1)
+        if workers > 1:
+            from multiprocessing import Pool
 
-        with Pool(workers) as pool:
-            store(pool.imap_unordered(_shard_worker, missing_shards()))
+            with Pool(workers) as pool:
+                store(pool.imap_unordered(_shard_worker, missing_shards()), out)
+        else:
+            store(map(_shard_worker, missing_shards()), out)
+
+    if missing and key_path is None:
+        compute(None)
     elif missing:
-        store(map(_shard_worker, missing_shards()))
+        from pathlib import Path
 
-    tally["not_cm"] = tally["total"] - tally["cm"]
+        cache_dir = Path(cache_dir)
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        _remove_stale_keys(cache_dir)
+        with open(key_path, "a") as out:
+            # a torn last line is ended before any append, which would
+            # otherwise glue onto it and be lost with it
+            if torn:
+                out.write("\n")
+            compute(out)
 
-    def column(name, check):
-        return tally[name] if check in checks else None
+    total, cm, equidim, km_vd_fail, km_vd_fail_a11 = sums
+
+    def column(value, check):
+        return value if check in checks else None
 
     return CensusTable(
         n=n,
-        total=tally["total"],
-        cm=column("cm", "cm"),
-        not_cm=column("not_cm", "cm"),
-        km_vd_fail=column("km_vd_fail", "km_vd"),
-        km_vd_fail_a11=column("km_vd_fail_a11", "km_vd"),
-        equidim=column("equidim", "equidim"),
+        total=total,
+        cm=column(cm, "cm"),
+        not_cm=column(total - cm, "cm"),
+        km_vd_fail=column(km_vd_fail, "km_vd"),
+        km_vd_fail_a11=column(km_vd_fail_a11, "km_vd"),
+        equidim=column(equidim, "equidim"),
         # fsum is correctly rounded: the order the shards finish in is moot
         runtime_s=round(fsum(subtotals), 3),
     )

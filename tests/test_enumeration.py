@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pathlib
 import random
 import re
 import sys
@@ -352,6 +353,26 @@ class TestTabulate:
         assert set(tmp_path.iterdir()) == {current, *kept}
         assert untouched(kept)
 
+    def test_warm_census_reads_only_its_key_file(self, tmp_path, monkeypatch):
+        """A census with every shard stored makes no directory, scans no
+        sibling and asks for no core count; a cold one makes its cache
+        directory, parents included."""
+        cache_dir = tmp_path / "new" / "cache"
+        cold = tabulate(5, checks=CODIM, cache_dir=cache_dir).to_csv()
+        text = key_file(cache_dir, 5).read_bytes()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a warm census reads its key file and nothing else")
+
+        with monkeypatch.context() as m:
+            for name in ("cpu_count", "mkdir", "makedirs", "scandir", "listdir"):
+                m.setattr(os, name, boom)
+            m.setattr(pathlib.Path, "mkdir", boom)
+            m.setattr(pathlib.Path, "iterdir", boom)
+            m.setattr(enumeration_mod, "_remove_stale_keys", boom)
+            warm = tabulate(5, checks=CODIM, cache_dir=cache_dir).to_csv()
+        assert warm == cold and key_file(cache_dir, 5).read_bytes() == text
+
     def test_cm_size_bound(self):
         with pytest.raises(SizeBoundExceededError):
             tabulate(8, checks=("cm",))
@@ -579,6 +600,10 @@ DAMAGES = {
     "negative-seconds": setting("seconds", -0.5),
     "nan-seconds": setting("seconds", float("nan")),
     "infinite-seconds": setting("seconds", float("inf")),
+    "two-objects": lambda text, shard: text + "{}",
+    "trailing-text": lambda text, shard: text + " seconds",
+    "duplicate-key": lambda text, shard: text[:-1] + f', "cm": {shard["cm"]}}}',
+    "keys-reordered": lambda text, shard: json.dumps(dict(reversed(shard.items()))),
 }
 
 
@@ -658,6 +683,54 @@ class TestShardValidation:
         seconds = [json.loads(line)["seconds"] for line in (other, *lines) if line != lines[1]]
         warm = tabulate(5, checks=CODIM, cache_dir=tmp_path)
         assert warm.runtime_s == round(fsum(seconds), 3) > cold.runtime_s + 0.9
+
+    @given(data=st.data())
+    def test_every_stored_line_served(self, tmp_path_factory, data):
+        """Every line store can write, as json.dumps(..., sort_keys=True) of
+        a worker's object, is served with its counts and its seconds."""
+        total = data.draw(st.integers(0, SHARD_SIZE), label="total")
+        count = st.sampled_from((0, total)) | st.integers(0, total)
+        seconds = data.draw(
+            st.sampled_from((0.0, 5e-324, 1e-05, 1e16))
+            | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+            label="seconds",
+        )
+        shard = {
+            "start": 0,
+            "cm": data.draw(count, label="cm"),
+            "equidim": data.draw(count, label="equidim"),
+            "km_vd_fail": data.draw(count, label="km_vd_fail"),
+            "km_vd_fail_a11": data.draw(count, label="km_vd_fail_a11"),
+            "total": total,
+            "seconds": seconds,
+        }
+        path = tmp_path_factory.mktemp("served") / "key.jsonl"
+        path.write_text(json.dumps(shard, sort_keys=True) + "\n")
+        missing = {0, SHARD_SIZE}
+        sums, subtotals, torn = enumeration_mod._read_shards(path, missing)
+        assert [shard[k] for k in enumeration_mod._SUMMED] == sums
+        assert subtotals == [seconds] and not torn and missing == {SHARD_SIZE}
+        # and through a census: ASM(3) is one shard, so no worker runs
+        cache_dir = path.parent
+        path.rename(cache_dir / _cache_key(3, enumeration_mod.ALL_CHECKS, 0, None))
+
+        def boom(args):
+            raise AssertionError("the stored line is served")
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(enumeration_mod, "_shard_worker", boom)
+            t = tabulate(3, cache_dir=cache_dir)
+        cm = shard["cm"]
+        assert t.row() == (
+            3,
+            total,
+            cm,
+            total - cm,
+            shard["km_vd_fail"],
+            shard["km_vd_fail_a11"],
+            shard["equidim"],
+            round(seconds, 3),
+        )
 
     @pytest.mark.parametrize(
         "start", [False, True, 64, 512], ids=["false", "true", "not-a-multiple", "past-the-end"]
