@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from functools import cache
 from itertools import combinations, islice
@@ -27,10 +26,6 @@ from .homology import cascade_is_cm, parse_field
 from .ideals import perm_walk
 
 ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
-# Part of every census cache key.  Bump it whenever an algorithm behind a
-# cached answer or the shard format changes, so that no cache written by
-# older code is ever served.
-CACHE_VERSION = 14
 MAX_STREAM_N = 8
 SHARD_SIZE = 128
 ALL_CHECKS = ("codim", "equidim", "cm", "km_vd")
@@ -266,20 +261,33 @@ _decode = json.JSONDecoder(object_pairs_hook=tuple).decode
 
 
 def _cache_key(n: int, checks, field: int, filter_spec) -> str:
-    """The name of a census's key file: v{CACHE_VERSION}-<16 hex>.jsonl."""
+    """The name of a census's key file, <16 hex>-<8 hex>.jsonl: the digest
+    of the census (n, checks, field, filter), then that of the code."""
     import hashlib  # here, not at the top: its OpenSSL module slows every import
 
     payload = json.dumps(
-        {
-            "version": CACHE_VERSION,
-            "n": n,
-            "checks": sorted(checks),
-            "field": field,
-            "filter": filter_spec,
-        },
+        {"n": n, "checks": sorted(checks), "field": field, "filter": filter_spec},
         sort_keys=True,
     )
-    return f"v{CACHE_VERSION}-{hashlib.sha1(payload.encode()).hexdigest()[:16]}.jsonl"
+    return f"{hashlib.sha1(payload.encode()).hexdigest()[:16]}-{_code_digest()}.jsonl"
+
+
+@cache
+def _code_digest() -> str:
+    """8 hex of the sha1 of every *.py file of this package, in name order,
+    each name fed in with its bytes: an edit to any source names new key
+    files, so no cache written by other code is ever served."""
+    import hashlib
+
+    digest = hashlib.sha1()
+    package = os.path.dirname(__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as source:
+                data = source.read()
+            digest.update(b"%s\0%d\0" % (name.encode(), len(data)))
+            digest.update(data)
+    return digest.hexdigest()[:8]
 
 
 def _read_shards(path, missing: set) -> tuple[list, list, bool]:
@@ -341,23 +349,13 @@ def _read_shards(path, missing: set) -> tuple[list, list, bool]:
     return sums, seconds_list, not line.endswith(b"\n")
 
 
-_KEY = re.compile(r"v(\d+)-[0-9a-f]{16}(\.jsonl)?")
-
-
-def _remove_stale_keys(cache_dir) -> None:
-    """Delete the key files v{k}-<16 hex>.jsonl and the key directories
-    v{k}-<16 hex> (one file per shard, versions 6 to 9) with k below
-    CACHE_VERSION.  Everything else is left alone, such as a file named like
-    a key directory or a directory named like a key file."""
-    for entry in cache_dir.iterdir():
-        match = _KEY.fullmatch(entry.name)
-        if match and int(match[1]) < CACHE_VERSION:
-            if match[2] and entry.is_file():
-                entry.unlink()
-            elif not match[2] and entry.is_dir():
-                import shutil  # here, not at the top: it loads bz2, lzma and zlib
-
-                shutil.rmtree(entry)
+def _remove_stale_keys(cache_dir, key) -> None:
+    """Delete the regular files <census digest>-*.jsonl of key's census
+    other than key, the ones other code wrote.  Everything else is left
+    alone: other censuses' files, directories and names of other shapes."""
+    for entry in cache_dir.glob(key[:17] + "*.jsonl"):
+        if entry.name != key and entry.is_file():
+            entry.unlink()
 
 
 def _shard_worker(args):
@@ -407,8 +405,8 @@ def tabulate(
     JSON line per shard, appended as soon as its shard finishes, so
     interrupted runs resume, and warm reruns recompute nothing and do not
     stream: they open the key file and nothing else.  A census that computes
-    a shard first makes cache_dir and removes the key files and directories
-    an older CACHE_VERSION wrote, then appends each shard's line through one
+    a shard first makes cache_dir and removes the key files of the same
+    census that other code wrote, then appends each shard's line through one
     handle, flushed per line.  The shards' counts are added up as they are
     read or computed, so memory does not grow with n.  At most
     min(jobs, os.cpu_count()) worker processes run.
@@ -425,11 +423,12 @@ def tabulate(
         raise AsmlabError(f"jobs must be at least 1, got {jobs}")
     keep = _FILTERS[filter_spec]
     missing = set(range(0, ASM_COUNTS[n - 1], SHARD_SIZE))
-    key_path = None
+    key = key_path = None
     if cache_dir is None:
         sums, subtotals, torn = [0] * len(_SUMMED), [], False
     else:
-        key_path = os.path.join(cache_dir, _cache_key(n, checks, field, filter_spec))
+        key = _cache_key(n, checks, field, filter_spec)
+        key_path = os.path.join(cache_dir, key)
         sums, subtotals, torn = _read_shards(key_path, missing)
 
     def missing_shards():
@@ -467,7 +466,7 @@ def tabulate(
 
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        _remove_stale_keys(cache_dir)
+        _remove_stale_keys(cache_dir, key)
         with open(key_path, "a") as out:
             # a torn last line is ended before any append, which would
             # otherwise glue onto it and be lost with it

@@ -2,13 +2,22 @@
 of two boundary matrices, the Fulton minors of an ASM read off its
 essential set cell by cell, and Perm(A) with its codimension and
 equidimensionality as asmlab answers them, for comparison with an oracle's
-reading, and the bitset of S_n that holds given permutations."""
+reading, the bitset of S_n that holds given permutations, and the output of
+code run in a fresh interpreter."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import factorial
+from pathlib import Path
 from typing import NamedTuple
 
+import asmlab
 from asmlab import Asm, analyze_asm, essential_set, perm_set, rank_matrix
+
+# the directory that holds this asmlab package
+SRC = Path(asmlab.__file__).resolve().parent.parent
 
 
 class PermReading(NamedTuple):
@@ -75,3 +84,18 @@ def fulton_minors(A: Asm) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 def antidiagonal(rows, cols) -> frozenset:
     """The cells of the antidiagonal of the minor on rows x cols."""
     return frozenset(zip(rows, reversed(cols)))
+
+
+def fresh_python(code: str, stdin: bytes = b"", src: Path = SRC) -> str:
+    """The output of code run in a fresh interpreter with the asmlab package
+    in src on its path, under -S, so that no site hook can load a module
+    first."""
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        input=stdin,
+        capture_output=True,
+        check=True,
+        timeout=60,
+    )
+    return out.stdout.decode()

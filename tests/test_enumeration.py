@@ -5,6 +5,7 @@ import os
 import pathlib
 import random
 import re
+import shutil
 import sys
 import tracemalloc
 from itertools import combinations, permutations
@@ -59,7 +60,7 @@ import asmlab.complexes as complexes_mod
 import asmlab.enumeration as enumeration_mod
 import asmlab.ideals as ideals_mod
 import asmlab.sweeps as sweeps_mod
-from helpers import PermReading, transpose
+from helpers import PermReading, fresh_python, transpose
 
 
 def stream_by_positions(n):
@@ -253,8 +254,7 @@ class TestTabulate:
             t1 = tabulate(n, checks=checks, cache_dir=cache_dir)
             path = cache_dir / _cache_key(n, checks, 0, None)
             assert list(cache_dir.iterdir()) == [path]
-            version = enumeration_mod.CACHE_VERSION
-            assert re.fullmatch(rf"v{version}-[0-9a-f]{{16}}\.jsonl", path.name)
+            assert re.fullmatch(r"[0-9a-f]{16}-[0-9a-f]{8}\.jsonl", path.name)
             starts = range(0, ASM_COUNTS[n - 1], SHARD_SIZE)
             assert [d["start"] for d in shard_lines(path)] == list(starts)
             text = path.read_bytes()
@@ -322,36 +322,43 @@ class TestTabulate:
         warm = tabulate(n, checks=checks, filter_spec=filter_spec, cache_dir=tmp_path)
         assert warm.to_csv() == cold.to_csv()
 
-    def test_cache_of_another_version_not_served(self, tmp_path, monkeypatch):
-        version = enumeration_mod.CACHE_VERSION
-        monkeypatch.setattr(enumeration_mod, "CACHE_VERSION", version - 1)
+    def test_cache_of_other_code_not_served(self, tmp_path):
+        """A line under this census's key is served as it stands; under the
+        key other code would name (another code digest), the same line is
+        neither served nor kept, and the names keys_left_alone makes stay."""
+        key = _cache_key(4, ("cm",), 0, None)
+        current = tmp_path / key
         tabulate(4, checks=("cm",), cache_dir=tmp_path)
-        (old,) = tmp_path.iterdir()
-        # an older code's wrong answers: every ASM(4) not CM
-        (shard,) = shard_lines(old)
-        old.write_text(json.dumps({**shard, "cm": 0}) + "\n")
+        # wrong answers: every ASM(4) not CM
+        (shard,) = shard_lines(current)
+        current.write_text(json.dumps({**shard, "cm": 0}, sort_keys=True) + "\n")
         assert tabulate(4, checks=("cm",), cache_dir=tmp_path).not_cm == 42
-        kept = keys_left_alone(tmp_path, version)
-        monkeypatch.setattr(enumeration_mod, "CACHE_VERSION", version)
+        other_code = "0" * 8 if key[17:25] != "0" * 8 else "1" * 8
+        stale = tmp_path / f"{key[:17]}{other_code}.jsonl"
+        current.rename(stale)
+        kept = keys_left_alone(tmp_path, key)
         assert tabulate(4, checks=("cm",), cache_dir=tmp_path).cm == 39
-        current = tmp_path / _cache_key(4, ("cm",), 0, None)
         assert set(tmp_path.iterdir()) == {current, *kept}
-        assert not old.exists() and old.name.startswith(f"v{version - 1}-")
-        assert current.name.startswith(f"v{version}-")
         assert untouched(kept)
 
-    def test_old_layout_key_directory_removed(self, tmp_path):
-        """A key directory of one file per shard, as version 9 wrote, is
-        deleted; the names keys_left_alone makes are kept."""
-        old = tmp_path / f"v9-{'3' * 16}"
-        old.mkdir()
-        (old / "shard_00000000.jsonl").write_text("{}")
-        (old / "shard_00000128.tmp").write_text("{")
-        kept = keys_left_alone(tmp_path, enumeration_mod.CACHE_VERSION)
-        tabulate(4, checks=CODIM, cache_dir=tmp_path)
-        current = tmp_path / _cache_key(4, CODIM, 0, None)
-        assert set(tmp_path.iterdir()) == {current, *kept}
-        assert untouched(kept)
+    def test_code_digest_follows_every_source(self, tmp_path):
+        """An unedited copy of the package names the key file the package
+        does; a byte appended to a module on the census path (homology) or
+        off it (sweeps) names another key file of the same census."""
+        code = f"from asmlab.enumeration import _cache_key\nprint(_cache_key(6, {CODIM!r}, 0, None))"
+        shutil.copytree(
+            pathlib.Path(enumeration_mod.__file__).parent,
+            tmp_path / "asmlab",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        keys = [fresh_python(code)]
+        for edited in (None, "homology.py", "sweeps.py"):
+            if edited:
+                with open(tmp_path / "asmlab" / edited, "a") as source:
+                    source.write("\n")
+            keys.append(fresh_python(code, src=tmp_path))
+        assert keys[0] == keys[1] == f"{_cache_key(6, CODIM, 0, None)}\n"
+        assert len(set(keys[1:])) == 3 and len({k[:17] for k in keys}) == 1
 
     def test_warm_census_reads_only_its_key_file(self, tmp_path, monkeypatch):
         """A census with every shard stored makes no directory, scans no
@@ -415,20 +422,23 @@ def stored(path):
     return shards
 
 
-def keys_left_alone(cache_dir, version):
-    """Make the names a census must not delete: a file named like an older
-    key directory, a directory named like an older key file, a newer
-    version's key file and key directory, unprefixed ones and an older
-    prefix on another name.  Returns whether each is a directory, by path."""
+def keys_left_alone(cache_dir, key):
+    """Make the names a census with key file `key` must not delete: other
+    censuses' key files, a directory named like a key file of its census,
+    a key file and a key directory (one file per shard) of the retired
+    v{k}- names, and names of other shapes.  Returns whether each is a
+    directory, by path."""
+    census, code = key[:16], key[17:25]
     kept = {
-        cache_dir / f"v{version - 1}-{'1' * 16}": False,
-        cache_dir / f"v{version - 1}-{'2' * 16}.jsonl": True,
-        cache_dir / f"v{version + 1}-{'0' * 16}.jsonl": False,
-        cache_dir / f"v{version + 1}-{'0' * 16}": True,
+        cache_dir / f"{'0' * 16}-{code}.jsonl": False,
+        cache_dir / f"{'0' * 16}-{'1' * 8}.jsonl": False,
+        cache_dir / f"{census}-{'2' * 8}.jsonl": True,
+        cache_dir / f"v14-{census}.jsonl": False,
+        cache_dir / f"v9-{census}": True,
         cache_dir / ("0" * 16): True,
         cache_dir / f"{'0' * 16}.jsonl": False,
-        cache_dir / f"v{version - 1}-backup": True,
-        cache_dir / f"v{version - 1}-backup.jsonl": False,
+        cache_dir / f"{census}.jsonl": False,
+        cache_dir / f"{census}-backup": False,
     }
     for path, is_dir in kept.items():
         if is_dir:

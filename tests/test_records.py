@@ -5,11 +5,7 @@ package imports none of dataclasses, inspect and hashlib.  What no census
 reads is loaded at the first use of one of its names."""
 
 import json
-import os
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -30,24 +26,10 @@ from asmlab import (
 )
 from asmlab.enumeration import AnalysisReport
 from asmlab.sweeps import VerificationReport
+from helpers import fresh_python
 
 A3 = validate_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
 B4 = validate_asm([[0, 1, 0, 0], [0, 0, 1, 0], [1, -1, 0, 1], [0, 1, 0, 0]])
-
-
-def fresh_python(code: str, stdin: bytes = b"") -> str:
-    """The output of code run in a fresh interpreter with this asmlab on its
-    path, under -S, so that no site hook can load a module first."""
-    src = str(Path(asmlab.__file__).resolve().parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        input=stdin,
-        capture_output=True,
-        check=True,
-        timeout=60,
-    )
-    return out.stdout.decode()
 
 
 def loaded_by_import(*names, then: str = "") -> list:
@@ -62,8 +44,14 @@ def test_import_loads_no_dataclasses_or_inspect():
 
 
 def test_import_loads_no_hashlib():
-    # a census's key file is named by its fields, not by a hash of them
+    # only a census with a cache_dir hashes, to name its key file
     assert loaded_by_import("hashlib") == []
+
+
+def test_census_without_cache_loads_no_hashlib():
+    """The digest of the package's sources that names a key file is taken
+    at a census's first use of a cache, not on import or without one."""
+    assert loaded_by_import("hashlib", then='asmlab.tabulate(5, checks=("codim",))') == []
 
 
 # The modules that `import asmlab` leaves to the first use of one of their
