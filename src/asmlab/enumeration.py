@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import zlib
 from functools import cache
 from itertools import combinations, islice
 from math import fsum, inf
@@ -251,55 +252,63 @@ _FILTERS = {
     "a11=1": lambda A: A.a11_is_one,
 }
 
-# the counts a census adds up, in the order _read_shards returns their sums
+# the counts a census adds up, in the order of a shard line and of the sums
+# _read_shards returns
 _SUMMED = ("total", "cm", "equidim", "km_vd_fail", "km_vd_fail_a11")
-# the keys of a shard line, in the order json.dumps(..., sort_keys=True)
-# writes them
-_LINE_KEYS = ("cm", "equidim", "km_vd_fail", "km_vd_fail_a11", "seconds", "start", "total")
-# one JSON value, trailing text refused; an object as its (key, value) pairs
-_decode = json.JSONDecoder(object_pairs_hook=tuple).decode
+# a shard line: its start, the _SUMMED counts and its seconds, which %r
+# writes as repr does, the shortest text float() reads back exactly
+_LINE = b"%d %d %d %d %d %d %r\n"
+# each count a line can hold, 0..SHARD_SIZE, by its bytes as %d writes them
+_COUNTS = {b"%d" % v: v for v in range(SHARD_SIZE + 1)}
+# the bytes of a seconds field: repr of a finite float >= 0, then the newline
+_SECONDS = b"0123456789.e+-\n"
+
+
+def _code_digest() -> str:
+    """8 hex of the crc32 of every *.py file of this package, in name order,
+    each name fed in with its bytes: an edit to any source names new key
+    files, so no cache written by other code is ever served.  It is taken
+    once, as this module is imported, so the key a process names is that of
+    the code it loaded, whatever is edited after."""
+    crc = 0
+    package = os.path.dirname(__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as source:
+                data = source.read()
+            crc = zlib.crc32(data, zlib.crc32(b"%s\0%d\0" % (name.encode(), len(data)), crc))
+    return f"{crc:08x}"
+
+
+_CODE_DIGEST = _code_digest()
 
 
 def _cache_key(n: int, checks, field: int, filter_spec) -> str:
-    """The name of a census's key file, <16 hex>-<8 hex>.jsonl: the digest
-    of the census (n, checks, field, filter), then that of the code."""
+    """The name of a census's key file, <16 hex>-<8 hex>.txt: the digest of
+    the census (n, checks, field, filter), then that of the code."""
     import hashlib  # here, not at the top: its OpenSSL module slows every import
 
     payload = json.dumps(
         {"n": n, "checks": sorted(checks), "field": field, "filter": filter_spec},
         sort_keys=True,
     )
-    return f"{hashlib.sha1(payload.encode()).hexdigest()[:16]}-{_code_digest()}.jsonl"
-
-
-@cache
-def _code_digest() -> str:
-    """8 hex of the sha1 of every *.py file of this package, in name order,
-    each name fed in with its bytes: an edit to any source names new key
-    files, so no cache written by other code is ever served."""
-    import hashlib
-
-    digest = hashlib.sha1()
-    package = os.path.dirname(__file__)
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name), "rb") as source:
-                data = source.read()
-            digest.update(b"%s\0%d\0" % (name.encode(), len(data)))
-            digest.update(data)
-    return digest.hexdigest()[:8]
+    return f"{hashlib.sha1(payload.encode()).hexdigest()[:16]}-{_CODE_DIGEST}.txt"
 
 
 def _read_shards(path, missing: set) -> tuple[list, list, bool]:
     """Serve the lines of the key file at path (none if it does not exist).
-    A line is served when it is a JSON object of the seven _LINE_KEYS in
-    that order, with an int start (a bool is not one) that is still in
-    missing, a total of at most SHARD_SIZE, every count an int in
-    [0, total] and seconds a finite float >= 0; its start then leaves
-    missing.  Every other line (torn, damaged, a duplicate, a foreign start)
-    is skipped.  Returns the sums of the served lines (total, cm, equidim,
-    km_vd_fail, km_vd_fail_a11), their seconds, and whether the file ends
-    in a torn line, one with no newline."""
+    A line is served only in the shape store writes: seven fields, one
+    space apart, then a newline.  Its start is digits with no leading zero
+    and still in missing; its total and counts are each one of the _COUNTS
+    spellings, the counts at most the total; its seconds begin with a digit,
+    have no leading zero, hold only _SECONDS bytes and read as a finite
+    float (a form repr never writes, such as 5 or 1e5, reads as the float
+    it denotes).  So a sign, an underscore, a leading zero, a non-ASCII
+    digit, a tab, a double space, a carriage return, nan and inf are
+    refused.  A served line's start leaves missing; every other line (torn,
+    damaged, a duplicate, a foreign start) is skipped.  Returns the sums of
+    the served lines (total, cm, equidim, km_vd_fail, km_vd_fail_a11), their
+    seconds, and whether the file ends in a torn line, one with no newline."""
     try:
         lines = open(path, "rb")
     except FileNotFoundError:  # no line yet
@@ -309,34 +318,36 @@ def _read_shards(path, missing: set) -> tuple[list, list, bool]:
     line = b"\n"
     with lines:
         for line in lines:
+            fields = line.split(b" ")
+            if len(fields) != 7:
+                continue
+            # the bytes of start, total, cm, equidim, km_vd_fail, km_vd_fail_a11, seconds
+            s, t, c, e, k, a, x = fields
             try:
-                pairs = _decode(line.decode())
-            except (ValueError, RecursionError):  # not UTF-8, not one JSON value, too deep
+                total, cm, equidim, km_vd_fail, km_vd_fail_a11 = (
+                    _COUNTS[t],
+                    _COUNTS[c],
+                    _COUNTS[e],
+                    _COUNTS[k],
+                    _COUNTS[a],
+                )
+                seconds = float(x)
+            except (KeyError, ValueError):  # a count store cannot write, or no float
                 continue
-            if type(pairs) is not tuple or len(pairs) != 7:  # not an object of seven keys
-                continue
-            (
-                (k0, cm),
-                (k1, equidim),
-                (k2, km_vd_fail),
-                (k3, km_vd_fail_a11),
-                (k4, seconds),
-                (k5, start),
-                (k6, total),
-            ) = pairs
+            # the bytes 48 "0", 57 "9", 46 "." and 10 the newline
             if (
-                (k0, k1, k2, k3, k4, k5, k6) == _LINE_KEYS
-                and type(start) is int
-                and start in missing
-                and type(total) is int
-                and 0 <= total <= SHARD_SIZE
-                and type(cm) is type(equidim) is type(km_vd_fail) is type(km_vd_fail_a11) is int
-                and 0 <= cm <= total
-                and 0 <= equidim <= total
-                and 0 <= km_vd_fail <= total
-                and 0 <= km_vd_fail_a11 <= total
-                and type(seconds) is float
-                and 0 <= seconds < inf
+                cm <= total
+                and equidim <= total
+                and km_vd_fail <= total
+                and km_vd_fail_a11 <= total
+                and s.isdigit()
+                and (s[0] != 48 or s == b"0")
+                and (start := int(s)) in missing
+                and x[-1] == 10
+                and 48 <= x[0] <= 57
+                and (x[0] != 48 or x[1] == 46)
+                and not x.translate(None, _SECONDS)
+                and seconds < inf
             ):
                 missing.remove(start)
                 total_sum += total
@@ -350,17 +361,18 @@ def _read_shards(path, missing: set) -> tuple[list, list, bool]:
 
 
 def _remove_stale_keys(cache_dir, key) -> None:
-    """Delete the regular files <census digest>-*.jsonl of key's census
-    other than key, the ones other code wrote.  Everything else is left
-    alone: other censuses' files, directories and names of other shapes."""
-    for entry in cache_dir.glob(key[:17] + "*.jsonl"):
+    """Delete the regular files <census digest>-<8 hex>.* of key's census
+    other than key, the ones other code wrote, whatever their format's
+    suffix.  Everything else is left alone: other censuses' files,
+    directories and names of other shapes."""
+    for entry in cache_dir.glob(key[:17] + "[0-9a-f]" * 8 + ".*"):
         if entry.name != key and entry.is_file():
             entry.unlink()
 
 
 def _shard_worker(args):
-    """Analyse one shard's ASMs.  Returns its cache line's object: the
-    shard's start, its census counts and the seconds its analyses took."""
+    """Analyse one shard's ASMs.  Returns its cache line's fields: the
+    shard's start, its _SUMMED counts and the seconds its analyses took."""
     start, asms, checks, field = args
     with_cm, with_km_vd = "cm" in checks, "km_vd" in checks
     cm = equidim = km_vd_fail = km_vd_fail_a11 = 0
@@ -377,15 +389,7 @@ def _shard_worker(args):
             km_vd_fail += 1
             km_vd_fail_a11 += A.a11_is_one
     seconds = time.perf_counter() - t0
-    return {
-        "start": start,
-        "cm": cm,
-        "equidim": equidim,
-        "km_vd_fail": km_vd_fail,
-        "km_vd_fail_a11": km_vd_fail_a11,
-        "total": len(asms),
-        "seconds": seconds,
-    }
+    return start, len(asms), cm, equidim, km_vd_fail, km_vd_fail_a11, seconds
 
 
 def tabulate(
@@ -402,7 +406,7 @@ def tabulate(
     from the cache, and cut into shards of SHARD_SIZE matrices; each missing
     shard goes to a worker, which returns the shard's census counts.  A
     census's cache is one content-addressed key file in cache_dir, with one
-    JSON line per shard, appended as soon as its shard finishes, so
+    line per shard, appended as soon as its shard finishes, so
     interrupted runs resume, and warm reruns recompute nothing and do not
     stream: they open the key file and nothing else.  A census that computes
     a shard first makes cache_dir and removes the key files of the same
@@ -440,11 +444,11 @@ def tabulate(
 
     def store(computed, out):
         for shard in computed:
-            for i, k in enumerate(_SUMMED):
-                sums[i] += shard[k]
-            subtotals.append(shard["seconds"])
+            for i, count in enumerate(shard[1:-1]):
+                sums[i] += count
+            subtotals.append(shard[-1])
             if out is not None:
-                out.write(json.dumps(shard, sort_keys=True) + "\n")
+                out.write(_LINE % shard)
                 out.flush()
 
     def compute(out):
@@ -467,11 +471,13 @@ def tabulate(
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
         _remove_stale_keys(cache_dir, key)
-        with open(key_path, "a") as out:
+        with open(key_path, "ab") as out:
             # a torn last line is ended before any append, which would
-            # otherwise glue onto it and be lost with it
+            # otherwise glue onto it and be lost with it; the space gives it
+            # an empty last field, so it is never served, even when it was
+            # cut inside its seconds and still reads as seven fields
             if torn:
-                out.write("\n")
+                out.write(b" \n")
             compute(out)
 
     total, cm, equidim, km_vd_fail, km_vd_fail_a11 = sums

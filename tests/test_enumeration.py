@@ -254,7 +254,7 @@ class TestTabulate:
             t1 = tabulate(n, checks=checks, cache_dir=cache_dir)
             path = cache_dir / _cache_key(n, checks, 0, None)
             assert list(cache_dir.iterdir()) == [path]
-            assert re.fullmatch(r"[0-9a-f]{16}-[0-9a-f]{8}\.jsonl", path.name)
+            assert re.fullmatch(r"[0-9a-f]{16}-[0-9a-f]{8}\.txt", path.name)
             starts = range(0, ASM_COUNTS[n - 1], SHARD_SIZE)
             assert [d["start"] for d in shard_lines(path)] == list(starts)
             text = path.read_bytes()
@@ -331,10 +331,9 @@ class TestTabulate:
         tabulate(4, checks=("cm",), cache_dir=tmp_path)
         # wrong answers: every ASM(4) not CM
         (shard,) = shard_lines(current)
-        current.write_text(json.dumps({**shard, "cm": 0}, sort_keys=True) + "\n")
+        current.write_text(line_of({**shard, "cm": 0}) + "\n")
         assert tabulate(4, checks=("cm",), cache_dir=tmp_path).not_cm == 42
-        other_code = "0" * 8 if key[17:25] != "0" * 8 else "1" * 8
-        stale = tmp_path / f"{key[:17]}{other_code}.jsonl"
+        stale = tmp_path / f"{key[:17]}{other_code(key)}.txt"
         current.rename(stale)
         kept = keys_left_alone(tmp_path, key)
         assert tabulate(4, checks=("cm",), cache_dir=tmp_path).cm == 39
@@ -359,6 +358,39 @@ class TestTabulate:
             keys.append(fresh_python(code, src=tmp_path))
         assert keys[0] == keys[1] == f"{_cache_key(6, CODIM, 0, None)}\n"
         assert len(set(keys[1:])) == 3 and len({k[:17] for k in keys}) == 1
+
+    def test_code_digest_is_the_loaded_code(self, tmp_path):
+        """A process names the key file of the code it imported: a comment
+        appended to homology.py after the import leaves its key as it was,
+        while a fresh process of the edited code names another."""
+        shutil.copytree(
+            pathlib.Path(enumeration_mod.__file__).parent,
+            tmp_path / "asmlab",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        key = f"from asmlab.enumeration import _cache_key\nprint(_cache_key(6, {CODIM!r}, 0, None))"
+        edit = (
+            f"with open({str(tmp_path / 'asmlab' / 'homology.py')!r}, 'a') as source:\n"
+            "    source.write('# edited\\n')"
+        )
+        before, after = fresh_python(f"{key}\n{edit}\n{key}", src=tmp_path).split()
+        assert before == after == _cache_key(6, CODIM, 0, None)
+        assert fresh_python(key, src=tmp_path).split() != [before]
+
+    def test_previous_format_not_served(self, tmp_path):
+        """A key file of this census in the JSON-line format of earlier
+        code, <census digest>-<8 hex>.jsonl, with this code's digest or
+        another, is neither served nor kept, though it holds every shard."""
+        key = _cache_key(4, ("cm",), 0, None)
+        tabulate(4, checks=("cm",), cache_dir=tmp_path)
+        (shard,) = shard_lines(tmp_path / key)
+        # wrong answers: every ASM(4) not CM
+        poisoned = json.dumps({**shard, "cm": 0}, sort_keys=True) + "\n"
+        (tmp_path / key).unlink()
+        for code in (key[17:25], other_code(key)):
+            (tmp_path / f"{key[:17]}{code}.jsonl").write_text(poisoned)
+        assert tabulate(4, checks=("cm",), cache_dir=tmp_path).cm == 39
+        assert list(tmp_path.iterdir()) == [tmp_path / key]
 
     def test_warm_census_reads_only_its_key_file(self, tmp_path, monkeypatch):
         """A census with every shard stored makes no directory, scans no
@@ -395,6 +427,8 @@ class TestTabulate:
 
 
 CODIM = ("codim",)
+# the fields of a shard line, in their order
+FIELDS = ("start", "total", "cm", "equidim", "km_vd_fail", "km_vd_fail_a11", "seconds")
 
 
 def key_file(cache_dir, n):
@@ -402,14 +436,34 @@ def key_file(cache_dir, n):
     return cache_dir / _cache_key(n, CODIM, 0, None)
 
 
+def other_code(key):
+    """8 hex digits other than the code digest in key."""
+    return "0" * 8 if key[17:25] != "0" * 8 else "1" * 8
+
+
+def parse(line):
+    """A shard line's fields by name: six ints, then the seconds."""
+    *ints, seconds = line.split(" ")
+    return dict(zip(FIELDS, [*map(int, ints), float(seconds)]))
+
+
+def line_of(shard):
+    """The line, without its newline, of a shard's fields by name, in
+    FIELDS order (one left out is not written): a field given as text is
+    written as it is, a number as repr writes it."""
+    return " ".join(
+        v if isinstance(v, str) else repr(v) for v in (shard[k] for k in FIELDS if k in shard)
+    )
+
+
 def shard_lines(path):
-    """The objects of a key file's lines, in file order."""
-    return [json.loads(line) for line in path.read_text().splitlines()]
+    """The fields of a key file's lines, in file order."""
+    return [parse(line) for line in path.read_text().splitlines()]
 
 
 def counts(line):
-    """A shard line's object without its seconds."""
-    return {k: v for k, v in json.loads(line).items() if k != "seconds"}
+    """A shard line's fields without its seconds."""
+    return {k: v for k, v in parse(line).items() if k != "seconds"}
 
 
 def stored(path):
@@ -430,15 +484,17 @@ def keys_left_alone(cache_dir, key):
     directory, by path."""
     census, code = key[:16], key[17:25]
     kept = {
+        cache_dir / f"{'0' * 16}-{code}.txt": False,
         cache_dir / f"{'0' * 16}-{code}.jsonl": False,
-        cache_dir / f"{'0' * 16}-{'1' * 8}.jsonl": False,
-        cache_dir / f"{census}-{'2' * 8}.jsonl": True,
+        cache_dir / f"{'0' * 16}-{'1' * 8}.txt": False,
+        cache_dir / f"{census}-{'2' * 8}.txt": True,
         cache_dir / f"v14-{census}.jsonl": False,
         cache_dir / f"v9-{census}": True,
         cache_dir / ("0" * 16): True,
-        cache_dir / f"{'0' * 16}.jsonl": False,
-        cache_dir / f"{census}.jsonl": False,
+        cache_dir / f"{'0' * 16}.txt": False,
+        cache_dir / f"{census}.txt": False,
         cache_dir / f"{census}-backup": False,
+        cache_dir / f"{census}-{code}": False,
     }
     for path, is_dir in kept.items():
         if is_dir:
@@ -574,52 +630,94 @@ class TestCensusStream:
 
 
 def cut(text, shard):
-    return text[: len(text) // 2]
+    """The line cut after the first byte of its third field.  A line cut
+    inside its seconds may still read as one; only a missing newline shows
+    the cut (test_cut_last_line_recomputed_once)."""
+    return text[: text.index(" ", text.index(" ") + 1) + 2]
 
 
 def without(key):
     def damage(text, shard):
         del shard[key]
-        return json.dumps(shard)
+        return line_of(shard)
 
     return damage
 
 
 def setting(key, value):
     def damage(text, shard):
-        return json.dumps({**shard, key: value(shard) if callable(value) else value})
+        return line_of({**shard, key: value(shard) if callable(value) else value})
 
     return damage
 
 
+def above_total(key):
+    """The count at key one above a total lowered to half a shard."""
+
+    def damage(text, shard):
+        return line_of({**shard, "total": SHARD_SIZE // 2, key: SHARD_SIZE // 2 + 1})
+
+    return damage
+
+
+def respaced(old, new):
+    def damage(text, shard):
+        return text.replace(old, new, 1)
+
+    return damage
+
+
+# The kinds up to "keys-reordered" are named for the JSON objects the lines
+# of earlier key files were; each is restated for the plain line.
 DAMAGES = {
     "truncated": cut,
-    "not-json": lambda text, shard: "total=42 cm=39\n",
+    "not-json": lambda text, shard: "total=42 cm=39",
     "not-utf8": lambda text, shard: b"\xff\xfe".decode("latin-1"),
     "nested-too-deep": lambda text, shard: "[" * 100_000,
-    "not-an-object": lambda text, shard: json.dumps(list(shard.values())),
+    "not-an-object": lambda text, shard: json.dumps([shard[k] for k in FIELDS]),
     "missing-key": without("equidim"),
-    "extra-key": setting("matrix", [[1]]),
+    "extra-key": lambda text, shard: f"{shard['start']} 0 {text.split(' ', 1)[1]}",
     "float-count": setting("cm", lambda d: float(d["cm"])),
-    "bool-count": setting("km_vd_fail_a11", True),
-    "text-count": setting("equidim", "39"),
+    "bool-count": setting("km_vd_fail_a11", "True"),
+    "text-count": setting("equidim", lambda d: f'"{d["equidim"]}"'),
     "negative-count": setting("km_vd_fail", -1),
-    "count-above-total": setting("cm", lambda d: d["total"] + 1),
+    "count-above-total": above_total("cm"),
     "total-above-shard-size": setting("total", SHARD_SIZE + 1),
-    "text-seconds": setting("seconds", "0.01"),
+    "text-seconds": setting("seconds", lambda d: f"{d['seconds']!r}s"),
     "negative-seconds": setting("seconds", -0.5),
-    "nan-seconds": setting("seconds", float("nan")),
-    "infinite-seconds": setting("seconds", float("inf")),
-    "two-objects": lambda text, shard: text + "{}",
+    "nan-seconds": setting("seconds", "nan"),
+    "infinite-seconds": setting("seconds", "inf"),
+    "two-objects": lambda text, shard: text + text,
     "trailing-text": lambda text, shard: text + " seconds",
-    "duplicate-key": lambda text, shard: text[:-1] + f', "cm": {shard["cm"]}}}',
-    "keys-reordered": lambda text, shard: json.dumps(dict(reversed(shard.items()))),
+    "duplicate-key": lambda text, shard: f"{text} {shard['cm']}",
+    "keys-reordered": lambda text, shard: " ".join(reversed(text.split(" "))),
+    "equidim-above-total": above_total("equidim"),
+    "km-vd-fail-above-total": above_total("km_vd_fail"),
+    "km-vd-fail-a11-above-total": above_total("km_vd_fail_a11"),
+    # what int() or float() reads but store never writes
+    "signed-start": setting("start", lambda d: f"+{d['start']}"),
+    "signed-count": setting("equidim", lambda d: f"+{d['equidim']}"),
+    "negative-zero-count": setting("cm", "-0"),
+    "signed-seconds": setting("seconds", lambda d: f"+{d['seconds']!r}"),
+    "negative-zero-seconds": setting("seconds", "-0.0"),
+    "underscore-count": setting("total", lambda d: "_".join(str(d["total"]))),
+    "underscore-seconds": setting("seconds", lambda d: f"{d['seconds']!r}_1"),
+    "leading-zero-start": setting("start", lambda d: f"0{d['start']}"),
+    "leading-zero-count": setting("km_vd_fail_a11", lambda d: f"00{d['km_vd_fail_a11']}"),
+    "leading-zero-seconds": setting("seconds", lambda d: f"0{d['seconds']!r}"),
+    "non-ascii-digit": setting("total", "\u0661\u0662\u0668".encode().decode("latin-1")),
+    "overflowing-seconds": setting("seconds", "1e999"),
+    "tab-separator": respaced(" ", "\t"),
+    "tab-after-start": respaced(" ", "\t "),
+    "double-space": respaced(" ", "  "),
+    "crlf-ending": lambda text, shard: text + "\r",
+    "json-line": lambda text, shard: json.dumps(shard, sort_keys=True),
 }
 
 
 class TestShardValidation:
-    """A damaged, duplicate or foreign line is skipped, never served; its
-    shard is recomputed and appended."""
+    """A damaged, duplicate, foreign or unended line is skipped, never
+    served; its shard is recomputed and appended."""
 
     @pytest.mark.parametrize("damage", list(DAMAGES))
     def test_damaged_shard_recomputed(self, tmp_path, damage):
@@ -627,13 +725,13 @@ class TestShardValidation:
         path = key_file(tmp_path, 5)
         before = stored(path)
         lines = path.read_text().splitlines()
-        damaged = DAMAGES[damage](lines[1], json.loads(lines[1])).rstrip("\n")
+        damaged = DAMAGES[damage](lines[1], parse(lines[1]))
         lines[1] = damaged
         text = "\n".join(lines) + "\n"
-        path.write_text(text, encoding="latin-1")
+        path.write_bytes(text.encode("latin-1"))
         warm = tabulate(5, checks=CODIM, cache_dir=tmp_path)
         assert warm.row()[:-1] == cold.row()[:-1] and warm.total == 429
-        rewritten = path.read_text(encoding="latin-1")
+        rewritten = path.read_bytes().decode("latin-1")
         assert rewritten.startswith(text) and rewritten.count("\n") == 5
         assert counts(rewritten.splitlines()[-1]) == before[128]
 
@@ -648,11 +746,14 @@ class TestShardValidation:
         assert warm.row()[:-1] == cold.row()[:-1]
         assert counts(path.read_text().splitlines()[-1]) == before[0]
 
-    @pytest.mark.parametrize("left", [1, 60, -1], ids=["one-byte", "half", "all-but-the-brace"])
+    @pytest.mark.parametrize("left", [1, 20, -1], ids=["one-byte", "half", "all-but-the-brace"])
     def test_cut_last_line_recomputed_once(self, tmp_path, monkeypatch, left):
-        """A last line cut mid-object, as an interrupted append leaves it, is
-        skipped and its shard appended after a newline that ends the cut
-        line; so a third run serves every shard and calls no worker."""
+        """A last line with no newline, as an interrupted append leaves it,
+        is skipped, even when it still reads as seven fields (cut inside its
+        seconds, as the last byte is); its shard is appended after a space
+        and a newline that end the cut line with an empty field, so a third
+        run serves every shard, none from the cut line, and calls no
+        worker."""
         cold = tabulate(5, checks=CODIM, cache_dir=tmp_path)
         path = key_file(tmp_path, 5)
         before = stored(path)
@@ -663,8 +764,8 @@ class TestShardValidation:
         resumed = tabulate(5, checks=CODIM, cache_dir=tmp_path)
         assert resumed.row()[:-1] == cold.row()[:-1]
         rewritten = path.read_bytes()
-        assert rewritten.startswith(cut_text + b"\n") and rewritten.count(b"\n") == 5
-        assert counts(rewritten.splitlines()[-1]) == before[384]
+        assert rewritten.startswith(cut_text + b" \n") and rewritten.count(b"\n") == 5
+        assert counts(rewritten.splitlines()[-1].decode()) == before[384]
 
         def boom(args):
             raise AssertionError("every shard is served")
@@ -677,8 +778,8 @@ class TestShardValidation:
         cold = tabulate(5, checks=CODIM, cache_dir=tmp_path)
         path = key_file(tmp_path, 5)
         lines = path.read_text().splitlines()
-        shard = json.loads(lines[1])
-        other = json.dumps({**shard, "seconds": shard["seconds"] + 1.0}, sort_keys=True)
+        shard = parse(lines[1])
+        other = line_of({**shard, "seconds": shard["seconds"] + 1.0})
 
         def boom(args):
             raise AssertionError("every shard is served")
@@ -690,14 +791,14 @@ class TestShardValidation:
             assert tabulate(5, checks=CODIM, cache_dir=tmp_path).to_csv() == cold.to_csv()
         # an earlier one is served instead
         path.write_text("\n".join([other, *lines]) + "\n")
-        seconds = [json.loads(line)["seconds"] for line in (other, *lines) if line != lines[1]]
+        seconds = [parse(line)["seconds"] for line in (other, *lines) if line != lines[1]]
         warm = tabulate(5, checks=CODIM, cache_dir=tmp_path)
         assert warm.runtime_s == round(fsum(seconds), 3) > cold.runtime_s + 0.9
 
     @given(data=st.data())
     def test_every_stored_line_served(self, tmp_path_factory, data):
-        """Every line store can write, as json.dumps(..., sort_keys=True) of
-        a worker's object, is served with its counts and its seconds."""
+        """Every line store can write, _LINE of a worker's fields, is served
+        with its counts and its seconds."""
         total = data.draw(st.integers(0, SHARD_SIZE), label="total")
         count = st.sampled_from((0, total)) | st.integers(0, total)
         seconds = data.draw(
@@ -714,8 +815,8 @@ class TestShardValidation:
             "total": total,
             "seconds": seconds,
         }
-        path = tmp_path_factory.mktemp("served") / "key.jsonl"
-        path.write_text(json.dumps(shard, sort_keys=True) + "\n")
+        path = tmp_path_factory.mktemp("served") / "key.txt"
+        path.write_bytes(enumeration_mod._LINE % tuple(shard[k] for k in FIELDS))
         missing = {0, SHARD_SIZE}
         sums, subtotals, torn = enumeration_mod._read_shards(path, missing)
         assert [shard[k] for k in enumeration_mod._SUMMED] == sums
@@ -743,17 +844,17 @@ class TestShardValidation:
         )
 
     @pytest.mark.parametrize(
-        "start", [False, True, 64, 512], ids=["false", "true", "not-a-multiple", "past-the-end"]
+        "start", ["false", "true", 64, 512], ids=["false", "true", "not-a-multiple", "past-the-end"]
     )
     def test_foreign_start_not_served(self, tmp_path, monkeypatch, start):
-        """A line whose start is not a shard start of the census, a JSON
-        false (equal to 0 in Python) included, is skipped: shard 0 is
-        recomputed and appended."""
+        """A line whose start is not a shard start of the census, a word
+        such as false (a JSON false equals 0 in Python) included, is
+        skipped: shard 0 is recomputed and appended."""
         cold = tabulate(5, checks=CODIM, cache_dir=tmp_path)
         path = key_file(tmp_path, 5)
         before = stored(path)
         lines = path.read_text().splitlines()
-        lines[0] = json.dumps({**json.loads(lines[0]), "start": start}, sort_keys=True)
+        lines[0] = line_of({**parse(lines[0]), "start": start})
         path.write_text("\n".join(lines) + "\n")
         worker, starts = enumeration_mod._shard_worker, []
 
@@ -845,7 +946,7 @@ class TestFold:
         row = census_row(shards, checks)
         assert tuple(cold)[:-1] == tuple(mixed)[:-1] == tuple(census(None))[:-1] == row
         assert stored(path) == served
-        seconds = [json.loads(line)["seconds"] for line in path.read_text().splitlines()]
+        seconds = [parse(line)["seconds"] for line in path.read_text().splitlines()]
         assert len(seconds) == 4 and mixed.runtime_s == round(fsum(seconds), 3)
 
     def test_warm_memory_does_not_grow_with_n(self, tmp_path):

@@ -49,8 +49,9 @@ def test_import_loads_no_hashlib():
 
 
 def test_census_without_cache_loads_no_hashlib():
-    """The digest of the package's sources that names a key file is taken
-    at a census's first use of a cache, not on import or without one."""
+    """The census digest that names a key file is taken at a census's first
+    use of a cache, not on import or without one; the digest of the
+    package's sources, taken on import, is a crc32 and needs no hashlib."""
     assert loaded_by_import("hashlib", then='asmlab.tabulate(5, checks=("codim",))') == []
 
 
