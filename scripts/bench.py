@@ -8,10 +8,12 @@ end-to-end metric over the seeds.  With --baseline DIR, a checkout of
 another commit (made with `git archive` or `git clone`), every seed runs
 the baseline and this checkout as a pair, alternating which goes first, and
 the output also holds the baseline's summary and, per metric, the number of
-pairs this checkout won (ties count for neither side).  Both sides then run
-from plain copies in one temporary directory, at paths of one length:
-perfbench's peak RSS moves by about 0.6 MB with the length of the
-checkout's path.  A git checkout is copied as the files git tracks or would
+pairs this checkout won (ties count for neither side) and whether a gain
+claimed on it holds: at least nine pairs in ten won, and the median moved
+the better way by more than the baseline's interquartile range.  Both
+sides then run from plain copies in one temporary directory, at paths of
+one length: perfbench's peak RSS moves by about 0.6 MB with the length of
+the checkout's path.  A git checkout is copied as the files git tracks or would
 track, as they are in the working tree, and any other directory whole.
 Every run starts with PYTHONDONTWRITEBYTECODE=1 and a fresh, empty
 PYTHONPYCACHEPREFIX, so each side compiles its sources alike and no
@@ -76,6 +78,18 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def compare(change: dict, base: dict, better: str) -> tuple[int, bool]:
+    """The pairs the change won, its runs and the baseline's paired in
+    order (ties count for neither side), and whether a gain claimed on the
+    metric holds: at least nine pairs in ten won, and the change's median
+    past the baseline's by more than the baseline's interquartile range, in
+    the better direction.  Both sides are summary() dicts."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - b) > 0 for c, b in zip(change["runs"], base["runs"]))
+    gap = sign * (change["median"] - base["median"])
+    return wins, 10 * wins >= 9 * len(base["runs"]) and gap > base["q3"] - base["q1"]
+
+
 def main(argv=None) -> int:
     p = ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, type=Path)
@@ -119,15 +133,13 @@ def bench_sides(args, sides: dict) -> int:
             for side, rs in results.items()
         }
         if "baseline" in sides:
-            entry["change_wins"] = {}
+            entry["change_wins"], entry["claim_holds"] = {}, {}
             for m in spec["end_to_end"]:
-                sign = 1 if m["better"] == "higher" else -1
-                pairs = zip(results["change"], results["baseline"])
-                wins = sum(
-                    sign * (c["metrics"][m["name"]]["value"] - b["metrics"][m["name"]]["value"]) > 0
-                    for c, b in pairs
-                )
-                entry["change_wins"][m["name"]] = f"{wins}/{len(args.seeds)}"
+                metric = m["name"]
+                change, base = (entry[side]["metrics"][metric] for side in ("change", "baseline"))
+                wins, holds = compare(change, base, m["better"])
+                entry["change_wins"][metric] = f"{wins}/{len(args.seeds)}"
+                entry["claim_holds"][metric] = holds
         out["workloads"][name] = entry
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     return 0 if all_correct else 1

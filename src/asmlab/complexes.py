@@ -8,7 +8,8 @@ tracked as excluded vertices and grid cells outside the support as cone
 points, so the complex itself lives on a small active universe.  The
 facets of an ASM's complex are built from the pipe dreams of Perm(A), read
 at the lex indices perm_walk gives, with no ideal and no record
-(`perm_facets`); `asm_complex(A)` hands the same pipe dreams to
+(`perm_facets`), and their vd answers are memoized by those indices
+(`perm_vd`); `asm_complex(A)` hands the same pipe dreams to
 `complex_from_primes` for the record that the KM-vd trace reads.  The
 complex of an ideal, its Stanley-Reisner ideal, links and deletions of
 faces and the KM-vd failure trace, which no census reads, are in
@@ -24,7 +25,7 @@ from typing import NamedTuple
 from .asm import Asm
 from .ideals import bits, is_pure_family, lex_pipe_dreams, perm_walk, strip_apex, union
 
-MEMO_SIZE = 10**6  # the bound of every facet-keyed memo, here and in homology
+MEMO_SIZE = 10**6  # the bound of each memo here and in homology, keyed by facets or Perm(A)
 
 
 class SimplicialComplex(NamedTuple):
@@ -89,7 +90,6 @@ def link_facets(facets, sigma: int) -> frozenset:
     return frozenset(F & ~sigma for F in facets if not sigma & ~F)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def vd_facets(facets: frozenset) -> tuple[bool, bool]:
     """(vd, km_vd): vertex decomposable in some order, which implies CM over
     every field (Provan-Billera), and in the fixed Knutson-Miller order.  The
@@ -98,11 +98,23 @@ def vd_facets(facets: frozenset) -> tuple[bool, bool]:
 
     Purity is checked here, on the family as given, and nowhere below: the
     links of a pure complex are pure, and so is every deletion the search
-    enters.  This memo is keyed on the facets as passed in, so the cascade
-    and analyze_asm asking about one complex share an entry."""
+    enters.  The memo is _coneless_vd's, keyed on the family with its cone
+    points stripped, so every complex asked about again, and every cone over
+    it, costs a purity check, the strip and one lookup; an ASM's answers are
+    memoized by Perm(A) instead (perm_vd)."""
     if not is_pure_family(facets):
         return False, False
     return _coneless_vd(strip_apex(facets))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def perm_vd(n: int, *indices: int) -> tuple[bool, bool]:
+    """vd_facets of Delta_A for Perm(A) given by its lex indices in S_n,
+    memoized by n and the indices, so an ASM asked about again builds no
+    complex.  A vd certificate holds over every field, so every field shares
+    the answer.  The indices are separate arguments, so the memo's key is
+    the one tuple (n, *indices)."""
+    return vd_facets(perm_facets(n, indices))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -139,7 +151,9 @@ def _coneless_vd(facets: frozenset) -> tuple[bool, bool]:
             if deletion_vd:
                 link_vd, link_km = _coneless_vd(strip_apex(link))
                 if link_vd:
-                    return True, v == vertices[0] and deletion_km and link_km
+                    # one of two constant tuples, which the memo's entries share
+                    km = v == vertices[0] and deletion_km and link_km
+                    return (True, True) if km else (True, False)
     return False, False
 
 

@@ -11,7 +11,6 @@ stream are in `sweeps`.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import zlib
@@ -21,7 +20,7 @@ from math import fsum, inf
 from typing import NamedTuple
 
 from .asm import Asm
-from .complexes import perm_facets, vd_facets
+from .complexes import perm_facets, perm_vd
 from .errors import AsmlabError, SizeBoundExceededError, UnknownCheckError
 from .homology import cascade_is_cm, parse_field
 from .ideals import perm_walk
@@ -173,11 +172,15 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
     l(w) cells, so with more than one length Delta_A is not pure: neither
     CM (Reisner) nor vertex decomposable.  For one permutation it is a
     subword complex, vertex decomposable at the first letter, the fixed KM
-    order (Knutson-Miller), so CM over every field.  Otherwise the facets
-    of Delta_A are built once from the pipe dreams of Perm(A), read at its
-    lex indices (perm_facets), with no ideal, Permutation or record: "cm"
-    is the cascade on them, and "km_vd" a flag of the vd search, a memo hit
-    after "cm".  The field is checked first, whatever the checks."""
+    order (Knutson-Miller), so CM over every field.  Otherwise both answers
+    are read from the vd search on Delta_A, memoized by Perm(A)'s lex
+    indices (perm_vd): on a miss the facets are built from the pipe dreams
+    of Perm(A) (perm_facets), with no ideal, Permutation or record, and a
+    repeat, with any checks or field, builds none.  "km_vd" is the search's
+    fixed-order flag, and "cm" is vd, a certificate over every field, or,
+    for the few complexes that are not vd, the cascade over this field on
+    the facets built again: Reisner's criterion, behind its own memo.  The
+    field is checked first, whatever the checks."""
     checks = _known_checks(checks)
     p = parse_field(field)
     codim = perm_count = equidim = cm = km_vd = None
@@ -190,16 +193,12 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
         perm_count = len(indices)
         equidim = pure if "equidim" in checks else None
     if "cm" in checks or "km_vd" in checks:
-        if not pure:
-            known = False
-        elif len(indices) == 1:
-            known = True
-        else:
-            known, facets = None, perm_facets(A.n, indices)
+        left_open = pure and len(indices) > 1
+        vd, fixed_order = perm_vd(A.n, *indices) if left_open else (pure, pure)
         if "cm" in checks:
-            cm = cascade_is_cm(facets, p) if known is None else known
+            cm = vd or left_open and cascade_is_cm(perm_facets(A.n, indices), p)
         if "km_vd" in checks:
-            km_vd = vd_facets(facets)[1] if known is None else known
+            km_vd = fixed_order
     return AnalysisReport(A, codim, perm_count, equidim, cm, km_vd)
 
 
@@ -286,7 +285,10 @@ _CODE_DIGEST = _code_digest()
 def _cache_key(n: int, checks, field: int, filter_spec) -> str:
     """The name of a census's key file, <16 hex>-<8 hex>.txt: the digest of
     the census (n, checks, field, filter), then that of the code."""
-    import hashlib  # here, not at the top: its OpenSSL module slows every import
+    # here, not at the top: hashlib's OpenSSL module and json's decoder and
+    # encoder would slow every import, and only a census with a cache reads them
+    import hashlib
+    import json
 
     payload = json.dumps(
         {"n": n, "checks": sorted(checks), "field": field, "filter": filter_spec},

@@ -9,7 +9,12 @@ is shellable and so CM over every field (Provan-Billera); the rest go
 through Reisner's link-vanishing criterion, which rejects a non-pure complex
 at once.  Reisner's criterion on its own (`complex_is_cm`) and Hochster's
 depth formula over all induced subcomplexes (`hochster_depth`) are the
-oracles the cascade is checked against.
+oracles the cascade is checked against.  The cascade keeps no memo of its
+own: the vd search's is keyed on the coneless family (complexes), and
+Reisner's on the coneless family and the field, so a complex asked about
+again over one field costs two lookups.  An ASM's vd answers are memoized
+by Perm(A) before any complex is built (complexes.perm_vd), so only an
+ASM whose complex is not vd reaches the cascade.
 """
 
 from __future__ import annotations

@@ -293,6 +293,24 @@ class TestUsageErrors:
         assert runpy.run_path(str(BENCH))["main"]() == 2
         assert_one_error_line(capsys, "usage")
 
+    def test_bench_claim(self):
+        """A claimed gain holds with nine pairs in ten won and the medians
+        apart by more than the baseline's interquartile range, the better
+        way; eight wins, a gap inside the range or one the worse way fail."""
+        ns = runpy.run_path(str(BENCH))
+        compare, summary = ns["compare"], ns["summary"]
+        base = summary([10.0 + i for i in range(10)])  # median 14.5, IQR 4.5
+        assert compare(summary([v - 5 for v in base["runs"]]), base, "lower") == (10, True)
+        assert compare(summary([v - 5 for v in base["runs"]]), base, "higher") == (0, False)
+        assert compare(summary([v + 5 for v in base["runs"]]), base, "higher") == (10, True)
+        # a gap of 4, inside the IQR of 4.5, though every pair is won
+        assert compare(summary([v - 4 for v in base["runs"]]), base, "lower") == (10, False)
+        # nine pairs won, and one tied
+        nine = summary([v - 5 for v in base["runs"][:9]] + [19.0])
+        assert compare(nine, base, "lower") == (9, True)
+        eight = summary([v - 5 for v in base["runs"][:8]] + [18.0, 19.0])
+        assert compare(eight, base, "lower") == (8, False)
+
     @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
     def test_bench_plain_copy(self, tmp_path):
         """Each side of a paired run is a plain copy: of a git checkout, the

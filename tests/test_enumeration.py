@@ -36,8 +36,8 @@ from asmlab.enumeration import (
     _shard_worker,
 )
 from asmlab.sweeps import _sampled_asms
-from asmlab.complexes import asm_complex, complex_from_primes, perm_facets
-from asmlab.homology import cascade_is_cm, parse_field
+from asmlab.complexes import MEMO_SIZE, asm_complex, complex_from_primes, perm_facets, perm_vd
+from asmlab.homology import cascade_is_cm, parse_field, reduced_betti
 from asmlab.ideals import (
     PERM_TABLE_BOUND,
     _fill,
@@ -58,6 +58,7 @@ from asmlab.errors import (
 )
 import asmlab.complexes as complexes_mod
 import asmlab.enumeration as enumeration_mod
+import asmlab.homology as homology_mod
 import asmlab.ideals as ideals_mod
 import asmlab.sweeps as sweeps_mod
 from helpers import PermReading, fresh_python, transpose
@@ -980,20 +981,33 @@ class TestFold:
 
 
 class TestOneDerivation:
-    """analyze_asm builds the complex of an ASM at most once, from the pipe
-    dreams of Perm(A), only for the CM and KM-vd checks and none when
-    Perm(A) decides both; `asmlab analyze` takes its answers from
-    analyze_asm and builds the complex once more only for the trace of a
-    KM-vd failure."""
+    """analyze_asm builds the complex of an ASM from the pipe dreams of
+    Perm(A) only for the CM and KM-vd checks, none when Perm(A) decides
+    both, and otherwise once per process: its vd answers are memoized by
+    Perm(A), so a repeat with any checks or field builds none, but for the
+    CM answer of a complex that is not vd (Reisner's criterion, over each
+    field).  `asmlab analyze` takes its answers from analyze_asm and builds
+    the complex once more only for the trace of a KM-vd failure."""
 
     def test_all_checks(self, calls_through, non_km_gvd, b4):
         primes = calls_through(minimal_primes)
         ideal_complexes = calls_through(sr_complex_from_ideal)
         complexes = calls_through(perm_facets)
         cascades = calls_through(cascade_is_cm)
-        # equidimensional with two permutations: the complex decides
+        perm_vd.cache_clear()
+        # equidimensional with two permutations: the complex decides, built
+        # once; it is vd, so CM over every field with no cascade
         assert analyze_asm(non_km_gvd).cm is True
-        assert len(complexes) == len(cascades) == 1
+        assert len(complexes) == 1
+        # a repeat, with any checks or field, builds none
+        for checks in (enumeration_mod.ALL_CHECKS, ("cm",), ("km_vd",)):
+            for field in ("rational", "p=2"):
+                r = analyze_asm(non_km_gvd, checks, field)
+                assert (r.cm, r.km_vd) == (
+                    True if "cm" in checks else None,
+                    False if "km_vd" in checks else None,
+                )
+        assert len(complexes) == 1
         # two lengths, and one permutation: Perm(A) decides, with no complex
         w = Permutation((2, 4, 1, 3)).to_asm()
         for A, answer in ((b4, False), (w, True)):
@@ -1001,7 +1015,7 @@ class TestOneDerivation:
             r = analyze_asm(A)
             assert (r.cm, r.km_vd) == (answer, answer)
             assert complexes == []
-        assert len(cascades) == 1
+        assert cascades == []
         assert primes == ideal_complexes == []
 
     def test_no_permutation_record(self, monkeypatch):
@@ -1055,9 +1069,10 @@ class TestOneDerivation:
         records = calls_through(complex_from_primes)
         cascades = calls_through(cascade_is_cm)
         # (complexes, cascades): b4 and w are decided by Perm(A), and b4's
-        # KM-vd failure is traced on its complex record; non_km_gvd's facets
-        # decide, and its record is built for the trace
-        for A, built in ((b4, (1, 0)), (w, (0, 0)), (non_km_gvd, (2, 1))):
+        # KM-vd failure is traced on its complex record; non_km_gvd's answers
+        # are the memo's, filled by the analysis above, and its record is
+        # built for the trace
+        for A, built in ((b4, (1, 0)), (w, (0, 0)), (non_km_gvd, (1, 0))):
             path = tmp_path / "a.json"
             path.write_text(json.dumps(A.to_json_dict()))
             facets.clear()
@@ -1134,8 +1149,12 @@ class TestPairMemo:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_stream_equals_fresh(self, n):
-        streamed = [analyze_asm(A) for A in enumerate_asms(n)]
-        assert streamed == [fresh(r.asm) for r in streamed]
+        """Over Q and GF(2), the stream's answers, and those of a second
+        pass in reverse order, which the memos answer, are each ASM's own."""
+        for field in ("rational", 2):
+            streamed = [analyze_asm(A, field=field) for A in enumerate_asms(n)]
+            repeats = [analyze_asm(r.asm, field=field) for r in reversed(streamed)][::-1]
+            assert streamed == repeats == [fresh(r.asm, field=field) for r in streamed]
 
     @given(st.integers(1, 6).flatmap(lambda n: st.sampled_from(ASMS_UPTO_6[n])))
     def test_transposed_primes(self, A):
@@ -1167,20 +1186,43 @@ class TestPairMemo:
             assert analyze_asm(second).km_vd == expected[second]
 
     def test_cm_not_shared_across_fields(self, calls_through, non_km_gvd):
-        # each analysis runs its own cascade, over its own field; A and A^T
-        # are equidimensional with two permutations each, so Perm(A) leaves
-        # CM to the complex
+        """Only a field-free answer is shared across fields: a vd complex is
+        CM over every field, so A and A^T, equidimensional with two
+        permutations each and vd, run no cascade over either field, while
+        the one complex of ASM(5) that Perm(A) leaves open and that is not
+        vd runs Reisner's criterion once per field, built again for each
+        cascade."""
         At = transpose(non_km_gvd)
         assert At != non_km_gvd
         for B in (non_km_gvd, At):
             r = analyze_asm(B, ("equidim",))
             assert r.equidimensional and r.perm_count == 2
+        X = next(
+            A
+            for A in enumerate_asms(5)
+            if (r := analyze_asm(A, ("equidim", "cm"))).equidimensional and not r.cm
+        )
+        assert analyze_asm(X, ("equidim",)).perm_count > 1
+        perm_vd.cache_clear()
+        homology_mod._coneless_is_cm.cache_clear()
         cascades = calls_through(cascade_is_cm)
+        bettis = calls_through(reduced_betti)
+        built = calls_through(perm_facets)
         assert analyze_asm(non_km_gvd, ("cm",)).cm is True
         assert analyze_asm(At, ("cm",), field="p=2").cm is True
         assert analyze_asm(non_km_gvd, ("cm",), field="p=2").cm is True
         assert analyze_asm(At, ("cm",)).cm is True
-        assert [p for _, p in cascades] == [0, 2, 2, 0]
+        assert cascades == [] and len(built) == 2
+        runs = []
+        for field in ("rational", "rational", 2, 2, "rational"):
+            built.clear()
+            assert analyze_asm(X, ("cm",), field).cm is False
+            runs.append((sorted({p for _, p in bettis}), len(built)))
+            bettis.clear()
+        # (the fields of Reisner's homology, complexes built): the vd search
+        # builds one cold, and each cascade one
+        assert runs == [([0], 2), ([], 1), ([2], 1), ([], 1), ([], 1)]
+        assert [p for _, p in cascades] == [0, 0, 2, 2, 0]
 
     def test_bound(self):
         """The memos an analysis fills are bounded: perm_walk's row up-sets
@@ -1209,6 +1251,12 @@ class TestPairMemo:
             analyze_asm(A, ("cm",))
         assert lex_pipe_dreams.cache_info().currsize <= sum(map(factorial, range(1, 8)))
         assert init_ideal.cache_info().maxsize == 2**10
+        # perm_vd keeps one entry per open Perm(A), bounded as every memo of
+        # complexes is, and fresh() empties it
+        assert perm_vd.cache_info().maxsize == MEMO_SIZE
+        assert perm_vd.cache_info().currsize > 0
+        fresh(Asm.identity(5))
+        assert perm_vd.cache_info().currsize == 0
 
 
 class TestVerifyStatement:

@@ -21,7 +21,7 @@ from asmlab import (
 )
 from asmlab import homology
 from asmlab.errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
-from asmlab.complexes import asm_complex, perm_facets, vd_facets
+from asmlab.complexes import asm_complex, perm_facets, perm_vd, vd_facets
 from asmlab.enumeration import ALL_CHECKS
 from asmlab.homology import cascade_is_cm, complex_is_cm, parse_field
 from asmlab.ideals import is_pure_family
@@ -242,7 +242,11 @@ def left_open(r):
 class TestDecidedByPerms:
     """analyze_asm lets Perm(A) settle CM and KM-vd with no complex when its
     permutations have more than one length, or when it is one permutation;
-    checked against the cascade and the vd search on the complex itself."""
+    checked against the cascade and the vd search on the complex itself.
+    Otherwise a cold analysis builds the complex once, and a repeat, over
+    any field, builds none (perm_vd's memo, emptied per ASM here), but for
+    the CM answer of a complex that is not vd, which builds it again for
+    Reisner's criterion."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=stretch("all of ASM(6)"))])
     def test_matches_the_complex(self, n, calls_through):
@@ -253,13 +257,16 @@ class TestDecidedByPerms:
             for B in (A, one_plus(A)) if n < 6 else (A,):
                 walk = analyze_asm(B, ("equidim",))
                 facets = asm_complex(B).facets
-                km_vd = vd_facets(facets)[1]
+                vd, km_vd = vd_facets(facets)
+                perm_vd.cache_clear()
                 for field, p in (("rational", 0), ("p=2", 2)):
                     cm = cascade_is_cm(facets, p)
                     built.clear()
                     r = analyze_asm(B, field=field)
                     assert (r.cm, r.km_vd) == (cm, km_vd)
-                    assert len(built) == left_open(walk)
+                    # built cold over Q, not again over GF(2), and once more
+                    # per field for Reisner when not vd
+                    assert len(built) == left_open(walk) * ((p == 0) + (not vd))
                     if not left_open(walk):
                         assert (r.cm, r.km_vd) == (walk.equidimensional,) * 2
                     assert is_cohen_macaulay(B, field) == cm
@@ -283,9 +290,13 @@ class TestDecidedByPerms:
             walk = analyze_asm(A, ("equidim",))
             facets = asm_complex(A).facets
             assert is_pure_family(facets) == walk.equidimensional
+            perm_vd.cache_clear()
             built.clear()
             km_vd = analyze_asm(A, ("km_vd",)).km_vd
             assert km_vd == vd_facets(facets)[1]
+            assert len(built) == left_open(walk)
+            # a repeat over another field builds none
+            assert analyze_asm(A, ("km_vd",), "p=2").km_vd == km_vd
             assert len(built) == left_open(walk)
             if not walk.equidimensional:
                 assert km_vd is False

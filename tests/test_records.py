@@ -1,8 +1,8 @@
 """The package's records: immutable ones are NamedTuples, and the mutable
 AnalysisReport and VerificationReport are slotted classes.  They pickle (a
 Pool ships ASM lists and shard results), hash alike when equal, and the
-package imports none of dataclasses, inspect and hashlib.  What no census
-reads is loaded at the first use of one of its names."""
+package imports none of dataclasses, inspect, hashlib and json.  What no
+census reads is loaded at the first use of one of its names."""
 
 import json
 import pickle
@@ -48,11 +48,19 @@ def test_import_loads_no_hashlib():
     assert loaded_by_import("hashlib") == []
 
 
+def test_import_loads_no_json():
+    # only a census with a cache_dir writes JSON, its digest's payload
+    assert loaded_by_import("json") == []
+
+
 def test_census_without_cache_loads_no_hashlib():
     """The census digest that names a key file is taken at a census's first
     use of a cache, not on import or without one; the digest of the
-    package's sources, taken on import, is a crc32 and needs no hashlib."""
-    assert loaded_by_import("hashlib", then='asmlab.tabulate(5, checks=("codim",))') == []
+    package's sources, taken on import, is a crc32 and needs no hashlib.
+    The digest's JSON payload is written then too, so json is not loaded
+    either."""
+    then = 'asmlab.tabulate(5, checks=("codim",))'
+    assert loaded_by_import("hashlib", "json", then=then) == []
 
 
 # The modules that `import asmlab` leaves to the first use of one of their
