@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations as iter_permutations
-from operator import index
+from operator import add, index, le
 from typing import NamedTuple
 
 from .errors import (
@@ -163,8 +163,10 @@ def coxeter_length(w: Permutation) -> int:
     )
 
 
-# Only the sweeps, the CLI and the oracles read rank matrices, not perm_set:
-# each ASM's a few times and seldom across ASMs, so the memo is small.
+# Only the sweeps, the CLI and the oracles read rank matrices, not perm_set,
+# and only of the ASMs they are asked about: each a few times and seldom
+# across ASMs, so the memo is small.  perm_set_naive builds the rank rows of
+# S_n itself, so no permutation matrix fills it.
 @lru_cache(maxsize=2**10)
 def rank_matrix(A: Asm) -> tuple[tuple[int, ...], ...]:
     """Prefix double sums: entry (i,j) is the sum of A over rows <=i, cols <=j."""
@@ -195,26 +197,34 @@ def perm_set_naive(A: Asm) -> frozenset[Permutation]:
     """Bruhat-minimal permutations above A, by brute-force scan of S_n; the
     oracle perm_set is checked against.
 
-    Candidates are visited in increasing Coxeter length; a candidate is
-    minimal iff it dominates no previously-found minimal element.
+    w is above A when rk_w <= rk_A entrywise.  Each w's rank rows are built
+    here, one prefix count per row, and the scan of w stops at the first
+    row that exceeds A's; rank_matrix is read for A only, so a call adds at
+    most one entry to its memo.  Candidates are visited in increasing
+    Coxeter length; a candidate is minimal iff it dominates no
+    previously-found minimal element.
     """
     n = A.n
     if n > PERM_SET_NAIVE_BOUND:
         raise SizeBoundExceededError(f"n={n} exceeds naive bound {PERM_SET_NAIVE_BOUND}")
     ra = rank_matrix(A)
+    # row i of w's rank matrix is row i - 1 plus steps[w(i)]: 1 in columns >= w(i)
+    steps = {v: tuple(int(j >= v) for j in range(1, n + 1)) for v in range(1, n + 1)}
     candidates = []
     for line in iter_permutations(range(1, n + 1)):
-        w = Permutation(line)
-        rw = rank_matrix(w.to_asm())
-        if all(rw[i][j] <= ra[i][j] for i in range(n) for j in range(n)):
-            candidates.append((coxeter_length(w), w, rw))
+        ranks, row = (), (0,) * n
+        for v, bound in zip(line, ra):
+            row = tuple(map(add, row, steps[v]))
+            if not all(map(le, row, bound)):
+                break
+            ranks += row
+        else:
+            w = Permutation(line)
+            candidates.append((coxeter_length(w), w, ranks))
     candidates.sort(key=lambda t: (t[0], t[1].one_line))
     minimal: list[tuple[Permutation, tuple]] = []
     for _, w, rw in candidates:
-        if not any(
-            all(rw[i][j] <= rm[i][j] for i in range(n) for j in range(n))
-            for _, rm in minimal
-        ):
+        if not any(all(map(le, rw, rm)) for _, rm in minimal):
             minimal.append((w, rw))
     return frozenset(w for w, _ in minimal)
 

@@ -9,7 +9,8 @@ points, so the complex itself lives on a small active universe.  The
 facets of an ASM's complex are built from the pipe dreams of Perm(A), read
 at the lex indices perm_walk gives, with no ideal and no record
 (`perm_facets`), and their vd answers are memoized by those indices
-(`perm_vd`); `asm_complex(A)` hands the same pipe dreams to
+(`perm_vd`), which a census empties after each shard, since no two open
+ASMs share Perm(A); `asm_complex(A)` hands the same pipe dreams to
 `complex_from_primes` for the record that the KM-vd trace reads.  The
 complex of an ideal, its Stanley-Reisner ideal, links and deletions of
 faces and the KM-vd failure trace, which no census reads, are in
@@ -113,7 +114,10 @@ def perm_vd(n: int, *indices: int) -> tuple[bool, bool]:
     memoized by n and the indices, so an ASM asked about again builds no
     complex.  A vd certificate holds over every field, so every field shares
     the answer.  The indices are separate arguments, so the memo's key is
-    the one tuple (n, *indices)."""
+    the one tuple (n, *indices).  A census never hits it, since no two open
+    ASMs share Perm(A), so each census shard empties it
+    (enumeration._shard_worker): it holds the ASMs asked about outside a
+    census."""
     return vd_facets(perm_facets(n, indices))
 
 

@@ -176,7 +176,8 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
     are read from the vd search on Delta_A, memoized by Perm(A)'s lex
     indices (perm_vd): on a miss the facets are built from the pipe dreams
     of Perm(A) (perm_facets), with no ideal, Permutation or record, and a
-    repeat, with any checks or field, builds none.  "km_vd" is the search's
+    repeat, with any checks or field, builds none, unless a census shard
+    emptied the memo in between (_shard_worker).  "km_vd" is the search's
     fixed-order flag, and "cm" is vd, a certificate over every field, or,
     for the few complexes that are not vd, the cascade over this field on
     the facets built again: Reisner's criterion, behind its own memo.  The
@@ -373,8 +374,16 @@ def _remove_stale_keys(cache_dir, key) -> None:
 
 
 def _shard_worker(args):
-    """Analyse one shard's ASMs.  Returns its cache line's fields: the
-    shard's start, its _SUMMED counts and the seconds its analyses took."""
+    """Analyse one shard's ASMs, through the module attribute analyze_asm,
+    which a wrapper such as a profiler or a per-answer timer replaces.
+    Returns its cache line's fields: the shard's start, its _SUMMED counts
+    and the seconds its analyses took.
+
+    A census analyses each ASM once, and no two open ASMs share Perm(A)
+    (the 3345 open ASM(6) have 3345), so perm_vd never hits within one:
+    it is emptied when the shard is done, and holds at most one shard's
+    entries.  _coneless_vd's memo, where complexes recur across ASMs, is
+    kept."""
     start, asms, checks, field = args
     with_cm, with_km_vd = "cm" in checks, "km_vd" in checks
     cm = equidim = km_vd_fail = km_vd_fail_a11 = 0
@@ -391,6 +400,7 @@ def _shard_worker(args):
             km_vd_fail += 1
             km_vd_fail_a11 += A.a11_is_one
     seconds = time.perf_counter() - t0
+    perm_vd.cache_clear()
     return start, len(asms), cm, equidim, km_vd_fail, km_vd_fail_a11, seconds
 
 

@@ -13,8 +13,10 @@ oracles the cascade is checked against.  The cascade keeps no memo of its
 own: the vd search's is keyed on the coneless family (complexes), and
 Reisner's on the coneless family and the field, so a complex asked about
 again over one field costs two lookups.  An ASM's vd answers are memoized
-by Perm(A) before any complex is built (complexes.perm_vd), so only an
-ASM whose complex is not vd reaches the cascade.
+by Perm(A) before any complex is built (complexes.perm_vd, emptied after
+each census shard, where no Perm(A) repeats), so only an ASM whose complex
+is not vd reaches the cascade, and outside a census an ASM asked about
+again builds none.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from asmlab import (
     coxeter_length,
     direct_sum,
     dominant_part,
+    enumerate_asms,
     essential_set,
     find_pattern,
     insert_unit,
@@ -165,6 +166,16 @@ class TestOrder:
     def test_perm_set_of_permutation_is_singleton(self):
         w = Permutation((2, 3, 1))
         assert perm_set_naive(w.to_asm()) == {w}
+
+    def test_perm_set_naive_memoizes_only_a(self):
+        """The oracle builds the rank rows of S_n itself and reads
+        rank_matrix only for A, so a call adds at most one memo entry, not
+        one per permutation: checked on every 25th ASM(6)."""
+        rank_matrix.cache_clear()
+        for A in list(enumerate_asms(6))[::25]:
+            size = rank_matrix.cache_info().currsize
+            perm_set_naive(A)
+            assert rank_matrix.cache_info().currsize <= size + 1
 
 
 class TestConstructions:

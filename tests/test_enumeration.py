@@ -195,11 +195,36 @@ class TestTabulate:
         t4 = tabulate(4, jobs=4)
         assert t1.row()[:-1] == t4.row()[:-1]
 
-    def test_pool_n5_every_check(self):
+    def test_pool_n5_every_check(self, tmp_path):
         """Two worker processes, each reading Perm(A) after its own row
-        prefixes, give the pinned n=5 row, as one process does."""
-        rows = {jobs: tabulate(5, jobs=jobs).row()[:-1] for jobs in (1, 2)}
+        prefixes, give the pinned n=5 row, as one process does, and each
+        shard's counts: a worker that emptied perm_vd after one shard
+        answers the next alike.  A worker's perm_vd is empty once its shard
+        is done."""
+        key = _cache_key(5, enumeration_mod.ALL_CHECKS, 0, None)
+        rows, shards = {}, {}
+        for jobs in (1, 2):
+            rows[jobs] = tabulate(5, jobs=jobs, cache_dir=tmp_path / str(jobs)).row()[:-1]
+            shards[jobs] = stored(tmp_path / str(jobs) / key)
         assert rows[1] == rows[2] == (5, 429, 328, 101, 35, 2, 329)
+        assert len(shards[1]) == 4 and shards[1] == shards[2]
+        asms = list(enumerate_asms(5))[:SHARD_SIZE]
+        with multiprocessing.Pool(1) as pool:
+            shard = pool.apply(_shard_worker, ((0, asms, frozenset(enumeration_mod.ALL_CHECKS), 0),))
+            assert dict(zip(FIELDS, shard[:-1])) == shards[1][0]
+            assert pool.apply(perm_vd_size) == 0
+
+    def test_census_empties_perm_vd(self):
+        """A census analyses each ASM once and no two open ASMs share
+        Perm(A), so perm_vd could never hit in one: each shard empties it.
+        analyze_asm outside a census keeps it."""
+        perm_vd.cache_clear()
+        analyze_asm(Asm(((0, 1, 0), (1, -1, 1), (0, 1, 0))))
+        assert perm_vd.cache_info().currsize == 1
+        assert tabulate(5).row()[:-1] == (5, 429, 328, 101, 35, 2, 329)
+        assert perm_vd.cache_info().currsize == 0
+        assert tabulate(6).row()[:-1] == (6, 7436, 4028, 3408, 1033, 60, 4065)
+        assert perm_vd.cache_info().currsize == 0
 
     @pytest.mark.parametrize("n, jobs, pools", [(4, 4, []), (5, 8, [4])])
     def test_pool_no_larger_than_the_missing_shards(self, monkeypatch, n, jobs, pools):
@@ -527,6 +552,11 @@ def drop_lines(path, *indices):
     text = b"".join(line for i, line in enumerate(lines) if i not in indices)
     path.write_bytes(text)
     return text
+
+
+def perm_vd_size() -> int:
+    """The entries in perm_vd, as a worker process reads it."""
+    return perm_vd.cache_info().currsize
 
 
 def record_pools(monkeypatch, cores):
@@ -1230,8 +1260,10 @@ class TestPairMemo:
         keys for smaller m included, so at most 120 for all of ASM(6) and
         1013 for every n the bound allows, and reading them needs no rank
         matrix; lex_pipe_dreams keeps one entry per permutation, at most
-        all of S_7.  rank_matrix and init_ideal, which the sweeps call, keep
-        2**10 ASMs each."""
+        all of S_7.  rank_matrix keeps 2**10 entries, from the ASMs that the
+        sweeps, the CLI and the oracles read, not from S_n: perm_set_naive
+        builds the rank rows of each permutation itself.  init_ideal, which
+        the sweeps call, keeps 2**10 ASMs."""
         _row_upset.cache_clear()
         misses = rank_matrix.cache_info().misses
         for A in ASMS_UPTO_6[6]:
