@@ -5,11 +5,11 @@ pattern containment), their antidiagonal initial ideals and minimal primes,
 Stanley-Reisner complexes with fixed-order vertex decomposability, exact
 simplicial homology, Cohen-Macaulayness, and census/verification sweeps.
 
-Importing the package loads only what a census or the analysis of one ASM
-runs.  The names of the modules no census reads (`combinatorics`,
-`squarefree` and `sweeps`) are resolved at their first use (PEP 562), so
-`from asmlab import verify_statement` works as before and loads `sweeps`
-then.
+Importing the package loads only what every census runs.  The names of
+the modules no census reads (`combinatorics`, `squarefree`, `sweeps`) and
+of `homology`, read only for a complex that is not vertex decomposable,
+are resolved at their first use (PEP 562), so `from asmlab import
+verify_statement` works as before and loads `sweeps` then.
 """
 
 from .asm import (
@@ -22,7 +22,6 @@ from .asm import (
     rank_matrix,
     validate_asm,
 )
-from .complexes import SimplicialComplex, asm_complex
 from .enumeration import (
     ASM_COUNTS,
     AnalysisReport,
@@ -33,13 +32,6 @@ from .enumeration import (
     tabulate,
 )
 from .errors import AsmlabError
-from .homology import (
-    ChainComplex,
-    chain_complex,
-    hochster_depth,
-    reduced_betti,
-    sparse_rank,
-)
 from .ideals import perm_set, pipe_dreams
 
 __version__ = "0.1.0"
@@ -63,9 +55,12 @@ _LAZY = {
         "perm_direct_sum",
         "rothe_diagram",
     ),
+    "homology": ("ChainComplex", "chain_complex", "hochster_depth", "reduced_betti", "sparse_rank"),
     "squarefree": (
         "DecompositionTrace",
+        "SimplicialComplex",
         "SquarefreeIdeal",
+        "asm_complex",
         "construct_yo_primes",
         "face_subcomplex",
         "ideal_colon",
@@ -85,7 +80,7 @@ _LAZY = {
     "sweeps": ("VerificationReport", "verify_statement"),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
-# what `from asmlab import *` binds: every public name, loading all three
+# what `from asmlab import *` binds: every public name, loading all four
 __all__ = [*(name for name in globals() if not name.startswith("_")), *_MODULE_OF]
 
 

@@ -15,10 +15,8 @@ import sys
 from contextlib import ExitStack
 
 from .asm import Asm, asm_from_json, rank_matrix
-from .complexes import asm_complex
-from .enumeration import ALL_CHECKS, analyze_asm, tabulate
+from .enumeration import ALL_CHECKS, analyze_asm, parse_field, tabulate
 from .errors import AsmlabError, MalformedInputError, UsageError
-from .homology import parse_field
 from .ideals import perm_set
 
 
@@ -46,7 +44,7 @@ def _emit(args, chunks) -> None:
 
 def cmd_analyze(args) -> int:
     from .combinatorics import ascii_diagram, dominant_part, essential_set, rothe_diagram
-    from .squarefree import cell_label, init_ideal, km_vertex_decomposable
+    from .squarefree import asm_complex, cell_label, init_ideal, km_vertex_decomposable
 
     A = _load_asm(args.input_path)
     result = analyze_asm(A, field=args.field)

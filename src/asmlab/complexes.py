@@ -3,58 +3,27 @@
 Complexes are stored by their facet lists, each facet a mask in the layout
 of `ideals`: cell (i, j) is bit (i-1)*n + (n-j), and the lowest set bit of
 a vertex set is its greatest vertex in the Knutson-Miller order.  Links and
-deletions at a vertex v are `F & ~v`.  Degree-1 generators of the ideal are
-tracked as excluded vertices and grid cells outside the support as cone
-points, so the complex itself lives on a small active universe.  The
-facets of an ASM's complex are built from the pipe dreams of Perm(A), read
-at the lex indices perm_walk gives, with no ideal and no record
-(`perm_facets`), and their vd answers are memoized by those indices
+deletions at a vertex v are `F & ~v`.
+
+This module holds what the analysis of every ASM that Perm(A) leaves open
+runs: the facets of its complex, built from the pipe dreams of Perm(A),
+read at the lex indices perm_walk gives, with no ideal and no record
+(`perm_facets`), and the vd search on them, memoized by those indices
 (`perm_vd`), which a census empties after each shard, since no two open
-ASMs share Perm(A); `asm_complex(A)` hands the same pipe dreams to
-`complex_from_primes` for the record that the KM-vd trace reads.  The
-complex of an ideal, its Stanley-Reisner ideal, links and deletions of
-faces and the KM-vd failure trace, which no census reads, are in
-`squarefree`.
+ASMs share Perm(A).  Reisner's criterion, which only a complex that is not
+vd reaches, is in `homology` (with `link_facets` from here), loaded then.
+What no census reaches is in `squarefree`: the complex record
+(`asm_complex`, which the KM-vd trace reads), the complex of an ideal, its
+Stanley-Reisner ideal, links and deletions of faces and the KM-vd trace.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import and_
-from typing import NamedTuple
+from functools import lru_cache
 
-from .asm import Asm
-from .ideals import bits, is_pure_family, lex_pipe_dreams, perm_walk, strip_apex, union
+from .ideals import bits, is_pure_family, lex_pipe_dreams, strip_apex, union
 
 MEMO_SIZE = 10**6  # the bound of each memo here and in homology, keyed by facets or Perm(A)
-
-
-class SimplicialComplex(NamedTuple):
-    """Facet-list complex over a subset of the n x n grid, vertex sets as masks."""
-
-    ambient_n: int
-    vertex_universe: int
-    facets: frozenset  # frozenset[int]
-    cone_points: int
-    excluded_vertices: int
-
-    def dim(self) -> int:
-        return max(F.bit_count() for F in self.facets) - 1
-
-
-def complex_from_primes(n: int, primes) -> SimplicialComplex:
-    """Facets are the universe-complements of the minimal primes.  The cells
-    in every prime are the degree-1 generators, excluded from the universe,
-    and the cells in none lie outside the support: the cone points."""
-    support, excluded = union(primes), reduce(and_, primes)
-    universe = support & ~excluded
-    return SimplicialComplex(
-        ambient_n=n,
-        vertex_universe=universe,
-        facets=frozenset(universe & ~P for P in primes),
-        cone_points=((1 << n * n) - 1) & ~support,
-        excluded_vertices=excluded,
-    )
 
 
 def perm_facets(n: int, indices) -> frozenset:
@@ -70,13 +39,6 @@ def perm_facets(n: int, indices) -> frozenset:
         dreams += lex_pipe_dreams(n, k)
     support = union(dreams)
     return frozenset([support & ~D for D in dreams])
-
-
-def asm_complex(A: Asm) -> SimplicialComplex:
-    """Delta_A as a record: complex_from_primes over the pipe dreams of
-    Perm(A), read at perm_walk's lex indices, with no ideal."""
-    dreams = [D for k in perm_walk(A)[0] for D in lex_pipe_dreams(A.n, k)]
-    return complex_from_primes(A.n, dreams)
 
 
 # link_facets takes an antichain and returns one, so it need not maximalize:

@@ -14,15 +14,14 @@ from __future__ import annotations
 import os
 import time
 import zlib
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, islice
 from math import fsum, inf
 from typing import NamedTuple
 
 from .asm import Asm
 from .complexes import perm_facets, perm_vd
-from .errors import AsmlabError, SizeBoundExceededError, UnknownCheckError
-from .homology import cascade_is_cm, parse_field
+from .errors import AsmlabError, InvalidFieldError, SizeBoundExceededError, UnknownCheckError
 from .ideals import perm_walk
 
 ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
@@ -161,6 +160,42 @@ def _known_checks(checks) -> frozenset:
     return checks
 
 
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, exact below 3.1e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % b == 0 for b in bases):
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    xs = (pow(b, (p - 1) >> s, p) for b in bases)
+    return all(x == 1 or any(pow(x, 2**r, p) == p - 1 for r in range(s)) for x in xs)
+
+
+def _prime_field(field) -> int:
+    """The p of a field given as a prime p or as the text "p=<p>"."""
+    text = field if isinstance(field, str) else f"p={field}"
+    digits = text[2:] if text.startswith("p=") else ""
+    if not (digits.isdecimal() and _is_prime(int(digits))):
+        raise InvalidFieldError(f"field must be 'rational' or 'p=<prime>', got {field!r}")
+    return int(digits)
+
+
+# A GF(p) census parses its field once per analyze_asm, so each int or str
+# field is proved prime once.  Other types are parsed every time: 2.0
+# equals the key 2, and a list has no hash.
+_known_prime_field = lru_cache(maxsize=2**8)(_prime_field)
+
+
+def parse_field(field) -> int:
+    """The characteristic of a coefficient field: 0 for Q, given as
+    "rational", None or the int 0, else a prime p given as an int or as the
+    text "p=<p>", each of exactly that type (so not False, 0.0 or 2.0)."""
+    if field in ("rational", None) or type(field) is int and field == 0:
+        return 0
+    if type(field) is int or type(field) is str:
+        return _known_prime_field(field)
+    return _prime_field(field)
+
+
 def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
     """Answer the requested checks: the one place an ASM's CM and KM-vd
     answers are decided (`is_cohen_macaulay` is its "cm" answer).
@@ -179,9 +214,9 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
     repeat, with any checks or field, builds none, unless a census shard
     emptied the memo in between (_shard_worker).  "km_vd" is the search's
     fixed-order flag, and "cm" is vd, a certificate over every field, or,
-    for the few complexes that are not vd, the cascade over this field on
-    the facets built again: Reisner's criterion, behind its own memo.  The
-    field is checked first, whatever the checks."""
+    for the few complexes that are not vd, Reisner's criterion over this
+    field on the facets built again, behind its own memo: `homology`, which
+    loads then.  The field is checked first, whatever the checks."""
     checks = _known_checks(checks)
     p = parse_field(field)
     codim = perm_count = equidim = cm = km_vd = None
@@ -197,7 +232,11 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
         left_open = pure and len(indices) > 1
         vd, fixed_order = perm_vd(A.n, *indices) if left_open else (pure, pure)
         if "cm" in checks:
-            cm = vd or left_open and cascade_is_cm(perm_facets(A.n, indices), p)
+            cm = vd
+            if left_open and not vd:
+                from .homology import complex_is_cm
+
+                cm = complex_is_cm(perm_facets(A.n, indices), p)
         if "km_vd" in checks:
             km_vd = fixed_order
     return AnalysisReport(A, codim, perm_count, equidim, cm, km_vd)

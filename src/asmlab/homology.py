@@ -3,20 +3,18 @@
 Homology is computed over the rationals (exact integer elimination; no
 floating point) or over a prime field.  A complex is given by its facets,
 masks in the layout of `ideals` with their vertices in ascending bit order.
-`cascade_is_cm` runs homology only when no certificate settles the
-question: a vertex decomposable complex (one search, greatest vertex first)
-is shellable and so CM over every field (Provan-Billera); the rest go
-through Reisner's link-vanishing criterion, which rejects a non-pure complex
-at once.  Reisner's criterion on its own (`complex_is_cm`) and Hochster's
-depth formula over all induced subcomplexes (`hochster_depth`) are the
-oracles the cascade is checked against.  The cascade keeps no memo of its
-own: the vd search's is keyed on the coneless family (complexes), and
-Reisner's on the coneless family and the field, so a complex asked about
-again over one field costs two lookups.  An ASM's vd answers are memoized
-by Perm(A) before any complex is built (complexes.perm_vd, emptied after
-each census shard, where no Perm(A) repeats), so only an ASM whose complex
-is not vd reaches the cascade, and outside a census an ASM asked about
-again builds none.
+Reisner's link-vanishing criterion (`complex_is_cm`) decides
+Cohen-Macaulayness over Q (p = 0) or GF(p), rejecting a non-pure complex
+at once; it memoizes on the family with its cone points stripped and the
+field, so a complex asked about again over one field costs a purity
+check, the strip and one lookup.  Hochster's depth formula over all
+induced subcomplexes (`hochster_depth`) is its oracle.
+
+This module holds what only a complex that is not vertex decomposable
+reaches: a vd complex is CM over every field (Provan-Billera), so once
+the vd search (complexes) has answered yes, no homology is needed.  So
+the package loads it at the first use of one of its names, or at the
+first complex found not vd.
 """
 
 from __future__ import annotations
@@ -24,47 +22,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .complexes import MEMO_SIZE, link_facets, vd_facets
-from .errors import FaceBudgetExceededError, InvalidFieldError
+from .complexes import MEMO_SIZE, link_facets
+from .errors import FaceBudgetExceededError
 from .ideals import bits, is_pure_family, maximal_sets, strip_apex, submasks, union
 
 FACE_BUDGET = 2**24  # the most faces chain_complex builds
-
-
-def _is_prime(p: int) -> bool:
-    """Miller-Rabin on the first twelve prime bases, exact below 3.1e23."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if p < 2 or any(p % b == 0 for b in bases):
-        return p in bases
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
-    xs = (pow(b, (p - 1) >> s, p) for b in bases)
-    return all(x == 1 or any(pow(x, 2**r, p) == p - 1 for r in range(s)) for x in xs)
-
-
-def _prime_field(field) -> int:
-    """The p of a field given as a prime p or as the text "p=<p>"."""
-    text = field if isinstance(field, str) else f"p={field}"
-    digits = text[2:] if text.startswith("p=") else ""
-    if not (digits.isdecimal() and _is_prime(int(digits))):
-        raise InvalidFieldError(f"field must be 'rational' or 'p=<prime>', got {field!r}")
-    return int(digits)
-
-
-# A GF(p) census parses its field once per analyze_asm, so each int or str
-# field is proved prime once.  Other types are parsed every time: 2.0
-# equals the key 2, and a list has no hash.
-_known_prime_field = lru_cache(maxsize=2**8)(_prime_field)
-
-
-def parse_field(field) -> int:
-    """The characteristic of a coefficient field: 0 for Q, given as
-    "rational", None or 0, else a prime p given as an int or as the text
-    "p=<p>"."""
-    if field in ("rational", None, 0):
-        return 0
-    if type(field) is int or type(field) is str:
-        return _known_prime_field(field)
-    return _prime_field(field)
 
 
 # -- exact ranks --------------------------------------------------------------
@@ -181,7 +143,7 @@ def reduced_betti(facets, p: int = 0) -> tuple[int, ...]:
 
 def complex_is_cm(facets, p: int = 0) -> bool:
     """Reisner's link-vanishing criterion with cone reduction and
-    memoization; the oracle the cascade is checked against.
+    memoization.
 
     Requires purity, strips the common apex, checks that reduced homology
     vanishes below the top dimension, then recurses into vertex links.  A
@@ -220,13 +182,3 @@ def hochster_depth(facets, universe, p: int = 0) -> int:
             if b:
                 pd = max(pd, W.bit_count() - idx)  # homological degree |W| - d - 1, d = idx - 1
     return universe.bit_count() - pd
-
-
-def cascade_is_cm(facets, p: int = 0) -> bool:
-    """Cohen-Macaulayness of a complex (facet masks) over Q (p = 0) or
-    GF(p): vertex decomposable (a certificate over every field), else
-    Reisner's criterion, the only step that depends on p.  Both steps answer
-    False at once for a family that is not pure, so the families they
-    recurse on are antichains."""
-    facets = frozenset(facets)
-    return vd_facets(facets)[0] or complex_is_cm(facets, p)

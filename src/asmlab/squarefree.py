@@ -8,28 +8,30 @@ antidiagonal term order; its minimal primes are the minimal transversals
 of the generators (Berge's algorithm), and the Stanley-Reisner ideal of a
 complex those of its facet complements.  The module also holds the Y/O
 construction of two minimal primes of distinct heights at a badblock, the
-links and deletions of a face, and the KM-vd failure trace.
+complex record of an ASM, the links and deletions of a face, and the KM-vd
+failure trace.
 
-A census never reads any of it: `analyze_asm` takes Perm(A) and the
-complex of an ASM from `ideals` and `complexes`, with no ideal.  So
-`import asmlab` loads this module only when one of its names is first
-used: by the theorem sweeps, the oracles and `asmlab analyze`.
+A census never reads any of it: `analyze_asm` takes Perm(A) from `ideals`
+and the facets of an ASM's complex from `complexes`, with no ideal and no
+record.  So `import asmlab` loads this module only when one of its names
+is first used: by the theorem sweeps, the oracles and `asmlab analyze`.
 
-The line between this module and `complexes` (or `ideals`) is not the
-topic but whether a census reads the code: a complex operation that
-`analyze_asm` or `tabulate` can reach goes in `complexes`, one that it
-cannot (`is_face`, `face_subcomplex`, `km_vertex_decomposable`) goes here.
+The line between this module, `complexes` and `homology` is how far a
+census reaches, not the topic: `complexes` holds what the analysis of
+every ASM that Perm(A) leaves open runs, `homology` what only a complex
+that is not vertex decomposable reaches, and this module what none does.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_
 from typing import NamedTuple
 
 from .asm import Asm, Cell, Permutation, rank_matrix
 from .combinatorics import badblock_at, dominant_part, essential_set
-from .complexes import SimplicialComplex, complex_from_primes, link_facets, vd_facets
+from .complexes import link_facets, vd_facets
 from .errors import (
     NonReducedWordError,
     NotAFaceError,
@@ -37,7 +39,16 @@ from .errors import (
     SizeMismatchError,
     SupportViolationError,
 )
-from .ideals import bits, cells, is_pure_family, mask, maximal_sets, union
+from .ideals import (
+    bits,
+    cells,
+    is_pure_family,
+    lex_pipe_dreams,
+    mask,
+    maximal_sets,
+    perm_walk,
+    union,
+)
 
 
 def cell_label(cell: Cell) -> str:
@@ -247,6 +258,41 @@ def construct_yo_primes(A: Asm, r: int, c: int) -> tuple[int, int]:
 
 
 # -- Stanley-Reisner complexes and ideals, faces, and the KM-vd trace ---------
+
+
+class SimplicialComplex(NamedTuple):
+    """Facet-list complex over a subset of the n x n grid, vertex sets as masks."""
+
+    ambient_n: int
+    vertex_universe: int
+    facets: frozenset  # frozenset[int]
+    cone_points: int
+    excluded_vertices: int
+
+    def dim(self) -> int:
+        return max(F.bit_count() for F in self.facets) - 1
+
+
+def complex_from_primes(n: int, primes) -> SimplicialComplex:
+    """Facets are the universe-complements of the minimal primes.  The cells
+    in every prime are the degree-1 generators, excluded from the universe,
+    and the cells in none lie outside the support: the cone points."""
+    support, excluded = union(primes), reduce(and_, primes)
+    universe = support & ~excluded
+    return SimplicialComplex(
+        ambient_n=n,
+        vertex_universe=universe,
+        facets=frozenset(universe & ~P for P in primes),
+        cone_points=((1 << n * n) - 1) & ~support,
+        excluded_vertices=excluded,
+    )
+
+
+def asm_complex(A: Asm) -> SimplicialComplex:
+    """Delta_A as a record: complex_from_primes over the pipe dreams of
+    Perm(A), read at perm_walk's lex indices, with no ideal."""
+    dreams = [D for k in perm_walk(A)[0] for D in lex_pipe_dreams(A.n, k)]
+    return complex_from_primes(A.n, dreams)
 
 
 def sr_complex_from_ideal(I: SquarefreeIdeal) -> SimplicialComplex:

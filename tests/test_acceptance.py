@@ -239,7 +239,7 @@ def test_criterion_5_property_suites(capsys):
         reisner = complex_is_cm(delta.facets)
         hochster = hochster_depth(delta.facets, delta.vertex_universe) == delta.dim() + 1
         if not is_cohen_macaulay(A) == reisner == hochster:
-            failures.append(f"cascade, Reisner and Hochster disagree for {A.entries}")
+            failures.append(f"analyze_asm, Reisner and Hochster disagree for {A.entries}")
 
     for A in enumerate_asms(4):
         I = init_ideal(A)

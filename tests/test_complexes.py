@@ -20,10 +20,10 @@ from asmlab import (
     stanley_reisner_ideal,
 )
 from asmlab.errors import NotAFaceError
-from asmlab.complexes import complex_from_primes, link_facets, perm_facets, vd_facets
+from asmlab.complexes import link_facets, perm_facets, vd_facets
 from asmlab.homology import _all_faces
 from asmlab.ideals import bits, cells, is_pure_family, mask, maximal_sets, perm_walk, union
-from asmlab.squarefree import SquarefreeIdeal
+from asmlab.squarefree import SquarefreeIdeal, complex_from_primes
 from functools import cache
 from itertools import permutations
 

@@ -34,10 +34,12 @@ from asmlab.enumeration import (
     SHARD_SIZE,
     _cache_key,
     _shard_worker,
+    parse_field,
 )
 from asmlab.sweeps import _sampled_asms
-from asmlab.complexes import MEMO_SIZE, asm_complex, complex_from_primes, perm_facets, perm_vd
-from asmlab.homology import cascade_is_cm, parse_field, reduced_betti
+from asmlab.complexes import MEMO_SIZE, perm_facets, perm_vd
+from asmlab.homology import complex_is_cm, reduced_betti
+from asmlab.squarefree import asm_complex, complex_from_primes
 from asmlab.ideals import (
     PERM_TABLE_BOUND,
     _fill,
@@ -56,10 +58,10 @@ from asmlab.errors import (
     UnknownCheckError,
     UnknownStatementError,
 )
-import asmlab.complexes as complexes_mod
 import asmlab.enumeration as enumeration_mod
 import asmlab.homology as homology_mod
 import asmlab.ideals as ideals_mod
+import asmlab.squarefree as squarefree_mod
 import asmlab.sweeps as sweeps_mod
 from helpers import PermReading, fresh_python, transpose
 
@@ -368,7 +370,7 @@ class TestTabulate:
 
     def test_code_digest_follows_every_source(self, tmp_path):
         """An unedited copy of the package names the key file the package
-        does; a byte appended to a module on the census path (homology) or
+        does; a byte appended to a module on the census path (complexes) or
         off it (sweeps) names another key file of the same census."""
         code = f"from asmlab.enumeration import _cache_key\nprint(_cache_key(6, {CODIM!r}, 0, None))"
         shutil.copytree(
@@ -377,7 +379,7 @@ class TestTabulate:
             ignore=shutil.ignore_patterns("__pycache__"),
         )
         keys = [fresh_python(code)]
-        for edited in (None, "homology.py", "sweeps.py"):
+        for edited in (None, "complexes.py", "sweeps.py"):
             if edited:
                 with open(tmp_path / "asmlab" / edited, "a") as source:
                     source.write("\n")
@@ -1023,10 +1025,10 @@ class TestOneDerivation:
         primes = calls_through(minimal_primes)
         ideal_complexes = calls_through(sr_complex_from_ideal)
         complexes = calls_through(perm_facets)
-        cascades = calls_through(cascade_is_cm)
+        reisner = calls_through(complex_is_cm)
         perm_vd.cache_clear()
         # equidimensional with two permutations: the complex decides, built
-        # once; it is vd, so CM over every field with no cascade
+        # once; it is vd, so CM over every field with no Reisner criterion
         assert analyze_asm(non_km_gvd).cm is True
         assert len(complexes) == 1
         # a repeat, with any checks or field, builds none
@@ -1045,7 +1047,7 @@ class TestOneDerivation:
             r = analyze_asm(A)
             assert (r.cm, r.km_vd) == (answer, answer)
             assert complexes == []
-        assert cascades == []
+        assert reisner == []
         assert primes == ideal_complexes == []
 
     def test_no_permutation_record(self, monkeypatch):
@@ -1057,8 +1059,8 @@ class TestOneDerivation:
             raise AssertionError("Perm(A) or a complex record built")
 
         monkeypatch.setattr(ideals_mod, "lex_unrank", refuse)
-        monkeypatch.setattr(complexes_mod, "complex_from_primes", refuse)
-        monkeypatch.setattr(complexes_mod, "SimplicialComplex", refuse)
+        monkeypatch.setattr(squarefree_mod, "complex_from_primes", refuse)
+        monkeypatch.setattr(squarefree_mod, "SimplicialComplex", refuse)
         for A in enumerate_asms(5):
             for field in ("rational", 2):
                 fresh(A, field=field)
@@ -1097,8 +1099,8 @@ class TestOneDerivation:
         primes = calls_through(minimal_primes)
         facets = calls_through(perm_facets)
         records = calls_through(complex_from_primes)
-        cascades = calls_through(cascade_is_cm)
-        # (complexes, cascades): b4 and w are decided by Perm(A), and b4's
+        reisner = calls_through(complex_is_cm)
+        # (complexes, Reisner entries): b4 and w are decided by Perm(A), and b4's
         # KM-vd failure is traced on its complex record; non_km_gvd's answers
         # are the memo's, filled by the analysis above, and its record is
         # built for the trace
@@ -1107,9 +1109,9 @@ class TestOneDerivation:
             path.write_text(json.dumps(A.to_json_dict()))
             facets.clear()
             records.clear()
-            cascades.clear()
+            reisner.clear()
             assert main(["analyze", "--input", str(path), "--field", "p=2"]) == 0
-            assert (len(facets) + len(records), len(cascades)) == built
+            assert (len(facets) + len(records), len(reisner)) == built
             out = json.loads(capsys.readouterr().out)
             r = expected[A]
             assert (out["codim"], out["perm_count"], out["equidimensional"]) == (
@@ -1218,10 +1220,9 @@ class TestPairMemo:
     def test_cm_not_shared_across_fields(self, calls_through, non_km_gvd):
         """Only a field-free answer is shared across fields: a vd complex is
         CM over every field, so A and A^T, equidimensional with two
-        permutations each and vd, run no cascade over either field, while
-        the one complex of ASM(5) that Perm(A) leaves open and that is not
-        vd runs Reisner's criterion once per field, built again for each
-        cascade."""
+        permutations each and vd, run no Reisner criterion over either field,
+        while the one complex of ASM(5) that Perm(A) leaves open and that is
+        not vd runs it once per field, built again for each run."""
         At = transpose(non_km_gvd)
         assert At != non_km_gvd
         for B in (non_km_gvd, At):
@@ -1235,14 +1236,14 @@ class TestPairMemo:
         assert analyze_asm(X, ("equidim",)).perm_count > 1
         perm_vd.cache_clear()
         homology_mod._coneless_is_cm.cache_clear()
-        cascades = calls_through(cascade_is_cm)
+        reisner = calls_through(complex_is_cm)
         bettis = calls_through(reduced_betti)
         built = calls_through(perm_facets)
         assert analyze_asm(non_km_gvd, ("cm",)).cm is True
         assert analyze_asm(At, ("cm",), field="p=2").cm is True
         assert analyze_asm(non_km_gvd, ("cm",), field="p=2").cm is True
         assert analyze_asm(At, ("cm",)).cm is True
-        assert cascades == [] and len(built) == 2
+        assert reisner == [] and len(built) == 2
         runs = []
         for field in ("rational", "rational", 2, 2, "rational"):
             built.clear()
@@ -1250,9 +1251,11 @@ class TestPairMemo:
             runs.append((sorted({p for _, p in bettis}), len(built)))
             bettis.clear()
         # (the fields of Reisner's homology, complexes built): the vd search
-        # builds one cold, and each cascade one
+        # builds one cold, and each run of Reisner's criterion one
         assert runs == [([0], 2), ([], 1), ([2], 1), ([], 1), ([], 1)]
-        assert [p for _, p in cascades] == [0, 0, 2, 2, 0]
+        # one entry per run, its recursive calls included: the top homology
+        # rejects the complex, so no link is entered
+        assert [p for _, p in reisner] == [0, 0, 2, 2, 0]
 
     def test_bound(self):
         """The memos an analysis fills are bounded: perm_walk's row up-sets

@@ -19,11 +19,12 @@ from asmlab import (
     sr_complex_from_ideal,
     verify_statement,
 )
-from asmlab import homology
+from asmlab import enumeration, homology
 from asmlab.errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
-from asmlab.complexes import asm_complex, perm_facets, perm_vd, vd_facets
-from asmlab.enumeration import ALL_CHECKS
-from asmlab.homology import cascade_is_cm, complex_is_cm, parse_field
+from asmlab.complexes import perm_facets, perm_vd, vd_facets
+from asmlab.enumeration import ALL_CHECKS, parse_field
+from asmlab.homology import complex_is_cm
+from asmlab.squarefree import asm_complex
 from asmlab.ideals import is_pure_family
 from helpers import compose_boundaries
 from test_complexes import vd_facets_oracle
@@ -223,13 +224,12 @@ class TestCascade:
         assert checked == 104
 
     def test_rp2_left_to_homology(self):
-        # every mask is a set of grid cells, so the KM order applies to RP2
+        # every mask is a set of grid cells, so the KM order applies to RP2;
+        # Reisner's answers on it are test_field_dependence_rp2's
         assert vd_facets(RP2) == vd_facets_oracle(RP2) == (False, False)
-        assert cascade_is_cm(RP2)
-        assert not cascade_is_cm(RP2, p=2)
 
     def test_non_pure_rejected(self):
-        assert not cascade_is_cm(facets({1, 2}, {3}))
+        assert not complex_is_cm(facets({1, 2}, {3}))
 
 
 def left_open(r):
@@ -242,11 +242,11 @@ def left_open(r):
 class TestDecidedByPerms:
     """analyze_asm lets Perm(A) settle CM and KM-vd with no complex when its
     permutations have more than one length, or when it is one permutation;
-    checked against the cascade and the vd search on the complex itself.
-    Otherwise a cold analysis builds the complex once, and a repeat, over
-    any field, builds none (perm_vd's memo, emptied per ASM here), but for
-    the CM answer of a complex that is not vd, which builds it again for
-    Reisner's criterion."""
+    checked against the vd search and Reisner's criterion on the complex
+    itself.  Otherwise a cold analysis builds the complex once, and a
+    repeat, over any field, builds none (perm_vd's memo, emptied per ASM
+    here), but for the CM answer of a complex that is not vd, which builds
+    it again for Reisner's criterion."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=stretch("all of ASM(6)"))])
     def test_matches_the_complex(self, n, calls_through):
@@ -260,7 +260,7 @@ class TestDecidedByPerms:
                 vd, km_vd = vd_facets(facets)
                 perm_vd.cache_clear()
                 for field, p in (("rational", 0), ("p=2", 2)):
-                    cm = cascade_is_cm(facets, p)
+                    cm = vd or complex_is_cm(facets, p)
                     built.clear()
                     r = analyze_asm(B, field=field)
                     assert (r.cm, r.km_vd) == (cm, km_vd)
@@ -322,18 +322,19 @@ class TestParseField:
     def test_prime_field_proved_once(self, monkeypatch):
         assert parse_field(2) == parse_field(2) == 2
         assert parse_field("p=3") == 3
-        homology._known_prime_field.cache_clear()
+        enumeration._known_prime_field.cache_clear()
         assert parse_field(5) == 5
 
         def boom(p):
             raise AssertionError("a field seen before is not proved prime again")
 
-        monkeypatch.setattr(homology, "_is_prime", boom)
+        monkeypatch.setattr(enumeration, "_is_prime", boom)
         assert parse_field(5) == 5
 
-    @pytest.mark.parametrize("field", [[2], b"p=2", -3, 4, "p=4", 2.0, True])
+    @pytest.mark.parametrize("field", [[2], b"p=2", -3, 4, "p=4", 2.0, True, False, 0.0, 0j])
     def test_malformed_field_raises_every_time(self, field):
-        # 2.0 equals the int 2 that an earlier call accepted
+        # 2.0 equals the int 2 that an earlier call accepted, and False, 0.0
+        # and 0j the int 0, the rational field
         assert parse_field(2) == 2
         for _ in range(2):
             with pytest.raises(InvalidFieldError):

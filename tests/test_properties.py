@@ -22,7 +22,7 @@ from asmlab import (
     validate_asm,
 )
 from asmlab.complexes import vd_facets
-from asmlab.homology import cascade_is_cm, complex_is_cm
+from asmlab.homology import complex_is_cm
 from asmlab.ideals import cells, mask, maximal_sets
 from asmlab.squarefree import minimal_sets, minimal_transversals
 from helpers import compose_boundaries
@@ -182,7 +182,6 @@ def test_vd_certificates_imply_cm(facets):
     for p in (0, 2):
         if vd:
             assert complex_is_cm(facets, p)
-        assert cascade_is_cm(facets, p) == complex_is_cm(facets, p)
 
 
 @settings(max_examples=200)

@@ -85,6 +85,37 @@ def test_census_and_analysis_load_no_lazy_module(tmp_path):
     assert loaded_by_import(*LAZY_MODULES, then=then) == []
 
 
+# The one ASM(5) that Perm(A) leaves open whose complex is not vertex
+# decomposable: the only one whose CM answer reaches Reisner's criterion.
+NOT_VD5 = [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 0, -1, 0, 1], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
+
+
+def test_import_and_vd_censuses_load_no_homology():
+    """homology holds what only a complex that is not vd reaches, so neither
+    `import asmlab`, nor a census without the cm check, nor a cm census
+    whose open complexes are all vd (every n <= 4) loads it."""
+    assert loaded_by_import("asmlab.homology") == []
+    then = (
+        'asmlab.tabulate(6, checks=("codim", "equidim", "km_vd"))\n'
+        "for n in range(1, 5):\n"
+        "    asmlab.tabulate(n)"
+    )
+    assert loaded_by_import("asmlab.homology", then=then) == []
+
+
+def test_complex_not_vd_loads_homology():
+    """The CM answer of the one ASM(5) whose complex is not vd loads
+    homology, and Reisner's criterion finds it not CM over Q and GF(2)."""
+    code = (
+        "import sys, asmlab\n"
+        f"A = asmlab.validate_asm({NOT_VD5!r})\n"
+        'print(asmlab.analyze_asm(A, ("km_vd",)).km_vd, "asmlab.homology" in sys.modules)\n'
+        'print(*(asmlab.analyze_asm(A, ("cm",), field).cm for field in ("rational", 2)))\n'
+        'print("asmlab.homology" in sys.modules)'
+    )
+    assert fresh_python(code).split() == ["False", "False", "False", "False", "True"]
+
+
 # Every name `asmlab` exported when all of its modules were imported with it.
 EXPORTS = (
     "ASM_COUNTS", "AnalysisReport", "Asm", "AsmlabError", "CensusTable", "ChainComplex",
