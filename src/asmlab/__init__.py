@@ -60,7 +60,6 @@ _LAZY = {
         "DecompositionTrace",
         "SimplicialComplex",
         "SquarefreeIdeal",
-        "asm_complex",
         "construct_yo_primes",
         "face_subcomplex",
         "ideal_colon",

@@ -14,10 +14,11 @@ import os
 import sys
 from contextlib import ExitStack
 
-from .asm import Asm, asm_from_json, rank_matrix
+from .asm import Asm, Permutation, asm_from_json, rank_matrix
+from .complexes import perm_facets
 from .enumeration import ALL_CHECKS, analyze_asm, parse_field, tabulate
 from .errors import AsmlabError, MalformedInputError, UsageError
-from .ideals import perm_set
+from .ideals import lex_unrank, perm_walk
 
 
 def _load_asm(path: str) -> Asm:
@@ -43,11 +44,16 @@ def _emit(args, chunks) -> None:
 
 
 def cmd_analyze(args) -> int:
+    """The answers are analyze_asm's.  Perm(A) is walked once more here,
+    for the permutations, in one-line order (the walk's lex order), and for
+    the facets a KM-vd failure is traced on."""
     from .combinatorics import ascii_diagram, dominant_part, essential_set, rothe_diagram
-    from .squarefree import asm_complex, cell_label, init_ideal, km_vertex_decomposable
+    from .squarefree import cell_label, init_ideal, km_vertex_decomposable
 
     A = _load_asm(args.input_path)
     result = analyze_asm(A, field=args.field)
+    indices, lengths = perm_walk(A)
+    perms = [Permutation(lex_unrank(A.n, k)) for k in indices]
     report = {
         "asm": A.to_json_dict(),
         "a11_is_one": A.a11_is_one,
@@ -57,8 +63,8 @@ def cmd_analyze(args) -> int:
         "dominant_part": sorted(map(list, dominant_part(A))),
         "init_ideal": init_ideal(A).to_json_list(),
         "perms": [
-            {"one_line": list(w.one_line), "word": str(w), "length": w.length}
-            for w in sorted(perm_set(A), key=lambda w: w.one_line)
+            {"one_line": list(w.one_line), "word": str(w), "length": length}
+            for w, length in zip(perms, lengths)
         ],
         "codim": result.codim,
         "perm_count": result.perm_count,
@@ -68,7 +74,7 @@ def cmd_analyze(args) -> int:
         "km_vd": result.km_vd,
     }
     if not result.km_vd:
-        trace = km_vertex_decomposable(asm_complex(A))
+        trace = km_vertex_decomposable(perm_facets(A.n, indices), A.n)
         report["km_vd_trace"] = trace.to_json_dict()
         report["km_vd_failure_vertex"] = (
             cell_label(trace.failure_vertex) if trace.failure_vertex else None

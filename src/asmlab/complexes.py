@@ -12,9 +12,10 @@ read at the lex indices perm_walk gives, with no ideal and no record
 (`perm_vd`), which a census empties after each shard, since no two open
 ASMs share Perm(A).  Reisner's criterion, which only a complex that is not
 vd reaches, is in `homology` (with `link_facets` from here), loaded then.
-What no census reaches is in `squarefree`: the complex record
-(`asm_complex`, which the KM-vd trace reads), the complex of an ideal, its
-Stanley-Reisner ideal, links and deletions of faces and the KM-vd trace.
+`perm_facets` alone builds an ASM's complex: `asmlab analyze` traces a
+KM-vd failure on it too.  What no census reaches is in
+`squarefree`: the complex of an ideal as a record, its Stanley-Reisner
+ideal, links and deletions of faces and the KM-vd trace.
 """
 
 from __future__ import annotations

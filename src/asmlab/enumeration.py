@@ -170,30 +170,33 @@ def _is_prime(p: int) -> bool:
     return all(x == 1 or any(pow(x, 2**r, p) == p - 1 for r in range(s)) for x in xs)
 
 
+def _invalid_field(field) -> InvalidFieldError:
+    return InvalidFieldError(f"field must be 'rational' or 'p=<prime>', got {field!r}")
+
+
+# A GF(p) census parses its field once per analyze_asm, so each field is
+# proved prime once.
+@lru_cache(maxsize=2**8)
 def _prime_field(field) -> int:
-    """The p of a field given as a prime p or as the text "p=<p>"."""
-    text = field if isinstance(field, str) else f"p={field}"
+    """The p of a field given as an int p or as the str "p=<p>", p in ASCII
+    digits."""
+    text = field if type(field) is str else f"p={field}"
     digits = text[2:] if text.startswith("p=") else ""
-    if not (digits.isdecimal() and _is_prime(int(digits))):
-        raise InvalidFieldError(f"field must be 'rational' or 'p=<prime>', got {field!r}")
+    if not (digits.isascii() and digits.isdecimal() and _is_prime(int(digits))):
+        raise _invalid_field(field)
     return int(digits)
-
-
-# A GF(p) census parses its field once per analyze_asm, so each int or str
-# field is proved prime once.  Other types are parsed every time: 2.0
-# equals the key 2, and a list has no hash.
-_known_prime_field = lru_cache(maxsize=2**8)(_prime_field)
 
 
 def parse_field(field) -> int:
     """The characteristic of a coefficient field: 0 for Q, given as
     "rational", None or the int 0, else a prime p given as an int or as the
-    text "p=<p>", each of exactly that type (so not False, 0.0 or 2.0)."""
+    text "p=<p>", each of exactly that type (so not False, 0.0, 2.0, a
+    subclass of int or str, or a NumPy int)."""
     if field in ("rational", None) or type(field) is int and field == 0:
         return 0
     if type(field) is int or type(field) is str:
-        return _known_prime_field(field)
-    return _prime_field(field)
+        return _prime_field(field)
+    raise _invalid_field(field)
 
 
 def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:

@@ -8,13 +8,14 @@ antidiagonal term order; its minimal primes are the minimal transversals
 of the generators (Berge's algorithm), and the Stanley-Reisner ideal of a
 complex those of its facet complements.  The module also holds the Y/O
 construction of two minimal primes of distinct heights at a badblock, the
-complex record of an ASM, the links and deletions of a face, and the KM-vd
-failure trace.
+Stanley-Reisner complex of an ideal as a record, the links and deletions
+of a face, and the KM-vd failure trace, which runs on a facet list.
 
 A census never reads any of it: `analyze_asm` takes Perm(A) from `ideals`
 and the facets of an ASM's complex from `complexes`, with no ideal and no
-record.  So `import asmlab` loads this module only when one of its names
-is first used: by the theorem sweeps, the oracles and `asmlab analyze`.
+record, and `asmlab analyze` traces a KM-vd failure on those same facets.
+So `import asmlab` loads this module only when one of its names is first
+used: by the theorem sweeps, the oracles and `asmlab analyze`.
 
 The line between this module, `complexes` and `homology` is how far a
 census reaches, not the topic: `complexes` holds what the analysis of
@@ -43,10 +44,8 @@ from .ideals import (
     bits,
     cells,
     is_pure_family,
-    lex_pipe_dreams,
     mask,
     maximal_sets,
-    perm_walk,
     union,
 )
 
@@ -256,7 +255,6 @@ def construct_yo_primes(A: Asm, r: int, c: int) -> tuple[int, int]:
     return Y | dom, O | dom
 
 
-
 # -- Stanley-Reisner complexes and ideals, faces, and the KM-vd trace ---------
 
 
@@ -273,34 +271,23 @@ class SimplicialComplex(NamedTuple):
         return max(F.bit_count() for F in self.facets) - 1
 
 
-def complex_from_primes(n: int, primes) -> SimplicialComplex:
-    """Facets are the universe-complements of the minimal primes.  The cells
-    in every prime are the degree-1 generators, excluded from the universe,
-    and the cells in none lie outside the support: the cone points."""
+def sr_complex_from_ideal(I: SquarefreeIdeal) -> SimplicialComplex:
+    """The Stanley-Reisner complex of a squarefree ideal: its facets are the
+    universe-complements of the minimal primes.  The cells in every prime
+    are the degree-1 generators, excluded from the universe, and the cells
+    in none lie outside the support: the cone points."""
+    if I.is_unit:
+        raise ValueError("the unit ideal has no Stanley-Reisner complex")
+    primes = minimal_primes(I)
     support, excluded = union(primes), reduce(and_, primes)
     universe = support & ~excluded
     return SimplicialComplex(
-        ambient_n=n,
+        ambient_n=I.n,
         vertex_universe=universe,
         facets=frozenset(universe & ~P for P in primes),
-        cone_points=((1 << n * n) - 1) & ~support,
+        cone_points=((1 << I.n * I.n) - 1) & ~support,
         excluded_vertices=excluded,
     )
-
-
-def asm_complex(A: Asm) -> SimplicialComplex:
-    """Delta_A as a record: complex_from_primes over the pipe dreams of
-    Perm(A), read at perm_walk's lex indices, with no ideal."""
-    dreams = [D for k in perm_walk(A)[0] for D in lex_pipe_dreams(A.n, k)]
-    return complex_from_primes(A.n, dreams)
-
-
-def sr_complex_from_ideal(I: SquarefreeIdeal) -> SimplicialComplex:
-    """The Stanley-Reisner complex of a squarefree ideal, from its minimal
-    primes."""
-    if I.is_unit:
-        raise ValueError("the unit ideal has no Stanley-Reisner complex")
-    return complex_from_primes(I.n, minimal_primes(I))
 
 
 def stanley_reisner_ideal(delta: SimplicialComplex) -> SquarefreeIdeal:
@@ -350,11 +337,11 @@ class DecompositionTrace(NamedTuple):
         return d
 
 
-def km_vertex_decomposable(delta: SimplicialComplex) -> DecompositionTrace:
-    """Fixed-order vertex decomposability.  A failure path steps at the
-    greatest vertex into the link if it is not KM-vd, else into the
-    deletion, until a complex is not pure."""
-    facets = delta.facets
+def km_vertex_decomposable(facets, n: int) -> DecompositionTrace:
+    """Fixed-order vertex decomposability of the complex with these facets
+    on the n x n grid.  A failure path steps at the greatest vertex into
+    the link if it is not KM-vd, else into the deletion, until a complex is
+    not pure."""
     if vd_facets(facets)[1]:
         return DecompositionTrace(True)
     path = []
@@ -366,7 +353,6 @@ def km_vertex_decomposable(delta: SimplicialComplex) -> DecompositionTrace:
             branch, facets = "deletion", maximal_sets(F & ~v for F in facets)
         else:
             branch, facets = "link", link
-        path.append((min(cells(v, delta.ambient_n)), branch))
+        path.append((min(cells(v, n)), branch))
     reason = "NotPure" if len(path) <= 1 else "RecursiveFailure"
     return DecompositionTrace(False, path[0][0] if path else None, reason, tuple(path))
-

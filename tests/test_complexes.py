@@ -7,7 +7,6 @@ from asmlab import (
     DecompositionTrace,
     SimplicialComplex,
     analyze_asm,
-    asm_complex,
     enumerate_asms,
     face_subcomplex,
     init_ideal,
@@ -23,7 +22,7 @@ from asmlab.errors import NotAFaceError
 from asmlab.complexes import link_facets, perm_facets, vd_facets
 from asmlab.homology import _all_faces
 from asmlab.ideals import bits, cells, is_pure_family, mask, maximal_sets, perm_walk, union
-from asmlab.squarefree import SquarefreeIdeal, complex_from_primes
+from asmlab.squarefree import SquarefreeIdeal
 from functools import cache
 from itertools import permutations
 
@@ -88,15 +87,16 @@ STRETCH = pytest.mark.skipif(
 
 
 class TestAsmComplex:
-    """The complex built from the pipe dreams of Perm(A) against the one
-    built from the minimal primes of init_ideal(A)."""
+    """The facets built from the pipe dreams of Perm(A) against the complex
+    of the minimal primes of init_ideal(A)."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=STRETCH)])
     def test_equals_ideal_complex(self, n):
         for A in enumerate_asms(n):
             I = init_ideal(A)
-            delta = asm_complex(A)
-            assert delta == sr_complex_from_ideal(I)
+            delta = sr_complex_from_ideal(I)
+            facets = perm_facets(n, perm_walk(A)[0])
+            assert facets == delta.facets and union(facets) == delta.vertex_universe
             # the primes give what the generators give
             assert delta.excluded_vertices == sum(g for g in I.gens if g.bit_count() == 1)
             assert delta.cone_points == ((1 << n * n) - 1) & ~I.support()
@@ -109,16 +109,18 @@ class TestAsmComplex:
         for A in enumerate_asms(n):
             indices, _ = perm_walk(A)
             primes = minimal_primes(init_ideal(A))
-            assert perm_facets(n, indices) == complex_from_primes(n, primes).facets
+            support = union(primes)
+            assert perm_facets(n, indices) == {support & ~P for P in primes}
 
     def test_b4(self, b4):
-        delta = asm_complex(b4)
+        delta = sr_complex_from_ideal(init_ideal(b4))
         assert delta.excluded_vertices == m(4, (1, 1), (2, 1))
-        assert delta.facets == {m(4, (1, 2), (2, 2)), m(4, (3, 1))}
+        assert perm_facets(4, perm_walk(b4)[0]) == {m(4, (1, 2), (2, 2)), m(4, (3, 1))}
 
     def test_identity_is_a_point(self):
-        delta = asm_complex(Asm.identity(3))
-        assert delta.facets == {0} and delta.vertex_universe == 0
+        A = Asm.identity(3)
+        delta = sr_complex_from_ideal(init_ideal(A))
+        assert perm_facets(3, perm_walk(A)[0]) == {0} and delta.vertex_universe == 0
         assert delta.cone_points.bit_count() == 9
 
 
@@ -138,7 +140,7 @@ class TestLinkDeletion:
         faces = 0
         for n in range(1, 6):
             for A in enumerate_asms(n):
-                facets = asm_complex(A).facets
+                facets = perm_facets(n, perm_walk(A)[0])
                 for sigma in _all_faces(facets):
                     faces += 1
                     assert link_facets(facets, sigma) == old_link(facets, sigma)
@@ -181,7 +183,7 @@ class TestLinkDeletion:
 
 class TestKmVertexDecomposability:
     def test_failure_example(self, non_km_gvd):
-        trace = km_vertex_decomposable(sr_complex_from_ideal(init_ideal(non_km_gvd)))
+        trace = km_vertex_decomposable(sr_complex_from_ideal(init_ideal(non_km_gvd)).facets, 4)
         assert not trace.result
         assert trace.failure_vertex == (1, 3)
         assert trace.failure_reason == "NotPure"
@@ -191,30 +193,30 @@ class TestKmVertexDecomposability:
         delta = sr_complex_from_ideal(
             SquarefreeIdeal.make(3, [m(3, (1, 1), (1, 2), (2, 1))])
         )
-        assert km_vertex_decomposable(delta).result
+        assert km_vertex_decomposable(delta.facets, 3).result
 
     def test_all_s4_matrix_schubert(self):
         for p in permutations(range(1, 5)):
             I = init_ideal(Permutation(p).to_asm())
             if not I.gens:
                 continue
-            assert km_vertex_decomposable(sr_complex_from_ideal(I)).result
+            assert km_vertex_decomposable(sr_complex_from_ideal(I).facets, 4).result
 
     def test_km_vd_implies_cm_n4(self):
         for A in enumerate_asms(4):
             I = init_ideal(A)
             if not I.gens:
                 continue
-            if km_vertex_decomposable(sr_complex_from_ideal(I)).result:
+            if km_vertex_decomposable(sr_complex_from_ideal(I).facets, 4).result:
                 assert is_cohen_macaulay(A)
 
     def test_impure_fails_immediately(self, b4):
-        trace = km_vertex_decomposable(sr_complex_from_ideal(init_ideal(b4)))
+        trace = km_vertex_decomposable(sr_complex_from_ideal(init_ideal(b4)).facets, 4)
         assert not trace.result and trace.failure_reason == "NotPure"
 
     def test_trace_json(self, non_km_gvd):
         d = km_vertex_decomposable(
-            sr_complex_from_ideal(init_ideal(non_km_gvd))
+            sr_complex_from_ideal(init_ideal(non_km_gvd)).facets, 4
         ).to_json_dict()
         assert d["result"] is False
         assert d["failure_vertex"] == [1, 3]
@@ -264,7 +266,7 @@ class TestKmVdOracle:
                     expected = DecompositionTrace(
                         result, steps[0][0] if steps else None, reason, steps
                     )
-                    assert km_vertex_decomposable(delta) == expected
+                    assert km_vertex_decomposable(delta.facets, B.n) == expected
                     checked += 1
                     failures += not result
         assert checked == 962 and failures > 0
@@ -296,7 +298,7 @@ def open_complexes(n, with_one_plus):
         for B in (A, one_plus(A)) if with_one_plus else (A,):
             r = analyze_asm(B, ("equidim",))
             if r.equidimensional and r.perm_count > 1:
-                yield asm_complex(B).facets
+                yield perm_facets(B.n, perm_walk(B)[0])
 
 
 class TestVdOracle:

@@ -39,7 +39,6 @@ from asmlab.enumeration import (
 from asmlab.sweeps import _sampled_asms
 from asmlab.complexes import MEMO_SIZE, perm_facets, perm_vd
 from asmlab.homology import complex_is_cm, reduced_betti
-from asmlab.squarefree import asm_complex, complex_from_primes
 from asmlab.ideals import (
     PERM_TABLE_BOUND,
     _fill,
@@ -1059,7 +1058,6 @@ class TestOneDerivation:
             raise AssertionError("Perm(A) or a complex record built")
 
         monkeypatch.setattr(ideals_mod, "lex_unrank", refuse)
-        monkeypatch.setattr(squarefree_mod, "complex_from_primes", refuse)
         monkeypatch.setattr(squarefree_mod, "SimplicialComplex", refuse)
         for A in enumerate_asms(5):
             for field in ("rational", 2):
@@ -1098,20 +1096,18 @@ class TestOneDerivation:
         expected = {A: analyze_asm(A, field="p=2") for A in (b4, non_km_gvd, w)}
         primes = calls_through(minimal_primes)
         facets = calls_through(perm_facets)
-        records = calls_through(complex_from_primes)
         reisner = calls_through(complex_is_cm)
         # (complexes, Reisner entries): b4 and w are decided by Perm(A), and b4's
-        # KM-vd failure is traced on its complex record; non_km_gvd's answers
-        # are the memo's, filled by the analysis above, and its record is
-        # built for the trace
+        # KM-vd failure is traced on its facets; non_km_gvd's answers are the
+        # memo's, filled by the analysis above, and its facets are built for
+        # the trace
         for A, built in ((b4, (1, 0)), (w, (0, 0)), (non_km_gvd, (1, 0))):
             path = tmp_path / "a.json"
             path.write_text(json.dumps(A.to_json_dict()))
             facets.clear()
-            records.clear()
             reisner.clear()
             assert main(["analyze", "--input", str(path), "--field", "p=2"]) == 0
-            assert (len(facets) + len(records), len(reisner)) == built
+            assert (len(facets), len(reisner)) == built
             out = json.loads(capsys.readouterr().out)
             r = expected[A]
             assert (out["codim"], out["perm_count"], out["equidimensional"]) == (
@@ -1123,6 +1119,29 @@ class TestOneDerivation:
             assert ("km_vd_trace" in out) is (not r.km_vd)
             assert out["init_ideal"] == init_ideal(A).to_json_list()
         assert primes == []
+
+    def test_cli_analyze_walks_twice(self, calls_through, tmp_path, capsys):
+        """`asmlab analyze` over ASM(5), over Q and GF(2), calls no perm_set
+        and builds no complex record: Perm(A) is walked once by analyze_asm
+        and once for the permutations and the facets a KM-vd failure is
+        traced on."""
+        from asmlab.cli import main
+        from asmlab.squarefree import SimplicialComplex
+
+        perm_sets = calls_through(perm_set)
+        records = calls_through(SimplicialComplex)
+        walks = calls_through(perm_walk)
+        path = tmp_path / "a.json"
+        most = 0
+        for A in enumerate_asms(5):
+            path.write_text(json.dumps(A.to_json_dict()))
+            for field in ("rational", "p=2"):
+                walks.clear()
+                assert main(["analyze", "--input", str(path), "--field", field]) == 0
+                most = max(most, len(walks))
+                capsys.readouterr()
+        assert perm_sets == records == []
+        assert most == 2
 
     def test_no_minimal_transversals(self, monkeypatch, worked_example, a6):
         """With every check, no ASM goes through Berge's algorithm."""
@@ -1191,7 +1210,7 @@ class TestPairMemo:
     @given(st.integers(1, 6).flatmap(lambda n: st.sampled_from(ASMS_UPTO_6[n])))
     def test_transposed_primes(self, A):
         At = transpose(A)
-        delta, delta_t = asm_complex(A), asm_complex(At)
+        delta, delta_t = (sr_complex_from_ideal(init_ideal(B)) for B in (A, At))
         assert {transpose_mask(F, A.n) for F in delta.facets} == delta_t.facets
         assert transpose_mask(delta.excluded_vertices, A.n) == delta_t.excluded_vertices
         assert perm_set(At) == {inverse(w) for w in perm_set(A)}

@@ -24,8 +24,7 @@ from asmlab.errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundE
 from asmlab.complexes import perm_facets, perm_vd, vd_facets
 from asmlab.enumeration import ALL_CHECKS, parse_field
 from asmlab.homology import complex_is_cm
-from asmlab.squarefree import asm_complex
-from asmlab.ideals import is_pure_family
+from asmlab.ideals import is_pure_family, perm_walk
 from helpers import compose_boundaries
 from test_complexes import vd_facets_oracle
 
@@ -256,7 +255,7 @@ class TestDecidedByPerms:
         for A in enumerate_asms(n):
             for B in (A, one_plus(A)) if n < 6 else (A,):
                 walk = analyze_asm(B, ("equidim",))
-                facets = asm_complex(B).facets
+                facets = perm_facets(B.n, perm_walk(B)[0])
                 vd, km_vd = vd_facets(facets)
                 perm_vd.cache_clear()
                 for field, p in (("rational", 0), ("p=2", 2)):
@@ -276,7 +275,7 @@ class TestDecidedByPerms:
         built = calls_through(perm_facets)
         for line in permutations(range(1, n + 1)):
             A = Permutation(line).to_asm()
-            assert vd_facets(asm_complex(A).facets) == (True, True)
+            assert vd_facets(perm_facets(n, perm_walk(A)[0])) == (True, True)
             built.clear()
             r = analyze_asm(A, ("cm", "km_vd"))
             assert (r.cm, r.km_vd) == (True, True)
@@ -288,7 +287,7 @@ class TestDecidedByPerms:
         built = calls_through(perm_facets)
         for A in enumerate_asms(n):
             walk = analyze_asm(A, ("equidim",))
-            facets = asm_complex(A).facets
+            facets = perm_facets(n, perm_walk(A)[0])
             assert is_pure_family(facets) == walk.equidimensional
             perm_vd.cache_clear()
             built.clear()
@@ -318,11 +317,15 @@ class TestDecidedByPerms:
         assert built == []
 
 
+class Int(int):
+    """An int subclass: not a field, whatever its value."""
+
+
 class TestParseField:
     def test_prime_field_proved_once(self, monkeypatch):
         assert parse_field(2) == parse_field(2) == 2
         assert parse_field("p=3") == 3
-        enumeration._known_prime_field.cache_clear()
+        enumeration._prime_field.cache_clear()
         assert parse_field(5) == 5
 
         def boom(p):
@@ -331,10 +334,14 @@ class TestParseField:
         monkeypatch.setattr(enumeration, "_is_prime", boom)
         assert parse_field(5) == 5
 
-    @pytest.mark.parametrize("field", [[2], b"p=2", -3, 4, "p=4", 2.0, True, False, 0.0, 0j])
+    @pytest.mark.parametrize(
+        "field",
+        [[2], b"p=2", -3, 4, "p=4", 2.0, True, False, 0.0, 0j, Int(2), "p=\u0663", "p=\uff12"],
+    )
     def test_malformed_field_raises_every_time(self, field):
-        # 2.0 equals the int 2 that an earlier call accepted, and False, 0.0
-        # and 0j the int 0, the rational field
+        # 2.0 and Int(2) equal the int 2 that an earlier call accepted, and
+        # False, 0.0 and 0j the int 0, the rational field; "p=\u0663" and
+        # "p=\uff12" are 3 and 2 in Arabic-Indic and fullwidth digits
         assert parse_field(2) == 2
         for _ in range(2):
             with pytest.raises(InvalidFieldError):

@@ -121,7 +121,7 @@ EXPORTS = (
     "ASM_COUNTS", "AnalysisReport", "Asm", "AsmlabError", "CensusTable", "ChainComplex",
     "ContainmentReport", "ContainmentWitness", "DecompositionTrace", "Permutation",
     "SimplicialComplex", "SquarefreeIdeal", "VerificationReport", "__version__", "analyze_asm",
-    "ascii_diagram", "asm_complex", "asm_from_json", "asm_geq", "badblock_at", "badblock_match",
+    "ascii_diagram", "asm_from_json", "asm_geq", "badblock_at", "badblock_match",
     "chain_complex", "check_containment_constraints", "construct_yo_primes", "coxeter_length",
     "direct_sum", "dominant_part", "enumerate_asms", "essential_set", "face_subcomplex",
     "find_pattern", "hochster_depth", "ideal_colon", "ideal_intersection", "init_ideal",
@@ -210,7 +210,7 @@ def immutable_records():
         witness,
         check_containment_constraints(B4, A3, witness),
         delta,
-        km_vertex_decomposable(delta),
+        km_vertex_decomposable(delta.facets, 4),
         tabulate(3),
         chain_complex(delta.facets),
         init_ideal(B4),
