@@ -9,7 +9,9 @@ Importing the package loads only what every census runs.  The names of
 the modules no census reads (`combinatorics`, `squarefree`, `sweeps`) and
 of `homology`, read only for a complex that is not vertex decomposable,
 are resolved at their first use (PEP 562), so `from asmlab import
-verify_statement` works as before and loads `sweeps` then.
+verify_statement` works as before and loads `sweeps` then.  `complexes`,
+which only an ASM whose CM answer gluing leaves undecided reaches, loads
+with the first module that imports it.
 """
 
 from .asm import (

@@ -15,7 +15,6 @@ import sys
 from contextlib import ExitStack
 
 from .asm import Asm, Permutation, asm_from_json, rank_matrix
-from .complexes import perm_facets
 from .enumeration import ALL_CHECKS, analyze_asm, parse_field, tabulate
 from .errors import AsmlabError, MalformedInputError, UsageError
 from .ideals import lex_unrank, perm_walk
@@ -74,6 +73,8 @@ def cmd_analyze(args) -> int:
         "km_vd": result.km_vd,
     }
     if not result.km_vd:
+        from .complexes import perm_facets
+
         trace = km_vertex_decomposable(perm_facets(A.n, indices), A.n)
         report["km_vd_trace"] = trace.to_json_dict()
         report["km_vd_failure_vertex"] = (

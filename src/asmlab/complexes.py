@@ -5,15 +5,15 @@ of `ideals`: cell (i, j) is bit (i-1)*n + (n-j), and the lowest set bit of
 a vertex set is its greatest vertex in the Knutson-Miller order.  Links and
 deletions at a vertex v are `F & ~v`.
 
-This module holds what the analysis of every ASM that Perm(A) leaves open
-runs: the facets of its complex, built from the pipe dreams of Perm(A),
-read at the lex indices perm_walk gives, with no ideal and no record
-(`perm_facets`), and the vd search on them, memoized by those indices
-(`perm_vd`), which a census empties after each shard, since no two open
-ASMs share Perm(A).  Reisner's criterion, which only a complex that is not
-vd reaches, is in `homology` (with `link_facets` from here), loaded then.
-`perm_facets` alone builds an ASM's complex: `asmlab analyze` traces a
-KM-vd failure on it too.  What no census reaches is in
+`analyze_asm` decides CM and KM-vd from Perm(A) with no complex (the
+subword recursion and gluing, in `ideals`), so it builds Delta_A only for
+the few ASMs that gluing leaves undecided: their facets, from the pipe
+dreams of Perm(A) read at the lex indices perm_walk gives, with no ideal
+and no record (`perm_facets`), then the vd search on them, and Reisner's
+criterion (`homology`, with `link_facets` from here) for a complex that is
+not vd.  So the package loads this module at that first undecided ASM, at
+`asmlab analyze`'s trace of a KM-vd failure, or at an oracle's first use.
+`perm_facets` alone builds an ASM's complex.  What no census reaches is in
 `squarefree`: the complex of an ideal as a record, its Stanley-Reisner
 ideal, links and deletions of faces and the KM-vd trace.
 """
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .ideals import bits, is_pure_family, lex_pipe_dreams, strip_apex, union
-
-MEMO_SIZE = 10**6  # the bound of each memo here and in homology, keyed by facets or Perm(A)
+from .ideals import MEMO_SIZE, bits, is_pure_family, lex_pipe_dreams, strip_apex, union
 
 
 def perm_facets(n: int, indices) -> frozenset:
@@ -64,24 +62,10 @@ def vd_facets(facets: frozenset) -> tuple[bool, bool]:
     links of a pure complex are pure, and so is every deletion the search
     enters.  The memo is _coneless_vd's, keyed on the family with its cone
     points stripped, so every complex asked about again, and every cone over
-    it, costs a purity check, the strip and one lookup; an ASM's answers are
-    memoized by Perm(A) instead (perm_vd)."""
+    it, costs a purity check, the strip and one lookup."""
     if not is_pure_family(facets):
         return False, False
     return _coneless_vd(strip_apex(facets))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def perm_vd(n: int, *indices: int) -> tuple[bool, bool]:
-    """vd_facets of Delta_A for Perm(A) given by its lex indices in S_n,
-    memoized by n and the indices, so an ASM asked about again builds no
-    complex.  A vd certificate holds over every field, so every field shares
-    the answer.  The indices are separate arguments, so the memo's key is
-    the one tuple (n, *indices).  A census never hits it, since no two open
-    ASMs share Perm(A), so each census shard empties it
-    (enumeration._shard_worker): it holds the ASMs asked about outside a
-    census."""
-    return vd_facets(perm_facets(n, indices))
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -20,9 +20,8 @@ from math import fsum, inf
 from typing import NamedTuple
 
 from .asm import Asm
-from .complexes import perm_facets, perm_vd
 from .errors import AsmlabError, InvalidFieldError, SizeBoundExceededError, UnknownCheckError
-from .ideals import perm_walk
+from .ideals import _km_vd, perm_cm_km_vd, perm_walk
 
 ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348, 10850216)
 MAX_STREAM_N = 8
@@ -192,9 +191,10 @@ def parse_field(field) -> int:
     "rational", None or the int 0, else a prime p given as an int or as the
     text "p=<p>", each of exactly that type (so not False, 0.0, 2.0, a
     subclass of int or str, or a NumPy int)."""
-    if field in ("rational", None) or type(field) is int and field == 0:
+    kind = type(field)
+    if field is None or kind is str and field == "rational" or kind is int and field == 0:
         return 0
-    if type(field) is int or type(field) is str:
+    if kind is int or kind is str:
         return _prime_field(field)
     raise _invalid_field(field)
 
@@ -211,15 +211,16 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
     CM (Reisner) nor vertex decomposable.  For one permutation it is a
     subword complex, vertex decomposable at the first letter, the fixed KM
     order (Knutson-Miller), so CM over every field.  Otherwise both answers
-    are read from the vd search on Delta_A, memoized by Perm(A)'s lex
-    indices (perm_vd): on a miss the facets are built from the pipe dreams
-    of Perm(A) (perm_facets), with no ideal, Permutation or record, and a
-    repeat, with any checks or field, builds none, unless a census shard
-    emptied the memo in between (_shard_worker).  "km_vd" is the search's
-    fixed-order flag, and "cm" is vd, a certificate over every field, or,
-    for the few complexes that are not vd, Reisner's criterion over this
-    field on the facets built again, behind its own memo: `homology`, which
-    loads then.  The field is checked first, whatever the checks."""
+    come from Perm(A)'s lex indices with no complex, memoized by them
+    (perm_cm_km_vd): "km_vd" from the subword recursion at the first
+    letter, and "cm" True when that holds, else from gluing the subword
+    complexes of Perm(A) (the depth lemma), both answers over every field.
+    Only an ASM that gluing leaves undecided builds Delta_A, from the pipe
+    dreams of Perm(A) (perm_facets, in `complexes`, which loads then): "cm"
+    is the vd search's answer, a certificate over every field, or, for a
+    complex that is not vd, Reisner's criterion over this field, behind its
+    own memo (`homology`, which loads then).  The field is checked first,
+    whatever the checks."""
     checks = _known_checks(checks)
     p = parse_field(field)
     codim = perm_count = equidim = cm = km_vd = None
@@ -232,14 +233,21 @@ def analyze_asm(A: Asm, checks=ALL_CHECKS, field="rational") -> AnalysisReport:
         perm_count = len(indices)
         equidim = pure if "equidim" in checks else None
     if "cm" in checks or "km_vd" in checks:
-        left_open = pure and len(indices) > 1
-        vd, fixed_order = perm_vd(A.n, *indices) if left_open else (pure, pure)
-        if "cm" in checks:
-            cm = vd
-            if left_open and not vd:
+        if pure and len(indices) > 1:
+            cm, fixed_order = perm_cm_km_vd(A.n, *indices)
+        else:
+            cm = fixed_order = pure
+        if "cm" not in checks:
+            cm = None
+        elif cm is None:  # gluing left it undecided: Delta_A decides
+            from .complexes import perm_facets, vd_facets
+
+            facets = perm_facets(A.n, indices)
+            cm = vd_facets(facets)[0]
+            if not cm:
                 from .homology import complex_is_cm
 
-                cm = complex_is_cm(perm_facets(A.n, indices), p)
+                cm = complex_is_cm(facets, p)
         if "km_vd" in checks:
             km_vd = fixed_order
     return AnalysisReport(A, codim, perm_count, equidim, cm, km_vd)
@@ -422,10 +430,10 @@ def _shard_worker(args):
     and the seconds its analyses took.
 
     A census analyses each ASM once, and no two open ASMs share Perm(A)
-    (the 3345 open ASM(6) have 3345), so perm_vd never hits within one:
-    it is emptied when the shard is done, and holds at most one shard's
-    entries.  _coneless_vd's memo, where complexes recur across ASMs, is
-    kept."""
+    (the 3345 open ASM(6) have 3345), so perm_cm_km_vd never hits within
+    one: it is emptied when the shard is done, with the subword recursion's
+    memo (_km_vd), whose states recur between the ASMs of a shard, so each
+    holds at most one shard's entries."""
     start, asms, checks, field = args
     with_cm, with_km_vd = "cm" in checks, "km_vd" in checks
     cm = equidim = km_vd_fail = km_vd_fail_a11 = 0
@@ -442,7 +450,8 @@ def _shard_worker(args):
             km_vd_fail += 1
             km_vd_fail_a11 += A.a11_is_one
     seconds = time.perf_counter() - t0
-    perm_vd.cache_clear()
+    perm_cm_km_vd.cache_clear()
+    _km_vd.cache_clear()
     return start, len(asms), cm, equidim, km_vd_fail, km_vd_fail_a11, seconds
 
 

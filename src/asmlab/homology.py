@@ -12,9 +12,10 @@ induced subcomplexes (`hochster_depth`) is its oracle.
 
 This module holds what only a complex that is not vertex decomposable
 reaches: a vd complex is CM over every field (Provan-Billera), so once
-the vd search (complexes) has answered yes, no homology is needed.  So
-the package loads it at the first use of one of its names, or at the
-first complex found not vd.
+the vd search (complexes) has answered yes, no homology is needed, and
+`analyze_asm` runs that search only on an ASM whose CM answer gluing left
+undecided.  So the package loads it at the first use of one of its names,
+or at the first such complex found not vd.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .complexes import MEMO_SIZE, link_facets
+from .complexes import link_facets
 from .errors import FaceBudgetExceededError
-from .ideals import bits, is_pure_family, maximal_sets, strip_apex, submasks, union
+from .ideals import MEMO_SIZE, bits, is_pure_family, maximal_sets, strip_apex, submasks, union
 
 FACE_BUDGET = 2**24  # the most faces chain_complex builds
 

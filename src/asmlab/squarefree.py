@@ -11,15 +11,16 @@ construction of two minimal primes of distinct heights at a badblock, the
 Stanley-Reisner complex of an ideal as a record, the links and deletions
 of a face, and the KM-vd failure trace, which runs on a facet list.
 
-A census never reads any of it: `analyze_asm` takes Perm(A) from `ideals`
-and the facets of an ASM's complex from `complexes`, with no ideal and no
-record, and `asmlab analyze` traces a KM-vd failure on those same facets.
-So `import asmlab` loads this module only when one of its names is first
+A census never reads any of it: `analyze_asm` takes Perm(A) and its CM
+and KM-vd answers from `ideals`, and the facets of an ASM's complex, when
+it needs them, from `complexes`, with no ideal and no record, and
+`asmlab analyze` traces a KM-vd failure on those same facets.  So
+`import asmlab` loads this module only when one of its names is first
 used: by the theorem sweeps, the oracles and `asmlab analyze`.
 
 The line between this module, `complexes` and `homology` is how far a
-census reaches, not the topic: `complexes` holds what the analysis of
-every ASM that Perm(A) leaves open runs, `homology` what only a complex
+census reaches, not the topic: `complexes` holds what an ASM whose CM
+answer gluing leaves undecided runs, `homology` what only such a complex
 that is not vertex decomposable reaches, and this module what none does.
 """
 

@@ -37,16 +37,19 @@ from asmlab.enumeration import (
     parse_field,
 )
 from asmlab.sweeps import _sampled_asms
-from asmlab.complexes import MEMO_SIZE, perm_facets, perm_vd
+from asmlab.complexes import perm_facets
 from asmlab.homology import complex_is_cm, reduced_betti
 from asmlab.ideals import (
+    MEMO_SIZE,
     PERM_TABLE_BOUND,
+    _km_vd,
     _fill,
     _lex_table,
     _row_upset,
     cells,
     lex_pipe_dreams,
     mask,
+    perm_cm_km_vd,
     perm_walk,
     pipe_dreams,
 )
@@ -199,9 +202,9 @@ class TestTabulate:
     def test_pool_n5_every_check(self, tmp_path):
         """Two worker processes, each reading Perm(A) after its own row
         prefixes, give the pinned n=5 row, as one process does, and each
-        shard's counts: a worker that emptied perm_vd after one shard
-        answers the next alike.  A worker's perm_vd is empty once its shard
-        is done."""
+        shard's counts: a worker that emptied its answer memos after one
+        shard answers the next alike.  A worker's answer memos are empty
+        once its shard is done."""
         key = _cache_key(5, enumeration_mod.ALL_CHECKS, 0, None)
         rows, shards = {}, {}
         for jobs in (1, 2):
@@ -213,19 +216,22 @@ class TestTabulate:
         with multiprocessing.Pool(1) as pool:
             shard = pool.apply(_shard_worker, ((0, asms, frozenset(enumeration_mod.ALL_CHECKS), 0),))
             assert dict(zip(FIELDS, shard[:-1])) == shards[1][0]
-            assert pool.apply(perm_vd_size) == 0
+            assert pool.apply(answer_memo_sizes) == (0, 0)
 
-    def test_census_empties_perm_vd(self):
+    def test_census_empties_the_answer_memos(self):
         """A census analyses each ASM once and no two open ASMs share
-        Perm(A), so perm_vd could never hit in one: each shard empties it.
-        analyze_asm outside a census keeps it."""
-        perm_vd.cache_clear()
+        Perm(A), so perm_cm_km_vd could never hit in one: each shard empties
+        it, and the subword recursion's memo with it.  analyze_asm outside a
+        census keeps both."""
+        perm_cm_km_vd.cache_clear()
+        _km_vd.cache_clear()
         analyze_asm(Asm(((0, 1, 0), (1, -1, 1), (0, 1, 0))))
-        assert perm_vd.cache_info().currsize == 1
+        assert perm_cm_km_vd.cache_info().currsize == 1
+        assert _km_vd.cache_info().currsize > 0
         assert tabulate(5).row()[:-1] == (5, 429, 328, 101, 35, 2, 329)
-        assert perm_vd.cache_info().currsize == 0
+        assert answer_memo_sizes() == (0, 0)
         assert tabulate(6).row()[:-1] == (6, 7436, 4028, 3408, 1033, 60, 4065)
-        assert perm_vd.cache_info().currsize == 0
+        assert answer_memo_sizes() == (0, 0)
 
     @pytest.mark.parametrize("n, jobs, pools", [(4, 4, []), (5, 8, [4])])
     def test_pool_no_larger_than_the_missing_shards(self, monkeypatch, n, jobs, pools):
@@ -555,9 +561,10 @@ def drop_lines(path, *indices):
     return text
 
 
-def perm_vd_size() -> int:
-    """The entries in perm_vd, as a worker process reads it."""
-    return perm_vd.cache_info().currsize
+def answer_memo_sizes() -> tuple[int, int]:
+    """The entries in perm_cm_km_vd and in the subword recursion's memo, as
+    a worker process reads them."""
+    return perm_cm_km_vd.cache_info().currsize, _km_vd.cache_info().currsize
 
 
 def record_pools(monkeypatch, cores):
@@ -1012,24 +1019,24 @@ class TestFold:
 
 
 class TestOneDerivation:
-    """analyze_asm builds the complex of an ASM from the pipe dreams of
-    Perm(A) only for the CM and KM-vd checks, none when Perm(A) decides
-    both, and otherwise once per process: its vd answers are memoized by
-    Perm(A), so a repeat with any checks or field builds none, but for the
-    CM answer of a complex that is not vd (Reisner's criterion, over each
-    field).  `asmlab analyze` takes its answers from analyze_asm and builds
-    the complex once more only for the trace of a KM-vd failure."""
+    """analyze_asm decides CM and KM-vd from Perm(A)'s lex indices, with
+    the Perm(A) rule, the subword recursion and gluing, and builds the
+    complex of an ASM from the pipe dreams of Perm(A) only for the CM answer
+    of an ASM that gluing leaves undecided (none of ASM(n <= 5)).  The
+    answers are memoized by Perm(A), so a repeat with any checks or field
+    recomputes none.  `asmlab analyze` takes its answers from analyze_asm
+    and builds the complex only for the trace of a KM-vd failure."""
 
     def test_all_checks(self, calls_through, non_km_gvd, b4):
         primes = calls_through(minimal_primes)
         ideal_complexes = calls_through(sr_complex_from_ideal)
         complexes = calls_through(perm_facets)
         reisner = calls_through(complex_is_cm)
-        perm_vd.cache_clear()
-        # equidimensional with two permutations: the complex decides, built
-        # once; it is vd, so CM over every field with no Reisner criterion
+        perm_cm_km_vd.cache_clear()
+        # equidimensional with two permutations, not KM-vd: gluing decides
+        # CM over every field, with no complex and no Reisner criterion
         assert analyze_asm(non_km_gvd).cm is True
-        assert len(complexes) == 1
+        assert complexes == []
         # a repeat, with any checks or field, builds none
         for checks in (enumeration_mod.ALL_CHECKS, ("cm",), ("km_vd",)):
             for field in ("rational", "p=2"):
@@ -1038,7 +1045,7 @@ class TestOneDerivation:
                     True if "cm" in checks else None,
                     False if "km_vd" in checks else None,
                 )
-        assert len(complexes) == 1
+        assert complexes == []
         # two lengths, and one permutation: Perm(A) decides, with no complex
         w = Permutation((2, 4, 1, 3)).to_asm()
         for A, answer in ((b4, False), (w, True)):
@@ -1066,12 +1073,12 @@ class TestOneDerivation:
 
     def test_one_perm_walk(self, calls_through, non_km_gvd):
         """With every check on an ASM that Perm(A) leaves open, Perm(A) is
-        walked once, for the answers and the complex alike."""
+        walked once, and gluing's answer needs no complex."""
         walks = calls_through(perm_walk)
         complexes = calls_through(perm_facets)
         r = analyze_asm(non_km_gvd)
         assert (r.cm, r.km_vd) == (True, False)
-        assert len(complexes) == len(walks) == 1
+        assert complexes == [] and len(walks) == 1
 
     def test_primes_only_builds_no_complex(self, calls_through, non_km_gvd, b4):
         # codim and equidimensionality come from Perm(A)'s walk: no ideal,
@@ -1099,8 +1106,8 @@ class TestOneDerivation:
         reisner = calls_through(complex_is_cm)
         # (complexes, Reisner entries): b4 and w are decided by Perm(A), and b4's
         # KM-vd failure is traced on its facets; non_km_gvd's answers are the
-        # memo's, filled by the analysis above, and its facets are built for
-        # the trace
+        # memo's, filled by the analysis above, and its facets are built only
+        # for the trace
         for A, built in ((b4, (1, 0)), (w, (0, 0)), (non_km_gvd, (1, 0))):
             path = tmp_path / "a.json"
             path.write_text(json.dumps(A.to_json_dict()))
@@ -1237,11 +1244,12 @@ class TestPairMemo:
             assert analyze_asm(second).km_vd == expected[second]
 
     def test_cm_not_shared_across_fields(self, calls_through, non_km_gvd):
-        """Only a field-free answer is shared across fields: a vd complex is
-        CM over every field, so A and A^T, equidimensional with two
-        permutations each and vd, run no Reisner criterion over either field,
-        while the one complex of ASM(5) that Perm(A) leaves open and that is
-        not vd runs it once per field, built again for each run."""
+        """Only a field-free answer is shared across fields: gluing's answer
+        holds over every field, so A and A^T, equidimensional with two
+        permutations each, build no complex and run no Reisner criterion
+        over either field, while the first ASM(6) that Perm(A) leaves open,
+        that gluing leaves undecided and whose complex is not vd runs it
+        once per field, its complex built for each run."""
         At = transpose(non_km_gvd)
         assert At != non_km_gvd
         for B in (non_km_gvd, At):
@@ -1249,11 +1257,13 @@ class TestPairMemo:
             assert r.equidimensional and r.perm_count == 2
         X = next(
             A
-            for A in enumerate_asms(5)
-            if (r := analyze_asm(A, ("equidim", "cm"))).equidimensional and not r.cm
+            for A in ASMS_UPTO_6[6]
+            if (r := analyze_asm(A, ("equidim", "cm"))).equidimensional
+            and not r.cm
+            and perm_cm_km_vd(6, *perm_walk(A)[0])[0] is None
         )
         assert analyze_asm(X, ("equidim",)).perm_count > 1
-        perm_vd.cache_clear()
+        perm_cm_km_vd.cache_clear()
         homology_mod._coneless_is_cm.cache_clear()
         reisner = calls_through(complex_is_cm)
         bettis = calls_through(reduced_betti)
@@ -1262,19 +1272,21 @@ class TestPairMemo:
         assert analyze_asm(At, ("cm",), field="p=2").cm is True
         assert analyze_asm(non_km_gvd, ("cm",), field="p=2").cm is True
         assert analyze_asm(At, ("cm",)).cm is True
-        assert reisner == [] and len(built) == 2
+        assert reisner == [] and built == []
         runs = []
         for field in ("rational", "rational", 2, 2, "rational"):
             built.clear()
             assert analyze_asm(X, ("cm",), field).cm is False
             runs.append((sorted({p for _, p in bettis}), len(built)))
             bettis.clear()
-        # (the fields of Reisner's homology, complexes built): the vd search
-        # builds one cold, and each run of Reisner's criterion one
-        assert runs == [([0], 2), ([], 1), ([2], 1), ([], 1), ([], 1)]
-        # one entry per run, its recursive calls included: the top homology
-        # rejects the complex, so no link is entered
-        assert [p for _, p in reisner] == [0, 0, 2, 2, 0]
+        # (the fields of Reisner's homology, complexes built): each run builds
+        # one for the vd search, whose memo answers the runs after the first,
+        # and Reisner's criterion
+        assert runs == [([0], 1), ([], 1), ([2], 1), ([], 1), ([], 1)]
+        # entries per run, its recursive calls included: the first run over
+        # each field enters two vertex links of the complex as well, and a
+        # repeat is answered by the memo at the top
+        assert [p for _, p in reisner] == [0, 0, 0, 0, 2, 2, 2, 2, 0]
 
     def test_bound(self):
         """The memos an analysis fills are bounded: perm_walk's row up-sets
@@ -1305,12 +1317,15 @@ class TestPairMemo:
             analyze_asm(A, ("cm",))
         assert lex_pipe_dreams.cache_info().currsize <= sum(map(factorial, range(1, 8)))
         assert init_ideal.cache_info().maxsize == 2**10
-        # perm_vd keeps one entry per open Perm(A), bounded as every memo of
-        # complexes is, and fresh() empties it
-        assert perm_vd.cache_info().maxsize == MEMO_SIZE
-        assert perm_vd.cache_info().currsize > 0
+        # perm_cm_km_vd keeps one entry per open Perm(A) and _km_vd one per
+        # state of the subword recursion, bounded as every memo keyed by
+        # Perm(A), a set of targets or a facet family is, and fresh()
+        # empties them
+        for memo in (perm_cm_km_vd, _km_vd):
+            assert memo.cache_info().maxsize == MEMO_SIZE
+            assert memo.cache_info().currsize > 0
         fresh(Asm.identity(5))
-        assert perm_vd.cache_info().currsize == 0
+        assert answer_memo_sizes() == (0, 0)
 
 
 class TestVerifyStatement:

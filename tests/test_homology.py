@@ -1,4 +1,5 @@
 import os
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -21,10 +22,11 @@ from asmlab import (
 )
 from asmlab import enumeration, homology
 from asmlab.errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
-from asmlab.complexes import perm_facets, perm_vd, vd_facets
+from asmlab.complexes import perm_facets, vd_facets
 from asmlab.enumeration import ALL_CHECKS, parse_field
 from asmlab.homology import complex_is_cm
-from asmlab.ideals import is_pure_family, perm_walk
+from asmlab.ideals import _glued_cm, _km_vd, is_pure_family, perm_cm_km_vd, perm_walk
+from asmlab.sweeps import _sampled_asms
 from helpers import compose_boundaries
 from test_complexes import vd_facets_oracle
 
@@ -232,7 +234,7 @@ class TestCascade:
 
 
 def left_open(r):
-    """Whether Perm(A) leaves CM and KM-vd to the complex, for
+    """Whether Perm(A) leaves CM and KM-vd open, for
     r = analyze_asm(A, ("equidim",)): one length and more than one
     permutation.  Otherwise both answers are r.equidimensional."""
     return r.equidimensional and r.perm_count > 1
@@ -241,11 +243,13 @@ def left_open(r):
 class TestDecidedByPerms:
     """analyze_asm lets Perm(A) settle CM and KM-vd with no complex when its
     permutations have more than one length, or when it is one permutation;
-    checked against the vd search and Reisner's criterion on the complex
-    itself.  Otherwise a cold analysis builds the complex once, and a
-    repeat, over any field, builds none (perm_vd's memo, emptied per ASM
-    here), but for the CM answer of a complex that is not vd, which builds
-    it again for Reisner's criterion."""
+    otherwise the subword recursion answers KM-vd, and CM when it holds,
+    and gluing answers CM, still with no complex; checked against the vd
+    search and Reisner's criterion on the complex itself.  Only the CM
+    answer of an ASM that gluing leaves undecided (none of ASM(n <= 5) or
+    their 1 + A, 11 of ASM(6)) builds the complex, once per analysis
+    (perm_cm_km_vd's memo, emptied per ASM here, holds the undecided answer
+    only)."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=stretch("all of ASM(6)"))])
     def test_matches_the_complex(self, n, calls_through):
@@ -255,17 +259,18 @@ class TestDecidedByPerms:
         for A in enumerate_asms(n):
             for B in (A, one_plus(A)) if n < 6 else (A,):
                 walk = analyze_asm(B, ("equidim",))
-                facets = perm_facets(B.n, perm_walk(B)[0])
+                indices = perm_walk(B)[0]
+                facets = perm_facets(B.n, indices)
                 vd, km_vd = vd_facets(facets)
-                perm_vd.cache_clear()
+                perm_cm_km_vd.cache_clear()
                 for field, p in (("rational", 0), ("p=2", 2)):
                     cm = vd or complex_is_cm(facets, p)
                     built.clear()
                     r = analyze_asm(B, field=field)
                     assert (r.cm, r.km_vd) == (cm, km_vd)
-                    # built cold over Q, not again over GF(2), and once more
-                    # per field for Reisner when not vd
-                    assert len(built) == left_open(walk) * ((p == 0) + (not vd))
+                    # built once per field when gluing leaves CM undecided
+                    undecided = left_open(walk) and perm_cm_km_vd(B.n, *indices)[0] is None
+                    assert len(built) == undecided
                     if not left_open(walk):
                         assert (r.cm, r.km_vd) == (walk.equidimensional,) * 2
                     assert is_cohen_macaulay(B, field) == cm
@@ -289,14 +294,14 @@ class TestDecidedByPerms:
             walk = analyze_asm(A, ("equidim",))
             facets = perm_facets(n, perm_walk(A)[0])
             assert is_pure_family(facets) == walk.equidimensional
-            perm_vd.cache_clear()
+            perm_cm_km_vd.cache_clear()
             built.clear()
             km_vd = analyze_asm(A, ("km_vd",)).km_vd
             assert km_vd == vd_facets(facets)[1]
-            assert len(built) == left_open(walk)
+            assert len(built) == 0
             # a repeat over another field builds none
             assert analyze_asm(A, ("km_vd",), "p=2").km_vd == km_vd
-            assert len(built) == left_open(walk)
+            assert len(built) == 0
             if not walk.equidimensional:
                 assert km_vd is False
 
@@ -317,8 +322,63 @@ class TestDecidedByPerms:
         assert built == []
 
 
+class TestSubwordAnswers:
+    """The subword recursion (_km_vd) and gluing (_glued_cm) read KM-vd and
+    CM of Delta(T), the union of the subword complexes of the staircase
+    word for an antichain T of one length, from T alone.  Their oracles are
+    the vd search and Reisner's criterion on Delta(T)'s facets, which
+    perm_facets builds from the pipe dreams of T's elements (the recursion
+    against the vd search on every ASM(n <= 6) is
+    TestDecidedByPerms.test_pure_exactly_when_equidimensional; random
+    antichains are test_properties')."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, pytest.param(6, marks=stretch("all of ASM(6)"))])
+    def test_gluing_matches_reisner(self, n):
+        """Where gluing decides, its answer is CM over Q and GF(2), on every
+        open ASM(n) and, below n = 6, its 1 + A: a vd complex is CM over
+        every field, and Reisner's criterion decides the rest.  Gluing
+        decides all of them but 11 of the 3345 open ASM(6), none of which is
+        CM."""
+        decided = undecided = 0
+        for A in enumerate_asms(n):
+            for B in (A, one_plus(A)) if n < 6 else (A,):
+                indices, lengths = perm_walk(B)
+                if len(indices) < 2 or min(lengths) != max(lengths):
+                    continue
+                cm = _glued_cm(B.n, tuple(indices))
+                facets = perm_facets(B.n, indices)
+                vd = vd_facets(facets)[0]
+                if cm is None:
+                    undecided += 1
+                    assert not (vd or complex_is_cm(facets))
+                else:
+                    decided += 1
+                    assert cm == (vd or complex_is_cm(facets)) == (vd or complex_is_cm(facets, 2))
+        assert (decided, undecided) == {3: (2, 0), 4: (30, 0), 5: (418, 0), 6: (3334, 11)}[n]
+
+    @stretch("2000 seeded ASM(7)")
+    def test_seeded_asm7(self):
+        """On 2000 ASM(7) drawn with seed 8, the recursion is the vd
+        search's fixed-order flag on every open one, and every ASM that
+        gluing finds CM is vd."""
+        opened = 0
+        for A in _sampled_asms(7, random.Random(8), 2000):
+            indices, lengths = perm_walk(A)
+            if len(indices) < 2 or min(lengths) != max(lengths):
+                continue
+            opened += 1
+            vd, km_vd = vd_facets(perm_facets(7, indices))
+            assert _km_vd(7, 0, tuple(indices)) == km_vd
+            assert vd or not _glued_cm(7, tuple(indices))
+        assert opened == 578
+
+
 class Int(int):
     """An int subclass: not a field, whatever its value."""
+
+
+class Str(str):
+    """A str subclass: not a field, whatever its value."""
 
 
 class TestParseField:
@@ -336,13 +396,17 @@ class TestParseField:
 
     @pytest.mark.parametrize(
         "field",
-        [[2], b"p=2", -3, 4, "p=4", 2.0, True, False, 0.0, 0j, Int(2), "p=\u0663", "p=\uff12"],
+        [
+            [2], b"p=2", -3, 4, "p=4", 2.0, True, False, 0.0, 0j, Int(2), "p=\u0663", "p=\uff12",
+            Str("rational"),
+        ],
     )
     def test_malformed_field_raises_every_time(self, field):
         # 2.0 and Int(2) equal the int 2 that an earlier call accepted, and
-        # False, 0.0 and 0j the int 0, the rational field; "p=\u0663" and
-        # "p=\uff12" are 3 and 2 in Arabic-Indic and fullwidth digits
-        assert parse_field(2) == 2
+        # False, 0.0 and 0j the int 0, the rational field, as Str("rational")
+        # equals "rational"; "p=\u0663" and "p=\uff12" are 3 and 2 in
+        # Arabic-Indic and fullwidth digits
+        assert parse_field(2) == parse_field("rational") + 2 == 2
         for _ in range(2):
             with pytest.raises(InvalidFieldError):
                 parse_field(field)

@@ -1,8 +1,11 @@
 """Property-based suites over randomly drawn ASMs and complexes."""
 
+from itertools import permutations
+
 from hypothesis import given, settings, strategies as st
 
 from asmlab import (
+    Permutation,
     analyze_asm,
     asm_geq,
     chain_complex,
@@ -21,9 +24,9 @@ from asmlab import (
     stanley_reisner_ideal,
     validate_asm,
 )
-from asmlab.complexes import vd_facets
+from asmlab.complexes import perm_facets, vd_facets
 from asmlab.homology import complex_is_cm
-from asmlab.ideals import cells, mask, maximal_sets
+from asmlab.ideals import _glued_cm, _km_vd, cells, lex_rank, mask, maximal_sets
 from asmlab.squarefree import minimal_sets, minimal_transversals
 from helpers import compose_boundaries
 from test_complexes import vd_facets_oracle
@@ -195,6 +198,33 @@ def test_cone_has_the_answers_of_its_base(facets, k):
     cone = frozenset(F | 1 << k for F in base)
     assert vd_facets(base) == vd_facets(facets) == vd_facets_oracle(facets)
     assert vd_facets(cone) == vd_facets(base) == vd_facets_oracle(cone)
+
+
+# antichains of one length in S_4 and S_5, as sorted lex indices: every
+# subset of the permutations of one length below the longest
+def _antichains(n):
+    by_length = {}
+    for line in permutations(range(1, n + 1)):
+        by_length.setdefault(Permutation(line).length, []).append(lex_rank(line))
+    del by_length[max(by_length)]
+    return st.sampled_from(sorted(by_length.values())).flatmap(
+        lambda alike: st.sets(st.sampled_from(alike), min_size=1, max_size=6)
+    ).map(lambda T: (n, tuple(sorted(T))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_antichains(4), _antichains(5)))
+def test_subword_answers_on_random_antichains(nT):
+    """On antichains T, not only Perm(A): the subword recursion is the vd
+    search's fixed-order flag on Delta(T), and a decided gluing answer is
+    CM over Q and GF(2): vd, CM over every field, or else Reisner's."""
+    n, T = nT
+    facets = perm_facets(n, T)
+    vd, km_vd = vd_facets(facets)
+    assert _km_vd(n, 0, T) == km_vd
+    cm = _glued_cm(n, T)
+    if cm is not None:
+        assert cm == (vd or complex_is_cm(facets)) == (vd or complex_is_cm(facets, 2))
 
 
 # -- the set-family kernel against subset-enumeration definitions ------------

@@ -85,35 +85,51 @@ def test_census_and_analysis_load_no_lazy_module(tmp_path):
     assert loaded_by_import(*LAZY_MODULES, then=then) == []
 
 
-# The one ASM(5) that Perm(A) leaves open whose complex is not vertex
-# decomposable: the only one whose CM answer reaches Reisner's criterion.
-NOT_VD5 = [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 0, -1, 0, 1], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
+# The first ASM(6) in stream order whose CM answer gluing leaves undecided:
+# its complex is not vertex decomposable, so its CM answer reaches Reisner's
+# criterion.  Gluing decides every ASM(n <= 5).
+UNDECIDED6 = [
+    [0, 1, 0, 0, 0, 0],
+    [1, -1, 0, 1, 0, 0],
+    [0, 0, 0, 0, 1, 0],
+    [0, 1, 0, -1, 0, 1],
+    [0, 0, 1, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0],
+]
 
 
 def test_import_and_vd_censuses_load_no_homology():
-    """homology holds what only a complex that is not vd reaches, so neither
-    `import asmlab`, nor a census without the cm check, nor a cm census
-    whose open complexes are all vd (every n <= 4) loads it."""
-    assert loaded_by_import("asmlab.homology") == []
+    """complexes holds what only an ASM whose CM answer gluing leaves
+    undecided reaches, and homology what only such a complex that is not
+    vd reaches, so neither `import asmlab`, nor a census without the cm
+    check, nor a census with every check that gluing decides throughout
+    (every n <= 5) loads either."""
+    names = ("asmlab.complexes", "asmlab.homology")
+    assert loaded_by_import(*names) == []
     then = (
         'asmlab.tabulate(6, checks=("codim", "equidim", "km_vd"))\n'
-        "for n in range(1, 5):\n"
+        "for n in range(1, 6):\n"
         "    asmlab.tabulate(n)"
     )
-    assert loaded_by_import("asmlab.homology", then=then) == []
+    assert loaded_by_import(*names, then=then) == []
 
 
 def test_complex_not_vd_loads_homology():
-    """The CM answer of the one ASM(5) whose complex is not vd loads
-    homology, and Reisner's criterion finds it not CM over Q and GF(2)."""
+    """The KM-vd answer of an ASM(6) that gluing leaves undecided loads no
+    complex; its CM answer builds the complex (complexes), which is not vd,
+    so it loads homology, and Reisner's criterion finds it not CM over Q
+    and GF(2)."""
     code = (
         "import sys, asmlab\n"
-        f"A = asmlab.validate_asm({NOT_VD5!r})\n"
-        'print(asmlab.analyze_asm(A, ("km_vd",)).km_vd, "asmlab.homology" in sys.modules)\n'
+        f"A = asmlab.validate_asm({UNDECIDED6!r})\n"
+        'names = ("asmlab.complexes", "asmlab.homology")\n'
+        "loaded = lambda: [name in sys.modules for name in names]\n"
+        'print(asmlab.analyze_asm(A, ("km_vd",)).km_vd, *loaded())\n'
         'print(*(asmlab.analyze_asm(A, ("cm",), field).cm for field in ("rational", 2)))\n'
-        'print("asmlab.homology" in sys.modules)'
+        "print(*loaded())"
     )
-    assert fresh_python(code).split() == ["False", "False", "False", "False", "True"]
+    expected = ["False", "False", "False", "False", "False", "True", "True"]
+    assert fresh_python(code).split() == expected
 
 
 # Every name `asmlab` exported when all of its modules were imported with it.
