@@ -5,28 +5,21 @@ pattern containment), their antidiagonal initial ideals and minimal primes,
 Stanley-Reisner complexes with fixed-order vertex decomposability, exact
 simplicial homology, Cohen-Macaulayness, and census/verification sweeps.
 
-Importing the package loads only what every census runs.  The names of
-the modules no census reads (`combinatorics`, `squarefree`, `sweeps`) and
-of `homology`, read only for a complex that is not vertex decomposable,
-are resolved at their first use (PEP 562), so `from asmlab import
-verify_statement` works as before and loads `sweeps` then.  `complexes`,
-which only an ASM whose CM answer gluing leaves undecided reaches, loads
-with the first module that imports it.
+Importing the package loads only what every census runs: `enumeration`
+(the `Asm` record, the stream, `analyze_asm` and `tabulate`), `ideals`
+(the Perm(A) walk, the subword recursion and gluing) and `errors`.  The
+names of the modules no census reads (`asm`, `combinatorics`,
+`squarefree`, `sweeps`) and of `homology`, read only for a complex that is
+not vertex decomposable, are resolved at their first use (PEP 562), so
+`from asmlab import verify_statement` works as before and loads `sweeps`
+then.  `complexes`, which only an ASM whose CM answer gluing leaves
+undecided reaches, loads with the first module that imports it.
 """
 
-from .asm import (
-    Asm,
-    Permutation,
-    asm_from_json,
-    asm_geq,
-    coxeter_length,
-    perm_set_naive,
-    rank_matrix,
-    validate_asm,
-)
 from .enumeration import (
     ASM_COUNTS,
     AnalysisReport,
+    Asm,
     CensusTable,
     analyze_asm,
     enumerate_asms,
@@ -34,12 +27,22 @@ from .enumeration import (
     tabulate,
 )
 from .errors import AsmlabError
-from .ideals import perm_set, pipe_dreams
 
 __version__ = "0.1.0"
 
 # The names loaded at first use, by the module that defines them.
 _LAZY = {
+    "asm": (
+        "Permutation",
+        "asm_from_json",
+        "asm_geq",
+        "coxeter_length",
+        "perm_set",
+        "perm_set_naive",
+        "pipe_dreams",
+        "rank_matrix",
+        "validate_asm",
+    ),
     "combinatorics": (
         "ContainmentReport",
         "ContainmentWitness",
@@ -81,7 +84,7 @@ _LAZY = {
     "sweeps": ("VerificationReport", "verify_statement"),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
-# what `from asmlab import *` binds: every public name, loading all four
+# what `from asmlab import *` binds: every public name, loading all five
 __all__ = [*(name for name in globals() if not name.startswith("_")), *_MODULE_OF]
 
 

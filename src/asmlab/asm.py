@@ -1,18 +1,25 @@
-"""Alternating sign matrices and permutations: validation, rank matrices,
-and the brute-force Perm(A) oracle.
+"""Alternating sign matrices and permutations as records: validation, the
+JSON reader, `Permutation` and its lex rank, Perm(A) as `Permutation`s,
+rank matrices, and the brute-force Perm(A) oracle.
 
 Cells are 1-indexed pairs ``(i, j)`` with row 1 at the top; rank matrices
-are nested tuples.  Diagrams, block sums, pattern containment and the
-badblock obstruction, which no census reads, are in `combinatorics`.
+are nested tuples.  A census reads none of it: the stream yields `Asm`
+records (`enumeration`), and Perm(A) is walked as lex indices (`ideals`).
+So `import asmlab` loads this module only when one of its names is first
+used: by the command line, the sweeps, the ideal theory and the oracles.
+Diagrams, block sums, pattern containment and the badblock obstruction
+are in `combinatorics`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations as iter_permutations
+from math import factorial
 from operator import add, index, le
 from typing import NamedTuple
 
+from .enumeration import Asm
 from .errors import (
     AlternationError,
     ColSumError,
@@ -23,41 +30,9 @@ from .errors import (
     SizeBoundExceededError,
     SizeMismatchError,
 )
-
-Cell = tuple[int, int]
+from .ideals import perm_walk
 
 PERM_SET_NAIVE_BOUND = 7
-
-
-class Asm(NamedTuple):
-    """A validated alternating sign matrix."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, cell: Cell) -> int:
-        i, j = cell
-        return self.entries[i - 1][j - 1]
-
-    @property
-    def a11_is_one(self) -> bool:
-        return self.entries[0][0] == 1
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "matrix": [list(row) for row in self.entries]}
-
-    @classmethod
-    def identity(cls, n: int) -> "Asm":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    def __str__(self) -> str:
-        width = max(len(str(e)) for row in self.entries for e in row)
-        return "\n".join(
-            " ".join(str(e).rjust(width) for e in row) for row in self.entries
-        )
 
 
 def validate_asm(matrix) -> Asm:
@@ -161,6 +136,39 @@ def coxeter_length(w: Permutation) -> int:
         for j in range(i + 1, len(line))
         if line[i] > line[j]
     )
+
+
+def lex_rank(line) -> int:
+    """The index of the permutation with one-line form `line` in the lex
+    order of S_n: its Lehmer code read as factorial-base digits."""
+    n, k = len(line), 0
+    for i, v in enumerate(line):
+        k += sum(u < v for u in line[i + 1 :]) * factorial(n - 1 - i)
+    return k
+
+
+def lex_unrank(n: int, k: int) -> tuple[int, ...]:
+    """The one-line form of the k-th permutation of S_n in lex order: the
+    factorial-base digits of k pick each value from those left."""
+    values, line = list(range(1, n + 1)), []
+    for place in range(n - 1, -1, -1):
+        d, k = divmod(k, factorial(place))
+        line.append(values.pop(d))
+    return tuple(line)
+
+
+def pipe_dreams(w: Permutation) -> frozenset[int]:
+    """The reduced pipe dreams of w as masks: complexes.lex_pipe_dreams at
+    w's lex rank, one memo for both."""
+    from .complexes import lex_pipe_dreams
+
+    return lex_pipe_dreams(w.n, lex_rank(w.one_line))
+
+
+def perm_set(A: Asm) -> frozenset[Permutation]:
+    """Perm(A) as Permutations, as its oracle perm_set_naive gives it:
+    perm_walk's lex indices, unranked."""
+    return frozenset(Permutation(lex_unrank(A.n, k)) for k in perm_walk(A)[0])
 
 
 # Only the sweeps, the CLI and the oracles read rank matrices, not perm_set,

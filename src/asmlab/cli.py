@@ -14,13 +14,14 @@ import os
 import sys
 from contextlib import ExitStack
 
-from .asm import Asm, Permutation, asm_from_json, rank_matrix
-from .enumeration import ALL_CHECKS, analyze_asm, parse_field, tabulate
+from .enumeration import ALL_CHECKS, Asm, analyze_asm, parse_field, tabulate
 from .errors import AsmlabError, MalformedInputError, UsageError
-from .ideals import lex_unrank, perm_walk
+from .ideals import perm_walk
 
 
 def _load_asm(path: str) -> Asm:
+    from .asm import asm_from_json
+
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -46,6 +47,7 @@ def cmd_analyze(args) -> int:
     """The answers are analyze_asm's.  Perm(A) is walked once more here,
     for the permutations, in one-line order (the walk's lex order), and for
     the facets a KM-vd failure is traced on."""
+    from .asm import Permutation, lex_unrank, rank_matrix
     from .combinatorics import ascii_diagram, dominant_part, essential_set, rothe_diagram
     from .squarefree import cell_label, init_ideal, km_vertex_decomposable
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .asm import Asm, Cell, Permutation, rank_matrix
+from .asm import Permutation, rank_matrix
+from .enumeration import Asm, Cell
 from .errors import IndexOutOfRangeError, InvalidWitnessError
 
 

@@ -1,17 +1,19 @@
-"""Streaming generation of ASM(n), the per-ASM analysis pipeline, and
-census tabulation with a resumable shard cache.
+"""The `Asm` record, streaming generation of ASM(n), the per-ASM analysis
+pipeline, and census tabulation with a resumable shard cache.
 
 ASMs are generated through their column-sum matrices: row i of the partial
 column sums is a 0/1 vector with i ones whose one-positions interlace the
 previous row's (the monotone-triangle condition).  The stream order is
 lexicographic on the successive one-position tuples, so shard boundaries
 and cache keys are stable across runs.  The theorem sweeps built on the
-stream are in `sweeps`.
+stream are in `sweeps`; validating a matrix as an ASM, permutations and
+rank matrices are in `asm`, which a census never loads.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
 import zlib
 from functools import cache, lru_cache
@@ -19,7 +21,6 @@ from itertools import combinations, islice
 from math import fsum, inf
 from typing import NamedTuple
 
-from .asm import Asm
 from .errors import AsmlabError, InvalidFieldError, SizeBoundExceededError, UnknownCheckError
 from .ideals import _km_vd, perm_cm_km_vd, perm_walk
 
@@ -37,6 +38,42 @@ CENSUS_COLUMNS = (
     "equidim",
     "runtime_s",
 )
+
+
+# -- the record the stream yields ----------------------------------------------
+
+Cell = tuple[int, int]
+
+
+class Asm(NamedTuple):
+    """A validated alternating sign matrix (asm.validate_asm checks one)."""
+
+    entries: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, cell: Cell) -> int:
+        i, j = cell
+        return self.entries[i - 1][j - 1]
+
+    @property
+    def a11_is_one(self) -> bool:
+        return self.entries[0][0] == 1
+
+    def to_json_dict(self) -> dict:
+        return {"n": self.n, "matrix": [list(row) for row in self.entries]}
+
+    @classmethod
+    def identity(cls, n: int) -> "Asm":
+        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+    def __str__(self) -> str:
+        width = max(len(str(e)) for row in self.entries for e in row)
+        return "\n".join(
+            " ".join(str(e).rjust(width) for e in row) for row in self.entries
+        )
 
 
 # -- the stream ----------------------------------------------------------------
@@ -70,9 +107,12 @@ def enumerate_asms(n: int):
     depth-first walk of the row steps of rows 1..n-3, with one iterator of
     _next_rows per row on an explicit stack.  Each ASM is its walked rows
     followed by one of the memoized completions of its last one-positions
-    (_tails), so the last three rows cost one tuple concatenation."""
-    if not (1 <= n <= MAX_STREAM_N):
-        raise SizeBoundExceededError(f"stream size n={n} outside [1, {MAX_STREAM_N}]")
+    (_tails), so the last three rows cost one tuple concatenation.  n is an
+    int of exactly that type, as parse_field takes its field."""
+    if type(n) is not int or not 1 <= n <= MAX_STREAM_N:
+        raise SizeBoundExceededError(
+            f"stream size must be an int in [1, {MAX_STREAM_N}], got {n!r}"
+        )
     walked = max(n - 3, 0)
     if not walked:
         for tail in _tails((), n):
@@ -433,7 +473,10 @@ def _shard_worker(args):
     (the 3345 open ASM(6) have 3345), so perm_cm_km_vd never hits within
     one: it is emptied when the shard is done, with the subword recursion's
     memo (_km_vd), whose states recur between the ASMs of a shard, so each
-    holds at most one shard's entries."""
+    holds at most one shard's entries.  So is the vd search's memo
+    (complexes._coneless_vd), which only the complexes of ASMs that gluing
+    leaves undecided fill, if that module has been loaded: it is looked up
+    in sys.modules, never imported here."""
     start, asms, checks, field = args
     with_cm, with_km_vd = "cm" in checks, "km_vd" in checks
     cm = equidim = km_vd_fail = km_vd_fail_a11 = 0
@@ -452,6 +495,9 @@ def _shard_worker(args):
     seconds = time.perf_counter() - t0
     perm_cm_km_vd.cache_clear()
     _km_vd.cache_clear()
+    complexes = sys.modules.get("asmlab.complexes")
+    if complexes is not None:
+        complexes._coneless_vd.cache_clear()
     return start, len(asms), cm, equidim, km_vd_fail, km_vd_fail_a11, seconds
 
 
@@ -476,18 +522,22 @@ def tabulate(
     census that other code wrote, then appends each shard's line through one
     handle, flushed per line.  The shards' counts are added up as they are
     read or computed, so memory does not grow with n.  At most
-    min(jobs, os.cpu_count()) worker processes run.
+    min(jobs, os.cpu_count()) worker processes run.  n and jobs are ints of
+    exactly that type, as parse_field takes its field: not True, 5.0 or
+    "5".
     """
     checks = _known_checks(checks)
     field = parse_field(field)
-    if not (1 <= n <= MAX_STREAM_N):
-        raise SizeBoundExceededError(f"census size n={n} outside [1, {MAX_STREAM_N}]")
+    if type(n) is not int or not 1 <= n <= MAX_STREAM_N:
+        raise SizeBoundExceededError(
+            f"census size must be an int in [1, {MAX_STREAM_N}], got {n!r}"
+        )
     if ("cm" in checks or "km_vd" in checks) and n > 7:
         raise SizeBoundExceededError("cm/km_vd censuses are limited to n <= 7")
     if filter_spec not in _FILTERS:
         raise AsmlabError(f"unknown filter {filter_spec!r}")
-    if jobs < 1:
-        raise AsmlabError(f"jobs must be at least 1, got {jobs}")
+    if type(jobs) is not int or jobs < 1:
+        raise AsmlabError(f"jobs must be an int of at least 1, got {jobs!r}")
     keep = _FILTERS[filter_spec]
     missing = set(range(0, ASM_COUNTS[n - 1], SHARD_SIZE))
     key = key_path = None

@@ -2,7 +2,7 @@
 
 Homology is computed over the rationals (exact integer elimination; no
 floating point) or over a prime field.  A complex is given by its facets,
-masks in the layout of `ideals` with their vertices in ascending bit order.
+masks in the layout of `complexes` with their vertices in ascending bit order.
 Reisner's link-vanishing criterion (`complex_is_cm`) decides
 Cohen-Macaulayness over Q (p = 0) or GF(p), rejecting a non-pure complex
 at once; it memoizes on the family with its cone points stripped and the
@@ -23,9 +23,17 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .complexes import link_facets
+from .complexes import (
+    bits,
+    is_pure_family,
+    link_facets,
+    maximal_sets,
+    strip_apex,
+    submasks,
+    union,
+)
 from .errors import FaceBudgetExceededError
-from .ideals import MEMO_SIZE, bits, is_pure_family, maximal_sets, strip_apex, submasks, union
+from .ideals import MEMO_SIZE
 
 FACE_BUDGET = 2**24  # the most faces chain_complex builds
 

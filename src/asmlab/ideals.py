@@ -1,151 +1,34 @@
-"""Cell sets of the n-by-n grid as bitmasks, the reduced pipe dreams of a
-permutation, and Perm(A) from memoized bitsets of S_n.
+"""Perm(A) from memoized bitsets of S_n, and the CM and KM-vd answers of
+an ASM's complex read off it: what every census runs past the stream.
 
-A set of grid cells (a squarefree monomial, a prime, a face) is held as an
-int bitmask: cell (i, j) is bit (i-1)*n + (n-j), row by row and right to
-left within a row, so ascending bit order is the reading order of a pipe
-dream and the lowest set bit is the greatest cell in the Knutson-Miller
-order z_{1,n} > ... > z_{n,1}.  Divisibility is `a & ~b == 0`.
-`mask(cells, n)` and `cells(m, n)` are the one codec between masks and
-cells.  The minimal primes of an ASM's antidiagonal initial ideal are the
-reduced pipe dreams of the permutations of Perm(A) (Knutson-Miller), those
-of distinct w disjoint.  A permutation of S_n is named by its index k in
-lex order, whose factorial-base digits are its Lehmer code, and a set of
-them by the int with bit n! - 1 - k for each k: `perm_walk` finds Perm(A)
-as such indices from memoized sets, and `lex_pipe_dreams(n, k)` lists the
-pipe dreams of one w by ladder moves from k's digits, so a census and the
-complex of an ASM need no ideal and no `Permutation`.  The same indices,
-with the Bruhat order read from the memoized up-sets, decide KM-vd and CM
-of an ASM's complex with no complex (`perm_cm_km_vd`): the Knutson-Miller
-subword recursion and the gluing of subword complexes.  `perm_set(A)`
-unranks the indices to `Permutation`s, as the oracle `perm_set_naive`
-gives them.  The ideals themselves, their minimal primes and the Berge
-kernel serve the theorem sweeps and the oracles, and live in
-`squarefree`, which `import asmlab` loads only on first use.
+A permutation of S_n is named by its index k in lex order, whose
+factorial-base digits are its Lehmer code, and a set of them by the int
+with bit n! - 1 - k for each k: `perm_walk` finds Perm(A) as such indices
+from memoized sets, so a census needs no ideal and no `Permutation`.  The
+same indices, with the Bruhat order read from the memoized up-sets, decide
+KM-vd and CM of an ASM's complex with no complex (`perm_cm_km_vd`): the
+Knutson-Miller subword recursion and the gluing of subword complexes.
+
+What no census runs loads at first use: the mask/cell codec, the
+set-family helpers and the pipe dreams of a lex index are in `complexes`;
+`perm_set(A)`, which unranks the indices to `Permutation`s as the oracle
+`perm_set_naive` gives them, and the lex rank and unrank are in `asm`; the
+ideals themselves, their minimal primes and the Berge kernel are in
+`squarefree`.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache, reduce
 from math import factorial
-from operator import and_, or_
+from operator import and_
 from threading import local
+from typing import TYPE_CHECKING
 
-from .asm import Asm, Cell, Permutation
 from .errors import SizeBoundExceededError
 
-
-def mask(cell_set, n: int) -> int:
-    """The bitmask of a set of cells of the n x n grid."""
-    return sum(1 << ((i - 1) * n + n - j) for (i, j) in set(cell_set))
-
-
-def cells(m: int, n: int) -> frozenset[Cell]:
-    """The cells of a bitmask of the n x n grid."""
-    return frozenset((b // n + 1, n - b % n) for b in range(m.bit_length()) if m >> b & 1)
-
-
-def bits(m: int):
-    """The single-bit masks of m, lowest first."""
-    while m:
-        low = m & -m
-        yield low
-        m ^= low
-
-
-def submasks(m: int):
-    """Every submask of m, from m itself down to 0."""
-    s = m
-    while s:
-        yield s
-        s = (s - 1) & m
-    yield 0
-
-
-def union(masks) -> int:
-    return reduce(or_, masks, 0)
-
-
-def strip_apex(family) -> frozenset:
-    """A collection of masks with the bits common to all of them removed:
-    for the facets of a cone Delta = v * Gamma, the facets of Gamma."""
-    common = reduce(and_, family, -1)
-    return frozenset(F & ~common for F in family) if common else frozenset(family)
-
-
-# -- the set-family kernel's maximal sets and purity, which the complexes and
-# homology share; minimal sets and minimal transversals are in squarefree.
-
-
-def maximal_sets(sets) -> frozenset:
-    """The inclusion-maximal members of a family of masks."""
-    outside: list[int] = []  # the complements ~k of the kept members k
-    for s in sorted(set(sets), key=int.bit_count, reverse=True):
-        if 0 not in map(s.__and__, outside):  # s lies in no kept member
-            outside.append(~s)
-    return frozenset(~k for k in outside)
-
-
-def is_pure_family(sets) -> bool:
-    """Whether all members have one size, i.e. a facet list is pure."""
-    return len({s.bit_count() for s in sets}) <= 1
-
-
-def lex_rank(line) -> int:
-    """The index of the permutation with one-line form `line` in the lex
-    order of S_n: its Lehmer code read as factorial-base digits."""
-    n, k = len(line), 0
-    for i, v in enumerate(line):
-        k += sum(u < v for u in line[i + 1 :]) * factorial(n - 1 - i)
-    return k
-
-
-def lex_unrank(n: int, k: int) -> tuple[int, ...]:
-    """The one-line form of the k-th permutation of S_n in lex order: the
-    factorial-base digits of k pick each value from those left."""
-    values, line = list(range(1, n + 1)), []
-    for place in range(n - 1, -1, -1):
-        d, k = divmod(k, factorial(place))
-        line.append(values.pop(d))
-    return tuple(line)
-
-
-def pipe_dreams(w: Permutation) -> frozenset[int]:
-    """The reduced pipe dreams of w as masks: lex_pipe_dreams at w's lex
-    rank, one memo for both."""
-    return lex_pipe_dreams(w.n, lex_rank(w.one_line))
-
-
-@lru_cache(maxsize=factorial(7))
-def lex_pipe_dreams(n: int, k: int) -> frozenset[int]:
-    """The reduced pipe dreams, as masks, of the k-th permutation w of S_n
-    in lex order: the minimal primes of init(I_w), found with no ideal
-    (Bergeron-Billey).  They are the closure of the bottom pipe dream, whose
-    row i is the cells (i, 1..c_i) for the Lehmer code c of w, the
-    factorial-base digits of k, under ladder moves: a cross at (i, j) with
-    (i, j+1) empty moves to (i-m, j+1) when rows i-1 .. i-m+1 have crosses
-    at both j and j+1 and row i-m has neither.  In the mask layout (i, j+1)
-    is one bit below (i, j) and (i-1, j) is n bits below; every cross lies
-    in the staircase i + j <= n, so j + 1 <= n throughout."""
-    bottom = 0
-    for i in range(n):
-        c, k = divmod(k, factorial(n - 1 - i))
-        bottom |= ((1 << c) - 1) << (i * n + n - c)
-    seen, todo = {bottom}, [bottom]
-    while todo:
-        D = todo.pop()
-        for x in bits(D >> n << n):  # the crosses below row 1
-            if D & x >> 1:
-                continue
-            up = x >> n
-            while up and D & up and D & up >> 1:
-                up >>= n
-            if up and not D & (up | up >> 1):
-                E = D ^ x | up >> 1
-                if E not in seen:
-                    seen.add(E)
-                    todo.append(E)
-    return frozenset(seen)
+if TYPE_CHECKING:  # enumeration, which defines it, imports this module
+    from .enumeration import Asm
 
 
 # -- Perm(A) from memoized row up-sets of S_n ---------------------------------
@@ -214,7 +97,7 @@ def _lex_table(n: int) -> list:
     """The slots of S_n in lex order, each None or, once filled, the entry
     (length, keep) of the k-th permutation w: its Coxeter length, and the
     permutations of S_n outside w's up-set and other than w, those a walk
-    may still find once w is found.  w itself is its index k (lex_unrank).
+    may still find once w is found.  w itself is its index k (asm.lex_unrank).
     w's bit n! - 1 - k is cleared whatever the up-set holds, so a walk that
     ANDs keep in always removes the bit it read.  keep is an XOR with all of
     S_n, which holds up-set and bit, so nonnegative: an AND with a negative
@@ -328,12 +211,6 @@ def _minimal(n: int, rest: int) -> tuple[list[int], list[int]]:
         lengths.append(length)
         rest &= keep
     return indices, lengths
-
-
-def perm_set(A: Asm) -> frozenset[Permutation]:
-    """Perm(A) as Permutations, as its oracle perm_set_naive gives it:
-    perm_walk's lex indices, unranked."""
-    return frozenset(Permutation(lex_unrank(A.n, k)) for k in perm_walk(A)[0])
 
 
 # -- CM and KM-vd of Delta_A from Perm(A), with no complex --------------------

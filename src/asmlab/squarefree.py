@@ -1,7 +1,7 @@
 """Squarefree monomial ideals over the n-by-n variable grid, and the
 Stanley-Reisner correspondence between them and complexes.
 
-Monomials, primes and faces are masks in the layout of `ideals`.  The
+Monomials, primes and faces are masks in the layout of `complexes`.  The
 antidiagonal initial ideal of an ASM is generated by the antidiagonal lead
 terms of its Fulton generators, which form a Groebner basis under any
 antidiagonal term order; its minimal primes are the minimal transversals
@@ -31,23 +31,25 @@ from itertools import combinations
 from operator import and_
 from typing import NamedTuple
 
-from .asm import Asm, Cell, Permutation, rank_matrix
+from .asm import Permutation, rank_matrix
 from .combinatorics import badblock_at, dominant_part, essential_set
-from .complexes import link_facets, vd_facets
+from .complexes import (
+    bits,
+    cells,
+    is_pure_family,
+    link_facets,
+    mask,
+    maximal_sets,
+    union,
+    vd_facets,
+)
+from .enumeration import Asm, Cell
 from .errors import (
     NonReducedWordError,
     NotAFaceError,
     NotBadblockError,
     SizeMismatchError,
     SupportViolationError,
-)
-from .ideals import (
-    bits,
-    cells,
-    is_pure_family,
-    mask,
-    maximal_sets,
-    union,
 )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from itertools import islice
 
-from .asm import Asm
+from .asm import perm_set
 from .combinatorics import (
     badblock_match,
     check_containment_constraints,
@@ -22,9 +22,11 @@ from .combinatorics import (
     one_plus,
     perm_direct_sum,
 )
+from .complexes import cells, mask
 from .enumeration import (
     ASM_COUNTS,
     MAX_STREAM_N,
+    Asm,
     _Slotted,
     analyze_asm,
     enumerate_asms,
@@ -32,7 +34,6 @@ from .enumeration import (
 )
 from .errors import SizeBoundExceededError, UnknownStatementError
 from .homology import _all_faces
-from .ideals import cells, mask, perm_set
 from .squarefree import (
     SquarefreeIdeal,
     construct_yo_primes,

@@ -37,7 +37,7 @@ from asmlab import (
     verify_statement,
 )
 from asmlab.homology import complex_is_cm
-from asmlab.ideals import cells, mask
+from asmlab.complexes import cells, mask
 from helpers import compose_boundaries, fulton_minors
 
 JOBS = 4

@@ -19,9 +19,19 @@ from asmlab import (
     stanley_reisner_ideal,
 )
 from asmlab.errors import NotAFaceError
-from asmlab.complexes import link_facets, perm_facets, vd_facets
+from asmlab.complexes import (
+    bits,
+    cells,
+    is_pure_family,
+    link_facets,
+    mask,
+    maximal_sets,
+    perm_facets,
+    union,
+    vd_facets,
+)
 from asmlab.homology import _all_faces
-from asmlab.ideals import bits, cells, is_pure_family, mask, maximal_sets, perm_walk, union
+from asmlab.ideals import perm_walk
 from asmlab.squarefree import SquarefreeIdeal
 from functools import cache
 from itertools import permutations

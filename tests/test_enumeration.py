@@ -37,7 +37,8 @@ from asmlab.enumeration import (
     parse_field,
 )
 from asmlab.sweeps import _sampled_asms
-from asmlab.complexes import perm_facets
+from asmlab.asm import pipe_dreams
+from asmlab.complexes import _coneless_vd, cells, lex_pipe_dreams, mask, perm_facets
 from asmlab.homology import complex_is_cm, reduced_betti
 from asmlab.ideals import (
     MEMO_SIZE,
@@ -46,12 +47,8 @@ from asmlab.ideals import (
     _fill,
     _lex_table,
     _row_upset,
-    cells,
-    lex_pipe_dreams,
-    mask,
     perm_cm_km_vd,
     perm_walk,
-    pipe_dreams,
 )
 from asmlab.errors import (
     AsmlabError,
@@ -60,6 +57,7 @@ from asmlab.errors import (
     UnknownCheckError,
     UnknownStatementError,
 )
+import asmlab.asm as asm_mod
 import asmlab.enumeration as enumeration_mod
 import asmlab.homology as homology_mod
 import asmlab.ideals as ideals_mod
@@ -166,6 +164,11 @@ class TestStream:
         with pytest.raises(SizeBoundExceededError):
             list(enumerate_asms(9))
 
+    @pytest.mark.parametrize("n", [5.0, True, "5"], ids=repr)
+    def test_n_is_an_exact_int(self, n):
+        with pytest.raises(SizeBoundExceededError, match="int"):
+            list(enumerate_asms(n))
+
 
 class TestAnalyze:
     def test_report_invariants_asm4(self):
@@ -233,6 +236,22 @@ class TestTabulate:
         assert tabulate(6).row()[:-1] == (6, 7436, 4028, 3408, 1033, 60, 4065)
         assert answer_memo_sizes() == (0, 0)
 
+    def test_census_empties_the_vd_memo(self):
+        """The 11 ASM(6) that gluing leaves undecided build their complexes
+        and fill the vd search's memo; each shard empties it with the
+        answer memos, so a census with every check ends with it empty."""
+        row = tabulate(6, jobs=1).row()[:-1]
+        assert row == (6, 7436, 4028, 3408, 1033, 60, 4065)
+        assert _coneless_vd.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("n", [True, 5.0, "5"], ids=repr)
+    def test_n_is_an_exact_int(self, tmp_path, n):
+        """tabulate(True) once gave a row with n=True, and 5.0 or "5" a bare
+        TypeError."""
+        with pytest.raises(SizeBoundExceededError, match="int"):
+            tabulate(n, checks=CODIM, cache_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("n, jobs, pools", [(4, 4, []), (5, 8, [4])])
     def test_pool_no_larger_than_the_missing_shards(self, monkeypatch, n, jobs, pools):
         sizes = record_pools(monkeypatch, cores=64)
@@ -248,8 +267,10 @@ class TestTabulate:
         assert sizes == pools
         assert t.total == ASM_COUNTS[4]
 
-    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize("jobs", [0, -1, "2", 2.5, True])
     def test_jobs_below_one_rejected_before_any_shard(self, monkeypatch, tmp_path, jobs):
+        """So is a jobs that is not an int of exactly that type: "2" once
+        raised a bare TypeError, and 2.5 and True ran."""
         sizes = record_pools(monkeypatch, cores=64)
         with pytest.raises(AsmlabError, match="jobs"):
             tabulate(4, checks=CODIM, jobs=jobs, cache_dir=tmp_path)
@@ -1064,7 +1085,7 @@ class TestOneDerivation:
         def refuse(*args):
             raise AssertionError("Perm(A) or a complex record built")
 
-        monkeypatch.setattr(ideals_mod, "lex_unrank", refuse)
+        monkeypatch.setattr(asm_mod, "lex_unrank", refuse)
         monkeypatch.setattr(squarefree_mod, "SimplicialComplex", refuse)
         for A in enumerate_asms(5):
             for field in ("rational", 2):

@@ -22,10 +22,10 @@ from asmlab import (
 )
 from asmlab import enumeration, homology
 from asmlab.errors import FaceBudgetExceededError, InvalidFieldError, SizeBoundExceededError
-from asmlab.complexes import perm_facets, vd_facets
+from asmlab.complexes import is_pure_family, perm_facets, vd_facets
 from asmlab.enumeration import ALL_CHECKS, parse_field
 from asmlab.homology import complex_is_cm
-from asmlab.ideals import _glued_cm, _km_vd, is_pure_family, perm_cm_km_vd, perm_walk
+from asmlab.ideals import _glued_cm, _km_vd, perm_cm_km_vd, perm_walk
 from asmlab.sweeps import _sampled_asms
 from helpers import compose_boundaries
 from test_complexes import vd_facets_oracle

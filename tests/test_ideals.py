@@ -42,17 +42,14 @@ from asmlab.errors import (
     SizeMismatchError,
     SupportViolationError,
 )
+from asmlab.asm import lex_rank, lex_unrank
+from asmlab.complexes import cells, lex_pipe_dreams, mask
 from asmlab.ideals import (
     PERM_TABLE_BOUND,
     UPSET_MEMO_SIZE,
     _fill,
     _lex_table,
     _row_upset,
-    cells,
-    lex_pipe_dreams,
-    lex_rank,
-    lex_unrank,
-    mask,
     perm_walk,
 )
 from asmlab.squarefree import SquarefreeIdeal, cell_label

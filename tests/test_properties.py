@@ -24,9 +24,10 @@ from asmlab import (
     stanley_reisner_ideal,
     validate_asm,
 )
-from asmlab.complexes import perm_facets, vd_facets
+from asmlab.asm import lex_rank
+from asmlab.complexes import cells, mask, maximal_sets, perm_facets, vd_facets
 from asmlab.homology import complex_is_cm
-from asmlab.ideals import _glued_cm, _km_vd, cells, lex_rank, mask, maximal_sets
+from asmlab.ideals import _glued_cm, _km_vd
 from asmlab.squarefree import minimal_sets, minimal_transversals
 from helpers import compose_boundaries
 from test_complexes import vd_facets_oracle

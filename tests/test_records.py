@@ -65,24 +65,114 @@ def test_census_without_cache_loads_no_hashlib():
 
 # The modules that `import asmlab` leaves to the first use of one of their
 # names: no census or analysis reads them.
-LAZY_MODULES = ("asmlab.combinatorics", "asmlab.squarefree", "asmlab.sweeps")
+LAZY_MODULES = ("asmlab.asm", "asmlab.combinatorics", "asmlab.squarefree", "asmlab.sweeps")
+# The modules that `import asmlab` loads: what every census runs.
+EAGER_MODULES = ("asmlab", "asmlab.enumeration", "asmlab.errors", "asmlab.ideals")
 
 
 def test_import_loads_no_lazy_module():
     assert loaded_by_import(*LAZY_MODULES) == []
 
 
+def test_import_loads_exactly_the_eager_modules():
+    code = "import sys, asmlab\nprint(*sorted(m for m in sys.modules if m.startswith('asmlab')))"
+    assert fresh_python(code).split() == list(EAGER_MODULES)
+
+
 def test_census_and_analysis_load_no_lazy_module(tmp_path):
-    """A cached census with every check, the analysis of every ASM(5) over
-    GF(2) (Reisner's criterion included) and the brute-force Perm(A) of the
-    benchmark's check phase compile nothing more."""
+    """A cached census with every check and the analysis of every ASM(5)
+    over GF(2) compile nothing more, and the brute-force Perm(A) of the
+    benchmark's check phase compiles exactly the module it lives in."""
     then = (
         f"asmlab.tabulate(5, cache_dir={str(tmp_path)!r})\n"
         "for A in asmlab.enumerate_asms(5):\n"
-        "    asmlab.analyze_asm(A, field=2)\n"
-        "    asmlab.perm_set_naive(A)"
+        "    asmlab.analyze_asm(A, field=2)"
     )
     assert loaded_by_import(*LAZY_MODULES, then=then) == []
+    then += "\n    asmlab.perm_set_naive(A)"
+    assert loaded_by_import(*LAZY_MODULES, "asmlab.complexes", then=then) == ["asmlab.asm"]
+
+
+# Run in a fresh process: every census shape, under sys.setprofile from before
+# `import asmlab`, then print the functions and methods (by qualified name) of
+# the modules it loaded that were never called.
+EAGER_CODE_CALLED = """
+import json, sys, tempfile, types
+
+called = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        called.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+
+sys.setprofile(profile)
+import asmlab
+
+for field in ("rational", 2):
+    for n in range(1, 6):
+        asmlab.tabulate(n, field=field)
+        with tempfile.TemporaryDirectory() as cache_dir:
+            for _ in range(2):  # into the cache, then from it
+                asmlab.tabulate(n, field=field, cache_dir=cache_dir)
+asmlab.tabulate(5, filter_spec="a11=1")
+asmlab.tabulate(6, checks=("codim", "equidim"))
+sys.setprofile(None)
+
+
+def functions(code, prefix):
+    # (qualified name, code) of each function and method under code; a
+    # class body (not CO_OPTIMIZED) is none, and nor is a comprehension
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            name = prefix + const.co_name
+            if const.co_flags & 1 and (name[-1] != ">" or name.endswith("<lambda>")):
+                yield name, const
+            yield from functions(const, name + ".")
+
+
+uncalled = []
+for module in sorted(m for m in sys.modules if m.split(".")[0] == "asmlab"):
+    path = sys.modules[module].__file__
+    with open(path) as source:
+        top = compile(source.read(), path, "exec")
+    for name, code in functions(top, module + "."):
+        if (code.co_filename, code.co_firstlineno, code.co_name) not in called:
+            uncalled.append(name)
+print(json.dumps(uncalled))
+"""
+
+# The functions and methods of the eager modules that no census calls, each
+# with why it stays there.
+NOT_CALLED_BY_A_CENSUS = {
+    "asmlab.__getattr__": "loads a lazy module at the first use of one of its names",
+    "asmlab.__dir__": "lists the lazy names beside the loaded ones",
+    "asmlab.enumeration.Asm.__getitem__": "record convenience: an entry by its cell",
+    "asmlab.enumeration.Asm.to_json_dict": "record convenience: asmlab analyze's JSON",
+    "asmlab.enumeration.Asm.identity": "record convenience: the identity ASM",
+    "asmlab.enumeration.Asm.__str__": "record convenience: the matrix as text",
+    "asmlab.enumeration._Slotted._values": "record convenience: read by __eq__",
+    "asmlab.enumeration._Slotted.__eq__": "record convenience: equal reports",
+    "asmlab.enumeration._Slotted.__repr__": "record convenience: a report's repr",
+    "asmlab.enumeration._invalid_field": "error builder: a malformed field",
+    "asmlab.enumeration.is_cohen_macaulay": "analyze_asm's CM answer, for one ASM",
+    "asmlab.enumeration.CensusTable.row": "record convenience: the row to render",
+    "asmlab.enumeration.CensusTable.row.cell": "record convenience: a check not run",
+    "asmlab.enumeration.CensusTable.to_csv": "record convenience: asmlab enumerate's CSV",
+    "asmlab.enumeration.CensusTable.to_json_dict": "record convenience: its JSON",
+}
+
+
+def test_eager_modules_hold_only_census_code():
+    """Every function and method of the modules `import asmlab` loads is
+    called by some census: every check at n <= 5 over Q and GF(2), with
+    and without a cache, filtered, and codim and equidim at n=6, all in
+    one fresh process.  What no census runs belongs in a module loaded at
+    first use, or in NOT_CALLED_BY_A_CENSUS with its reason."""
+    uncalled = json.loads(fresh_python(EAGER_CODE_CALLED))
+    assert sorted(uncalled) == sorted(NOT_CALLED_BY_A_CENSUS)
 
 
 # The first ASM(6) in stream order whose CM answer gluing leaves undecided:
